@@ -4,8 +4,7 @@ Every basis element carries its expression in the input generators, so
 membership certificates survive minimalization and interreduction. The
 pair queue runs the normal strategy (smallest lcm under the active order)
 and skips coprime pairs. New elements have their denominators cleared and
-their rational content divided out, which keeps coefficients small and
-keeps the truncated pipeline's cofactors polynomial.
+their rational content divided out, which keeps coefficients small.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
-from .orders import MonomialOrder, exp_add, exp_divides, exp_lcm, exp_sub, is_global
-from .division import divide, divide_truncated, s_function
+from .orders import MonomialOrder, exp_add, exp_divides, exp_lcm, exp_sub, is_global, lex
+from .division import divide, s_function
 from .polyring import AScalar, ParamPoly, ParamScalar
 
 
@@ -51,16 +50,15 @@ def _clear_and_shrink(g: ParamPoly, cofs: list[ParamPoly]):
     return g, cofs
 
 
-def buchberger(F, order: MonomialOrder, use_truncated: bool = False,
+def buchberger(F, order: MonomialOrder,
                degree_dims: int | None = None) -> BasisResult:
     """Compute a standard basis of the ideal generated by F.
 
     Terminates for a global order, or for homogeneous input under any
     order (the staircase grows strictly inside a noetherian lattice).
-    With use_truncated the inner divisions stop at the first escaped
-    exponent, which keeps every new element inside the polynomial span
-    of the inputs. degree_dims restricts the homogeneity bookkeeping to
-    the first coordinates (the (x, z) slice of a combined ring).
+    S-functions are reduced by full division. degree_dims restricts the
+    homogeneity bookkeeping to the first coordinates (the (x, z) slice of
+    a combined ring).
     """
     F = list(F)
     nonzero = [f for f in F if not f.is_zero()]
@@ -86,8 +84,6 @@ def buchberger(F, order: MonomialOrder, use_truncated: bool = False,
         cofs.append(c)
         leads.append(g.leading(order)[0])
 
-    divider = divide_truncated if use_truncated else divide
-
     def pair_key(i, j):
         return order.key(exp_lcm(leads[i], leads[j])) + (i, j)
 
@@ -101,7 +97,7 @@ def buchberger(F, order: MonomialOrder, use_truncated: bool = False,
         s = s_function(gens[i], gens[j], order)
         if s.is_zero():
             continue
-        res = divider(s, gens, order)
+        res = divide(s, gens, order)
         r = res.remainder
         if r.is_zero():
             continue
@@ -176,19 +172,17 @@ def reduce_basis(B: BasisResult, order: MonomialOrder) -> BasisResult:
     return BasisResult(out_g, out_c, B.order, B.homogeneous)
 
 
-def parameter_groebner(gens: list[AScalar], order: MonomialOrder | None = None) -> list[AScalar]:
+def parameter_groebner(gens: list[AScalar]) -> list[AScalar]:
     """Reduced lex Groebner basis of an ideal inside the parameter ring.
 
     The parameters are treated as main variables with an empty parameter
     block, reusing the one engine. Returns [] for the zero ideal.
     """
-    from .orders import lex as lex_order
-
     nz = [g for g in gens if not g.is_zero()]
     if not nz:
         return []
     m = nz[0].m
-    order = order or lex_order(m)
+    order = lex(m)
     polys = [ParamPoly({e: ParamScalar.const(c, 0) for e, c in g.terms.items()}, m, 0)
              for g in nz]
     res = reduce_basis(minimalize(buchberger(polys, order)), order)
@@ -199,15 +193,12 @@ def parameter_groebner(gens: list[AScalar], order: MonomialOrder | None = None) 
     return out
 
 
-def normal_form_param(s: AScalar, basis: list[AScalar],
-                      order: MonomialOrder | None = None) -> AScalar:
-    """Remainder of a parameter polynomial modulo a parameter-ring basis."""
-    from .orders import lex as lex_order
-
+def normal_form_param(s: AScalar, basis: list[AScalar]) -> AScalar:
+    """Remainder modulo a basis from parameter_groebner (lex division)."""
     if s.is_zero() or not basis:
         return s
     m = s.m
-    order = order or lex_order(m)
+    order = lex(m)
     f = ParamPoly({e: ParamScalar.const(c, 0) for e, c in s.terms.items()}, m, 0)
     G = [ParamPoly({e: ParamScalar.const(c, 0) for e, c in g.terms.items()}, m, 0)
          for g in basis]

@@ -27,13 +27,11 @@ from .genstd import (
     verify_specialization,
 )
 from .comprehensive import comprehensive_basis
-from .hilbert import strata_from_cells
+from .hilbert import hilbert_partition
 from .problems import Problem, parse_point, parse_problem
 from .sampling import variety_points
 
 SCHEMA = "parastd/1"
-COMMANDS = ("gsb", "reduce", "comprehensive", "hilbert", "divide",
-            "specialize", "verify")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -63,154 +61,150 @@ def _point_doc(problem: Problem, point) -> dict:
             for name, v in zip(problem.params, point)}
 
 
-def _context(problem: Problem) -> PrimeContext:
-    return PrimeContext.from_generators(problem.qgens, problem.m)
+def _generic_basis(problem: Problem):
+    ctx = PrimeContext.from_generators(problem.qgens, problem.m)
+    return generic_basis(problem.ideal, problem.order, ctx)
 
 
-def _h_doc(problem: Problem, basis) -> dict:
+def _basis_doc(problem: Problem, basis, **extra) -> dict:
+    """Result of gsb and reduce; `extra` fields go after the staircase."""
     return {
+        "generators": [_render(problem, g) for g in basis.gens],
+        "staircase": _staircase_doc(basis.staircase),
+        **extra,
+        "q": [_render_a(problem, q) for q in problem.qgens],
         "h": _render_a(problem, basis.h_poly()),
         "h_factors": [{"factor": _render_a(problem, f), "power": k}
                       for f, k in basis.h_factors],
     }
 
 
-def _default_trunc(problem: Problem, overrides, staircase) -> int:
-    explicit = _setting(problem, overrides, "trunc_degree", None)
-    if explicit is not None:
-        return explicit
-    return max(6, staircase.max_generator_degree())
+def _cell_doc(problem: Problem, cell) -> dict:
+    return {
+        "vanish": [_render_a(problem, v) for v in cell.vanish],
+        "nonvanish": [_render_a(problem, v) for v in cell.nonvanish],
+    }
+
+
+def _gsb(problem, overrides, seed):
+    return _basis_doc(problem, _generic_basis(problem)), EXIT_OK
+
+
+def _reduce(problem, overrides, seed):
+    basis = _generic_basis(problem)
+    trunc = _setting(problem, overrides, "trunc_degree", None)
+    if trunc is None:
+        trunc = max(6, basis.staircase.max_generator_degree())
+    red = generic_reduced_basis(basis, trunc)
+    return _basis_doc(problem, red, trunc_degree=trunc), EXIT_OK
+
+
+def _comprehensive(problem, overrides, seed):
+    result = comprehensive_basis(
+        problem.ideal, problem.order,
+        max_depth=_setting(problem, overrides, "max_depth", 12), seed=seed)
+    cells = [{
+        **_cell_doc(problem, entry.cell),
+        "basis": [_render(problem, g) for g in entry.basis.gens],
+        "staircase": _staircase_doc(entry.staircase),
+        "h": _render_a(problem, entry.basis.h_poly()),
+    } for entry in result.cells]
+    return {"cells": cells, "covering": result.covering}, EXIT_OK
+
+
+def _hilbert(problem, overrides, seed):
+    strata = hilbert_partition(
+        problem.ideal, problem.order,
+        max_depth=_setting(problem, overrides, "max_depth", 12), seed=seed)
+    return {"strata": [{
+        "cells": [_cell_doc(problem, c) for c in s.cells],
+        "hsf_values": s.data.values,
+        "polynomial": s.data.polynomial_text(),
+        "stabilizes_at": s.data.stabilization_index,
+        "milnor": "infinite" if s.milnor is inf else str(s.milnor),
+    } for s in strata]}, EXIT_OK
+
+
+def _divide(problem, overrides, seed):
+    if len(problem.ideal) < 2:
+        raise ProblemSyntaxError(
+            "divide needs the dividend and at least one divisor in 'ideal'")
+    f, G = problem.ideal[0], problem.ideal[1:]
+    trunc = _setting(problem, overrides, "trunc_degree", None)
+    if trunc is not None:
+        res, mode = divide_series(f, G, problem.order, trunc), "series"
+    elif is_global(problem.order) or (
+            f.is_homogeneous() and all(g.is_homogeneous() for g in G)):
+        res, mode = divide(f, G, problem.order), "full"
+    else:
+        res, mode = divide_truncated(f, G, problem.order), "truncated"
+    return {
+        "mode": mode,
+        "quotients": [_render(problem, q) for q in res.quotients],
+        "remainder": _render(problem, res.remainder),
+        "cofactor_ok": res.cofactor_ok,
+    }, EXIT_OK
+
+
+def _specialize(problem, overrides, seed):
+    point_text = overrides.get("point")
+    if not point_text:
+        raise ProblemSyntaxError("specialize needs --point a=..,b=..")
+    point = parse_point(point_text, problem.params)
+    spec = [f.specialize(point) for f in problem.ideal]
+    nz = [f for f in spec if not f.is_zero()]
+    return {
+        "point": _point_doc(problem, point),
+        "polynomials": [render_poly(f, problem.order, problem.vars, ())
+                        for f in spec],
+        "staircase": _staircase_doc(plain_staircase(nz, problem.order)) if nz else [],
+    }, EXIT_OK
+
+
+def _verify(problem, overrides, seed):
+    basis = _generic_basis(problem)
+    count = _setting(problem, overrides, "samples", 10)
+    points = variety_points(problem.qgens, problem.m, Random(seed), count,
+                            avoid=[basis.h_poly()])
+    if not points:
+        raise ParastdError("no admissible sample points found")
+    report = verify_specialization(basis, points)
+    return {
+        "staircase": _staircase_doc(basis.staircase),
+        "samples": [{
+            "point": _point_doc(problem, c.point),
+            "ok": c.ok,
+            "staircase": _staircase_doc(c.got),
+            "note": c.note,
+        } for c in report.checks],
+        "ok": report.ok,
+        "requested": count,
+        "tested": len(report.checks),
+    }, EXIT_OK if report.ok else EXIT_VERIFY
+
+
+# command name -> fn(problem, overrides, seed) returning (result, exit code)
+COMMANDS = {
+    "gsb": _gsb,
+    "reduce": _reduce,
+    "comprehensive": _comprehensive,
+    "hilbert": _hilbert,
+    "divide": _divide,
+    "specialize": _specialize,
+    "verify": _verify,
+}
 
 
 def run(command: str, problem: Problem, overrides: dict | None = None) -> tuple[dict, int]:
     """Execute a command on a parsed problem; return (document, exit code)."""
+    if command not in COMMANDS:
+        raise ProblemSyntaxError(f"unknown command {command!r}")
     overrides = overrides or {}
     seed = _setting(problem, overrides, "seed", 0)
-    doc = {"schema": SCHEMA, "command": command, "seed": seed, "status": "ok"}
-    code = EXIT_OK
-
-    if command == "gsb":
-        basis = generic_basis(problem.ideal, problem.order, _context(problem))
-        doc["result"] = {
-            "generators": [_render(problem, g) for g in basis.gens],
-            "staircase": _staircase_doc(basis.staircase),
-            "q": [_render_a(problem, q) for q in problem.qgens],
-            **_h_doc(problem, basis),
-        }
-
-    elif command == "reduce":
-        basis = generic_basis(problem.ideal, problem.order, _context(problem))
-        trunc = _default_trunc(problem, overrides, basis.staircase)
-        red = generic_reduced_basis(basis, trunc)
-        doc["result"] = {
-            "generators": [_render(problem, g) for g in red.gens],
-            "staircase": _staircase_doc(red.staircase),
-            "trunc_degree": trunc,
-            "q": [_render_a(problem, q) for q in problem.qgens],
-            **_h_doc(problem, red),
-        }
-
-    elif command == "comprehensive":
-        result = comprehensive_basis(
-            problem.ideal, problem.order,
-            max_depth=_setting(problem, overrides, "max_depth", 12),
-            seed=seed)
-        cells = []
-        for entry in result.cells:
-            cells.append({
-                "vanish": [_render_a(problem, v) for v in entry.cell.vanish],
-                "nonvanish": [_render_a(problem, v) for v in entry.cell.nonvanish],
-                "basis": [_render(problem, g) for g in entry.basis.gens],
-                "staircase": _staircase_doc(entry.staircase),
-                "h": _render_a(problem, entry.basis.h_poly()),
-            })
-        doc["result"] = {"cells": cells, "covering": result.covering}
-
-    elif command == "hilbert":
-        result = comprehensive_basis(
-            problem.ideal, problem.order,
-            max_depth=_setting(problem, overrides, "max_depth", 12),
-            seed=seed)
-        strata = strata_from_cells(result)
-        out = []
-        for s in strata:
-            out.append({
-                "cells": [{
-                    "vanish": [_render_a(problem, v) for v in c.vanish],
-                    "nonvanish": [_render_a(problem, v) for v in c.nonvanish],
-                } for c in s.cells],
-                "hsf_values": s.data.values,
-                "polynomial": s.data.polynomial_text(),
-                "stabilizes_at": s.data.stabilization_index,
-                "milnor": "infinite" if s.milnor is inf else str(s.milnor),
-            })
-        doc["result"] = {"strata": out}
-
-    elif command == "divide":
-        if len(problem.ideal) < 2:
-            raise ProblemSyntaxError(
-                "divide needs the dividend and at least one divisor in 'ideal'")
-        f, G = problem.ideal[0], problem.ideal[1:]
-        trunc = _setting(problem, overrides, "trunc_degree", None)
-        if trunc is not None:
-            res, mode = divide_series(f, G, problem.order, trunc), "series"
-        elif is_global(problem.order) or (
-                f.is_homogeneous() and all(g.is_homogeneous() for g in G)):
-            res, mode = divide(f, G, problem.order), "full"
-        else:
-            res, mode = divide_truncated(f, G, problem.order), "truncated"
-        doc["result"] = {
-            "mode": mode,
-            "quotients": [_render(problem, q) for q in res.quotients],
-            "remainder": _render(problem, res.remainder),
-            "cofactor_ok": res.cofactor_ok,
-        }
-
-    elif command == "specialize":
-        point_text = overrides.get("point")
-        if not point_text:
-            raise ProblemSyntaxError("specialize needs --point a=..,b=..")
-        point = parse_point(point_text, problem.params)
-        spec = [f.specialize(point) for f in problem.ideal]
-        nz = [f for f in spec if not f.is_zero()]
-        st = plain_staircase(nz, problem.order) if nz else None
-        doc["result"] = {
-            "point": _point_doc(problem, point),
-            "polynomials": [render_poly(f, problem.order, problem.vars, ())
-                            for f in spec],
-            "staircase": _staircase_doc(st) if st else [],
-        }
-
-    elif command == "verify":
-        basis = generic_basis(problem.ideal, problem.order, _context(problem))
-        count = _setting(problem, overrides, "samples", 10)
-        rng = Random(seed)
-        avoid = [basis.h_poly()]
-        points = variety_points(problem.qgens, problem.m, rng, count,
-                                avoid=avoid)
-        if not points:
-            raise ParastdError("no admissible sample points found")
-        report = verify_specialization(basis, points)
-        doc["result"] = {
-            "staircase": _staircase_doc(basis.staircase),
-            "samples": [{
-                "point": _point_doc(problem, c.point),
-                "ok": c.ok,
-                "staircase": _staircase_doc(c.got),
-                "note": c.note,
-            } for c in report.checks],
-            "ok": report.ok,
-            "requested": count,
-            "tested": len(report.checks),
-        }
-        if not report.ok:
-            doc["status"] = "verification_failed"
-            code = EXIT_VERIFY
-
-    else:
-        raise ProblemSyntaxError(f"unknown command {command!r}")
-
-    return doc, code
+    result, code = COMMANDS[command](problem, overrides, seed)
+    status = "ok" if code == EXIT_OK else "verification_failed"
+    return {"schema": SCHEMA, "command": command, "seed": seed,
+            "status": status, "result": result}, code
 
 
 # ---------------------------------------------------------------------------
@@ -230,31 +224,22 @@ def _inline(value) -> str | None:
 
 
 def _text_lines(value, indent=0) -> list[str]:
+    """Lines of a nonempty dict ("key:" labels) or list ("-" labels)."""
     pad = "  " * indent
-    lines = []
     if isinstance(value, dict):
-        for key in value:
-            v = value[key]
-            compact = _inline(v) if isinstance(v, list) else None
-            if compact is not None:
-                lines.append(f"{pad}{key}: {compact}")
-            elif isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar_text(v)}")
-    elif isinstance(value, list):
-        for v in value:
-            compact = _inline(v) if isinstance(v, list) else None
-            if compact is not None:
-                lines.append(f"{pad}- {compact}")
-            elif isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar_text(v)}")
+        pairs = [(f"{key}:", v) for key, v in value.items()]
     else:
-        lines.append(f"{pad}{_scalar_text(value)}")
+        pairs = [("-", v) for v in value]
+    lines = []
+    for label, v in pairs:
+        compact = _inline(v)
+        if compact is not None:
+            lines.append(f"{pad}{label} {compact}")
+        elif isinstance(v, (dict, list)) and v:
+            lines.append(f"{pad}{label}")
+            lines.extend(_text_lines(v, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_scalar_text(v)}")
     return lines
 
 

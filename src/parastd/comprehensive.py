@@ -32,6 +32,8 @@ from .genstd import (
 )
 from .sampling import variety_points
 
+VERIFY_SAMPLES = 3  # sample points checked per emitted cell
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -83,12 +85,13 @@ def _sort_factors(factors):
 
 
 def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
-                        verify_samples: int = 3, seed: int = 0) -> ComprehensiveResult:
+                        seed: int = 0) -> ComprehensiveResult:
     """Partition parameter space into cells of constant staircase.
 
     Tree recursion on (vanish, nonvanish) condition sets; every root-to-leaf
     path strictly increases the vanishing ideal, so max_depth is a guard,
-    not the usual stopping reason. Inconsistent cells are pruned.
+    not the usual stopping reason. Inconsistent cells are pruned. Each
+    emitted cell is checked on up to VERIFY_SAMPLES sample points.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -103,7 +106,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
             frontier.append((evanish, navoid))
             return
         try:
-            ctx = PrimeContext.from_generators(evanish, m, assumed_prime=False)
+            ctx = PrimeContext.from_generators(evanish, m)
         except QContainsOne:
             return  # empty locus
         if any(in_radical(nv, ctx.qbasis) for nv in navoid):
@@ -129,7 +132,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
             return
 
         cell = Cell(evanish, navoid + tuple(branch))
-        bad = _failing_sample(cell, basis, F, order, rng, verify_samples)
+        bad = _failing_sample(cell, basis, F, order, rng)
         if bad is not None:
             split = _offending_factor(basis, bad, ctx)
             if split is None:
@@ -152,11 +155,9 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
     return ComprehensiveResult(entries, covering=True)
 
 
-def _failing_sample(cell, basis, F, order, rng, count):
+def _failing_sample(cell, basis, F, order, rng):
     """First admissible sample whose from-scratch staircase disagrees."""
-    if count <= 0:
-        return None
-    points = variety_points(cell.vanish, basis.ctx.m, rng, count,
+    points = variety_points(cell.vanish, basis.ctx.m, rng, VERIFY_SAMPLES,
                             avoid=list(cell.nonvanish))
     for p in points:
         spec = [f.specialize(p) for f in F]

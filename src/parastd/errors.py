@@ -33,10 +33,6 @@ class AllCoefficientsInQ(ParastdError):
     pass
 
 
-class LeadingCoeffNotDividingH(ParastdError):
-    pass
-
-
 class QContainsOne(ParastdError):
     pass
 

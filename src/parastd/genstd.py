@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .errors import (
     AllCoefficientsInQ,
     DenominatorInQ,
-    LeadingCoeffNotDividingH,
     NonTerminatingOrder,
     QContainsOne,
     SampleOffVariety,
@@ -40,7 +39,6 @@ from .polyring import (
     ParamPoly,
     ParamScalar,
     ascalar_to_poly,
-    divides_factor_power,
     embed_params_as_vars,
     split_params,
 )
@@ -63,15 +61,14 @@ class PrimeContext:
     qgens: tuple[AScalar, ...]
     qbasis: tuple[AScalar, ...]
     m: int
-    assumed_prime: bool = True
 
     @classmethod
-    def from_generators(cls, qgens, m, assumed_prime=True) -> "PrimeContext":
+    def from_generators(cls, qgens, m) -> "PrimeContext":
         qgens = tuple(g for g in qgens if not g.is_zero())
         basis = tuple(parameter_groebner(list(qgens)))
         if any(g.is_constant() for g in basis):
             raise QContainsOne("the parameter ideal contains 1")
-        return cls(qgens, basis, m, assumed_prime)
+        return cls(qgens, basis, m)
 
     @classmethod
     def trivial(cls, m) -> "PrimeContext":
@@ -151,8 +148,7 @@ class ModQDivision:
 
 
 def divide_mod_q(f: ParamPoly, G, order: MonomialOrder, ctx: PrimeContext,
-                 trunc_degree: int | None = None,
-                 h_factors=None) -> ModQDivision:
+                 trunc_degree: int | None = None) -> ModQDivision:
     """Division of f by G modulo Q: f = sum(q_j g_j) + R + T.
 
     Each divisor splits into its surviving part (used for the actual
@@ -169,13 +165,6 @@ def divide_mod_q(f: ParamPoly, G, order: MonomialOrder, ctx: PrimeContext,
             raise AllCoefficientsInQ("divisor vanishes mod Q")
         g1s.append(g1)
         g2s.append(g1 - g)
-        if h_factors is not None:
-            _, lc = g1.leading(order)
-            num = lc.num.primitive()
-            if not num.is_constant() and not divides_factor_power(
-                    num, [fac for fac, _ in h_factors]):
-                raise LeadingCoeffNotDividingH(
-                    "leading coefficient mod Q does not divide h")
     if is_global(order) or (f.is_homogeneous()
                             and all(g.is_homogeneous() for g in g1s)):
         res = divide(f, g1s, order)
@@ -220,9 +209,6 @@ class GenericBasis:
             for _ in range(k):
                 h = h * fac
         return h
-
-    def leading_exponents_mod_q(self) -> list[Exponent]:
-        return [leading_mod_q(g, self.order, self.ctx)[0] for g in self.gens]
 
 
 def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:

@@ -15,6 +15,7 @@ from math import comb, inf
 
 from .errors import NoStabilization, ParastdError
 from .orders import MonomialOrder, exp_lcm, is_degree_compatible_local
+from .polyring import render_fraction, render_terms
 from .genstd import Staircase
 from .comprehensive import Cell, ComprehensiveResult, comprehensive_basis
 
@@ -63,29 +64,13 @@ class HilbertData:
         return sum(c * Fraction(r) ** k for k, c in enumerate(self.coefficients))
 
     def polynomial_text(self, var: str = "r") -> str:
-        if not self.coefficients or all(c == 0 for c in self.coefficients):
-            return "0"
-        parts = []
-        for k in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            mag_s = str(mag.numerator) if mag.denominator == 1 else \
-                f"({mag.numerator}/{mag.denominator})"
-            power = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            if not power:
-                body = mag_s
-            elif mag == 1:
-                body = power
-            else:
-                body = f"{mag_s}*{power}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        def mag(c):
+            text = render_fraction(abs(c))
+            return f"({text})" if "/" in text else text
+
+        return render_terms(((c < 0, mag(c), (k,))
+                             for k, c in reversed(list(enumerate(self.coefficients)))
+                             if c), (var,))
 
     @property
     def degree(self) -> int:

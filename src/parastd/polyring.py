@@ -13,6 +13,7 @@ Three layers, all sparse dicts keyed by exponent tuples:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DenominatorVanishes,
@@ -112,12 +113,6 @@ class AScalar:
             return AScalar.zero(self.m)
         return AScalar({e: c * q for e, c in self.terms.items()}, self.m)
 
-    def __pow__(self, k: int):
-        out = AScalar.one(self.m)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return isinstance(other, AScalar) and self.m == other.m and self.terms == other.terms
 
@@ -147,28 +142,12 @@ class AScalar:
             out += v
         return out
 
-    def derivative(self, i: int) -> "AScalar":
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-                out[e2] = out.get(e2, 0) + c * e[i]
-        return AScalar(out, self.m)
-
     def content(self) -> Fraction:
         """Positive rational content, sign taken from the lex leading term."""
         if not self.terms:
             return Fraction(1)
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        cont = Fraction(num, den)
-        if self.lead()[1] < 0:
-            cont = -cont
-        return cont
+        cont = fraction_content(self.terms.values())
+        return -cont if self.lead()[1] < 0 else cont
 
     def primitive(self) -> "AScalar":
         """Divide out the content; leading lex coefficient becomes positive."""
@@ -202,6 +181,15 @@ class AScalar:
                 else:
                     rem.pop(ee, None)
         return AScalar(quo, self.m)
+
+
+def fraction_content(values) -> Fraction:
+    """Gcd of the numerators over the lcm of the denominators (0 when all are 0).
+
+    `values` is a collection of Fractions; it is iterated twice.
+    """
+    return Fraction(gcd(*(q.numerator for q in values)),
+                    lcm(*(q.denominator for q in values)))
 
 
 def divides_factor_power(num: AScalar, factors) -> bool:
@@ -350,10 +338,7 @@ def rational_roots(s: AScalar) -> list[Fraction]:
         coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
-    from math import gcd
-    mult = 1
-    for c in coeffs:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
+    mult = fraction_content(coeffs).denominator
     ints = [int(c * mult) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
 
@@ -415,12 +400,6 @@ class ParamScalar:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num == self.den
-
-    def is_integral(self) -> bool:
-        return self.den.is_constant()
 
     def __add__(self, other):
         if self.den == other.den:
@@ -530,9 +509,6 @@ class ParamPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def newton_diagram(self) -> set[Exponent]:
-        return set(self.terms)
 
     def __add__(self, other):
         self._chk(other)
@@ -675,14 +651,9 @@ class ParamPoly:
 
     def rational_content(self) -> Fraction:
         """Common Fraction content of an integral polynomial (dens constant)."""
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            q = c.num.content() / c.den.constant_value()
-            num = gcd(num, abs(q.numerator))
-            den = den * q.denominator // gcd(den, q.denominator)
-        return Fraction(num, den) if num else Fraction(1)
+        cont = fraction_content([c.num.content() / c.den.constant_value()
+                                 for c in self.terms.values()])
+        return cont or Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -735,27 +706,28 @@ def render_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def render_ascalar(s: AScalar, names) -> str:
-    if s.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(s.terms, reverse=True):
-        c = s.terms[e]
-        factors = [f"{names[i]}^{k}" if k > 1 else names[i]
-                   for i, k in enumerate(e) if k]
-        mag = abs(c)
-        if not factors:
-            body = render_fraction(mag)
-        elif mag == 1:
-            body = "*".join(factors)
+def render_terms(terms, names) -> str:
+    """Sign-joined text of (negative, magnitude text, exponent) terms.
+
+    Each body is the magnitude times the monomial in `names`; a magnitude
+    of "1" is left out before a monomial. No terms render as "0".
+    """
+    out = ""
+    for negative, mag, e in terms:
+        mono = "*".join(f"{names[i]}^{k}" if k > 1 else names[i]
+                        for i, k in enumerate(e) if k)
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        if out:
+            out += f" {'-' if negative else '+'} {body}"
         else:
-            body = "*".join([render_fraction(mag)] + factors)
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            out = ("-" if negative else "") + body
+    return out or "0"
+
+
+def render_ascalar(s: AScalar, names) -> str:
+    return render_terms(((c < 0, render_fraction(abs(c)), e)
+                         for e, c in sorted(s.terms.items(), reverse=True)),
+                        names)
 
 
 def _is_simple_product(s: AScalar) -> bool:
@@ -788,25 +760,9 @@ def render_scalar(c: ParamScalar, names) -> tuple[int, str, bool]:
 
 def render_poly(f: ParamPoly, order: MonomialOrder, var_names, param_names) -> str:
     """Canonical text: terms sorted descending by the active order."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(f.terms, key=order.key, reverse=True):
-        c = f.terms[e]
-        sign, mag, parens = render_scalar(c, param_names)
-        factors = [f"{var_names[i]}^{k}" if k > 1 else var_names[i]
-                   for i, k in enumerate(e) if k]
-        if not factors:
-            body = mag
-        elif mag == "1":
-            body = "*".join(factors)
-        else:
-            if parens:
-                mag = f"({mag})"
-            body = "*".join([mag] + factors)
-        parts.append((sign, body))
-    sign, body = parts[0]
-    out = ("-" if sign < 0 else "") + body
-    for sign, body in parts[1:]:
-        out += f" {'-' if sign < 0 else '+'} {body}"
-    return out
+    def term(e):
+        sign, mag, parens = render_scalar(f.terms[e], param_names)
+        return sign < 0, f"({mag})" if parens and any(e) else mag, e
+
+    return render_terms(map(term, sorted(f.terms, key=order.key, reverse=True)),
+                        var_names)

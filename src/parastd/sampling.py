@@ -18,6 +18,7 @@ _POOL = [Fraction(k) for k in (1, -1, 2, -2, 3, -3, 5, -5, 7, 4, -4, 9)] + [
     Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3),
     Fraction(-5, 3), Fraction(7, 2),
 ]
+MAX_TRIES = 400  # random draws per variety_points call
 
 
 def random_point(m: int, rng: Random) -> tuple[Fraction, ...]:
@@ -41,8 +42,7 @@ def _univariate_in(s: AScalar, i: int, values) -> list[Fraction]:
     return coeffs
 
 
-def variety_points(conditions, m: int, rng: Random, count: int,
-                   avoid=(), max_tries: int = 400):
+def variety_points(conditions, m: int, rng: Random, count: int, avoid=()):
     """Up to `count` rational points where all conditions vanish, none of
     `avoid` does. Deterministic for a fixed rng state."""
     conditions = [c for c in conditions if not c.is_zero()]
@@ -56,7 +56,7 @@ def variety_points(conditions, m: int, rng: Random, count: int,
 
     if not conditions:
         tries = 0
-        while len(found) < count and tries < max_tries:
+        while len(found) < count and tries < MAX_TRIES:
             tries += 1
             push(random_point(m, rng))
         return found
@@ -70,7 +70,7 @@ def variety_points(conditions, m: int, rng: Random, count: int,
     used = sorted({i for c in conditions for e in c.terms for i, k in
                    enumerate(e) if k})
     tries = 0
-    while len(found) < count and tries < max_tries:
+    while len(found) < count and tries < MAX_TRIES:
         tries += 1
         i = used[tries % len(used)]
         values = list(random_point(m, rng))

@@ -159,16 +159,6 @@ def test_staircase_stable_under_minimalize_and_reduce():
             assert any(exp_divides(d, e) for d in stage.leading_exponents())
 
 
-def test_truncated_variant_keeps_integral_cofactors():
-    F = [P("a*x2 - x1*x2 + x1"), P("x1^2 - a*x1")]
-    res = buchberger(F, GREVLEX2, use_truncated=True)
-    assert_cofactors_exact(res, F)
-    for cof in res.cofactors:
-        for u in cof:
-            for c in u.terms.values():
-                assert c.den.is_constant()
-
-
 def test_random_ideals_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(11)

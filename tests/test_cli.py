@@ -269,3 +269,11 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["status"] == "verification_failed"
     assert doc["result"]["ok"] is False
+
+
+@pytest.mark.parametrize("name", ["global_lex", "two_params"])
+def test_cli_hilbert_rejects_non_local_order(capsys, name):
+    code, out, err = run_cli(capsys, "hilbert", str(PROBLEMS / f"{name}.psb"))
+    assert code == 1
+    assert out == ""
+    assert "degree-compatible local order" in err

@@ -82,6 +82,10 @@ def test_hilbert_polynomial_constant_case():
     assert data.coefficients == (Fraction(3),)
     assert data.stabilization_index == 1
     assert data.values[:3] == [1, 3, 3]
+    assert data.polynomial_text() == "3"
+    assert HilbertData([], (Fraction(0),), 0).polynomial_text() == "0"
+    negative = HilbertData([], (Fraction(-1), Fraction(0), Fraction(-3, 2)), 0)
+    assert negative.polynomial_text() == "-(3/2)*r^2 - 1"
 
 
 def test_hilbert_polynomial_linear_case():
@@ -94,6 +98,8 @@ def test_hilbert_polynomial_linear_case():
 def test_hilbert_polynomial_zero_ideal_line():
     data = hilbert_polynomial(S(1), 6)
     assert data.coefficients == (Fraction(1), Fraction(1))
+    plane = hilbert_polynomial(S(2), 8)
+    assert plane.polynomial_text() == "(1/2)*r^2 + (3/2)*r + 1"
 
 
 def test_hilbert_polynomial_no_stabilization():

@@ -13,6 +13,7 @@ from parastd.polyring import (
     divides_factor_power,
     embed_params_as_vars,
     rational_roots,
+    render_ascalar,
     render_poly,
     split_params,
     squarefree_factors,
@@ -216,3 +217,7 @@ def test_render_parse_round_trip(intro_poly):
         s2 = render_poly(poly_from_string(s, INTRO_PARAMS, INTRO_VARS),
                          INTRO_ORDER, INTRO_VARS, INTRO_PARAMS)
         assert s2 == s
+    s = AScalar({(2, 0): Fraction(-3, 2), (1, 1): Fraction(1),
+                 (0, 0): Fraction(-1)}, 2)
+    assert render_ascalar(s, ("a", "b")) == "-3/2*a^2 + a*b - 1"
+    assert render_ascalar(AScalar({}, 2), ("a", "b")) == "0"

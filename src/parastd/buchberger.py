@@ -5,22 +5,28 @@ membership certificates survive minimalization and interreduction. The
 pair queue runs the normal strategy (smallest lcm under the active order)
 and skips coprime pairs. New elements have their denominators cleared and
 their rational content divided out, which keeps coefficients small.
+
+The engine is written once against the interface that ParamPoly and
+AScalar share (see polyring). The parametric pipelines run it on AScalar,
+i.e. over Q: in the combined ring Q[x, a] and, for parameter ideals, in
+Q[a] under lex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
 from .orders import MonomialOrder, exp_add, exp_divides, exp_lcm, exp_sub, is_global, lex
 from .division import divide, s_function
-from .polyring import AScalar, ParamPoly, ParamScalar
+from .polyring import AScalar
 
 
 @dataclass
 class BasisResult:
-    generators: list[ParamPoly]
-    cofactors: list[list[ParamPoly]]
+    generators: list
+    cofactors: list[list]
     order: MonomialOrder
     homogeneous: bool
 
@@ -28,69 +34,51 @@ class BasisResult:
         return [g.leading(self.order)[0] for g in self.generators]
 
 
-def _clear_and_shrink(g: ParamPoly, cofs: list[ParamPoly]):
-    """Integralize g (and its cofactors identically), divide out content."""
-    dens: list[AScalar] = []
-    for p in [g] + cofs:
-        for d in p.coefficient_denominators():
-            if all(d != d0 for d0 in dens):
-                dens.append(d)
-    if dens:
-        mult = AScalar.one(g.m)
-        for d in dens:
-            mult = mult * d
-        s = ParamScalar(mult)
-        g = g.scale(s).map_coeffs(lambda c: c.reduced())
-        cofs = [p.scale(s).map_coeffs(lambda c: c.reduced()) for p in cofs]
-    cont = g.rational_content()
-    if cont != 1:
-        s = ParamScalar.const(1 / cont, g.m)
-        g = g.scale(s)
-        cofs = [p.scale(s) for p in cofs]
-    return g, cofs
-
-
 def buchberger(F, order: MonomialOrder,
                degree_dims: int | None = None) -> BasisResult:
     """Compute a standard basis of the ideal generated by F.
 
-    Terminates for a global order, or for homogeneous input under any
-    order (the staircase grows strictly inside a noetherian lattice).
-    S-functions are reduced by full division. degree_dims restricts the
-    homogeneity bookkeeping to the first coordinates (the (x, z) slice of
-    a combined ring).
+    F is a list of ParamPoly or of AScalar, all in one ring. Terminates
+    for a global order, or for homogeneous input under any order (the
+    staircase grows strictly inside a noetherian lattice). S-functions are
+    reduced by full division. degree_dims restricts the homogeneity
+    bookkeeping to the first coordinates (the (x, z) slice of a combined
+    ring).
     """
     F = list(F)
     nonzero = [f for f in F if not f.is_zero()]
     if not nonzero:
         raise ZeroPolynomialError("buchberger needs at least one nonzero input")
-    n, m = nonzero[0].n, nonzero[0].m
     homog = all(f.is_homogeneous(degree_dims) for f in nonzero)
     if not is_global(order) and not homog:
         raise NonTerminatingOrder(
             "basis computation needs a well order or homogeneous input; "
             "route local orders through homogenization")
 
-    gens: list[ParamPoly] = []
-    cofs: list[list[ParamPoly]] = []
+    f0 = nonzero[0]
+    zero = f0.with_terms({})
+    one = f0.with_terms({(0,) * order.n: f0.coeff(1)})
+    gens: list = []
+    cofs: list[list] = []
     leads = []
     for i, f in enumerate(F):
         if f.is_zero():
             continue
-        unit = [ParamPoly.zero(n, m) for _ in F]
-        unit[i] = ParamPoly.constant(1, n, m)
-        g, c = _clear_and_shrink(f, unit)
+        unit = [zero] * len(F)
+        unit[i] = one
+        g, c = f.clear_and_shrink(unit)
         gens.append(g)
         cofs.append(c)
         leads.append(g.leading(order)[0])
 
-    def pair_key(i, j):
-        return order.key(exp_lcm(leads[i], leads[j])) + (i, j)
+    # normal strategy: pop the pair with the smallest lcm, ties by (i, j)
+    def entry(i, j):
+        return order.key(exp_lcm(leads[i], leads[j])), i, j
 
-    pairs = {(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))}
+    pairs = [entry(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    heapify(pairs)
     while pairs:
-        i, j = min(pairs, key=lambda p: pair_key(*p))
-        pairs.discard((i, j))
+        _, i, j = heappop(pairs)
         li, lj = leads[i], leads[j]
         if exp_lcm(li, lj) == exp_add(li, lj):
             continue  # coprime heads: S reduces to zero
@@ -111,12 +99,13 @@ def buchberger(F, order: MonomialOrder,
             if q.is_zero():
                 continue
             rc = [a - q * b for a, b in zip(rc, gc)]
-        r, rc = _clear_and_shrink(r, rc)
+        r, rc = r.clear_and_shrink(rc)
         gens.append(r)
         cofs.append(rc)
         leads.append(r.leading(order)[0])
         k = len(gens) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        for i2 in range(k):
+            heappush(pairs, entry(i2, k))
 
     return BasisResult(gens, cofs, order,
                        homog and all(g.is_homogeneous(degree_dims) for g in gens))
@@ -148,8 +137,8 @@ def reduce_basis(B: BasisResult, order: MonomialOrder) -> BasisResult:
     """
     gens = list(B.generators)
     cofs = [list(c) for c in B.cofactors]
-    out_g: list[ParamPoly] = []
-    out_c: list[list[ParamPoly]] = []
+    out_g: list = []
+    out_c: list[list] = []
     for i, g in enumerate(gens):
         others = gens[:i] + gens[i + 1:]
         others_c = cofs[:i] + cofs[i + 1:]
@@ -164,9 +153,9 @@ def reduce_basis(B: BasisResult, order: MonomialOrder) -> BasisResult:
         else:
             r, rc = g, list(cofs[i])
         _, lc = r.leading(order)
-        inv = ParamScalar.one(r.m) / lc
-        r = r.scale(inv).map_coeffs(lambda c: c.reduced())
-        rc = [p.scale(inv).map_coeffs(lambda c: c.reduced()) for p in rc]
+        inv = r.coeff(1) / lc
+        r = r.scale(inv)
+        rc = [p.scale(inv) for p in rc]
         out_g.append(r)
         out_c.append(rc)
     return BasisResult(out_g, out_c, B.order, B.homogeneous)
@@ -175,33 +164,18 @@ def reduce_basis(B: BasisResult, order: MonomialOrder) -> BasisResult:
 def parameter_groebner(gens: list[AScalar]) -> list[AScalar]:
     """Reduced lex Groebner basis of an ideal inside the parameter ring.
 
-    The parameters are treated as main variables with an empty parameter
-    block, reusing the one engine. Returns [] for the zero ideal.
+    Runs the engine on the AScalars themselves, over Q with lex on the m
+    parameters. Returns [] for the zero ideal.
     """
     nz = [g for g in gens if not g.is_zero()]
     if not nz:
         return []
-    m = nz[0].m
-    order = lex(m)
-    polys = [ParamPoly({e: ParamScalar.const(c, 0) for e, c in g.terms.items()}, m, 0)
-             for g in nz]
-    res = reduce_basis(minimalize(buchberger(polys, order)), order)
-    out = []
-    for g in res.generators:
-        out.append(AScalar({e: c.num.constant_value() / c.den.constant_value()
-                            for e, c in g.terms.items()}, m))
-    return out
+    order = lex(nz[0].m)
+    return reduce_basis(minimalize(buchberger(nz, order)), order).generators
 
 
 def normal_form_param(s: AScalar, basis: list[AScalar]) -> AScalar:
     """Remainder modulo a basis from parameter_groebner (lex division)."""
     if s.is_zero() or not basis:
         return s
-    m = s.m
-    order = lex(m)
-    f = ParamPoly({e: ParamScalar.const(c, 0) for e, c in s.terms.items()}, m, 0)
-    G = [ParamPoly({e: ParamScalar.const(c, 0) for e, c in g.terms.items()}, m, 0)
-         for g in basis]
-    r = divide(f, G, order).remainder
-    return AScalar({e: c.num.constant_value() / c.den.constant_value()
-                    for e, c in r.terms.items()}, m)
+    return divide(s, basis, lex(s.m)).remainder

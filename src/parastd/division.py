@@ -8,6 +8,9 @@ order or homogeneous data to terminate; the truncated variant stops the
 first time the leading exponent escapes every divisor cone; the series
 variant discards generated terms above a degree cutoff, which is the
 computable stand-in for power-series division under local orders.
+
+Dividends and divisors are ParamPoly or AScalar (one ring per call): the
+loop uses only the interface the two classes share (see polyring).
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from .errors import (
 from .orders import (
     Exponent,
     MonomialOrder,
+    exp_add,
     exp_degree,
     exp_divides,
     exp_lcm,
     exp_sub,
     is_global,
 )
-from .polyring import ParamPoly
 
 TRUNCATION_STEP_GUARD = 20000
 
@@ -49,12 +52,12 @@ class Partition:
 
 @dataclass
 class DivisionResult:
-    quotients: list[ParamPoly]
-    remainder: ParamPoly
+    quotients: list
+    remainder: object
     cofactor_ok: bool = True
     steps: int = field(default=0, repr=False)
 
-    def check_identity(self, f: ParamPoly, divisors) -> bool:
+    def check_identity(self, f, divisors) -> bool:
         acc = self.remainder
         for q, g in zip(self.quotients, divisors):
             acc = acc + q * g
@@ -67,50 +70,58 @@ SERIES = "series"
 
 
 def _division_loop(f, divisors, order, mode, max_degree=None, guard=None):
-    n, m = f.n, f.m
     leads = []
     for g in divisors:
         if g.is_zero():
             raise ZeroPolynomialError("zero divisor")
         leads.append(g.leading(order))
     part = Partition(tuple(e for e, _ in leads))
-    quotients = [ParamPoly.zero(n, m) for _ in divisors]
-    remainder = ParamPoly.zero(n, m)
-    iterate = f
+    # iterate, quotients and remainder are plain dicts updated in place; the
+    # ring elements are built once at the end
+    quotients: list[dict] = [{} for _ in divisors]
+    remainder: dict = {}
+    iterate = dict(f.terms)
     exact = True
     steps = 0
-    while not iterate.is_zero():
+    while iterate:
         steps += 1
         if guard is not None and steps > guard:
             raise NonTerminatingDivision(
                 f"no stopping state after {guard} reduction steps")
-        e, c = iterate.leading(order)
+        e = max(iterate, key=order.key)
         j = part.region_of(e)
         if j is None:
             if mode == TRUNCATED:
-                return quotients, iterate, exact, steps
-            remainder = remainder + ParamPoly.monomial(e, c, n, m)
-            iterate = iterate - ParamPoly.monomial(e, c, n, m)
+                remainder = iterate
+                break
+            remainder[e] = iterate.pop(e)
             continue
         de, dc = leads[j]
         shift = exp_sub(e, de)
-        coeff = c / dc
-        quotients[j] = quotients[j] + ParamPoly.monomial(shift, coeff, n, m)
-        iterate = iterate - divisors[j].mul_monomial(shift, coeff)
-        if mode == SERIES and not iterate.is_zero():
-            kept = {ee: cc for ee, cc in iterate.terms.items()
-                    if exp_degree(ee) <= max_degree}
-            if len(kept) != len(iterate.terms):
+        coeff = iterate[e] / dc
+        # leading exponents strictly decrease, so quotient terms never collide
+        quotients[j][shift] = coeff
+        for e0, c0 in divisors[j].terms.items():
+            ee = exp_add(e0, shift)
+            if ee in iterate:
+                v = iterate[ee] - c0 * coeff
+                if v:
+                    iterate[ee] = v
+                else:
+                    del iterate[ee]
+            elif mode == SERIES and exp_degree(ee) > max_degree:
                 exact = False
-                iterate = ParamPoly(kept, n, m, _prune=False)
-    return quotients, remainder, exact, steps
+            else:
+                iterate[ee] = -(c0 * coeff)
+    return ([f.with_terms(q) for q in quotients], f.with_terms(remainder),
+            exact, steps)
 
 
 def _all_homogeneous(f, divisors):
     return f.is_homogeneous() and all(g.is_homogeneous() for g in divisors)
 
 
-def divide(f: ParamPoly, G, order: MonomialOrder) -> DivisionResult:
+def divide(f, G, order: MonomialOrder) -> DivisionResult:
     """Full division of f by the list G: unique quotients and remainder.
 
     Requires a global order, or homogeneous data (any order); otherwise the
@@ -119,8 +130,7 @@ def divide(f: ParamPoly, G, order: MonomialOrder) -> DivisionResult:
     on quotients and remainder, and the max property on leading exponents.
     """
     if f.is_zero():
-        return DivisionResult([ParamPoly.zero(f.n, f.m) for _ in G],
-                              ParamPoly.zero(f.n, f.m))
+        return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
     if not is_global(order) and not _all_homogeneous(f, G):
         raise NonTerminatingOrder(
             "full division needs a well order or homogeneous data; "
@@ -129,7 +139,7 @@ def divide(f: ParamPoly, G, order: MonomialOrder) -> DivisionResult:
     return DivisionResult(q, r, exact, steps)
 
 
-def divide_truncated(f: ParamPoly, G, order: MonomialOrder) -> DivisionResult:
+def divide_truncated(f, G, order: MonomialOrder) -> DivisionResult:
     """Division stopped at the first iterate escaping every divisor cone.
 
     When the full remainder would be zero this coincides with full division;
@@ -138,8 +148,7 @@ def divide_truncated(f: ParamPoly, G, order: MonomialOrder) -> DivisionResult:
     are not guaranteed, but the exact identity and the max property hold.
     """
     if f.is_zero():
-        return DivisionResult([ParamPoly.zero(f.n, f.m) for _ in G],
-                              ParamPoly.zero(f.n, f.m))
+        return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
     guard = None
     if not is_global(order) and not _all_homogeneous(f, G):
         guard = TRUNCATION_STEP_GUARD
@@ -147,7 +156,7 @@ def divide_truncated(f: ParamPoly, G, order: MonomialOrder) -> DivisionResult:
     return DivisionResult(q, r, exact, steps)
 
 
-def divide_series(f: ParamPoly, G, order: MonomialOrder,
+def divide_series(f, G, order: MonomialOrder,
                   max_degree: int) -> DivisionResult:
     """Degree-bounded division: terms above max_degree are discarded.
 
@@ -156,20 +165,18 @@ def divide_series(f: ParamPoly, G, order: MonomialOrder,
     by cofactor_ok=False whenever anything was discarded.
     """
     if f.is_zero():
-        return DivisionResult([ParamPoly.zero(f.n, f.m) for _ in G],
-                              ParamPoly.zero(f.n, f.m))
+        return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
     start = {e: c for e, c in f.terms.items() if exp_degree(e) <= max_degree}
     exact0 = len(start) == len(f.terms)
-    f0 = ParamPoly(start, f.n, f.m, _prune=False)
+    f0 = f.with_terms(start)
     if f0.is_zero():
-        return DivisionResult([ParamPoly.zero(f.n, f.m) for _ in G],
-                              ParamPoly.zero(f.n, f.m), exact0)
+        return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}), exact0)
     q, r, exact, steps = _division_loop(f0, list(G), order, SERIES,
                                         max_degree=max_degree)
     return DivisionResult(q, r, exact and exact0, steps)
 
 
-def s_function(f: ParamPoly, g: ParamPoly, order: MonomialOrder) -> ParamPoly:
+def s_function(f, g, order: MonomialOrder):
     """Head-cancelling combination lc(g)*m*f - lc(f)*m'*g.
 
     m and m' lift the leading terms of f and g to their least common

@@ -38,7 +38,6 @@ from .polyring import (
     AScalar,
     ParamPoly,
     ParamScalar,
-    ascalar_to_poly,
     embed_params_as_vars,
     split_params,
 )
@@ -263,9 +262,9 @@ def generic_basis_well_order(F, order: MonomialOrder,
     """Generic standard basis via the composite block order (x first, then a).
 
     Runs Buchberger on the input plus the Q generators inside the combined
-    polynomial ring, minimalizes, filters out elements of Q by the leading
-    coefficient test, and rewrites survivors into the input ideal through
-    the tracked cofactors. h is the product of the surviving leading
+    polynomial ring Q[x, a] (AScalars over Q), minimalizes, filters out
+    elements of Q by the leading coefficient test, and rewrites survivors
+    into the input ideal through the tracked cofactors. h is the product of the surviving leading
     coefficient numerators (times any cleared input denominators).
     """
     if not is_global(order):
@@ -324,8 +323,11 @@ def _generic_basis_combined(F, order, ctx, homogeneous_route):
     comb_order = CompositeOrder(order, m, variant).flatten()
     lead_order = homogenized_order(order) if homogeneous_route else order
 
+    # the engine runs over Q in n_main + m variables: x (and z), then a
     comb = [embed_params_as_vars(g) for _, g in work]
-    qcomb = [ascalar_to_poly(c, n_main) for c in ctx.qbasis]
+    pad = (0,) * n_main
+    qcomb = [AScalar({pad + e: c for e, c in q.terms.items()}, n_main + m)
+             for q in ctx.qbasis]
     basis = minimalize(buchberger(comb + qcomb, comb_order,
                                   degree_dims=n_main))
 

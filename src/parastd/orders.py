@@ -10,6 +10,7 @@ to ordinary weight matrices on the concatenated exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DimensionMismatch
 
@@ -58,8 +59,7 @@ class MonomialOrder:
         """Sort key: bigger key means bigger monomial."""
         if len(e) != self.n:
             raise DimensionMismatch(f"exponent {e} in dimension {self.n}")
-        return tuple(
-            sum(w * x for w, x in zip(row, e)) for row in self.rows) + e
+        return tuple(sum(map(mul, row, e)) for row in self.rows) + e
 
 
 def compare(order: MonomialOrder, a: Exponent, b: Exponent) -> int:

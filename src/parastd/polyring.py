@@ -2,12 +2,21 @@
 
 Three layers, all sparse dicts keyed by exponent tuples:
 
-* AScalar: a polynomial in the parameters a1..am over Q.
+* AScalar: a polynomial over Q with Fraction coefficients. It is the
+  parameter ring Q[a1..am], and also the ring the basis engine runs in
+  for the combined ring Q[x, a] and for lex runs in the parameter ring.
 * ParamScalar: a fraction num/den of AScalars. Fractions are not
   gcd-reduced (multivariate gcd is out of scope); equality is by cross
   multiplication and a cheap content/monomial normalization plus an
   exact-division attempt keep sizes bounded at desk scale.
 * ParamPoly: finite map from main-variable exponents to ParamScalars.
+
+AScalar and ParamPoly share the small interface the basis engine
+(buchberger, division) is written against: `terms`, `is_zero`,
+`leading(order)`, `mul_monomial`, `is_homogeneous`, `scale`, ring
+arithmetic, `with_terms` (same ring, given terms), `coeff` (a rational
+as a coefficient) and `clear_and_shrink`. Coefficient zero tests are
+truth tests.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ class AScalar:
 
     __slots__ = ("terms", "m")
 
-    def __init__(self, terms, m):
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+    def __init__(self, terms, m, _prune=True):
+        self.terms = {e: c for e, c in terms.items() if c} if _prune else terms
         self.m = m
 
     @classmethod
@@ -78,10 +87,10 @@ class AScalar:
                 out[e] = v
             else:
                 out.pop(e, None)
-        return AScalar(out, self.m)
+        return AScalar(out, self.m, _prune=False)
 
     def __neg__(self):
-        return AScalar({e: -c for e, c in self.terms.items()}, self.m)
+        return AScalar({e: -c for e, c in self.terms.items()}, self.m, _prune=False)
 
     def __sub__(self, other):
         return self + (-other)
@@ -90,13 +99,17 @@ class AScalar:
         self._chk(other)
         if not self.terms or not other.terms:
             return AScalar.zero(self.m)
-        # constant fast path
+        # constant fast path (terms are never mutated, so 1*x can be x)
         if len(self.terms) == 1 and not any(next(iter(self.terms))):
             c = self.constant_value()
-            return AScalar({e: c * v for e, v in other.terms.items()}, self.m)
+            if c == 1:
+                return other
+            return AScalar({e: c * v for e, v in other.terms.items()}, self.m, _prune=False)
         if len(other.terms) == 1 and not any(next(iter(other.terms))):
             c = other.constant_value()
-            return AScalar({e: c * v for e, v in self.terms.items()}, self.m)
+            if c == 1:
+                return self
+            return AScalar({e: c * v for e, v in self.terms.items()}, self.m, _prune=False)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -106,12 +119,34 @@ class AScalar:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        return AScalar(out, self.m)
+        return AScalar(out, self.m, _prune=False)
 
     def scale(self, q: Fraction) -> "AScalar":
         if q == 0:
             return AScalar.zero(self.m)
-        return AScalar({e: c * q for e, c in self.terms.items()}, self.m)
+        return AScalar({e: c * q for e, c in self.terms.items()}, self.m, _prune=False)
+
+    def mul_monomial(self, e: Exponent, q: Fraction) -> "AScalar":
+        if q == 0:
+            return AScalar.zero(self.m)
+        return AScalar({exp_add(e0, e): c * q for e0, c in self.terms.items()},
+                       self.m, _prune=False)
+
+    def with_terms(self, terms) -> "AScalar":
+        """Element of the same ring with the given nonzero terms."""
+        return AScalar(terms, self.m, _prune=False)
+
+    @staticmethod
+    def coeff(value) -> Fraction:
+        return Fraction(value)
+
+    def clear_and_shrink(self, cofs):
+        """Divide self and its cofactors by the positive content of self."""
+        cont = fraction_content(self.terms.values())
+        if cont == 1:
+            return self, cofs
+        q = 1 / cont
+        return self.scale(q), [p.scale(q) for p in cofs]
 
     def __eq__(self, other):
         return isinstance(other, AScalar) and self.m == other.m and self.terms == other.terms
@@ -129,8 +164,18 @@ class AScalar:
         e = max(self.terms)
         return e, self.terms[e]
 
+    def leading(self, order: MonomialOrder) -> tuple[Exponent, Fraction]:
+        """Order-maximum term under a monomial order on the m variables."""
+        if not self.terms:
+            raise ZeroPolynomialError("leading term of zero polynomial")
+        e = max(self.terms, key=order.key)
+        return e, self.terms[e]
+
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
+
+    def is_homogeneous(self, dims: int | None = None) -> bool:
+        return len({exp_degree(e, dims) for e in self.terms}) <= 1
 
     def evaluate(self, point) -> Fraction:
         out = Fraction(0)
@@ -146,6 +191,8 @@ class AScalar:
         """Positive rational content, sign taken from the lex leading term."""
         if not self.terms:
             return Fraction(1)
+        if len(self.terms) == 1:
+            return next(iter(self.terms.values()))
         cont = fraction_content(self.terms.values())
         return -cont if self.lead()[1] < 0 else cont
 
@@ -401,6 +448,9 @@ class ParamScalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
     def __add__(self, other):
         if self.den == other.den:
             return ParamScalar(self.num + other.num, self.den)
@@ -455,8 +505,9 @@ def _normalize_fraction(num: AScalar, den: AScalar):
     if num.is_zero():
         return num, AScalar.one(num.m)
     cd = den.content()
-    den = den.scale(1 / cd)
-    num = num.scale(1 / cd)
+    if cd != 1:
+        den = den.scale(1 / cd)
+        num = num.scale(1 / cd)
     m = num.m
     if m:
         mins = [min(min(e[i] for e in num.terms), min(e[i] for e in den.terms))
@@ -558,6 +609,35 @@ class ParamPoly:
         return ParamPoly({exp_add(e0, e): v * c for e0, v in self.terms.items()},
                          self.n, self.m, _prune=False)
 
+    def with_terms(self, terms) -> "ParamPoly":
+        """Element of the same ring with the given nonzero terms."""
+        return ParamPoly(terms, self.n, self.m, _prune=False)
+
+    def coeff(self, value) -> ParamScalar:
+        return ParamScalar.const(value, self.m)
+
+    def clear_and_shrink(self, cofs):
+        """Integralize self (and its cofactors identically), divide out content."""
+        g = self
+        dens: list[AScalar] = []
+        for p in [g] + cofs:
+            for c in p.terms.values():
+                if not c.den.is_constant() and all(c.den != d for d in dens):
+                    dens.append(c.den)
+        if dens:
+            mult = AScalar.one(g.m)
+            for d in dens:
+                mult = mult * d
+            s = ParamScalar(mult)
+            g = g.scale(s).map_coeffs(lambda c: c.reduced())
+            cofs = [p.scale(s).map_coeffs(lambda c: c.reduced()) for p in cofs]
+        cont = g.rational_content()
+        if cont != 1:
+            s = ParamScalar.const(1 / cont, g.m)
+            g = g.scale(s)
+            cofs = [p.scale(s) for p in cofs]
+        return g, cofs
+
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
             return NotImplemented
@@ -628,9 +708,6 @@ class ParamPoly:
                 out[e] = v
         return ParamPoly(out, self.n, self.m, _prune=False)
 
-    def coefficient_denominators(self) -> list[AScalar]:
-        return [c.den for c in self.terms.values() if not c.den.is_constant()]
-
     def clear_denominators(self) -> tuple["ParamPoly", AScalar]:
         """Scale by a parameter polynomial so every coefficient is integral.
 
@@ -660,16 +737,8 @@ class ParamPoly:
 # embeddings between the parametric ring and the combined ring
 
 
-def ascalar_to_poly(s: AScalar, n_prefix: int) -> ParamPoly:
-    """Embed an AScalar into the combined ring (x.., a..) with m=0."""
-    out = {}
-    for e, c in s.terms.items():
-        out[(0,) * n_prefix + e] = ParamScalar.const(c, 0)
-    return ParamPoly(out, n_prefix + s.m, 0, _prune=False)
-
-
-def embed_params_as_vars(f: ParamPoly) -> ParamPoly:
-    """Flatten a parametric polynomial into the combined ring (x.., a..).
+def embed_params_as_vars(f: ParamPoly) -> AScalar:
+    """Flatten a parametric polynomial into the combined ring Q[x.., a..].
 
     Coefficients must be integral (clear denominators first).
     """
@@ -679,23 +748,17 @@ def embed_params_as_vars(f: ParamPoly) -> ParamPoly:
             raise ValueError("embed_params_as_vars needs integral coefficients")
         d = c.den.constant_value()
         for ge, q in c.num.terms.items():
-            out[e + ge] = ParamScalar.const(q / d, 0)
-    return ParamPoly(out, f.n + f.m, 0, _prune=False)
+            out[e + ge] = q / d
+    return AScalar(out, f.n + f.m, _prune=False)
 
 
-def split_params(f: ParamPoly, n: int, m: int) -> ParamPoly:
+def split_params(f: AScalar, n: int, m: int) -> ParamPoly:
     """Inverse of embed_params_as_vars: last m coordinates become parameters."""
     acc: dict = {}
     for e, c in f.terms.items():
-        xe, ge = e[:n], e[n:]
-        bucket = acc.setdefault(xe, {})
-        bucket[ge] = bucket.get(ge, Fraction(0)) + c.num.constant_value() / c.den.constant_value()
-    out = {}
-    for xe, terms in acc.items():
-        s = ParamScalar(AScalar(terms, m))
-        if not s.is_zero():
-            out[xe] = s
-    return ParamPoly(out, n, m, _prune=False)
+        acc.setdefault(e[:n], {})[e[n:]] = c
+    return ParamPoly({xe: ParamScalar(AScalar(terms, m, _prune=False))
+                      for xe, terms in acc.items()}, n, m, _prune=False)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from parastd.errors import NonTerminatingOrder
 from parastd.orders import exp_divides, grevlex, lex, matrix_order, neg_grevlex
-from parastd.polyring import AScalar, ParamPoly, ParamScalar
+from parastd.polyring import AScalar, ParamPoly, ParamScalar, embed_params_as_vars
 from parastd.division import divide, s_function
 from parastd.buchberger import (
     buchberger,
@@ -194,3 +195,53 @@ def test_parameter_groebner_and_normal_form():
     # b*(a-1) and a*(a-1): membership via zero normal form
     assert normal_form_param((a - one) * b, basis).is_zero()
     assert not normal_form_param(a + b, basis).is_zero()
+
+
+def q_ideals(n, count, integral=True):
+    """Lists of small random polynomials over Q in n variables (m=0 ParamPoly)."""
+    return st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=count,
+                    max_size=count).map(
+        lambda seeds: [random_poly(random.Random(s), n, 0, max_terms=3, max_exp=2,
+                                   integral=integral) for s in seeds])
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
+           q_ideals(n, 2, integral=False), st.sampled_from([lex(n), grevlex(n)]))))
+def test_engine_same_on_paramscalar_and_q_rings(case):
+    # one engine, two coefficient domains: the m=0 ParamPoly ring and Q
+    F, order = case
+    Fq = [embed_params_as_vars(f) for f in F]
+    stages = []
+    for inputs in (F, Fq):
+        full = buchberger(inputs, order)
+        red = reduce_basis(minimalize(full), order)
+        for res in (full, red):
+            assert_cofactors_exact(res, inputs)
+        stages.append((full, red))
+    for via_poly, via_q in zip(*stages):
+        assert [embed_params_as_vars(g) for g in via_poly.generators] == via_q.generators
+        assert ([[embed_params_as_vars(u) for u in cof] for cof in via_poly.cofactors]
+                == via_q.cofactors)
+
+
+def _monic_lex_terms(terms):
+    lead = terms[max(terms)]
+    return frozenset((e, c / lead) for e, c in terms.items())
+
+
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda m: st.integers(min_value=1, max_value=3).flatmap(lambda k: q_ideals(m, k))))
+def test_parameter_groebner_against_sympy(F):
+    sympy = pytest.importorskip("sympy")
+    gens = [embed_params_as_vars(f) for f in F]
+    m = gens[0].m
+    syms = sympy.symbols(f"a0:{m}")
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.prod([s ** k for s, k in zip(syms, e)])
+                 for e, c in g.terms.items()) for g in gens]
+    theirs = {_monic_lex_terms({e: Fraction(int(c.p), int(c.q))
+                                for e, c in p.terms(order="lex")})
+              for p in sympy.groebner(exprs, *syms, order="lex").polys}
+    ours = parameter_groebner(gens)
+    assert {_monic_lex_terms(g.terms) for g in ours} == theirs
+    assert all(g.terms[max(g.terms)] == 1 for g in ours)

@@ -1,9 +1,11 @@
-"""Byte-identity of CLI results on the shipped problems.
+"""Byte-identity of CLI results on the shipped problems and engine workloads.
 
 Every op of the benchmark's desk workload runs through `cli.run` on
 `problems/*.psb`, and the digest of its result must match the benchmark's
-golden digest for the problem's default seed. The benchmark's workload
-module is loaded by path and only read.
+golden digest for the problem's default seed. A few ops of the well_gsb
+and local_tree workloads, which load the basis engine, run the same way on
+the problem text in bench/workloads.json. The benchmark's workload module
+is loaded by path and only read.
 """
 
 import importlib.util
@@ -28,6 +30,9 @@ def _load_workloads():
 WL = _load_workloads()
 GOLDEN = WL.load_golden()["default_seed"]
 DESK = WL.ops("desk")
+ENGINE = {WL.op_id(op): op for w in ("well_gsb", "local_tree") for op in WL.ops(w)}
+# the block-order route (gsb) and the homogenized route (hilbert), under 1 s
+ENGINE_IDS = ("gsb katsura4_a", "gsb cyclic4_a", "hilbert t345", "hilbert e7_local")
 
 
 def _overrides(args):
@@ -42,10 +47,19 @@ def test_desk_problems_are_the_shipped_files():
         assert shipped == "\n".join(WL.SPEC["problems"][name]) + "\n", name
 
 
+def _check_golden(op, text):
+    doc, code = run(op["command"], parse_problem(text), _overrides(op["args"]))
+    assert code == 0
+    assert WL.digest(doc["result"]) == GOLDEN[WL.op_id(op)]
+
+
 @pytest.mark.parametrize("op", DESK, ids=WL.op_id)
 def test_desk_op_matches_golden_digest(op):
     path = ROOT / "problems" / f"{op['problem']}.psb"
-    problem = parse_problem(path.read_text(encoding="utf-8"))
-    doc, code = run(op["command"], problem, _overrides(op["args"]))
-    assert code == 0
-    assert WL.digest(doc["result"]) == GOLDEN[WL.op_id(op)]
+    _check_golden(op, path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("op_id", ENGINE_IDS)
+def test_engine_op_matches_golden_digest(op_id):
+    op = ENGINE[op_id]
+    _check_golden(op, "\n".join(WL.SPEC["problems"][op["problem"]]) + "\n")

@@ -2,12 +2,10 @@
 
 from .orders import (
     MonomialOrder,
-    CompositeOrder,
     classify,
+    combined_order,
     compare,
-    composite_compare,
     grevlex,
-    homogenized_order,
     lex,
     matrix_order,
     neg_grevlex,

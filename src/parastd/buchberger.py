@@ -3,13 +3,12 @@
 Every basis element carries its expression in the input generators, so
 membership certificates survive minimalization and interreduction. The
 pair queue runs the normal strategy (smallest lcm under the active order)
-and skips coprime pairs. New elements have their denominators cleared and
-their rational content divided out, which keeps coefficients small.
+and skips coprime pairs. New elements have their rational content
+divided out, which keeps coefficients small.
 
-The engine is written once against the interface that ParamPoly and
-AScalar share (see polyring). The parametric pipelines run it on AScalar,
-i.e. over Q: in the combined ring Q[x, a] and, for parameter ideals, in
-Q[a] under lex.
+The engine runs over Q on AScalar polynomials: the parametric pipelines
+use it in the combined ring Q[x, a] and, for parameter ideals, in Q[a]
+under lex.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from .errors import NonTerminatingOrder, ZeroPolynomialError
 from .orders import MonomialOrder, exp_add, exp_divides, exp_lcm, exp_sub, is_global, lex
 from .division import divide, s_function
-from .polyring import AScalar
+from .polyring import AScalar, fraction_content
 
 
 @dataclass
@@ -28,7 +27,6 @@ class BasisResult:
     generators: list
     cofactors: list[list]
     order: MonomialOrder
-    homogeneous: bool
 
     def leading_exponents(self):
         return [g.leading(self.order)[0] for g in self.generators]
@@ -38,12 +36,11 @@ def buchberger(F, order: MonomialOrder,
                degree_dims: int | None = None) -> BasisResult:
     """Compute a standard basis of the ideal generated by F.
 
-    F is a list of ParamPoly or of AScalar, all in one ring. Terminates
-    for a global order, or for homogeneous input under any order (the
-    staircase grows strictly inside a noetherian lattice). S-functions are
-    reduced by full division. degree_dims restricts the homogeneity
-    bookkeeping to the first coordinates (the (x, z) slice of a combined
-    ring).
+    F is a list of AScalar, all in one ring. Terminates for a global
+    order, or for homogeneous input under any order (the staircase grows
+    strictly inside a noetherian lattice). S-functions are reduced by full
+    division. degree_dims restricts the homogeneity test to the first
+    coordinates (the (x, z) slice of a combined ring).
     """
     F = list(F)
     nonzero = [f for f in F if not f.is_zero()]
@@ -55,9 +52,7 @@ def buchberger(F, order: MonomialOrder,
             "basis computation needs a well order or homogeneous input; "
             "route local orders through homogenization")
 
-    f0 = nonzero[0]
-    zero = f0.with_terms({})
-    one = f0.with_terms({(0,) * order.n: f0.coeff(1)})
+    zero, one = AScalar.zero(nonzero[0].m), AScalar.one(nonzero[0].m)
     gens: list = []
     cofs: list[list] = []
     leads = []
@@ -66,7 +61,7 @@ def buchberger(F, order: MonomialOrder,
             continue
         unit = [zero] * len(F)
         unit[i] = one
-        g, c = f.clear_and_shrink(unit)
+        g, c = _shrink(f, unit)
         gens.append(g)
         cofs.append(c)
         leads.append(g.leading(order)[0])
@@ -99,7 +94,7 @@ def buchberger(F, order: MonomialOrder,
             if q.is_zero():
                 continue
             rc = [a - q * b for a, b in zip(rc, gc)]
-        r, rc = r.clear_and_shrink(rc)
+        r, rc = _shrink(r, rc)
         gens.append(r)
         cofs.append(rc)
         leads.append(r.leading(order)[0])
@@ -107,8 +102,16 @@ def buchberger(F, order: MonomialOrder,
         for i2 in range(k):
             heappush(pairs, entry(i2, k))
 
-    return BasisResult(gens, cofs, order,
-                       homog and all(g.is_homogeneous(degree_dims) for g in gens))
+    return BasisResult(gens, cofs, order)
+
+
+def _shrink(g, cofs):
+    """Divide g and its cofactors by the positive content of g."""
+    cont = fraction_content(g.terms.values())
+    if cont == 1:
+        return g, cofs
+    q = 1 / cont
+    return g.scale(q), [p.scale(q) for p in cofs]
 
 
 def minimalize(B: BasisResult) -> BasisResult:
@@ -124,8 +127,7 @@ def minimalize(B: BasisResult) -> BasisResult:
         kept_exps.append(leads[i])
     keep.sort()
     return BasisResult([B.generators[i] for i in keep],
-                       [B.cofactors[i] for i in keep],
-                       B.order, B.homogeneous)
+                       [B.cofactors[i] for i in keep], B.order)
 
 
 def reduce_basis(B: BasisResult, order: MonomialOrder) -> BasisResult:
@@ -153,12 +155,12 @@ def reduce_basis(B: BasisResult, order: MonomialOrder) -> BasisResult:
         else:
             r, rc = g, list(cofs[i])
         _, lc = r.leading(order)
-        inv = r.coeff(1) / lc
+        inv = 1 / lc
         r = r.scale(inv)
         rc = [p.scale(inv) for p in rc]
         out_g.append(r)
         out_c.append(rc)
-    return BasisResult(out_g, out_c, B.order, B.homogeneous)
+    return BasisResult(out_g, out_c, B.order)
 
 
 def parameter_groebner(gens: list[AScalar]) -> list[AScalar]:

@@ -16,9 +16,8 @@ from math import inf
 from random import Random
 
 from .errors import ParastdError, ProblemSyntaxError
-from .orders import is_global
 from .polyring import render_ascalar, render_fraction, render_poly
-from .division import divide, divide_series, divide_truncated
+from .division import divide, divide_series, divide_truncated, full_division_terminates
 from .genstd import (
     PrimeContext,
     generic_basis,
@@ -28,7 +27,7 @@ from .genstd import (
 )
 from .comprehensive import comprehensive_basis
 from .hilbert import hilbert_partition
-from .problems import Problem, parse_point, parse_problem
+from .problems import OPTION_KEYS, Problem, check_option, parse_point, parse_problem
 from .sampling import variety_points
 
 SCHEMA = "parastd/1"
@@ -133,8 +132,7 @@ def _divide(problem, overrides, seed):
     trunc = _setting(problem, overrides, "trunc_degree", None)
     if trunc is not None:
         res, mode = divide_series(f, G, problem.order, trunc), "series"
-    elif is_global(problem.order) or (
-            f.is_homogeneous() and all(g.is_homogeneous() for g in G)):
+    elif full_division_terminates(f, G, problem.order):
         res, mode = divide(f, G, problem.order), "full"
     else:
         res, mode = divide_truncated(f, G, problem.order), "truncated"
@@ -200,6 +198,9 @@ def run(command: str, problem: Problem, overrides: dict | None = None) -> tuple[
     if command not in COMMANDS:
         raise ProblemSyntaxError(f"unknown command {command!r}")
     overrides = overrides or {}
+    for key in OPTION_KEYS:
+        if overrides.get(key) is not None:
+            check_option(key, overrides[key])
     seed = _setting(problem, overrides, "seed", 0)
     result, code = COMMANDS[command](problem, overrides, seed)
     status = "ok" if code == EXIT_OK else "verification_failed"

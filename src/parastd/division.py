@@ -10,7 +10,7 @@ variant discards generated terms above a degree cutoff, which is the
 computable stand-in for power-series division under local orders.
 
 Dividends and divisors are ParamPoly or AScalar (one ring per call): the
-loop uses only the interface the two classes share (see polyring).
+loop reads only `terms`, `is_zero`, `leading(order)` and `with_terms`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .errors import (
     NonTerminatingDivision,
     NonTerminatingOrder,
+    TruncationTooSmall,
     ZeroPolynomialError,
 )
 from .orders import (
@@ -117,8 +118,10 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None):
             exact, steps)
 
 
-def _all_homogeneous(f, divisors):
-    return f.is_homogeneous() and all(g.is_homogeneous() for g in divisors)
+def full_division_terminates(f, G, order: MonomialOrder) -> bool:
+    """True under a global order, or when f and every divisor are homogeneous."""
+    return is_global(order) or (f.is_homogeneous()
+                                and all(g.is_homogeneous() for g in G))
 
 
 def divide(f, G, order: MonomialOrder) -> DivisionResult:
@@ -131,7 +134,7 @@ def divide(f, G, order: MonomialOrder) -> DivisionResult:
     """
     if f.is_zero():
         return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
-    if not is_global(order) and not _all_homogeneous(f, G):
+    if not full_division_terminates(f, G, order):
         raise NonTerminatingOrder(
             "full division needs a well order or homogeneous data; "
             "use divide_truncated or divide_series")
@@ -149,9 +152,7 @@ def divide_truncated(f, G, order: MonomialOrder) -> DivisionResult:
     """
     if f.is_zero():
         return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
-    guard = None
-    if not is_global(order) and not _all_homogeneous(f, G):
-        guard = TRUNCATION_STEP_GUARD
+    guard = None if full_division_terminates(f, G, order) else TRUNCATION_STEP_GUARD
     q, r, exact, steps = _division_loop(f, list(G), order, TRUNCATED, guard=guard)
     return DivisionResult(q, r, exact, steps)
 
@@ -162,8 +163,11 @@ def divide_series(f, G, order: MonomialOrder,
 
     Computable stand-in for power-series division under local orders; the
     identity holds modulo terms of total degree above the cutoff, signalled
-    by cofactor_ok=False whenever anything was discarded.
+    by cofactor_ok=False whenever anything was discarded. A negative
+    max_degree raises TruncationTooSmall.
     """
+    if max_degree < 0:
+        raise TruncationTooSmall(f"truncation degree {max_degree} is negative")
     if f.is_zero():
         return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
     start = {e: c for e, c in f.terms.items() if exp_degree(e) <= max_degree}

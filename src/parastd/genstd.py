@@ -2,8 +2,8 @@
 
 Everything "mod Q": leading data after discarding coefficients whose
 numerator lies in Q, division modulo Q, the two constructions of a generic
-standard basis (composite block order for well orders, homogenization for
-the rest), truncated generic reduced bases, and specialization checks.
+standard basis (block order on Q[x, a] for well orders, homogenization
+for the rest), truncated generic reduced bases, and specialization checks.
 
 A generic standard basis is a pair (generators, h): specializing the
 generators at any parameter point where Q vanishes and h does not yields a
@@ -24,24 +24,16 @@ from .errors import (
     TruncationTooSmall,
     ZeroPolynomialError,
 )
-from .orders import (
-    BLOCK,
-    HOMOGENIZED,
-    CompositeOrder,
-    Exponent,
-    MonomialOrder,
-    exp_divides,
-    homogenized_order,
-    is_global,
-)
+from .orders import Exponent, MonomialOrder, combined_order, exp_divides, is_global
 from .polyring import (
     AScalar,
     ParamPoly,
     ParamScalar,
     embed_params_as_vars,
+    fraction_content,
     split_params,
 )
-from .division import divide, divide_series
+from .division import divide, divide_series, full_division_terminates
 from .buchberger import buchberger, minimalize, normal_form_param, parameter_groebner
 
 
@@ -164,8 +156,7 @@ def divide_mod_q(f: ParamPoly, G, order: MonomialOrder, ctx: PrimeContext,
             raise AllCoefficientsInQ("divisor vanishes mod Q")
         g1s.append(g1)
         g2s.append(g1 - g)
-    if is_global(order) or (f.is_homogeneous()
-                            and all(g.is_homogeneous() for g in g1s)):
+    if full_division_terminates(f, g1s, order):
         res = divide(f, g1s, order)
     else:
         if trunc_degree is None:
@@ -259,13 +250,14 @@ def _prepare_inputs(F, ctx):
 
 def generic_basis_well_order(F, order: MonomialOrder,
                              ctx: PrimeContext) -> GenericBasis:
-    """Generic standard basis via the composite block order (x first, then a).
+    """Generic standard basis via the block order (x first, then a).
 
     Runs Buchberger on the input plus the Q generators inside the combined
     polynomial ring Q[x, a] (AScalars over Q), minimalizes, filters out
     elements of Q by the leading coefficient test, and rewrites survivors
-    into the input ideal through the tracked cofactors. h is the product of the surviving leading
-    coefficient numerators (times any cleared input denominators).
+    into the input ideal through the tracked cofactors, still in Q[x, a].
+    h is the product of the surviving leading coefficient numerators (times
+    any cleared input denominators).
     """
     if not is_global(order):
         raise NonTerminatingOrder("generic_basis_well_order needs a well order")
@@ -278,7 +270,7 @@ def generic_basis_local(F, order: MonomialOrder,
 
     Inputs are reduced mod Q termwise, homogenized with a fresh balancing
     variable, and a homogeneous basis is computed under the degree-first
-    composite order. Survivors outside Q are dehomogenized and rewritten
+    combined order. Survivors outside Q are dehomogenized and rewritten
     into the original ideal; h additionally collects one coefficient of a
     maximal-degree term per input (all of them, a safe over-exclusion),
     which keeps specialization from dropping the input degrees.
@@ -298,9 +290,11 @@ def _generic_basis_combined(F, order, ctx, homogeneous_route):
 
     cleared, multipliers, den_factors = _prepare_inputs(inputs, ctx)
 
+    # everything below runs over Q in the combined ring: x (then z), then a
+    embedded = [embed_params_as_vars(g) for g in cleared]
     work = []          # (input index, polynomial fed to the basis engine)
     hprime: list[AScalar] = []
-    for idx, g in enumerate(cleared):
+    for idx, (g, emb) in enumerate(zip(cleared, embedded)):
         if g.is_zero():
             continue
         if homogeneous_route:
@@ -309,9 +303,11 @@ def _generic_basis_combined(F, order, ctx, homogeneous_route):
                 continue
             d = g2.total_degree()
             hprime.extend(c.num for e, c in g2.terms.items() if sum(e) == d)
-            work.append((idx, g2.homogenize()))
+            emb = emb.with_terms({e: c for e, c in emb.terms.items()
+                                  if e[:n] in g2.terms})
+            work.append((idx, emb.homogenize(n)))
         else:
-            work.append((idx, g))
+            work.append((idx, emb))
 
     if not work:
         return GenericBasis([], _normalize_h_factors(den_factors), ctx,
@@ -319,46 +315,38 @@ def _generic_basis_combined(F, order, ctx, homogeneous_route):
                             cofactors=[])
 
     n_main = n + 1 if homogeneous_route else n
-    variant = HOMOGENIZED if homogeneous_route else BLOCK
-    comb_order = CompositeOrder(order, m, variant).flatten()
-    lead_order = homogenized_order(order) if homogeneous_route else order
-
-    # the engine runs over Q in n_main + m variables: x (and z), then a
-    comb = [embed_params_as_vars(g) for _, g in work]
-    pad = (0,) * n_main
-    qcomb = [AScalar({pad + e: c for e, c in q.terms.items()}, n_main + m)
-             for q in ctx.qbasis]
-    basis = minimalize(buchberger(comb + qcomb, comb_order,
+    comb_order = combined_order(order, m, homogeneous_route)
+    qcomb = [_lift_params(q, n_main) for q in ctx.qbasis]
+    lifted = [_lift_params(mult, n) for mult in multipliers]
+    basis = minimalize(buchberger([g for _, g in work] + qcomb, comb_order,
                                   degree_dims=n_main))
 
     gens, cofs, exps, lead_nums = [], [], [], []
-    for g, cof in zip(basis.generators, basis.cofactors):
-        gp = split_params(g, n_main, m)
-        _, lc = gp.leading(lead_order)
-        if ctx.contains(lc.num):
+    for g, cof, lead in zip(basis.generators, basis.cofactors,
+                            basis.leading_exponents()):
+        # the combined order compares x (and z) first, so the leading
+        # coefficient in Q[a] collects the terms on the leading x exponent
+        lc = AScalar({e[n_main:]: c for e, c in g.terms.items()
+                      if e[:n_main] == lead[:n_main]}, m, _prune=False)
+        if ctx.contains(lc):
             continue  # minimal basis: leading coefficient in Q iff g is in Q
         # rewrite into the ORIGINAL ideal: sum of cofactors times the
         # undropped cleared inputs (differs from g by Q-coefficient terms)
-        u_params = [split_params(u, n_main, m) for u in cof[:len(comb)]]
+        us = cof[:len(work)]
         if homogeneous_route:
-            u_params = [u.dehomogenize() for u in u_params]
-        ghat = ParamPoly.zero(n, m)
-        for (idx, _), u in zip(work, u_params):
+            us = [u.dehomogenize(n) for u in us]
+        ghat = AScalar.zero(n + m)
+        for (idx, _), u in zip(work, us):
             if not u.is_zero():
-                ghat = ghat + u * cleared[idx]
+                ghat = ghat + u * embedded[idx]
         if ghat.is_zero():
             raise AllCoefficientsInQ("reconstructed generator vanished")
-        cont = ghat.rational_content()
-        scale = ParamScalar.const(1 / cont, m) if cont != 1 else None
-        if scale is not None:
-            ghat = ghat.scale(scale)
+        inv = 1 / fraction_content(ghat.terms.values())
+        ghat = split_params(ghat.scale(inv), n, m)
         e, c = leading_mod_q(ghat, order, ctx)
         cof_user = [ParamPoly.zero(n, m) for _ in inputs]
-        for (idx, _), u in zip(work, u_params):
-            cu = u.scale(ParamScalar(multipliers[idx]))
-            if scale is not None:
-                cu = cu.scale(scale)
-            cof_user[idx] = cof_user[idx] + cu
+        for (idx, _), u in zip(work, us):
+            cof_user[idx] = split_params((u * lifted[idx]).scale(inv), n, m)
         gens.append(ghat)
         cofs.append(cof_user)
         exps.append(e)
@@ -367,6 +355,12 @@ def _generic_basis_combined(F, order, ctx, homogeneous_route):
     h_factors = _normalize_h_factors(lead_nums + hprime + den_factors)
     staircase = Staircase.from_exponents(n, exps)
     return GenericBasis(gens, h_factors, ctx, staircase, order, inputs, cofs)
+
+
+def _lift_params(s: AScalar, width: int) -> AScalar:
+    """A parameter polynomial as an element of the combined ring (x part 0)."""
+    pad = (0,) * width
+    return AScalar({pad + e: c for e, c in s.terms.items()}, width + s.m, _prune=False)
 
 
 def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:

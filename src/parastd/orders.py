@@ -2,9 +2,10 @@
 
 An order is given by a list of integer weight rows; ties surviving every row
 are broken by plain lex on the exponent tuple, so any row matrix yields a
-total order. Composite orders used by the parametric pipelines (block order
-on x then parameters, and the degree-first homogenized order) are flattened
-to ordinary weight matrices on the concatenated exponent.
+total order. The orders of the combined ring Q[x, a] used by the parametric
+pipelines (block order on x then parameters, and the degree-first
+homogenized order) are ordinary weight matrices on the concatenated exponent,
+built by `combined_order`.
 """
 
 from __future__ import annotations
@@ -90,18 +91,6 @@ def is_global(order: MonomialOrder) -> bool:
     return classify(order) == GLOBAL
 
 
-def homogenized_order(main: MonomialOrder) -> MonomialOrder:
-    """Degree-first order on (x, z) exponents that restricts to `main` on x.
-
-    First row is total degree including the homogenization slot (appended
-    last), then the main rows with 0 in that slot, then the lex tail. The
-    result is always a well order.
-    """
-    n = main.n
-    rows = ((1,) * (n + 1),) + tuple(r + (0,) for r in main.rows)
-    return MonomialOrder(rows=rows, n=n + 1)
-
-
 def is_degree_compatible_local(order: MonomialOrder) -> bool:
     """Validated sufficient condition for |a| < |b| implying x^a > x^b.
 
@@ -115,48 +104,20 @@ def is_degree_compatible_local(order: MonomialOrder) -> bool:
     return row[0] < 0 and all(w == row[0] for w in row) and classify(order) == LOCAL
 
 
-BLOCK = "block"
-HOMOGENIZED = "homogenized"
+def combined_order(main: MonomialOrder, m: int, homogenized: bool) -> MonomialOrder:
+    """Weight-matrix order on the combined exponent (x, [z], a).
 
-
-@dataclass(frozen=True)
-class CompositeOrder:
-    """Order on parameter+main exponents: main part first, then params by lex.
-
-    The block variant is the elimination order used for parametric Groebner
-    runs with a well order on x; the homogenized variant compares the
-    (x, z) part degree-first and is a well order for any main order.
+    The x part is compared first and the m parameters break the remaining
+    ties by lex, so with a well order on x this is the block (elimination)
+    order. When `homogenized`, a balancing slot z follows x and the first
+    row is total degree over (x, z), then come the main rows with 0 in that
+    slot; that order is a well order for any main order.
     """
-
-    main: MonomialOrder
-    param_dims: int
-    variant: str = BLOCK
-
-    def __post_init__(self):
-        if self.variant not in (BLOCK, HOMOGENIZED):
-            raise ValueError(f"unknown composite variant {self.variant!r}")
-
-    @property
-    def main_dims(self) -> int:
-        return self.main.n + (1 if self.variant == HOMOGENIZED else 0)
-
-    def flatten(self) -> MonomialOrder:
-        """Weight-matrix order on the concatenated (x, [z], a) exponent."""
-        m = self.param_dims
-        base = self.main if self.variant == BLOCK else homogenized_order(self.main)
-        rows = tuple(r + (0,) * m for r in base.rows)
-        return MonomialOrder(rows=rows, n=base.n + m)
-
-
-def composite_compare(order: CompositeOrder, pa, pb) -> int:
-    """Compare (param_exp, main_exp) pairs under the composite order."""
-    (ga, aa), (gb, ab) = pa, pb
-    if len(ga) != order.param_dims or len(gb) != order.param_dims:
-        raise DimensionMismatch("parameter exponent dimension")
-    if len(aa) != order.main_dims or len(ab) != order.main_dims:
-        raise DimensionMismatch("main exponent dimension")
-    flat = order.flatten()
-    return compare(flat, tuple(aa) + tuple(ga), tuple(ab) + tuple(gb))
+    rows, n = main.rows, main.n
+    if homogenized:
+        rows = ((1,) * (n + 1),) + tuple(r + (0,) for r in rows)
+        n += 1
+    return MonomialOrder(rows=tuple(r + (0,) * m for r in rows), n=n + m)
 
 
 def lex(n: int) -> MonomialOrder:

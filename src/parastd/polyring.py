@@ -11,12 +11,9 @@ Three layers, all sparse dicts keyed by exponent tuples:
   exact-division attempt keep sizes bounded at desk scale.
 * ParamPoly: finite map from main-variable exponents to ParamScalars.
 
-AScalar and ParamPoly share the small interface the basis engine
-(buchberger, division) is written against: `terms`, `is_zero`,
-`leading(order)`, `mul_monomial`, `is_homogeneous`, `scale`, ring
-arithmetic, `with_terms` (same ring, given terms), `coeff` (a rational
-as a coefficient) and `clear_and_shrink`. Coefficient zero tests are
-truth tests.
+The division loop takes either AScalar or ParamPoly: it reads only
+`terms`, `is_zero`, `leading(order)` and `with_terms` (same ring, given
+terms), and tests coefficients for zero by truth value.
 """
 
 from __future__ import annotations
@@ -136,18 +133,6 @@ class AScalar:
         """Element of the same ring with the given nonzero terms."""
         return AScalar(terms, self.m, _prune=False)
 
-    @staticmethod
-    def coeff(value) -> Fraction:
-        return Fraction(value)
-
-    def clear_and_shrink(self, cofs):
-        """Divide self and its cofactors by the positive content of self."""
-        cont = fraction_content(self.terms.values())
-        if cont == 1:
-            return self, cofs
-        q = 1 / cont
-        return self.scale(q), [p.scale(q) for p in cofs]
-
     def __eq__(self, other):
         return isinstance(other, AScalar) and self.m == other.m and self.terms == other.terms
 
@@ -176,6 +161,29 @@ class AScalar:
 
     def is_homogeneous(self, dims: int | None = None) -> bool:
         return len({exp_degree(e, dims) for e in self.terms}) <= 1
+
+    def homogenize(self, dims: int) -> "AScalar":
+        """Insert a balancing slot z after the first dims coordinates.
+
+        z lifts every term to the top degree over those coordinates.
+        """
+        if not self.terms:
+            raise ZeroPolynomialError("homogenize of zero polynomial")
+        d = max(exp_degree(e, dims) for e in self.terms)
+        return AScalar({e[:dims] + (d - exp_degree(e, dims),) + e[dims:]: c
+                        for e, c in self.terms.items()}, self.m + 1, _prune=False)
+
+    def dehomogenize(self, dims: int) -> "AScalar":
+        """Substitute 1 for the slot after the first dims coordinates."""
+        out: dict = {}
+        for e, c in self.terms.items():
+            e2 = e[:dims] + e[dims + 1:]
+            v = out.get(e2, 0) + c
+            if v:
+                out[e2] = v
+            else:
+                out.pop(e2, None)
+        return AScalar(out, self.m - 1, _prune=False)
 
     def evaluate(self, point) -> Fraction:
         out = Fraction(0)
@@ -613,31 +621,6 @@ class ParamPoly:
         """Element of the same ring with the given nonzero terms."""
         return ParamPoly(terms, self.n, self.m, _prune=False)
 
-    def coeff(self, value) -> ParamScalar:
-        return ParamScalar.const(value, self.m)
-
-    def clear_and_shrink(self, cofs):
-        """Integralize self (and its cofactors identically), divide out content."""
-        g = self
-        dens: list[AScalar] = []
-        for p in [g] + cofs:
-            for c in p.terms.values():
-                if not c.den.is_constant() and all(c.den != d for d in dens):
-                    dens.append(c.den)
-        if dens:
-            mult = AScalar.one(g.m)
-            for d in dens:
-                mult = mult * d
-            s = ParamScalar(mult)
-            g = g.scale(s).map_coeffs(lambda c: c.reduced())
-            cofs = [p.scale(s).map_coeffs(lambda c: c.reduced()) for p in cofs]
-        cont = g.rational_content()
-        if cont != 1:
-            s = ParamScalar.const(1 / cont, g.m)
-            g = g.scale(s)
-            cofs = [p.scale(s) for p in cofs]
-        return g, cofs
-
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
             return NotImplemented
@@ -657,39 +640,11 @@ class ParamPoly:
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
-    def total_degree(self, dims: int | None = None) -> int:
-        if not self.terms:
-            return 0
-        return max(exp_degree(e, dims) for e in self.terms)
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
 
-    def is_homogeneous(self, dims: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degs = {exp_degree(e, dims) for e in self.terms}
-        return len(degs) == 1
-
-    def homogenize(self) -> "ParamPoly":
-        """Append a balancing variable z so every term reaches total degree."""
-        if self.is_zero():
-            raise ZeroPolynomialError("homogenize of zero polynomial")
-        d = self.total_degree()
-        out = {e + (d - sum(e),): c for e, c in self.terms.items()}
-        return ParamPoly(out, self.n + 1, self.m, _prune=False)
-
-    def dehomogenize(self) -> "ParamPoly":
-        """Substitute 1 for the last main variable and merge like terms."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            e2 = e[:-1]
-            if e2 in out:
-                v = out[e2] + c
-                if v.is_zero():
-                    del out[e2]
-                else:
-                    out[e2] = v
-            else:
-                out[e2] = c
-        return ParamPoly(out, self.n - 1, self.m, _prune=False)
+    def is_homogeneous(self) -> bool:
+        return len({sum(e) for e in self.terms}) <= 1
 
     def specialize(self, point) -> "ParamPoly":
         """Evaluate all coefficients at a parameter point; result has m=0."""
@@ -725,12 +680,6 @@ class ParamPoly:
             return self, AScalar.one(self.m)
         return self.scale(ParamScalar(mult)).map_coeffs(
             lambda c: c.reduced()), mult
-
-    def rational_content(self) -> Fraction:
-        """Common Fraction content of an integral polynomial (dens constant)."""
-        cont = fraction_content([c.num.content() / c.den.constant_value()
-                                 for c in self.terms.values()])
-        return cont or Fraction(1)
 
 
 # ---------------------------------------------------------------------------

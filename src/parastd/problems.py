@@ -25,7 +25,7 @@ from .orders import MonomialOrder, grevlex, lex, matrix_order, neg_grevlex
 from .polyring import AScalar, ParamPoly, ParamScalar
 
 _SECTIONS = ("params", "vars", "order", "ideal", "Q", "options")
-_OPTION_KEYS = ("trunc_degree", "max_depth", "samples", "seed")
+OPTION_KEYS = ("trunc_degree", "max_depth", "samples", "seed")
 
 
 @dataclass
@@ -278,14 +278,20 @@ def parse_order_spec(text: str, n: int, line: int = 1) -> MonomialOrder:
         line, 0)
 
 
+def check_option(key: str, value: int, line=None, col=None) -> None:
+    """Every option (a degree, a depth, a count or a seed) is nonnegative."""
+    if value < 0:
+        raise ProblemSyntaxError(f"{key} must be nonnegative", line, col)
+
+
 def _parse_options(text: str, line: int) -> dict:
     stream = _Stream(_tokenize(text, line), line)
     opts = {}
     while stream.peek() is not None:
         t = stream.next()
-        if t.kind != "ident" or t.text not in _OPTION_KEYS:
+        if t.kind != "ident" or t.text not in OPTION_KEYS:
             raise ProblemSyntaxError(
-                f"unknown option {t.text!r} (expected one of {_OPTION_KEYS})",
+                f"unknown option {t.text!r} (expected one of {OPTION_KEYS})",
                 t.line, t.col)
         stream.expect("=")
         neg = stream.accept("-")
@@ -294,8 +300,7 @@ def _parse_options(text: str, line: int) -> dict:
             raise ProblemSyntaxError("option values must be integers",
                                      v.line, v.col)
         val = -int(v.text) if neg else int(v.text)
-        if t.text == "seed" and val < 0:
-            raise ProblemSyntaxError("seed must be nonnegative", v.line, v.col)
+        check_option(t.text, val, v.line, v.col)
         opts[t.text] = val
         if stream.peek() is not None:
             stream.expect(",")

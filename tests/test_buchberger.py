@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parastd.errors import NonTerminatingOrder
-from parastd.orders import exp_divides, grevlex, lex, matrix_order, neg_grevlex
-from parastd.polyring import AScalar, ParamPoly, ParamScalar, embed_params_as_vars
+from parastd.orders import combined_order, exp_divides, grevlex, lex
+from parastd.polyring import AScalar, embed_params_as_vars
 from parastd.division import divide, s_function
 from parastd.buchberger import (
     buchberger,
@@ -21,8 +21,18 @@ from conftest import INTRO_ORDER, P, random_poly
 GREVLEX2 = grevlex(2)
 
 
+# the engine runs over Q: inputs are AScalar polynomials in the variables
+# of the ring (x1, x2, and then a where the text has a parameter)
 def QP(text, vars=("x1", "x2")):
-    return P(text, params=(), vars=vars)
+    return embed_params_as_vars(P(text, params=(), vars=vars))
+
+
+def XA(text):
+    return embed_params_as_vars(P(text))
+
+
+def random_q_poly(rng, n, **kwargs):
+    return embed_params_as_vars(random_poly(rng, n, 0, **kwargs))
 
 
 def staircase_of(res):
@@ -62,27 +72,25 @@ def test_buchberger_textbook_pair():
 
 
 def test_buchberger_single_element():
-    F = [P("a*x2 - x1*x2 + x1")]
-    res = buchberger(F, GREVLEX2)
+    F = [XA("a*x2 - x1*x2 + x1")]
+    res = buchberger(F, combined_order(GREVLEX2, 1, homogenized=False))
     assert len(res.generators) == 1
     assert res.generators[0] == F[0]
 
 
 def test_buchberger_homogenized_principal():
     # the homogenized intro polynomial is already a basis (principal ideal)
-    from parastd.orders import CompositeOrder, HOMOGENIZED
-    from parastd.polyring import embed_params_as_vars
-    f = P("a*x2 - x1*x2 + x1").homogenize()
-    comb = embed_params_as_vars(f)
-    order = CompositeOrder(INTRO_ORDER, 1, HOMOGENIZED).flatten()
+    comb = XA("a*x2 - x1*x2 + x1").homogenize(2)
+    order = combined_order(INTRO_ORDER, 1, homogenized=True)
     res = buchberger([comb], order, degree_dims=3)
     assert len(res.generators) == 1
-    assert res.homogeneous
+    assert all(g.is_homogeneous(3) for g in res.generators)
 
 
 def test_buchberger_rejects_local_order():
     with pytest.raises(NonTerminatingOrder):
-        buchberger([P("a*x2 - x1*x2 + x1")], INTRO_ORDER)
+        buchberger([XA("a*x2 - x1*x2 + x1")],
+                   combined_order(INTRO_ORDER, 1, homogenized=False))
 
 
 def test_minimalize_cone_absorption():
@@ -134,9 +142,9 @@ def test_zero_remainder_for_random_ideal_elements():
     F = [QP("x1^2 - x2"), QP("x1*x2 - 1")]
     res = buchberger(F, GREVLEX2)
     for _ in range(10):
-        f = ParamPoly.zero(2, 0)
+        f = AScalar.zero(2)
         for g in F:
-            f = f + random_poly(rng, 2, 0, max_terms=3, max_exp=2) * g
+            f = f + random_q_poly(rng, 2, max_terms=3, max_exp=2) * g
         if f.is_zero():
             continue
         assert divide(f, res.generators, GREVLEX2).remainder.is_zero()
@@ -145,7 +153,6 @@ def test_zero_remainder_for_random_ideal_elements():
 def test_homogeneity_preserved():
     F = [QP("x1^2 + x2^2"), QP("x1*x2")]
     res = buchberger(F, GREVLEX2)
-    assert res.homogeneous
     assert all(g.is_homogeneous() for g in res.generators)
 
 
@@ -167,19 +174,10 @@ def test_random_ideals_against_sympy():
     syms = [x1, x2, x3]
     for _ in range(8):
         n = rng.choice([2, 3])
-        F = [random_poly(rng, n, 0, max_terms=3, max_exp=2) for _ in range(2)]
+        F = [random_q_poly(rng, n, max_terms=3, max_exp=2) for _ in range(2)]
         res = minimalize(buchberger(F, grevlex(n)))
         ours = set(res.leading_exponents())
-        sf = []
-        for f in F:
-            expr = 0
-            for e, c in f.terms.items():
-                q = c.num.constant_value() / c.den.constant_value()
-                term = sympy.Rational(q.numerator, q.denominator)
-                for i, k in enumerate(e):
-                    term *= syms[i] ** k
-                expr += term
-            sf.append(expr)
+        sf = [to_sympy(f, syms, sympy) for f in F]
         gb = sympy.groebner(sf, *syms[:n], order="grevlex")
         theirs = set()
         for p in gb.polys:
@@ -197,51 +195,58 @@ def test_parameter_groebner_and_normal_form():
     assert not normal_form_param(a + b, basis).is_zero()
 
 
+def to_sympy(f, syms, sympy):
+    return sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.prod([s ** k for s, k in zip(syms, e)])
+               for e, c in f.terms.items())
+
+
+def sympy_reduced_basis(F, syms, order_name, sympy):
+    """Reduced basis from sympy.groebner, as scaled term sets."""
+    gb = sympy.groebner([to_sympy(f, syms, sympy) for f in F], *syms, order=order_name)
+    return {_scaled_terms({e: Fraction(int(c.p), int(c.q))
+                           for e, c in p.terms(order=order_name)})
+            for p in gb.polys}
+
+
+def _scaled_terms(terms):
+    """Terms scaled so that the lex-largest exponent has coefficient 1."""
+    lead = terms[max(terms)]
+    return frozenset((e, c / lead) for e, c in terms.items())
+
+
 def q_ideals(n, count, integral=True):
-    """Lists of small random polynomials over Q in n variables (m=0 ParamPoly)."""
+    """Lists of small random polynomials over Q in n variables."""
     return st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=count,
                     max_size=count).map(
-        lambda seeds: [random_poly(random.Random(s), n, 0, max_terms=3, max_exp=2,
-                                   integral=integral) for s in seeds])
+        lambda seeds: [random_q_poly(random.Random(s), n, max_terms=3, max_exp=2,
+                                     integral=integral) for s in seeds])
 
 
 @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
-           q_ideals(n, 2, integral=False), st.sampled_from([lex(n), grevlex(n)]))))
-def test_engine_same_on_paramscalar_and_q_rings(case):
-    # one engine, two coefficient domains: the m=0 ParamPoly ring and Q
-    F, order = case
-    Fq = [embed_params_as_vars(f) for f in F]
-    stages = []
-    for inputs in (F, Fq):
-        full = buchberger(inputs, order)
-        red = reduce_basis(minimalize(full), order)
-        for res in (full, red):
-            assert_cofactors_exact(res, inputs)
-        stages.append((full, red))
-    for via_poly, via_q in zip(*stages):
-        assert [embed_params_as_vars(g) for g in via_poly.generators] == via_q.generators
-        assert ([[embed_params_as_vars(u) for u in cof] for cof in via_poly.cofactors]
-                == via_q.cofactors)
-
-
-def _monic_lex_terms(terms):
-    lead = terms[max(terms)]
-    return frozenset((e, c / lead) for e, c in terms.items())
+           q_ideals(n, 2, integral=False), st.sampled_from(["lex", "grevlex"]))))
+def test_engine_on_q_against_sympy(case):
+    # cofactors stay exact at every stage, and the reduced basis is sympy's
+    sympy = pytest.importorskip("sympy")
+    F, order_name = case
+    n = F[0].m
+    order = {"lex": lex, "grevlex": grevlex}[order_name](n)
+    full = buchberger(F, order)
+    mini = minimalize(full)
+    red = reduce_basis(mini, order)
+    for res in (full, mini, red):
+        assert_cofactors_exact(res, F)
+    assert all(g.leading(order)[1] == 1 for g in red.generators)
+    ours = {_scaled_terms(g.terms) for g in red.generators}
+    assert ours == sympy_reduced_basis(F, sympy.symbols(f"x0:{n}"), order_name, sympy)
 
 
 @given(st.sampled_from([1, 2, 3]).flatmap(
     lambda m: st.integers(min_value=1, max_value=3).flatmap(lambda k: q_ideals(m, k))))
 def test_parameter_groebner_against_sympy(F):
     sympy = pytest.importorskip("sympy")
-    gens = [embed_params_as_vars(f) for f in F]
-    m = gens[0].m
-    syms = sympy.symbols(f"a0:{m}")
-    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
-                 * sympy.prod([s ** k for s, k in zip(syms, e)])
-                 for e, c in g.terms.items()) for g in gens]
-    theirs = {_monic_lex_terms({e: Fraction(int(c.p), int(c.q))
-                                for e, c in p.terms(order="lex")})
-              for p in sympy.groebner(exprs, *syms, order="lex").polys}
-    ours = parameter_groebner(gens)
-    assert {_monic_lex_terms(g.terms) for g in ours} == theirs
+    syms = sympy.symbols(f"a0:{F[0].m}")
+    ours = parameter_groebner(F)
+    assert {_scaled_terms(g.terms) for g in ours} == sympy_reduced_basis(
+        F, syms, "lex", sympy)
     assert all(g.terms[max(g.terms)] == 1 for g in ours)

@@ -77,6 +77,34 @@ def test_parse_problem_options():
         parse_problem(INTRO_TEXT + "options: wibble = 3\n")
 
 
+E7_LOCAL_TEXT = """\
+params: a, b
+vars: x, y
+order: neg_grevlex
+ideal: 3*x^2 + y^3 + a*y, 3*x*y^2 + b*x + a*x
+"""
+
+
+@pytest.mark.parametrize("command, flag, option", [
+    ("divide", "--trunc", "trunc_degree"),
+    ("reduce", "--trunc", "trunc_degree"),
+    ("comprehensive", "--max-depth", "max_depth"),
+    ("verify", "--samples", "samples"),
+    ("verify", "--seed", "seed"),
+])
+def test_cli_rejects_negative_options(capsys, tmp_path, command, flag, option):
+    # the flags get the same check as the options section of a problem file
+    path = tmp_path / "e7_local.psb"
+    path.write_text(E7_LOCAL_TEXT)
+    code, out, err = run_cli(capsys, command, str(path), flag, "-1")
+    assert (code, out) == (1, "")
+    assert err == f"error[input]: {option} must be nonnegative\n"
+    path.write_text(E7_LOCAL_TEXT + f"options: {option} = -1\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert f"{option} must be nonnegative" in err
+
+
 def test_parse_point():
     assert parse_point("a=2,b=-1/3", ("a", "b")) == \
         (2, pytest.approx(-1 / 3))
@@ -217,6 +245,7 @@ def test_cli_exit_codes(capsys, tmp_path):
         "vars: x1\norder: wat\nideal: x1\n",
         "vars: x1\norder: lex\nideal: x1 + + x1\n",
         "vars: x1\norder: lex\nideal: x1/x1\n",
+        "vars: x1\norder: lex\nideal: x1\noptions: max_depth = -2\n",
     ]
     for i, text in enumerate(bad_inputs):
         path = tmp_path / f"bad{i}.psb"

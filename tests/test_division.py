@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from parastd.errors import NonTerminatingDivision, NonTerminatingOrder
+from parastd.errors import NonTerminatingDivision, NonTerminatingOrder, TruncationTooSmall
 from parastd.orders import exp_degree, grevlex, lex, matrix_order, neg_grevlex
 from parastd.polyring import AScalar, ParamPoly, ParamScalar, divides_factor_power
 from parastd.division import (
@@ -11,6 +11,7 @@ from parastd.division import (
     divide,
     divide_series,
     divide_truncated,
+    full_division_terminates,
     s_function,
 )
 
@@ -114,6 +115,19 @@ def test_series_division_exact_when_no_discard():
     res = divide_series(f, [QP("x1*x2 - 1")], GREVLEX2, 10)
     assert res.cofactor_ok
     assert res.remainder == QP("x1")
+
+
+def test_series_division_rejects_negative_degree():
+    for f in (QP("x1^2*x2"), QP("0")):
+        with pytest.raises(TruncationTooSmall):
+            divide_series(f, [QP("x1*x2 - 1")], neg_grevlex(2), -1)
+
+
+def test_full_division_terminates():
+    assert full_division_terminates(QP("x1 + 1"), [QP("x2 - 1")], GREVLEX2)
+    assert full_division_terminates(QP("x1*x2"), [QP("x1 + x2")], INTRO_ORDER)
+    assert not full_division_terminates(QP("x1*x2"), [QP("x1 + 1")], INTRO_ORDER)
+    assert not full_division_terminates(QP("x1 + 1"), [QP("x2")], INTRO_ORDER)
 
 
 def test_s_function_grevlex_example():

@@ -187,6 +187,18 @@ def test_membership_certificates_exact(intro):
     B2 = generic_basis_well_order([P("a*x1 + x2"), P("x1*x2 + a")],
                                   grevlex(2), CTX0)
     assert all(d.is_zero() for d in certify_membership(B2))
+    # inputs with a parameter denominator: the cofactors carry the multiplier
+    # that cleared it, and the denominator is excluded through h
+    one = AScalar.one(1)
+    ctx_a_minus_1 = PrimeContext.from_generators([A - one], 1)
+    for text, den in (("x1/a + x2", A), ("x1/(a+1) + x2", A + one)):
+        for route, order in ((generic_basis_well_order, grevlex(2)),
+                             (generic_basis_local, INTRO_ORDER)):
+            for ctx in (CTX0, ctx_a_minus_1):
+                B = route([P(text), P("x1^2 - a*x1")], order, ctx)
+                assert B.gens
+                assert all(d.is_zero() for d in certify_membership(B))
+                assert den in [f for f, _ in B.h_factors]
 
 
 def test_lc_numerators_divide_h(intro):

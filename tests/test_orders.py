@@ -3,19 +3,15 @@ from hypothesis import given, strategies as st
 
 from parastd.errors import DimensionMismatch
 from parastd.orders import (
-    BLOCK,
     GLOBAL,
-    HOMOGENIZED,
     LOCAL,
     MIXED,
-    CompositeOrder,
     MonomialOrder,
     classify,
+    combined_order,
     compare,
-    composite_compare,
     exp_add,
     grevlex,
-    homogenized_order,
     is_degree_compatible_local,
     lex,
     matrix_order,
@@ -53,6 +49,10 @@ def test_classify_examples():
     assert classify(neg_grevlex(3)) == LOCAL
 
 
+def homogenized_order(main):
+    return combined_order(main, 0, homogenized=True)
+
+
 def test_homogenized_order_construction():
     h = homogenized_order(LOCAL_ORDER)
     assert h.rows == ((1, 1, 1), (-1, -1, 0), (-1, 0, 0))
@@ -68,20 +68,22 @@ def test_homogenized_order_comparisons():
 
 
 def test_composite_block_compare():
-    co = CompositeOrder(lex(2), param_dims=1, variant=BLOCK)
+    co = combined_order(lex(2), 1, homogenized=False)
+    assert co.n == 3  # exponents are (x1, x2, a)
     # a*x1 vs a^2*x2: the x part decides
-    assert composite_compare(co, ((1,), (1, 0)), ((2,), (0, 1))) == 1
+    assert compare(co, (1, 0) + (1,), (0, 1) + (2,)) == 1
     # a*x1 vs a^2*x1: x parts equal, parameter part decides
-    assert composite_compare(co, ((1,), (1, 0)), ((2,), (1, 0))) == -1
+    assert compare(co, (1, 0) + (1,), (1, 0) + (2,)) == -1
 
 
 def test_composite_homogenized_compare():
-    co = CompositeOrder(LOCAL_ORDER, param_dims=1, variant=HOMOGENIZED)
+    co = combined_order(LOCAL_ORDER, 1, homogenized=True)
+    assert co.n == 4  # exponents are (x1, x2, z, a)
     # a*x1*z vs x1*x2: compared by the homogenized main part first
-    left = ((1,), (1, 0, 1))
-    right = ((0,), (1, 1, 0))
-    assert composite_compare(co, left, right) == compare(
+    assert compare(co, (1, 0, 1) + (1,), (1, 1, 0) + (0,)) == compare(
         homogenized_order(LOCAL_ORDER), (1, 0, 1), (1, 1, 0))
+    # equal (x, z) parts: the parameter part decides
+    assert compare(co, (1, 0, 1) + (1,), (1, 0, 1) + (0,)) == 1
 
 
 def test_degree_compatibility_check():
@@ -123,10 +125,10 @@ def test_homogenized_always_global(order):
 def test_block_order_eliminates_main_variables(k, xpart, gamma):
     # with a global main order, any monomial containing an x variable
     # exceeds every pure-parameter monomial
-    co = CompositeOrder(grevlex(2), param_dims=2, variant=BLOCK)
+    co = combined_order(grevlex(2), 2, homogenized=False)
     if sum(xpart) == 0:
         return
-    assert composite_compare(co, ((0, k), xpart), (gamma, (0, 0))) == 1
+    assert compare(co, xpart + (0, k), (0, 0) + gamma) == 1
 
 
 def test_product_compatibility_bulk():

@@ -64,23 +64,33 @@ def test_leading_zero_polynomial():
         ParamPoly.zero(2, 1).leading(INTRO_ORDER)
 
 
+# homogenization acts on the combined ring Q[x1, x2, a]; z goes after x2
+def XA(text, vars=INTRO_VARS):
+    return embed_params_as_vars(P(text, vars=vars))
+
+
+XZ = ("x1", "x2", "z")
+
+
 def test_homogenize_intro(intro_poly):
-    h = intro_poly.homogenize()
-    assert h == P("a*x2*z - x1*x2 + x1*z", vars=("x1", "x2", "z"))
-    assert h.is_homogeneous()
+    h = embed_params_as_vars(intro_poly).homogenize(2)
+    assert h == XA("a*x2*z - x1*x2 + x1*z", vars=XZ)
+    assert h.is_homogeneous(3)
+    assert not h.is_homogeneous()  # the parameter a is not counted
 
 
 def test_homogenize_trivial_cases():
-    assert P("x1^2").homogenize() == P("x1^2", vars=("x1", "x2", "z"))
-    assert P("x1 + 1").homogenize() == P("x1 + z", vars=("x1", "x2", "z"))
+    assert XA("x1^2").homogenize(2) == XA("x1^2", vars=XZ)
+    assert XA("x1 + 1").homogenize(2) == XA("x1 + z", vars=XZ)
+    assert XA("a*x1 + a^2").homogenize(2) == XA("a*x1 + a^2*z", vars=XZ)
 
 
 def test_dehomogenize_round_trip(intro_poly):
-    assert intro_poly.homogenize().dehomogenize() == intro_poly
-    z2 = P("z^2", vars=("x1", "x2", "z"))
-    assert z2.dehomogenize() == P("1")
-    merged = P("x1*z + x1", vars=("x1", "x2", "z"))
-    assert merged.dehomogenize() == P("2*x1")
+    f = embed_params_as_vars(intro_poly)
+    assert f.homogenize(2).dehomogenize(2) == f
+    assert XA("z^2", vars=XZ).dehomogenize(2) == XA("1")
+    assert XA("x1*z + x1", vars=XZ).dehomogenize(2) == XA("2*x1")
+    assert XA("a*z - a", vars=XZ).dehomogenize(2).is_zero()
 
 
 def test_specialize_examples(intro_poly):
@@ -138,8 +148,10 @@ def test_specialize_is_ring_morphism(f, g, point):
 
 
 @given(polys(n=3, m=1))
-def test_homogenize_output_homogeneous(f, ):
-    assert f.homogenize().is_homogeneous()
+def test_homogenize_output_homogeneous(f):
+    h = embed_params_as_vars(f).homogenize(3)
+    assert h.is_homogeneous(4)
+    assert h.dehomogenize(3) == embed_params_as_vars(f)
 
 
 @given(polys(n=2, m=2))

@@ -9,6 +9,15 @@ first time the leading exponent escapes every divisor cone; the series
 variant discards generated terms above a degree cutoff, which is the
 computable stand-in for power-series division under local orders.
 
+A series division asked for its remainder only also discards every term
+below the highest corner: the order-least exponent of degree at most the
+cutoff that lies in no divisor cone. Leading exponents strictly decrease,
+and every exponent below the corner within the cutoff lies in some cone,
+so such a term could only be reduced into still smaller terms; it never
+reaches the remainder or changes a coefficient at or above the corner.
+The remainder is the one the full series division computes, term by term,
+while the quotients stop at the corner.
+
 Dividends and divisors are ParamPoly or AScalar (one ring per call): the
 loop reads only `terms`, `is_zero`, `leading(order)` and `with_terms`.
 """
@@ -70,7 +79,38 @@ TRUNCATED = "truncated"
 SERIES = "series"
 
 
-def _division_loop(f, divisors, order, mode, max_degree=None, guard=None):
+def highest_corner(part: Partition, n: int, order: MonomialOrder,
+                   max_degree: int) -> Exponent | None:
+    """Order-least exponent of degree <= max_degree in no cone of part.
+
+    None when every such exponent lies in a cone. The standard monomials
+    are closed under division, so a walk up from 0 that raises one entry
+    at a time and never leaves them visits each of them and nothing else.
+    """
+    zero = (0,) * n
+    if part.region_of(zero) is not None:
+        return None
+    best, best_key = zero, order.key(zero)
+    seen = {zero}
+    stack = [zero]
+    while stack:
+        e = stack.pop()
+        if exp_degree(e) == max_degree:
+            continue
+        for i in range(n):
+            u = e[:i] + (e[i] + 1,) + e[i + 1:]
+            if u in seen or part.region_of(u) is not None:
+                continue
+            seen.add(u)
+            stack.append(u)
+            k = order.key(u)
+            if k < best_key:
+                best, best_key = u, k
+    return best
+
+
+def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
+                   remainder_only=False):
     leads = []
     for g in divisors:
         if g.is_zero():
@@ -83,6 +123,19 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None):
     remainder: dict = {}
     iterate = dict(f.terms)
     exact = True
+    floor = None
+    if remainder_only:
+        # series mode only: terms below the highest corner never reach the
+        # remainder (module docstring); with no corner, nothing does
+        corner = highest_corner(part, len(next(iter(iterate))), order,
+                                max_degree)
+        if corner is None:
+            kept = {}
+        else:
+            floor = order.key(corner)
+            kept = {e: c for e, c in iterate.items() if order.key(e) >= floor}
+        exact = len(kept) == len(iterate)
+        iterate = kept
     steps = 0
     while iterate:
         steps += 1
@@ -110,7 +163,8 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None):
                     iterate[ee] = v
                 else:
                     del iterate[ee]
-            elif mode == SERIES and exp_degree(ee) > max_degree:
+            elif mode == SERIES and (exp_degree(ee) > max_degree or (
+                    floor is not None and order.key(ee) < floor)):
                 exact = False
             else:
                 iterate[ee] = -(c0 * coeff)
@@ -157,14 +211,17 @@ def divide_truncated(f, G, order: MonomialOrder) -> DivisionResult:
     return DivisionResult(q, r, exact, steps)
 
 
-def divide_series(f, G, order: MonomialOrder,
-                  max_degree: int) -> DivisionResult:
+def divide_series(f, G, order: MonomialOrder, max_degree: int, *,
+                  remainder_only: bool = False) -> DivisionResult:
     """Degree-bounded division: terms above max_degree are discarded.
 
     Computable stand-in for power-series division under local orders; the
     identity holds modulo terms of total degree above the cutoff, signalled
-    by cofactor_ok=False whenever anything was discarded. A negative
-    max_degree raises TruncationTooSmall.
+    by cofactor_ok=False whenever anything was discarded. With
+    remainder_only, terms below the highest corner are discarded too (see
+    the module docstring): the remainder is unchanged, the quotients stop
+    at the corner, and the identity holds modulo terms above the cutoff or
+    below the corner. A negative max_degree raises TruncationTooSmall.
     """
     if max_degree < 0:
         raise TruncationTooSmall(f"truncation degree {max_degree} is negative")
@@ -176,7 +233,8 @@ def divide_series(f, G, order: MonomialOrder,
     if f0.is_zero():
         return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}), exact0)
     q, r, exact, steps = _division_loop(f0, list(G), order, SERIES,
-                                        max_degree=max_degree)
+                                        max_degree=max_degree,
+                                        remainder_only=remainder_only)
     return DivisionResult(q, r, exact and exact0, steps)
 
 

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parastd.errors import NonTerminatingDivision, NonTerminatingOrder, TruncationTooSmall
-from parastd.orders import exp_degree, grevlex, lex, matrix_order, neg_grevlex
+from parastd.orders import exp_add, exp_degree, exp_sub, grevlex, lex, matrix_order, neg_grevlex
 from parastd.polyring import AScalar, ParamPoly, ParamScalar, divides_factor_power
 from parastd.division import (
     Partition,
@@ -12,6 +13,7 @@ from parastd.division import (
     divide_series,
     divide_truncated,
     full_division_terminates,
+    highest_corner,
     s_function,
 )
 
@@ -214,3 +216,149 @@ def test_denominator_lemma():
                 if c.den.is_constant():
                     continue
                 assert divides_factor_power(c.den, lead_nums)
+
+
+# ---------------------------------------------------------------------------
+# remainder-only series division: the highest-corner cut
+
+
+NEG_LEX2 = matrix_order([[-1, 0], [0, -1]])  # local, not degree-compatible
+MIXED2 = matrix_order([[1, 0], [0, -1]])  # x1 > 1 > x2
+CUT_ORDERS = {"neg_grevlex": neg_grevlex(2), "neg_lex": NEG_LEX2, "mixed": MIXED2}
+
+
+def _assert_same_terms(a, b):
+    # equal down to the representation of every coefficient
+    assert a.terms.keys() == b.terms.keys()
+    for e, c in a.terms.items():
+        assert (c.num, c.den) == (b.terms[e].num, b.terms[e].den), e
+
+
+def _random_coeff(rng):
+    num = {(0,): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))}
+    if rng.random() < 0.5:
+        num[(1,)] = Fraction(rng.randint(1, 3))
+    return ParamScalar(AScalar(num, 1))
+
+
+def _divisor_with_lead(rng, lead, order, extra=()):
+    terms = {lead: _random_coeff(rng)}
+    tail = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(0, 3))]
+    for e in [*tail, *extra]:
+        if order.key(e) < order.key(lead):
+            terms[e] = _random_coeff(rng)
+    return ParamPoly(terms, 2, 1)
+
+
+def _corner_case(seed, order_name, zero_dim, max_degree):
+    """Divisors with chosen leads and a dividend that often holds the corner,
+    a term below it, and a term that one reduction step takes to it."""
+    rng = random.Random(seed)
+    order = CUT_ORDERS[order_name]
+    if zero_dim:
+        leads = [(rng.randint(1, 3), 0), (0, rng.randint(1, 3))]
+    else:
+        # no lead is a pure power of x2, so every x2^k is standard
+        leads = [(rng.randint(1, 2), rng.randint(0, 2))
+                 for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        leads.append((rng.randint(0, 2), rng.randint(0, 2)))
+    leads = [e for e in leads if any(e)]
+    corner = highest_corner(Partition(tuple(leads)), 2, order, max_degree)
+    terms = {(rng.randint(0, 5), rng.randint(0, 5)): _random_coeff(rng)
+             for _ in range(rng.randint(1, 4))}
+    extras = [() for _ in leads]
+    if corner is not None:
+        # a tail term t of divisor j with t | corner: reducing
+        # corner - t + lead_j by divisor j generates the corner itself
+        j = rng.randrange(len(leads))
+        feeds = [(i, k) for i in range(corner[0] + 1) for k in range(corner[1] + 1)
+                 if order.key((i, k)) < order.key(leads[j])]
+        if feeds:
+            t = rng.choice(feeds)
+            extras[j] = (t,)
+            e = exp_add(exp_sub(corner, t), leads[j])
+            if exp_degree(e) <= max_degree and rng.random() < 0.8:
+                terms[e] = _random_coeff(rng)
+        if rng.random() < 0.3:
+            terms[corner] = _random_coeff(rng)
+    G = [_divisor_with_lead(rng, e, order, x) for e, x in zip(leads, extras)]
+    below = [] if corner is None else [
+        (i, d - i) for d in range(max_degree + 1) for i in range(d + 1)
+        if order.key((i, d - i)) < order.key(corner)]
+    if below and rng.random() < 0.7:
+        terms[rng.choice(below)] = _random_coeff(rng)
+    return ParamPoly(terms, 2, 1), G, order, bool(set(terms) & set(below))
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(sorted(CUT_ORDERS)), st.booleans(),
+       st.integers(min_value=0, max_value=6))
+def test_remainder_only_keeps_the_series_remainder(seed, order_name, zero_dim,
+                                                   max_degree):
+    f, G, order, cut_at_start = _corner_case(seed, order_name, zero_dim,
+                                             max_degree)
+    full = divide_series(f, G, order, max_degree)
+    fast = divide_series(f, G, order, max_degree, remainder_only=True)
+    _assert_same_terms(fast.remainder, full.remainder)
+    assert fast.steps <= full.steps
+    if cut_at_start:
+        assert not fast.cofactor_ok
+
+
+def test_highest_corner_examples():
+    part = Partition(((2, 0), (0, 3)))
+    assert highest_corner(part, 2, neg_grevlex(2), 10) == (1, 2)
+    assert highest_corner(part, 2, neg_grevlex(2), 1) == (0, 1)
+    assert highest_corner(part, 2, GREVLEX2, 10) == (0, 0)
+    # positive-dimensional staircase: the cutoff bounds the walk
+    assert highest_corner(Partition(((1, 0),)), 2, neg_grevlex(2), 7) == (0, 7)
+    assert highest_corner(Partition(((1, 1),)), 2, NEG_LEX2, 5) == (5, 0)
+    assert highest_corner(Partition(((0, 0),)), 2, neg_grevlex(2), 4) is None
+
+
+def test_remainder_only_cuts_below_the_corner():
+    # leads x1 and x2 leave only the standard monomial 1: every other term
+    # reduces into terms of higher degree, which the full division walks
+    # up to the cutoff
+    f = QP("x1*x2")
+    G = [QP("x1 - x1*x2"), QP("x2 - x1*x2")]
+    full = divide_series(f, G, neg_grevlex(2), 8)
+    fast = divide_series(f, G, neg_grevlex(2), 8, remainder_only=True)
+    assert full.remainder.is_zero() and fast.remainder.is_zero()
+    assert full.steps > 0 and fast.steps == 0
+    assert not fast.cofactor_ok
+
+
+def test_remainder_only_empty_divisor_list():
+    f = P("a*x1^3 + x1*x2 + 2")
+    for order in CUT_ORDERS.values():
+        for d in (0, 2, 5):
+            full = divide_series(f, [], order, d)
+            fast = divide_series(f, [], order, d, remainder_only=True)
+            _assert_same_terms(fast.remainder, full.remainder)
+            assert fast.quotients == []
+            assert fast.cofactor_ok == full.cofactor_ok
+
+
+def test_remainder_only_constant_lead_divisor():
+    # a unit under a local order: no standard monomial, remainder 0 at once
+    f = P("a*x1 + x2^2 + 3")
+    g = P("1 + a*x1")
+    for d in (0, 3):
+        full = divide_series(f, [g], INTRO_ORDER, d)
+        fast = divide_series(f, [g], INTRO_ORDER, d, remainder_only=True)
+        assert full.remainder.is_zero() and fast.remainder.is_zero()
+        assert fast.steps == 0 and not fast.cofactor_ok
+
+
+def test_remainder_only_zero_max_degree():
+    f = P("a*x1 + x2^2 + 3")
+    for order in CUT_ORDERS.values():
+        for G in ([P("x1 - a*x2")], [P("x2 + x1^2")], [P("x1"), P("x2")]):
+            full = divide_series(f, G, order, 0)
+            fast = divide_series(f, G, order, 0, remainder_only=True)
+            _assert_same_terms(fast.remainder, full.remainder)
+    with pytest.raises(TruncationTooSmall):
+        divide_series(f, [P("x1")], neg_grevlex(2), -1, remainder_only=True)

@@ -2,9 +2,10 @@
 
 Every op of the benchmark's desk workload runs through `cli.run` on
 `problems/*.psb`, and the digest of its result must match the benchmark's
-golden digest for the problem's default seed. A few ops of the well_gsb
-and local_tree workloads, which load the basis engine, run the same way on
-the problem text in bench/workloads.json. The benchmark's workload module
+golden digest for the problem's default seed. A few ops of the well_gsb,
+local_tree and series_reduce workloads, which load the basis engine and
+the series division, run the same way on the problem text in
+bench/workloads.json. The benchmark's workload module
 is loaded by path and only read.
 """
 
@@ -30,15 +31,20 @@ def _load_workloads():
 WL = _load_workloads()
 GOLDEN = WL.load_golden()["default_seed"]
 DESK = WL.ops("desk")
-ENGINE = {WL.op_id(op): op for w in ("well_gsb", "local_tree") for op in WL.ops(w)}
-# the block-order route (gsb) and the homogenized route (hilbert), under 1 s
-ENGINE_IDS = ("gsb katsura4_a", "gsb cyclic4_a", "hilbert t345", "hilbert e7_local")
+ENGINE = {WL.op_id(op): op for w in ("well_gsb", "local_tree", "series_reduce")
+          for op in WL.ops(w)}
+# the block-order route (gsb), the homogenized route (hilbert) and the
+# remainder-only series reduction (reduce --trunc), under 1 s together
+ENGINE_IDS = ("gsb katsura4_a", "gsb cyclic4_a", "hilbert t345", "hilbert e7_local",
+              "reduce jac_x4y4_local --trunc 8", "reduce e7_local --trunc 19")
 
 
 def _overrides(args):
     flags = dict(zip(args[::2], args[1::2]))
-    assert set(flags) <= {"--point"}, args
-    return {"point": flags.get("--point")}
+    assert set(flags) <= {"--point", "--trunc"}, args
+    trunc = flags.get("--trunc")
+    return {"point": flags.get("--point"),
+            "trunc_degree": None if trunc is None else int(trunc)}
 
 
 def test_desk_problems_are_the_shipped_files():

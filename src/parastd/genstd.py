@@ -139,18 +139,17 @@ class ModQDivision:
 
 
 def divide_mod_q(f: ParamPoly, G, order: MonomialOrder, ctx: PrimeContext,
-                 trunc_degree: int | None = None, *,
-                 remainder_only: bool = False) -> ModQDivision:
+                 trunc_degree: int | None = None) -> ModQDivision:
     """Division of f by G modulo Q: f = sum(q_j g_j) + R + T.
 
     Each divisor splits into its surviving part (used for the actual
     division) and a part with coefficient numerators in Q; T collects the
     quotients times the latter, so every coefficient numerator of T lies
     in Q. Under a global order, or on homogeneous data, the division is
-    exact; otherwise the degree cutoff trunc_degree is required, and
-    remainder_only is passed on to divide_series: R is unchanged, while
-    the quotients and T stop at the highest corner, so the identity holds
-    modulo terms above the cutoff or below the corner.
+    exact; otherwise the degree cutoff trunc_degree is required and the
+    series division runs remainder-only: R is the full truncated
+    remainder, while the quotients and T stop at the highest corner, so
+    the identity holds modulo terms above the cutoff or below the corner.
     """
     G = list(G)
     g1s, g2s = [], []
@@ -167,7 +166,7 @@ def divide_mod_q(f: ParamPoly, G, order: MonomialOrder, ctx: PrimeContext,
             raise NonTerminatingOrder(
                 "division mod Q under a local order needs trunc_degree")
         res = divide_series(f, g1s, order, trunc_degree,
-                            remainder_only=remainder_only)
+                            remainder_only=True)
     t = ParamPoly.zero(f.n, f.m)
     for q, g2 in zip(res.quotients, g2s):
         if not q.is_zero() and not g2.is_zero():
@@ -418,8 +417,7 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
             out.append(head)
             continue
         res = divide_mod_q(tail, chosen, order, ctx,
-                           trunc_degree=None if exact_mode else trunc_degree,
-                           remainder_only=True)
+                           trunc_degree=None if exact_mode else trunc_degree)
         reduced = head + res.remainder.map_coeffs(lambda c: c.reduced())
         out.append(reduced)
     return GenericBasis(out, list(B.h_factors), ctx, B.staircase, order,
@@ -502,8 +500,7 @@ def s_criterion_mod_q(B: GenericBasis, trunc_degree: int | None = None) -> bool:
             s = _s_function_mod_q(gens[i], gens[j], order, ctx)
             if s.is_zero():
                 continue
-            res = divide_mod_q(s, gens, order, ctx, trunc_degree=trunc_degree,
-                               remainder_only=True)
+            res = divide_mod_q(s, gens, order, ctx, trunc_degree=trunc_degree)
             r = drop_q_terms(res.remainder, ctx)
             if not r.is_zero():
                 return False

@@ -19,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from .errors import NonTerminatingOrder, ZeroPolynomialError
 from .orders import MonomialOrder, exp_add, exp_divides, exp_lcm, exp_sub, is_global, lex
 from .division import divide, s_function
-from .polyring import AScalar, fraction_content
+from .polyring import AScalar, fraction_content, keyed_terms
 
 
 @dataclass
@@ -117,7 +117,8 @@ def _shrink(g, cofs):
 def minimalize(B: BasisResult) -> BasisResult:
     """Drop generators whose leading exponent lies in another's cone."""
     leads = B.leading_exponents()
-    idx = sorted(range(len(leads)), key=lambda i: B.order.key(leads[i]))
+    idx = sorted(range(len(leads)),
+                 key=lambda i: keyed_terms(B.generators[i], B.order)[0][0])
     keep: list[int] = []
     kept_exps = []
     for i in idx:

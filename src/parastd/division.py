@@ -18,13 +18,22 @@ reaches the remainder or changes a coefficient at or above the corner.
 The remainder is the one the full series division computes, term by term,
 while the quotients stop at the corner.
 
+The loop runs on order keys, not exponents. MonomialOrder.key is linear
+in the exponent and ends with the exponent itself, so the iterate is a dict
+from keys to coefficients: the leading term is the largest key, the
+exponent is the key's tail, and the key of a term generated by a reduction
+is the entrywise sum of the divisor term's key and the shift's key. Each
+term's key is computed once, by `keyed_terms`, which caches it on the
+immutable dividend and divisors; the loop itself computes none.
+
 Dividends and divisors are ParamPoly or AScalar (one ring per call): the
-loop reads only `terms`, `is_zero`, `leading(order)` and `with_terms`.
+loop reads only `keyed_terms`, `is_zero` and `with_terms`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .errors import (
     NonTerminatingDivision,
@@ -35,13 +44,13 @@ from .errors import (
 from .orders import (
     Exponent,
     MonomialOrder,
-    exp_add,
     exp_degree,
     exp_divides,
     exp_lcm,
     exp_sub,
     is_global,
 )
+from .polyring import keyed_terms
 
 TRUNCATION_STEP_GUARD = 20000
 
@@ -111,29 +120,31 @@ def highest_corner(part: Partition, n: int, order: MonomialOrder,
 
 def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                    remainder_only=False):
-    leads = []
+    # terms are keyed by order key, not exponent (module docstring); an
+    # exponent is the tail k[r:] of its key
+    r = len(order.rows)
+    keyed = []
     for g in divisors:
         if g.is_zero():
             raise ZeroPolynomialError("zero divisor")
-        leads.append(g.leading(order))
-    part = Partition(tuple(e for e, _ in leads))
+        keyed.append(keyed_terms(g, order))
+    part = Partition(tuple(kg[0][0][r:] for kg in keyed))
     # iterate, quotients and remainder are plain dicts updated in place; the
     # ring elements are built once at the end
     quotients: list[dict] = [{} for _ in divisors]
     remainder: dict = {}
-    iterate = dict(f.terms)
+    iterate = dict(keyed_terms(f, order))
     exact = True
     floor = None
     if remainder_only:
         # series mode only: terms below the highest corner never reach the
         # remainder (module docstring); with no corner, nothing does
-        corner = highest_corner(part, len(next(iter(iterate))), order,
-                                max_degree)
+        corner = highest_corner(part, order.n, order, max_degree)
         if corner is None:
             kept = {}
         else:
             floor = order.key(corner)
-            kept = {e: c for e, c in iterate.items() if order.key(e) >= floor}
+            kept = {k: c for k, c in iterate.items() if k >= floor}
         exact = len(kept) == len(iterate)
         iterate = kept
     steps = 0
@@ -142,32 +153,33 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
         if guard is not None and steps > guard:
             raise NonTerminatingDivision(
                 f"no stopping state after {guard} reduction steps")
-        e = max(iterate, key=order.key)
+        k = max(iterate)
+        e = k[r:]
         j = part.region_of(e)
         if j is None:
             if mode == TRUNCATED:
-                remainder = iterate
+                remainder = {kk[r:]: c for kk, c in iterate.items()}
                 break
-            remainder[e] = iterate.pop(e)
+            remainder[e] = iterate.pop(k)
             continue
-        de, dc = leads[j]
-        shift = exp_sub(e, de)
-        coeff = iterate[e] / dc
+        kd, dc = keyed[j][0]
+        shift = tuple(map(sub, k, kd))
+        coeff = iterate[k] / dc
         # leading exponents strictly decrease, so quotient terms never collide
-        quotients[j][shift] = coeff
-        for e0, c0 in divisors[j].terms.items():
-            ee = exp_add(e0, shift)
-            if ee in iterate:
-                v = iterate[ee] - c0 * coeff
+        quotients[j][shift[r:]] = coeff
+        for k0, c0 in keyed[j]:
+            kk = tuple(map(add, k0, shift))
+            if kk in iterate:
+                v = iterate[kk] - c0 * coeff
                 if v:
-                    iterate[ee] = v
+                    iterate[kk] = v
                 else:
-                    del iterate[ee]
-            elif mode == SERIES and (exp_degree(ee) > max_degree or (
-                    floor is not None and order.key(ee) < floor)):
+                    del iterate[kk]
+            elif mode == SERIES and (sum(kk[r:]) > max_degree or (
+                    floor is not None and kk < floor)):
                 exact = False
             else:
-                iterate[ee] = -(c0 * coeff)
+                iterate[kk] = -(c0 * coeff)
     return ([f.with_terms(q) for q in quotients], f.with_terms(remainder),
             exact, steps)
 

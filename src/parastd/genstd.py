@@ -31,6 +31,7 @@ from .polyring import (
     ParamScalar,
     embed_params_as_vars,
     fraction_content,
+    keyed_terms,
     split_params,
 )
 from .division import divide, divide_series, full_division_terminates
@@ -113,15 +114,11 @@ class Staircase:
 def leading_mod_q(f: ParamPoly, order: MonomialOrder,
                   ctx: PrimeContext) -> tuple[Exponent, ParamScalar]:
     """Order-maximum exponent among terms whose coefficient survives mod Q."""
-    best = None
-    for e, c in f.terms.items():
-        if coeff_in_q(c, ctx):
-            continue
-        if best is None or order.key(e) > order.key(best):
-            best = e
-    if best is None:
-        raise AllCoefficientsInQ("no term survives reduction mod Q")
-    return best, f.terms[best]
+    r = len(order.rows)
+    for k, c in keyed_terms(f, order):
+        if not coeff_in_q(c, ctx):
+            return k[r:], c
+    raise AllCoefficientsInQ("no term survives reduction mod Q")
 
 
 def drop_q_terms(f: ParamPoly, ctx: PrimeContext) -> ParamPoly:

@@ -11,6 +11,7 @@ built by `combined_order`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 
 from .errors import DimensionMismatch
@@ -57,7 +58,11 @@ class MonomialOrder:
                     f"weight row of length {len(row)} in dimension {self.n}")
 
     def key(self, e: Exponent):
-        """Sort key: bigger key means bigger monomial."""
+        """Sort key: bigger key means bigger monomial.
+
+        The key is (W.e) + e: linear in e, so key(a + b) is the entrywise
+        sum key(a) + key(b), and e is its tail key[len(rows):].
+        """
         if len(e) != self.n:
             raise DimensionMismatch(f"exponent {e} in dimension {self.n}")
         return tuple(sum(map(mul, row, e)) for row in self.rows) + e
@@ -73,8 +78,12 @@ def compare(order: MonomialOrder, a: Exponent, b: Exponent) -> int:
     return 0
 
 
+@cache
 def classify(order: MonomialOrder) -> str:
-    """GLOBAL if every variable exceeds 1, LOCAL if every one precedes 1."""
+    """GLOBAL if every variable exceeds 1, LOCAL if every one precedes 1.
+
+    Memoized: orders are frozen, and equal orders share one answer.
+    """
     origin = (0,) * order.n
     signs = []
     for i in range(order.n):

@@ -11,15 +11,21 @@ Three layers, all sparse dicts keyed by exponent tuples:
   exact-division attempt keep sizes bounded at desk scale.
 * ParamPoly: finite map from main-variable exponents to ParamScalars.
 
+Both polynomial classes are immutable once built: nothing writes to
+`terms` after construction. So each caches, in its `_kc` slot, its terms
+keyed by one order (`keyed_terms`), and `leading` reads the first of them
+(`leading_term`).
+
 The division loop takes either AScalar or ParamPoly: it reads only
-`terms`, `is_zero`, `leading(order)` and `with_terms` (same ring, given
-terms), and tests coefficients for zero by truth value.
+`keyed_terms`, `is_zero` and `with_terms` (same ring, given terms), and
+tests coefficients for zero by truth value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import (
     DenominatorVanishes,
@@ -30,17 +36,43 @@ from .orders import Exponent, MonomialOrder, exp_add, exp_degree
 
 
 # ---------------------------------------------------------------------------
+# order keys and leading terms, shared by AScalar and ParamPoly
+
+
+def keyed_terms(p, order: MonomialOrder) -> list:
+    """The pairs (order.key(e), coefficient) of p, largest key first.
+
+    Cached on p for the order object it was last asked for; asking under
+    another order object rebuilds the list.
+    """
+    kc = p._kc
+    if kc is None or kc[0] is not order:
+        kc = p._kc = (order, sorted([(order.key(e), c) for e, c in p.terms.items()],
+                                    key=itemgetter(0), reverse=True))
+    return kc[1]
+
+
+def leading_term(p, order: MonomialOrder):
+    """Order-maximum term (exponent, coefficient) of a nonzero p."""
+    if not p.terms:
+        raise ZeroPolynomialError("leading term of zero polynomial")
+    k, c = keyed_terms(p, order)[0]
+    return k[len(order.rows):], c
+
+
+# ---------------------------------------------------------------------------
 # AScalar: element of Q[a1..am]
 
 
 class AScalar:
     """Sparse parameter-ring polynomial with Fraction coefficients."""
 
-    __slots__ = ("terms", "m")
+    __slots__ = ("terms", "m", "_kc")
 
     def __init__(self, terms, m, _prune=True):
         self.terms = {e: c for e, c in terms.items() if c} if _prune else terms
         self.m = m
+        self._kc = None
 
     @classmethod
     def const(cls, value, m) -> "AScalar":
@@ -149,12 +181,7 @@ class AScalar:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def leading(self, order: MonomialOrder) -> tuple[Exponent, Fraction]:
-        """Order-maximum term under a monomial order on the m variables."""
-        if not self.terms:
-            raise ZeroPolynomialError("leading term of zero polynomial")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+    leading = leading_term
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -535,7 +562,7 @@ def _normalize_fraction(num: AScalar, den: AScalar):
 class ParamPoly:
     """Sparse polynomial in n main variables with ParamScalar coefficients."""
 
-    __slots__ = ("terms", "n", "m")
+    __slots__ = ("terms", "n", "m", "_kc")
 
     def __init__(self, terms, n, m, _prune=True):
         if _prune:
@@ -543,6 +570,7 @@ class ParamPoly:
         self.terms = terms
         self.n = n
         self.m = m
+        self._kc = None
 
     @classmethod
     def zero(cls, n, m) -> "ParamPoly":
@@ -633,12 +661,7 @@ class ParamPoly:
     def __repr__(self):
         return f"ParamPoly({self.terms!r})"
 
-    def leading(self, order: MonomialOrder) -> tuple[Exponent, ParamScalar]:
-        """Order-maximum of the Newton diagram with its coefficient."""
-        if not self.terms:
-            raise ZeroPolynomialError("leading term of zero polynomial")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+    leading = leading_term
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)

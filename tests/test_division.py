@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from parastd.errors import NonTerminatingDivision, NonTerminatingOrder, TruncationTooSmall
-from parastd.orders import exp_add, exp_degree, exp_sub, grevlex, lex, matrix_order, neg_grevlex
+from parastd.orders import (
+    exp_add, exp_degree, exp_sub, grevlex, is_global, lex, matrix_order, neg_grevlex)
 from parastd.polyring import AScalar, ParamPoly, ParamScalar, divides_factor_power
 from parastd.division import (
+    FULL,
+    SERIES,
+    TRUNCATED,
     Partition,
+    _division_loop,
     divide,
     divide_series,
     divide_truncated,
@@ -231,7 +236,8 @@ def _assert_same_terms(a, b):
     # equal down to the representation of every coefficient
     assert a.terms.keys() == b.terms.keys()
     for e, c in a.terms.items():
-        assert (c.num, c.den) == (b.terms[e].num, b.terms[e].den), e
+        d = b.terms[e]
+        assert (c.num, c.den) == (d.num, d.den) if isinstance(c, ParamScalar) else c == d, e
 
 
 def _random_coeff(rng):
@@ -362,3 +368,131 @@ def test_remainder_only_zero_max_degree():
             _assert_same_terms(fast.remainder, full.remainder)
     with pytest.raises(TruncationTooSmall):
         divide_series(f, [P("x1")], neg_grevlex(2), -1, remainder_only=True)
+
+
+# ---------------------------------------------------------------------------
+# the key-space loop against the exponent-space loop it replaced
+
+
+def _reference_loop(f, divisors, order, mode, max_degree=None, guard=None,
+                    remainder_only=False):
+    """The division loop on exponents, with every key recomputed."""
+    leads = []
+    for g in divisors:
+        de = max(g.terms, key=order.key)
+        leads.append((de, g.terms[de]))
+    part = Partition(tuple(e for e, _ in leads))
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    iterate = dict(f.terms)
+    exact = True
+    floor = None
+    if remainder_only:
+        corner = highest_corner(part, len(next(iter(iterate))), order, max_degree)
+        if corner is None:
+            kept = {}
+        else:
+            floor = order.key(corner)
+            kept = {e: c for e, c in iterate.items() if order.key(e) >= floor}
+        exact = len(kept) == len(iterate)
+        iterate = kept
+    steps = 0
+    while iterate:
+        steps += 1
+        if guard is not None and steps > guard:
+            raise NonTerminatingDivision(f"no stopping state after {guard} steps")
+        e = max(iterate, key=order.key)
+        j = part.region_of(e)
+        if j is None:
+            if mode == TRUNCATED:
+                remainder = iterate
+                break
+            remainder[e] = iterate.pop(e)
+            continue
+        de, dc = leads[j]
+        shift = exp_sub(e, de)
+        coeff = iterate[e] / dc
+        quotients[j][shift] = coeff
+        for e0, c0 in divisors[j].terms.items():
+            ee = exp_add(e0, shift)
+            if ee in iterate:
+                v = iterate[ee] - c0 * coeff
+                if v:
+                    iterate[ee] = v
+                else:
+                    del iterate[ee]
+            elif mode == SERIES and (exp_degree(ee) > max_degree or (
+                    floor is not None and order.key(ee) < floor)):
+                exact = False
+            else:
+                iterate[ee] = -(c0 * coeff)
+    return ([f.with_terms(q) for q in quotients], f.with_terms(remainder),
+            exact, steps)
+
+
+# in two variables the weight rows of the first three orders already tell
+# every two exponents apart; neg_deglex breaks degree ties by the lex tail
+LOOP_ORDERS = {"grevlex": GREVLEX2, "neg_grevlex": neg_grevlex(2), "mixed": MIXED2,
+               "neg_deglex": matrix_order([[-1, -1]])}
+LOOP_MODES = {"full": (FULL, False), "truncated": (TRUNCATED, False),
+              "series": (SERIES, False), "remainder_only": (SERIES, True)}
+
+
+def _loop_case(seed, ring, homogeneous):
+    """A dividend and one to three divisors in two variables, over Q
+    (AScalar) or over Frac(Q[a]) (ParamPoly); optionally homogeneous."""
+    rng = random.Random(seed)
+
+    def poly():
+        d = rng.randint(0, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(0, d if homogeneous else 3)
+            e = (i, d - i) if homogeneous else (i, rng.randint(0, 3))
+            if ring == "AScalar":
+                terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+            else:
+                terms[e] = _random_coeff(rng)
+        return AScalar(terms, 2) if ring == "AScalar" else ParamPoly(terms, 2, 1)
+
+    return poly(), [poly() for _ in range(rng.randint(1, 3))]
+
+
+@settings(max_examples=150)
+# cases where a step's largest weight is shared, so only the lex tail of
+# the key picks the leading term
+@example(81, "full", "neg_deglex", "AScalar", False, 4)
+@example(92, "truncated", "neg_deglex", "AScalar", False, 4)
+@example(0, "series", "neg_deglex", "ParamPoly", False, 4)
+@example(351, "remainder_only", "neg_deglex", "AScalar", False, 4)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(sorted(LOOP_MODES)),
+       st.sampled_from(sorted(LOOP_ORDERS)), st.sampled_from(["AScalar", "ParamPoly"]),
+       st.booleans(), st.integers(min_value=0, max_value=6))
+def test_key_space_loop_matches_the_exponent_space_loop(seed, mode_name, order_name,
+                                                        ring, homogeneous, max_degree):
+    mode, remainder_only = LOOP_MODES[mode_name]
+    order = LOOP_ORDERS[order_name]
+    # full division terminates under a non-global order on homogeneous data
+    homogeneous = homogeneous or (mode == FULL and not is_global(order))
+    f, G = _loop_case(seed, ring, homogeneous)
+    # every full and series case stops within 28 steps; a truncated one
+    # under a non-global order may never stop, and its Frac(Q[a])
+    # coefficients grow fast, so the guard ends it early in both loops
+    kwargs = {"guard": 8 if mode == TRUNCATED else 40, "remainder_only": remainder_only,
+              "max_degree": max_degree if mode == SERIES else None}
+    if mode == SERIES:
+        f = f.with_terms({e: c for e, c in f.terms.items() if exp_degree(e) <= max_degree})
+        if f.is_zero():
+            return
+    try:
+        want = _reference_loop(f, G, order, mode, **kwargs)
+    except NonTerminatingDivision:
+        with pytest.raises(NonTerminatingDivision):
+            _division_loop(f, G, order, mode, **kwargs)
+        return
+    got = _division_loop(f, G, order, mode, **kwargs)
+    assert len(got[0]) == len(want[0])
+    for q, q_ref in zip(got[0], want[0]):
+        _assert_same_terms(q, q_ref)
+    _assert_same_terms(got[1], want[1])
+    assert got[2:] == want[2:]  # cofactor_ok and steps

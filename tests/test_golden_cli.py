@@ -2,9 +2,9 @@
 
 Every op of the benchmark's desk workload runs through `cli.run` on
 `problems/*.psb`, and the digest of its result must match the benchmark's
-golden digest for the problem's default seed. A few ops of the well_gsb,
-local_tree and series_reduce workloads, which load the basis engine and
-the series division, run the same way on the problem text in
+golden digest for the problem's default seed. Every distinct op of the
+well_gsb, local_tree and series_reduce workloads, which load the basis
+engine and the series division, runs the same way on the problem text in
 bench/workloads.json. The benchmark's workload module
 is loaded by path and only read.
 """
@@ -31,12 +31,11 @@ def _load_workloads():
 WL = _load_workloads()
 GOLDEN = WL.load_golden()["default_seed"]
 DESK = WL.ops("desk")
+# every distinct op of the block-order route (gsb), the homogenized route
+# (hilbert) and the remainder-only series reduction (reduce --trunc), about
+# 1.5 s together
 ENGINE = {WL.op_id(op): op for w in ("well_gsb", "local_tree", "series_reduce")
           for op in WL.ops(w)}
-# the block-order route (gsb), the homogenized route (hilbert) and the
-# remainder-only series reduction (reduce --trunc), under 1 s together
-ENGINE_IDS = ("gsb katsura4_a", "gsb cyclic4_a", "hilbert t345", "hilbert e7_local",
-              "reduce jac_x4y4_local --trunc 8", "reduce e7_local --trunc 19")
 
 
 def _overrides(args):
@@ -65,7 +64,7 @@ def test_desk_op_matches_golden_digest(op):
     _check_golden(op, path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("op_id", ENGINE_IDS)
+@pytest.mark.parametrize("op_id", sorted(ENGINE))
 def test_engine_op_matches_golden_digest(op_id):
     op = ENGINE[op_id]
     _check_golden(op, "\n".join(WL.SPEC["problems"][op["problem"]]) + "\n")

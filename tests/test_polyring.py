@@ -12,6 +12,7 @@ from parastd.polyring import (
     ParamScalar,
     divides_factor_power,
     embed_params_as_vars,
+    keyed_terms,
     rational_roots,
     render_ascalar,
     render_poly,
@@ -62,6 +63,36 @@ def poly_over_q(text):
 def test_leading_zero_polynomial():
     with pytest.raises(ZeroPolynomialError):
         ParamPoly.zero(2, 1).leading(INTRO_ORDER)
+
+
+def test_leading_term_cache_is_keyed_by_order():
+    # x1 + 3*x2^2: lex and neg_grevlex pick x1, grevlex picks x2^2
+    p = AScalar({(1, 0): Fraction(1), (0, 2): Fraction(3)}, 2)
+    first_lex, same_lex = lex(2), lex(2)
+    assert first_lex == same_lex and first_lex is not same_lex
+    assert p.leading(first_lex) == ((1, 0), 1)
+    assert p.leading(grevlex(2)) == ((0, 2), 3)
+    assert p.leading(same_lex) == ((1, 0), 1)
+    assert p.leading(neg_grevlex(2)) == ((1, 0), 1)
+    # grevlex(2) has rows (1, 1) and (0, -1); each key ends with its exponent
+    assert keyed_terms(p, grevlex(2)) == [((2, -2, 0, 2), 3), ((1, 0, 1, 0), 1)]
+
+
+def test_derived_polynomials_do_not_inherit_the_cache():
+    p = AScalar({(1, 0): Fraction(1), (0, 2): Fraction(3)}, 2)
+    order = lex(2)
+    assert p.leading(order) == ((1, 0), 1)
+    assert p.scale(Fraction(2)).leading(order) == ((1, 0), 2)
+    assert p.mul_monomial((0, 3), Fraction(1)).leading(order) == ((1, 3), 1)
+    assert p.with_terms({(0, 1): Fraction(5)}).leading(order) == ((0, 1), 5)
+    assert (p - p.with_terms({(1, 0): Fraction(1)})).leading(order) == ((0, 2), 3)
+    f = P("a*x2 - x1*x2 + x1")
+    assert f.leading(lex(2))[0] == (1, 1)
+    g = f.with_terms({(0, 1): f.terms[(0, 1)]})
+    assert g.leading(lex(2))[0] == (0, 1)
+    assert f.mul_monomial((2, 0), ParamScalar.one(1)).leading(lex(2))[0] == (3, 1)
+    assert f.scale(ParamScalar.const(2, 1)).leading(lex(2))[1] == ParamScalar(
+        AScalar({(0,): Fraction(-2)}, 1))
 
 
 # homogenization acts on the combined ring Q[x1, x2, a]; z goes after x2

@@ -19,8 +19,6 @@ from .genstd import (
     Staircase,
     divide_mod_q,
     generic_basis,
-    generic_basis_local,
-    generic_basis_well_order,
     generic_reduced_basis,
     leading_mod_q,
     verify_specialization,

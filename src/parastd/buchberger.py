@@ -1,10 +1,10 @@
 """Buchberger's algorithm with cofactor tracking, minimalization, reduction.
 
 Every basis element carries its expression in the input generators, so
-membership certificates survive minimalization and interreduction. The
-pair queue runs the normal strategy (smallest lcm under the active order)
-and skips coprime pairs. New elements have their rational content
-divided out, which keeps coefficients small.
+membership certificates survive minimalization. The pair queue runs the
+normal strategy (smallest lcm under the active order) and skips coprime
+pairs. New elements have their rational content divided out, which keeps
+coefficients small.
 
 The engine runs over Q on AScalar polynomials: the parametric pipelines
 use it in the combined ring Q[x, a] and, for parameter ideals, in Q[a]
@@ -131,37 +131,19 @@ def minimalize(B: BasisResult) -> BasisResult:
                        [B.cofactors[i] for i in keep], B.order)
 
 
-def reduce_basis(B: BasisResult, order: MonomialOrder) -> BasisResult:
-    """Monic, tail-reduced basis; unique for the ideal and order.
+def reduce_basis(gens: list, order: MonomialOrder) -> list:
+    """Monic, tail-reduced generators; unique for the ideal and order.
 
-    Expects a minimal basis under a global order (or homogeneous data).
-    Each generator's tail is divided by the other generators and the
-    result is scaled monic; cofactors follow every step.
+    Expects the generators of a minimal basis under a global order (or
+    homogeneous data). Each generator is divided by the other generators
+    and the remainder is scaled monic.
     """
-    gens = list(B.generators)
-    cofs = [list(c) for c in B.cofactors]
-    out_g: list = []
-    out_c: list[list] = []
+    out = []
     for i, g in enumerate(gens):
         others = gens[:i] + gens[i + 1:]
-        others_c = cofs[:i] + cofs[i + 1:]
-        if others:
-            res = divide(g, others, order)
-            r = res.remainder
-            rc = list(cofs[i])
-            for q, gc in zip(res.quotients, others_c):
-                if q.is_zero():
-                    continue
-                rc = [a - q * b for a, b in zip(rc, gc)]
-        else:
-            r, rc = g, list(cofs[i])
-        _, lc = r.leading(order)
-        inv = 1 / lc
-        r = r.scale(inv)
-        rc = [p.scale(inv) for p in rc]
-        out_g.append(r)
-        out_c.append(rc)
-    return BasisResult(out_g, out_c, B.order)
+        r = divide(g, others, order).remainder if others else g
+        out.append(r.scale(1 / r.leading(order)[1]))
+    return out
 
 
 def parameter_groebner(gens: list[AScalar]) -> list[AScalar]:
@@ -174,7 +156,7 @@ def parameter_groebner(gens: list[AScalar]) -> list[AScalar]:
     if not nz:
         return []
     order = lex(nz[0].m)
-    return reduce_basis(minimalize(buchberger(nz, order)), order).generators
+    return reduce_basis(minimalize(buchberger(nz, order)).generators, order)
 
 
 def normal_form_param(s: AScalar, basis: list[AScalar]) -> AScalar:

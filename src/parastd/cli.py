@@ -150,12 +150,11 @@ def _specialize(problem, overrides, seed):
         raise ProblemSyntaxError("specialize needs --point a=..,b=..")
     point = parse_point(point_text, problem.params)
     spec = [f.specialize(point) for f in problem.ideal]
-    nz = [f for f in spec if not f.is_zero()]
     return {
         "point": _point_doc(problem, point),
         "polynomials": [render_poly(f, problem.order, problem.vars, ())
                         for f in spec],
-        "staircase": _staircase_doc(plain_staircase(nz, problem.order)) if nz else [],
+        "staircase": _staircase_doc(plain_staircase(spec, problem.order)),
     }, EXIT_OK
 
 

@@ -160,11 +160,7 @@ def _failing_sample(cell, basis, F, order, rng):
     points = variety_points(cell.vanish, basis.ctx.m, rng, VERIFY_SAMPLES,
                             avoid=list(cell.nonvanish))
     for p in points:
-        spec = [f.specialize(p) for f in F]
-        spec = [f for f in spec if not f.is_zero()]
-        got = plain_staircase(spec, order) if spec else Staircase(
-            basis.staircase.n, ())
-        if got != basis.staircase:
+        if plain_staircase([f.specialize(p) for f in F], order) != basis.staircase:
             return p
     return None
 

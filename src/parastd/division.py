@@ -55,18 +55,12 @@ from .polyring import keyed_terms
 TRUNCATION_STEP_GUARD = 20000
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Regions of N^n carved by divisor leading exponents, in order."""
-
-    exponents: tuple[Exponent, ...]
-
-    def region_of(self, e: Exponent) -> int | None:
-        """Index of the first divisor whose cone contains e, None if escaped."""
-        for j, d in enumerate(self.exponents):
-            if exp_divides(d, e):
-                return j
-        return None
+def region_of(leads, e: Exponent) -> int | None:
+    """Index of the first divisor lead whose cone contains e, None if escaped."""
+    for j, d in enumerate(leads):
+        if exp_divides(d, e):
+            return j
+    return None
 
 
 @dataclass
@@ -88,16 +82,16 @@ TRUNCATED = "truncated"
 SERIES = "series"
 
 
-def highest_corner(part: Partition, n: int, order: MonomialOrder,
+def highest_corner(leads, n: int, order: MonomialOrder,
                    max_degree: int) -> Exponent | None:
-    """Order-least exponent of degree <= max_degree in no cone of part.
+    """Order-least exponent of degree <= max_degree in no cone of leads.
 
     None when every such exponent lies in a cone. The standard monomials
     are closed under division, so a walk up from 0 that raises one entry
     at a time and never leaves them visits each of them and nothing else.
     """
     zero = (0,) * n
-    if part.region_of(zero) is not None:
+    if region_of(leads, zero) is not None:
         return None
     best, best_key = zero, order.key(zero)
     seen = {zero}
@@ -108,7 +102,7 @@ def highest_corner(part: Partition, n: int, order: MonomialOrder,
             continue
         for i in range(n):
             u = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if u in seen or part.region_of(u) is not None:
+            if u in seen or region_of(leads, u) is not None:
                 continue
             seen.add(u)
             stack.append(u)
@@ -128,7 +122,7 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
         if g.is_zero():
             raise ZeroPolynomialError("zero divisor")
         keyed.append(keyed_terms(g, order))
-    part = Partition(tuple(kg[0][0][r:] for kg in keyed))
+    leads = [kg[0][0][r:] for kg in keyed]
     # iterate, quotients and remainder are plain dicts updated in place; the
     # ring elements are built once at the end
     quotients: list[dict] = [{} for _ in divisors]
@@ -139,7 +133,7 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
     if remainder_only:
         # series mode only: terms below the highest corner never reach the
         # remainder (module docstring); with no corner, nothing does
-        corner = highest_corner(part, order.n, order, max_degree)
+        corner = highest_corner(leads, order.n, order, max_degree)
         if corner is None:
             kept = {}
         else:
@@ -155,7 +149,7 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                 f"no stopping state after {guard} reduction steps")
         k = max(iterate)
         e = k[r:]
-        j = part.region_of(e)
+        j = region_of(leads, e)
         if j is None:
             if mode == TRUNCATED:
                 remainder = {kk[r:]: c for kk, c in iterate.items()}
@@ -180,8 +174,16 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                 exact = False
             else:
                 iterate[kk] = -(c0 * coeff)
-    return ([f.with_terms(q) for q in quotients], f.with_terms(remainder),
-            exact, steps)
+    # polynomials are immutable, so every empty quotient shares one zero
+    zero = f.with_terms({})
+    return ([f.with_terms(q) if q else zero for q in quotients],
+            f.with_terms(remainder) if remainder else zero, exact, steps)
+
+
+def _zero_result(f, G, exact=True) -> DivisionResult:
+    """Zero quotients and remainder, all one zero element of f's ring."""
+    zero = f.with_terms({})
+    return DivisionResult([zero for _ in G], zero, exact)
 
 
 def full_division_terminates(f, G, order: MonomialOrder) -> bool:
@@ -199,7 +201,7 @@ def divide(f, G, order: MonomialOrder) -> DivisionResult:
     on quotients and remainder, and the max property on leading exponents.
     """
     if f.is_zero():
-        return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
+        return _zero_result(f, G)
     if not full_division_terminates(f, G, order):
         raise NonTerminatingOrder(
             "full division needs a well order or homogeneous data; "
@@ -217,7 +219,7 @@ def divide_truncated(f, G, order: MonomialOrder) -> DivisionResult:
     are not guaranteed, but the exact identity and the max property hold.
     """
     if f.is_zero():
-        return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
+        return _zero_result(f, G)
     guard = None if full_division_terminates(f, G, order) else TRUNCATION_STEP_GUARD
     q, r, exact, steps = _division_loop(f, list(G), order, TRUNCATED, guard=guard)
     return DivisionResult(q, r, exact, steps)
@@ -238,12 +240,12 @@ def divide_series(f, G, order: MonomialOrder, max_degree: int, *,
     if max_degree < 0:
         raise TruncationTooSmall(f"truncation degree {max_degree} is negative")
     if f.is_zero():
-        return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}))
+        return _zero_result(f, G)
     start = {e: c for e, c in f.terms.items() if exp_degree(e) <= max_degree}
     exact0 = len(start) == len(f.terms)
     f0 = f.with_terms(start)
     if f0.is_zero():
-        return DivisionResult([f.with_terms({}) for _ in G], f.with_terms({}), exact0)
+        return _zero_result(f, G, exact0)
     q, r, exact, steps = _division_loop(f0, list(G), order, SERIES,
                                         max_degree=max_degree,
                                         remainder_only=remainder_only)

@@ -1,9 +1,11 @@
 """Generic standard bases on the vanishing locus of a parameter ideal.
 
 Everything "mod Q": leading data after discarding coefficients whose
-numerator lies in Q, division modulo Q, the two constructions of a generic
-standard basis (block order on Q[x, a] for well orders, homogenization
-for the rest), truncated generic reduced bases, and specialization checks.
+numerator lies in Q, division modulo Q (f = sum(q_j g1_j) + R, with g1_j
+the part of g_j that survives mod Q), one construction of a generic
+standard basis whose route the order picks (block order on Q[x, a] for
+well orders, homogenization for the rest), truncated generic reduced
+bases, and specialization checks.
 
 A generic standard basis is a pair (generators, h): specializing the
 generators at any parameter point where Q vanishes and h does not yields a
@@ -34,7 +36,7 @@ from .polyring import (
     keyed_terms,
     split_params,
 )
-from .division import divide, divide_series, full_division_terminates
+from .division import DivisionResult, divide, divide_series, full_division_terminates
 from .buchberger import buchberger, minimalize, normal_form_param, parameter_groebner
 
 
@@ -71,9 +73,6 @@ class PrimeContext:
 
     def contains(self, s: AScalar) -> bool:
         return self.normal_form(s).is_zero()
-
-    def is_zero_ideal(self) -> bool:
-        return not self.qbasis
 
 
 def coeff_in_q(s: ParamScalar, ctx: PrimeContext) -> bool:
@@ -127,48 +126,30 @@ def drop_q_terms(f: ParamPoly, ctx: PrimeContext) -> ParamPoly:
     return ParamPoly(kept, f.n, f.m, _prune=False)
 
 
-@dataclass
-class ModQDivision:
-    quotients: list[ParamPoly]
-    remainder: ParamPoly
-    q_part: ParamPoly
-    exact: bool
-
-
 def divide_mod_q(f: ParamPoly, G, order: MonomialOrder, ctx: PrimeContext,
-                 trunc_degree: int | None = None) -> ModQDivision:
-    """Division of f by G modulo Q: f = sum(q_j g_j) + R + T.
+                 trunc_degree: int | None = None) -> DivisionResult:
+    """Division of f by G modulo Q: f = sum(q_j g1_j) + R.
 
-    Each divisor splits into its surviving part (used for the actual
-    division) and a part with coefficient numerators in Q; T collects the
-    quotients times the latter, so every coefficient numerator of T lies
-    in Q. Under a global order, or on homogeneous data, the division is
-    exact; otherwise the degree cutoff trunc_degree is required and the
-    series division runs remainder-only: R is the full truncated
-    remainder, while the quotients and T stop at the highest corner, so
-    the identity holds modulo terms above the cutoff or below the corner.
+    g1_j = drop_q_terms(g_j) is the part of g_j that survives mod Q, so
+    f - sum(q_j g_j) - R = sum(q_j (g1_j - g_j)) has every coefficient
+    numerator in Q. Under a global order, or on homogeneous data, the
+    division is exact; otherwise the degree cutoff trunc_degree is required
+    and the series division runs remainder-only: R is the full truncated
+    remainder, while the quotients stop at the highest corner, so the
+    identity holds modulo terms above the cutoff or below the corner.
     """
-    G = list(G)
-    g1s, g2s = [], []
+    g1s = []
     for g in G:
         g1 = drop_q_terms(g, ctx)
         if g1.is_zero():
             raise AllCoefficientsInQ("divisor vanishes mod Q")
         g1s.append(g1)
-        g2s.append(g1 - g)
     if full_division_terminates(f, g1s, order):
-        res = divide(f, g1s, order)
-    else:
-        if trunc_degree is None:
-            raise NonTerminatingOrder(
-                "division mod Q under a local order needs trunc_degree")
-        res = divide_series(f, g1s, order, trunc_degree,
-                            remainder_only=True)
-    t = ParamPoly.zero(f.n, f.m)
-    for q, g2 in zip(res.quotients, g2s):
-        if not q.is_zero() and not g2.is_zero():
-            t = t + q * g2
-    return ModQDivision(res.quotients, res.remainder, t, res.cofactor_ok)
+        return divide(f, g1s, order)
+    if trunc_degree is None:
+        raise NonTerminatingOrder(
+            "division mod Q under a local order needs trunc_degree")
+    return divide_series(f, g1s, order, trunc_degree, remainder_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +172,6 @@ class GenericBasis:
     order: MonomialOrder
     inputs: list[ParamPoly] = field(default_factory=list)
     cofactors: list[list[ParamPoly]] | None = None
-    reduced: bool = False
-    trunc_degree: int | None = None
 
     def h_poly(self) -> AScalar:
         h = AScalar.one(self.ctx.m)
@@ -249,37 +228,23 @@ def _prepare_inputs(F, ctx):
     return cleared, multipliers, den_factors
 
 
-def generic_basis_well_order(F, order: MonomialOrder,
-                             ctx: PrimeContext) -> GenericBasis:
-    """Generic standard basis via the block order (x first, then a).
+def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
+    """Generic standard basis in the combined ring Q[x, a] (AScalars over Q).
 
-    Runs Buchberger on the input plus the Q generators inside the combined
-    polynomial ring Q[x, a] (AScalars over Q), minimalizes, filters out
-    elements of Q by the leading coefficient test, and rewrites survivors
-    into the input ideal through the tracked cofactors, still in Q[x, a].
-    h is the product of the surviving leading coefficient numerators (times
-    any cleared input denominators).
+    Under a well order, Buchberger runs on the input plus the Q generators
+    under the block order (x first, then a). Under any other order, the
+    inputs are first reduced mod Q termwise and homogenized with a fresh
+    balancing variable, and the basis is computed under the degree-first
+    combined order; h then also collects the coefficients of the
+    maximal-degree terms of each input (a safe over-exclusion that keeps
+    specialization from dropping the input degrees). Either way the basis
+    is minimalized, elements of Q are filtered out by the leading
+    coefficient test, and the survivors are (dehomogenized and) rewritten
+    into the input ideal through the tracked cofactors. h is the product
+    of the surviving leading coefficient numerators, times any cleared
+    input denominators.
     """
-    if not is_global(order):
-        raise NonTerminatingOrder("generic_basis_well_order needs a well order")
-    return _generic_basis_combined(F, order, ctx, homogeneous_route=False)
-
-
-def generic_basis_local(F, order: MonomialOrder,
-                        ctx: PrimeContext) -> GenericBasis:
-    """Generic standard basis for arbitrary orders via homogenization.
-
-    Inputs are reduced mod Q termwise, homogenized with a fresh balancing
-    variable, and a homogeneous basis is computed under the degree-first
-    combined order. Survivors outside Q are dehomogenized and rewritten
-    into the original ideal; h additionally collects one coefficient of a
-    maximal-degree term per input (all of them, a safe over-exclusion),
-    which keeps specialization from dropping the input degrees.
-    """
-    return _generic_basis_combined(F, order, ctx, homogeneous_route=True)
-
-
-def _generic_basis_combined(F, order, ctx, homogeneous_route):
+    homogeneous_route = not is_global(order)
     inputs = list(F)
     nonzero = [f for f in inputs if not f.is_zero()]
     if not nonzero:
@@ -364,14 +329,6 @@ def _lift_params(s: AScalar, width: int) -> AScalar:
     return AScalar({pad + e: c for e, c in s.terms.items()}, width + s.m, _prune=False)
 
 
-def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
-    """Dispatch on the order kind: block construction for well orders,
-    homogenization otherwise."""
-    if is_global(order):
-        return generic_basis_well_order(F, order, ctx)
-    return generic_basis_local(F, order, ctx)
-
-
 # ---------------------------------------------------------------------------
 # generic reduced standard bases
 
@@ -392,8 +349,7 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
             f"trunc_degree {trunc_degree} below staircase degree {need}")
     if not B.gens:
         return GenericBasis([], list(B.h_factors), ctx, B.staircase, order,
-                            list(B.inputs), None, reduced=True,
-                            trunc_degree=trunc_degree)
+                            list(B.inputs))
     n, m = B.gens[0].n, B.gens[0].m
 
     chosen: list[ParamPoly] = []
@@ -405,7 +361,6 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
                 chosen.append(monic.map_coeffs(lambda c: c.reduced()))
                 break
 
-    exact_mode = is_global(order)
     out: list[ParamPoly] = []
     for e, g in zip(B.staircase.generators, chosen):
         head = ParamPoly.monomial(e, ParamScalar.one(m), n, m)
@@ -413,13 +368,10 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
         if tail.is_zero():
             out.append(head)
             continue
-        res = divide_mod_q(tail, chosen, order, ctx,
-                           trunc_degree=None if exact_mode else trunc_degree)
-        reduced = head + res.remainder.map_coeffs(lambda c: c.reduced())
-        out.append(reduced)
+        res = divide_mod_q(tail, chosen, order, ctx, trunc_degree)
+        out.append(head + res.remainder.map_coeffs(lambda c: c.reduced()))
     return GenericBasis(out, list(B.h_factors), ctx, B.staircase, order,
-                        list(B.inputs), None, reduced=True,
-                        trunc_degree=trunc_degree)
+                        list(B.inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +421,7 @@ def verify_specialization(B: GenericBasis, samples) -> VerificationReport:
                 raise SampleOffVariety(f"point {point} is not on V(Q)")
         if h.evaluate(point) == 0:
             raise SampleOnExcludedLocus(f"point {point} lies on V(h)")
-        spec = [f.specialize(point) for f in B.inputs]
-        spec = [f for f in spec if not f.is_zero()]
-        if spec:
-            got = plain_staircase(spec, B.order)
-        else:
-            got = Staircase(B.staircase.n, ())
+        got = plain_staircase([f.specialize(point) for f in B.inputs], B.order)
         note = ""
         ok = got == B.staircase
         for g in B.gens:

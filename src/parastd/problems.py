@@ -33,7 +33,6 @@ class Problem:
     params: tuple[str, ...]
     vars: tuple[str, ...]
     order: MonomialOrder
-    order_spec: str
     ideal: list[ParamPoly]
     qgens: list[AScalar] = field(default_factory=list)
     options: dict = field(default_factory=dict)
@@ -362,8 +361,7 @@ def parse_problem(text: str) -> Problem:
                          if scalar.den.is_constant() else scalar.num)
 
     options = _parse_options(*sections["options"]) if "options" in sections else {}
-    return Problem(params, vars_, order, sections["order"][0], ideal,
-                   qgens, options)
+    return Problem(params, vars_, order, ideal, qgens, options)
 
 
 def parse_point(text: str, params, line: int = 1) -> tuple[Fraction, ...]:

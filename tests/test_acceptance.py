@@ -25,13 +25,12 @@ from parastd.polyring import (
     embed_params_as_vars,
     render_poly,
 )
-from parastd.division import Partition, divide, s_function
+from parastd.division import divide, region_of, s_function
 from parastd.buchberger import buchberger, minimalize
 from parastd.genstd import (
     PrimeContext,
     Staircase,
     generic_basis,
-    generic_basis_local,
     generic_reduced_basis,
     plain_staircase,
     verify_specialization,
@@ -113,13 +112,13 @@ def test_criterion_2_division_suite():
              for _ in range(rng.randint(1, 4))]
         res = divide(f, G, order)
         assert res.check_identity(f, G)
-        part = Partition(tuple(g.leading(order)[0] for g in G))
+        leads = [g.leading(order)[0] for g in G]
         for j, q in enumerate(res.quotients):
             ej = G[j].leading(order)[0]
             for e in q.terms:
-                assert part.region_of(tuple(a + b for a, b in zip(e, ej))) == j
+                assert region_of(leads, tuple(a + b for a, b in zip(e, ej))) == j
         for e in res.remainder.terms:
-            assert part.region_of(e) is None
+            assert region_of(leads, e) is None
         if not f.is_zero():
             cands = [res.remainder] + [q * g for q, g in zip(res.quotients, G)]
             tops = [p.leading(order)[0] for p in cands if not p.is_zero()]
@@ -263,9 +262,8 @@ def test_criterion_7_reduced_uniqueness():
     other = [P("x1 + 1") * f, P("x1*x2") * f, f]
     for qgens in ([], [AScalar.var(0, 1)]):
         ctx = PrimeContext.from_generators(qgens, 1)
-        r1 = generic_reduced_basis(generic_basis_local([f], INTRO_ORDER, ctx), 4)
-        r2 = generic_reduced_basis(
-            generic_basis_local(other, INTRO_ORDER, ctx), 4)
+        r1 = generic_reduced_basis(generic_basis([f], INTRO_ORDER, ctx), 4)
+        r2 = generic_reduced_basis(generic_basis(other, INTRO_ORDER, ctx), 4)
         assert r1.staircase == r2.staircase
         assert len(r1.gens) == len(r2.gens)
         for g1, g2 in zip(r1.gens, r2.gens):

@@ -206,6 +206,15 @@ def test_cli_specialize(capsys):
     assert doc["result"]["staircase"] == [[1, 0]]
 
 
+def test_cli_specialize_every_generator_vanishes(capsys, tmp_path):
+    path = tmp_path / "vanish.psb"
+    path.write_text(INTRO_TEXT.replace("ideal: a*x2 - x1*x2 + x1",
+                                       "ideal: a*x1, a*x2 + a^2*x1"))
+    code, out, err = run_cli(capsys, "specialize", str(path), "--point", "a=0")
+    assert (code, err) == (0, "")
+    assert "  staircase: []" in out.splitlines()
+
+
 def test_cli_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", str(PROBLEMS / "intro.psb"),
                            "--format", "json")

@@ -6,7 +6,7 @@ import pytest
 from parastd.errors import DepthExceeded, MultipleCells, NoCell
 from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
-from parastd.genstd import Staircase, plain_staircase
+from parastd.genstd import plain_staircase
 from parastd.comprehensive import (
     Cell,
     comprehensive_basis,
@@ -99,9 +99,7 @@ def test_per_cell_staircase_constancy(milnor_result):
             samples = [(r,) for r in roots if entry.cell.contains((r,))]
         assert samples
         for c in samples:
-            spec = [f.specialize(c) for f in F]
-            spec = [f for f in spec if not f.is_zero()]
-            got = plain_staircase(spec, INTRO_ORDER) if spec else Staircase(2, ())
+            got = plain_staircase([f.specialize(c) for f in F], INTRO_ORDER)
             assert got == entry.staircase
 
 
@@ -142,9 +140,7 @@ def test_non_radical_conditions_handled():
     res = comprehensive_basis(F, lex(2))
     for point in [(Fraction(0),), (Fraction(1),), (Fraction(-2),)]:
         idx = locate(res, point)
-        spec = [f.specialize(point) for f in F]
-        spec = [f for f in spec if not f.is_zero()]
-        got = plain_staircase(spec, lex(2)) if spec else Staircase(2, ())
+        got = plain_staircase([f.specialize(point) for f in F], lex(2))
         assert got == res.cells[idx].staircase
 
 
@@ -160,9 +156,7 @@ def test_two_parameter_partition():
                     Fraction(rng.randint(-9, 9), rng.randint(1, 3))))
     for p in pts:
         idx = locate(res, p)
-        spec = [f.specialize(p) for f in F]
-        spec = [f for f in spec if not f.is_zero()]
-        got = plain_staircase(spec, grevlex(2)) if spec else Staircase(2, ())
+        got = plain_staircase([f.specialize(p) for f in F], grevlex(2))
         assert got == res.cells[idx].staircase, (p, idx)
 
 
@@ -183,7 +177,5 @@ def test_partition_fuzz_random_families():
             pts.add((Fraction(rng.randint(-15, 15), rng.randint(1, 4)),))
         for p in sorted(pts):
             idx = locate(res, p)
-            spec = [f.specialize(p) for f in F]
-            spec = [f for f in spec if not f.is_zero()]
-            got = plain_staircase(spec, order) if spec else Staircase(2, ())
+            got = plain_staircase([f.specialize(p) for f in F], order)
             assert got == res.cells[idx].staircase

@@ -12,13 +12,13 @@ from parastd.division import (
     FULL,
     SERIES,
     TRUNCATED,
-    Partition,
     _division_loop,
     divide,
     divide_series,
     divide_truncated,
     full_division_terminates,
     highest_corner,
+    region_of,
     s_function,
 )
 
@@ -153,10 +153,10 @@ def test_s_function_weighted_cancellation():
 
 
 def test_partition_membership():
-    part = Partition(((1, 0), (0, 2)))
-    assert part.region_of((1, 5)) == 0
-    assert part.region_of((0, 2)) == 1
-    assert part.region_of((0, 1)) is None
+    leads = ((1, 0), (0, 2))
+    assert region_of(leads, (1, 5)) == 0
+    assert region_of(leads, (0, 2)) == 1
+    assert region_of(leads, (0, 1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +172,13 @@ def _check_division_contract(f, G, order):
     # exact identity
     assert res.check_identity(f, G)
     # support conditions
-    part = Partition(tuple(g.leading(order)[0] for g in G))
+    leads = [g.leading(order)[0] for g in G]
     for j, q in enumerate(res.quotients):
         for e in q.terms:
-            shifted = tuple(a + b for a, b in zip(e, G[j].leading(order)[0]))
-            assert part.region_of(shifted) == j
+            shifted = tuple(a + b for a, b in zip(e, leads[j]))
+            assert region_of(leads, shifted) == j
     for e in res.remainder.terms:
-        assert part.region_of(e) is None
+        assert region_of(leads, e) is None
     # max property
     if not f.is_zero():
         key = order.key
@@ -270,7 +270,7 @@ def _corner_case(seed, order_name, zero_dim, max_degree):
     if rng.random() < 0.5:
         leads.append((rng.randint(0, 2), rng.randint(0, 2)))
     leads = [e for e in leads if any(e)]
-    corner = highest_corner(Partition(tuple(leads)), 2, order, max_degree)
+    corner = highest_corner(leads, 2, order, max_degree)
     terms = {(rng.randint(0, 5), rng.randint(0, 5)): _random_coeff(rng)
              for _ in range(rng.randint(1, 4))}
     extras = [() for _ in leads]
@@ -314,14 +314,14 @@ def test_remainder_only_keeps_the_series_remainder(seed, order_name, zero_dim,
 
 
 def test_highest_corner_examples():
-    part = Partition(((2, 0), (0, 3)))
-    assert highest_corner(part, 2, neg_grevlex(2), 10) == (1, 2)
-    assert highest_corner(part, 2, neg_grevlex(2), 1) == (0, 1)
-    assert highest_corner(part, 2, GREVLEX2, 10) == (0, 0)
+    leads = ((2, 0), (0, 3))
+    assert highest_corner(leads, 2, neg_grevlex(2), 10) == (1, 2)
+    assert highest_corner(leads, 2, neg_grevlex(2), 1) == (0, 1)
+    assert highest_corner(leads, 2, GREVLEX2, 10) == (0, 0)
     # positive-dimensional staircase: the cutoff bounds the walk
-    assert highest_corner(Partition(((1, 0),)), 2, neg_grevlex(2), 7) == (0, 7)
-    assert highest_corner(Partition(((1, 1),)), 2, NEG_LEX2, 5) == (5, 0)
-    assert highest_corner(Partition(((0, 0),)), 2, neg_grevlex(2), 4) is None
+    assert highest_corner(((1, 0),), 2, neg_grevlex(2), 7) == (0, 7)
+    assert highest_corner(((1, 1),), 2, NEG_LEX2, 5) == (5, 0)
+    assert highest_corner(((0, 0),), 2, neg_grevlex(2), 4) is None
 
 
 def test_remainder_only_cuts_below_the_corner():
@@ -381,14 +381,14 @@ def _reference_loop(f, divisors, order, mode, max_degree=None, guard=None,
     for g in divisors:
         de = max(g.terms, key=order.key)
         leads.append((de, g.terms[de]))
-    part = Partition(tuple(e for e, _ in leads))
+    lead_exps = [e for e, _ in leads]
     quotients = [{} for _ in divisors]
     remainder = {}
     iterate = dict(f.terms)
     exact = True
     floor = None
     if remainder_only:
-        corner = highest_corner(part, len(next(iter(iterate))), order, max_degree)
+        corner = highest_corner(lead_exps, len(next(iter(iterate))), order, max_degree)
         if corner is None:
             kept = {}
         else:
@@ -402,7 +402,7 @@ def _reference_loop(f, divisors, order, mode, max_degree=None, guard=None,
         if guard is not None and steps > guard:
             raise NonTerminatingDivision(f"no stopping state after {guard} steps")
         e = max(iterate, key=order.key)
-        j = part.region_of(e)
+        j = region_of(lead_exps, e)
         if j is None:
             if mode == TRUNCATED:
                 remainder = iterate

@@ -5,6 +5,7 @@ import pytest
 
 from parastd.errors import (
     AllCoefficientsInQ,
+    NonTerminatingOrder,
     QContainsOne,
     SampleOffVariety,
     SampleOnExcludedLocus,
@@ -12,7 +13,7 @@ from parastd.errors import (
 )
 from parastd.orders import grevlex, lex, matrix_order, neg_grevlex
 from parastd.polyring import AScalar, ParamPoly, ParamScalar, divides_factor_power
-from parastd.division import divide
+from parastd.division import divide, divide_series
 from parastd.genstd import (
     GenericBasis,
     PrimeContext,
@@ -22,8 +23,6 @@ from parastd.genstd import (
     divide_mod_q,
     drop_q_terms,
     generic_basis,
-    generic_basis_local,
-    generic_basis_well_order,
     generic_reduced_basis,
     leading_mod_q,
     plain_staircase,
@@ -73,26 +72,32 @@ def test_q_contains_one_rejected():
 
 
 def test_divide_mod_q_trivial_q_matches_plain(intro):
-    res = divide_mod_q(P("a*x1*x2"), [intro], INTRO_ORDER, CTX0,
-                       trunc_degree=4)
-    assert res.q_part.is_zero()
+    # with Q = 0 every divisor survives whole: the plain series division
+    f = P("a*x1*x2")
+    res = divide_mod_q(f, [intro], INTRO_ORDER, CTX0, trunc_degree=4)
+    plain = divide_series(f, [intro], INTRO_ORDER, 4, remainder_only=True)
+    assert res.quotients == plain.quotients
+    assert res.remainder == plain.remainder
 
 
 def test_divide_mod_q_intro_replay(intro):
     # hand replay: the a*x2 head escapes to the remainder, then the
     # surviving part -x1*x2 + x1 divides f minus that head exactly once
-    res = divide_mod_q(intro, [intro], INTRO_ORDER, ctx_a(), trunc_degree=4)
+    ctx = ctx_a()
+    res = divide_mod_q(intro, [intro], INTRO_ORDER, ctx, trunc_degree=4)
     assert res.quotients[0] == P("1")
     assert res.remainder == P("a*x2")
-    assert res.q_part == P("-a*x2")
-    # identity f = q g + R + T
-    assert res.quotients[0] * intro + res.remainder + res.q_part == intro
-    # T has all coefficient numerators in Q
-    ctx = ctx_a()
-    for c in res.q_part.terms.values():
-        assert ctx.contains(c.num)
+    # identity f = q g1 + R, with g1 the part of g that survives mod Q
+    g1 = drop_q_terms(intro, ctx)
+    assert g1 == P("-x1*x2 + x1")
+    assert res.quotients[0] * g1 + res.remainder == intro
     # remainder is 0 mod Q since f lies in the ideal
     assert drop_q_terms(res.remainder, ctx).is_zero()
+
+
+def test_divide_mod_q_local_inhomogeneous_needs_trunc_degree(intro):
+    with pytest.raises(NonTerminatingOrder):
+        divide_mod_q(intro, [intro], INTRO_ORDER, ctx_a())
 
 
 def test_divide_mod_q_specialization_consistency():
@@ -127,7 +132,7 @@ def test_divide_mod_q_specialization_consistency():
 
 def test_well_order_principal_q0():
     F = [P("a*x1 + x2")]
-    B = generic_basis_well_order(F, lex(2), CTX0)
+    B = generic_basis(F, lex(2), CTX0)
     assert B.staircase.generators == ((1, 0),)
     assert B.h_poly() == A
     assert B.gens == F
@@ -135,14 +140,14 @@ def test_well_order_principal_q0():
 
 def test_well_order_principal_q_a():
     F = [P("a*x1 + x2")]
-    B = generic_basis_well_order(F, lex(2), ctx_a())
+    B = generic_basis(F, lex(2), ctx_a())
     assert B.staircase.generators == ((0, 1),)
     assert B.h_poly().is_constant()
 
 
 def test_well_order_inputs_inside_q():
     F = [P("a*x1"), P("a*x2 - a")]
-    B = generic_basis_well_order(F, lex(2), ctx_a())
+    B = generic_basis(F, lex(2), ctx_a())
     assert B.gens == []
     assert B.staircase.is_empty()
 
@@ -152,7 +157,7 @@ def test_well_order_inputs_inside_q():
 
 
 def test_local_intro_q0(intro):
-    B = generic_basis_local([intro], INTRO_ORDER, CTX0)
+    B = generic_basis([intro], INTRO_ORDER, CTX0)
     assert B.staircase.generators == ((0, 1),)
     assert B.h_poly() == A
     assert len(B.gens) == 1
@@ -160,13 +165,13 @@ def test_local_intro_q0(intro):
 
 
 def test_local_intro_q_a(intro):
-    B = generic_basis_local([intro], INTRO_ORDER, ctx_a())
+    B = generic_basis([intro], INTRO_ORDER, ctx_a())
     assert B.staircase.generators == ((1, 0),)
     assert B.h_poly().is_constant()
 
 
 def test_local_trivial_monomial():
-    B = generic_basis_local([P("x1")], INTRO_ORDER, ctx_a())
+    B = generic_basis([P("x1")], INTRO_ORDER, ctx_a())
     assert B.staircase.generators == ((1, 0),)
     assert B.h_poly().is_constant()
     assert B.gens[0] == P("x1")
@@ -175,34 +180,32 @@ def test_local_trivial_monomial():
 def test_local_degenerate_top_degree():
     # every top-degree coefficient lies in Q; the pre-drop keeps h out of Q
     F = [P("a*x1^2 + x2")]
-    B = generic_basis_local(F, INTRO_ORDER, ctx_a())
+    B = generic_basis(F, INTRO_ORDER, ctx_a())
     assert B.staircase.generators == ((0, 1),)
     assert not B.ctx.contains(B.h_poly())
 
 
 def test_membership_certificates_exact(intro):
     for ctx in (CTX0, ctx_a()):
-        B = generic_basis_local([intro, P("x1^2 - a*x1")], INTRO_ORDER, ctx)
+        B = generic_basis([intro, P("x1^2 - a*x1")], INTRO_ORDER, ctx)
         assert all(d.is_zero() for d in certify_membership(B))
-    B2 = generic_basis_well_order([P("a*x1 + x2"), P("x1*x2 + a")],
-                                  grevlex(2), CTX0)
+    B2 = generic_basis([P("a*x1 + x2"), P("x1*x2 + a")], grevlex(2), CTX0)
     assert all(d.is_zero() for d in certify_membership(B2))
     # inputs with a parameter denominator: the cofactors carry the multiplier
     # that cleared it, and the denominator is excluded through h
     one = AScalar.one(1)
     ctx_a_minus_1 = PrimeContext.from_generators([A - one], 1)
     for text, den in (("x1/a + x2", A), ("x1/(a+1) + x2", A + one)):
-        for route, order in ((generic_basis_well_order, grevlex(2)),
-                             (generic_basis_local, INTRO_ORDER)):
+        for order in (grevlex(2), INTRO_ORDER):
             for ctx in (CTX0, ctx_a_minus_1):
-                B = route([P(text), P("x1^2 - a*x1")], order, ctx)
+                B = generic_basis([P(text), P("x1^2 - a*x1")], order, ctx)
                 assert B.gens
                 assert all(d.is_zero() for d in certify_membership(B))
                 assert den in [f for f, _ in B.h_factors]
 
 
 def test_lc_numerators_divide_h(intro):
-    B = generic_basis_local([intro, P("x1^2 - a*x1")], INTRO_ORDER, CTX0)
+    B = generic_basis([intro, P("x1^2 - a*x1")], INTRO_ORDER, CTX0)
     for g in B.gens:
         _, c = leading_mod_q(g, B.order, B.ctx)
         num = c.num.primitive()
@@ -212,10 +215,9 @@ def test_lc_numerators_divide_h(intro):
 
 def test_s_criterion_mod_q_holds(intro):
     for ctx in (CTX0, ctx_a()):
-        B = generic_basis_local([intro, P("x1^2 - a*x1")], INTRO_ORDER, ctx)
+        B = generic_basis([intro, P("x1^2 - a*x1")], INTRO_ORDER, ctx)
         assert s_criterion_mod_q(B, trunc_degree=6)
-    B2 = generic_basis_well_order([P("a*x1 + x2"), P("x1*x2 + a")],
-                                  grevlex(2), CTX0)
+    B2 = generic_basis([P("a*x1 + x2"), P("x1*x2 + a")], grevlex(2), CTX0)
     assert s_criterion_mod_q(B2)
 
 
@@ -224,7 +226,7 @@ def test_s_criterion_mod_q_holds(intro):
 
 
 def test_reduced_intro_series(intro):
-    B = generic_basis_local([intro], INTRO_ORDER, CTX0)
+    B = generic_basis([intro], INTRO_ORDER, CTX0)
     R3 = generic_reduced_basis(B, 3)
     assert R3.gens == [P("x2 + (1/a)*x1 + (1/a^2)*x1^2 + (1/a^3)*x1^3")]
     R1 = generic_reduced_basis(B, 1)
@@ -234,7 +236,7 @@ def test_reduced_intro_series(intro):
 
 def test_reduced_fixed_point_global():
     F = [P("a*x1 + x2")]
-    B = generic_basis_well_order(F, lex(2), CTX0)
+    B = generic_basis(F, lex(2), CTX0)
     R = generic_reduced_basis(B, 5)
     assert R.gens == [P("x1 + (1/a)*x2")]
     # reducing an already reduced basis changes nothing
@@ -244,13 +246,13 @@ def test_reduced_fixed_point_global():
 
 def test_reduced_trunc_too_small():
     F = [P("x1^2"), P("x2^3")]
-    B = generic_basis_local(F, INTRO_ORDER, CTX0)
+    B = generic_basis(F, INTRO_ORDER, CTX0)
     with pytest.raises(TruncationTooSmall):
         generic_reduced_basis(B, 1)
 
 
 def test_reduced_denominators_divide_h_power(intro):
-    B = generic_basis_local([intro], INTRO_ORDER, CTX0)
+    B = generic_basis([intro], INTRO_ORDER, CTX0)
     R = generic_reduced_basis(B, 4)
     for g in R.gens:
         for c in g.terms.values():
@@ -260,7 +262,7 @@ def test_reduced_denominators_divide_h_power(intro):
 
 def test_reduced_tails_leave_staircase(intro):
     for ctx in (CTX0, ctx_a()):
-        B = generic_basis_local([intro, P("x1^3")], INTRO_ORDER, ctx)
+        B = generic_basis([intro, P("x1^3")], INTRO_ORDER, ctx)
         R = generic_reduced_basis(B, 5)
         for g, e in zip(R.gens, R.staircase.generators):
             for e2 in g.terms:
@@ -273,8 +275,8 @@ def test_reduced_uniqueness_mod_q(intro):
     # difference has all coefficient numerators in Q
     mult = P("x1 + 1") * intro
     for ctx in (CTX0, ctx_a()):
-        B1 = generic_basis_local([intro], INTRO_ORDER, ctx)
-        B2 = generic_basis_local([mult, intro], INTRO_ORDER, ctx)
+        B1 = generic_basis([intro], INTRO_ORDER, ctx)
+        B2 = generic_basis([mult, intro], INTRO_ORDER, ctx)
         R1 = generic_reduced_basis(B1, 4)
         R2 = generic_reduced_basis(B2, 4)
         assert R1.staircase == R2.staircase
@@ -289,7 +291,7 @@ def test_reduced_uniqueness_mod_q(intro):
 
 
 def test_verify_specialization_intro(intro):
-    B = generic_basis_local([intro], INTRO_ORDER, CTX0)
+    B = generic_basis([intro], INTRO_ORDER, CTX0)
     rep = verify_specialization(
         B, [(Fraction(1),), (Fraction(2),), (Fraction(-3),)])
     assert rep.ok
@@ -298,26 +300,26 @@ def test_verify_specialization_intro(intro):
 
 
 def test_verify_rejects_excluded_point(intro):
-    B = generic_basis_local([intro], INTRO_ORDER, CTX0)
+    B = generic_basis([intro], INTRO_ORDER, CTX0)
     with pytest.raises(SampleOnExcludedLocus):
         verify_specialization(B, [(Fraction(0),)])
 
 
 def test_verify_rejects_off_variety_point(intro):
-    B = generic_basis_local([intro], INTRO_ORDER, ctx_a())
+    B = generic_basis([intro], INTRO_ORDER, ctx_a())
     with pytest.raises(SampleOffVariety):
         verify_specialization(B, [(Fraction(1),)])
 
 
 def test_verify_well_order_example():
-    B = generic_basis_well_order([P("a*x1 + x2")], lex(2), CTX0)
+    B = generic_basis([P("a*x1 + x2")], lex(2), CTX0)
     rep = verify_specialization(B, [(Fraction(5),)])
     assert rep.ok
     assert rep.checks[0].got.generators == ((1, 0),)
 
 
 def test_verify_on_v_q_point(intro):
-    B = generic_basis_local([intro], INTRO_ORDER, ctx_a())
+    B = generic_basis([intro], INTRO_ORDER, ctx_a())
     rep = verify_specialization(B, [(Fraction(0),)])
     assert rep.ok
     assert rep.checks[0].got.generators == ((1, 0),)
@@ -349,11 +351,18 @@ def test_plain_staircase_of_specialized_ideal():
     assert st.generators == ((0, 1),)  # locally x2 leads x1^2
 
 
+def test_plain_staircase_of_zero_polynomials():
+    # every generator vanishes at a = 0: the zero ideal has no staircase
+    F = [P("a*x1").specialize((Fraction(0),)), ParamPoly.zero(2, 0)]
+    for order in (INTRO_ORDER, grevlex(2)):
+        assert plain_staircase(F, order) == Staircase(2, ())
+
+
 def test_point_prime_context(intro):
     # Q = <a - 2>: a rational point of the parameter line
     two = AScalar.const(2, 1)
     ctx = PrimeContext.from_generators([A - two], 1)
-    B = generic_basis_local([intro], INTRO_ORDER, ctx)
+    B = generic_basis([intro], INTRO_ORDER, ctx)
     assert B.staircase.generators == ((0, 1),)
     rep = verify_specialization(B, [(Fraction(2),)])
     assert rep.ok

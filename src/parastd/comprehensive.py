@@ -113,13 +113,13 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
             return  # a non-vanishing condition is identically zero here
         basis = generic_basis(F, order, ctx)
 
-        branch, dead = [], []
+        in_rad: dict[AScalar, bool] = {}
         for fac, _ in basis.h_factors:
             for sf in squarefree_factors(fac):
-                if any(sf == g for g in branch + dead):
-                    continue
-                (dead if in_radical(sf, ctx.qbasis) else branch).append(sf)
-        branch = _sort_factors(branch)
+                if sf not in in_rad:
+                    in_rad[sf] = in_radical(sf, ctx.qbasis)
+        branch = _sort_factors(sf for sf, d in in_rad.items() if not d)
+        dead = [sf for sf, d in in_rad.items() if d]
 
         if dead:
             # h vanishes on all of V(E): saturate E and retry; the node's
@@ -166,14 +166,13 @@ def _failing_sample(cell, basis, F, order, rng):
 
 
 def _offending_factor(basis, point, ctx):
-    cands = []
+    cands: dict[AScalar, None] = {}
     for g in basis.gens:
         for c in g.terms.values():
             for sf in squarefree_factors(c.num):
-                if sf.evaluate(point) == 0 and not ctx.contains(sf) \
-                        and not in_radical(sf, ctx.qbasis) \
-                        and all(sf != x for x in cands):
-                    cands.append(sf)
+                if sf not in cands and sf.evaluate(point) == 0 \
+                        and not ctx.contains(sf) and not in_radical(sf, ctx.qbasis):
+                    cands[sf] = None
     cands = _sort_factors(cands)
     return cands[0] if cands else None
 

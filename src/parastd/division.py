@@ -26,8 +26,10 @@ is the entrywise sum of the divisor term's key and the shift's key. Each
 term's key is computed once, by `keyed_terms`, which caches it on the
 immutable dividend and divisors; the loop itself computes none.
 
-Dividends and divisors are ParamPoly or AScalar (one ring per call): the
-loop reads only `keyed_terms`, `is_zero` and `with_terms`.
+Dividends and divisors share one ring per call, AScalar or ParamPoly,
+the two instances of polyring's sparse core: the loop reads only
+`keyed_terms`, `is_zero` and `with_terms`, and tests coefficients for
+zero by truth value.
 """
 
 from __future__ import annotations

@@ -184,15 +184,7 @@ class GenericBasis:
 def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
     from .polyring import squarefree_factors
 
-    counts: list[tuple[AScalar, int]] = []
-
-    def add(g, k):
-        for i, (g0, k0) in enumerate(counts):
-            if g0 == g:
-                counts[i] = (g0, k0 + k)
-                return
-        counts.append((g, k))
-
+    counts: dict[AScalar, int] = {}
     for f in factors:
         if f.is_zero():
             raise ZeroPolynomialError("zero factor in h")
@@ -209,11 +201,11 @@ def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
                 p = q.primitive() if not q.is_zero() else q
                 q = p.exact_div(sf) if not p.is_constant() else None
             if k:
-                add(sf, k)
+                counts[sf] = counts.get(sf, 0) + k
         if not p.is_constant():
-            add(p, 1)
-    counts.sort(key=lambda t: (t[0].total_degree(), sorted(t[0].terms.items())))
-    return counts
+            counts[p] = counts.get(p, 0) + 1
+    return sorted(counts.items(),
+                  key=lambda t: (t[0].total_degree(), sorted(t[0].terms.items())))
 
 
 def _prepare_inputs(F, ctx):

@@ -1,24 +1,33 @@
 """Exact arithmetic for parameter scalars and main-variable polynomials.
 
-Three layers, all sparse dicts keyed by exponent tuples:
+Two polynomial rings share one sparse core, `_Sparse`: a dict from
+exponent tuples to nonzero coefficients, with the ring arithmetic (+, -,
+*, scale, mul_monomial, ==), degrees and leading terms written once. It
+tests coefficients for zero by truth value and builds every result with
+the subclass's `with_terms`; `_chk` refuses operands whose `ring` differs.
 
-* AScalar: a polynomial over Q with Fraction coefficients. It is the
+* AScalar: the core over Fraction coefficients, ring value m. It is the
   parameter ring Q[a1..am], and also the ring the basis engine runs in
   for the combined ring Q[x, a] and for lex runs in the parameter ring.
+  It adds hashing, a constant fast path for *, lex `lead`, content,
+  exact division, homogenize/dehomogenize and evaluation.
+* ParamPoly: the core over ParamScalar coefficients, ring value (n, m):
+  polynomials in n main variables over Frac(Q[a1..am]). It adds
+  specialization at a parameter point, coefficient maps and clearing
+  denominators.
 * ParamScalar: a fraction num/den of AScalars. Fractions are not
   gcd-reduced (multivariate gcd is out of scope); equality is by cross
   multiplication and a cheap content/monomial normalization plus an
   exact-division attempt keep sizes bounded at desk scale.
-* ParamPoly: finite map from main-variable exponents to ParamScalars.
 
 Both polynomial classes are immutable once built: nothing writes to
 `terms` after construction. So each caches, in its `_kc` slot, its terms
 keyed by one order (`keyed_terms`), and `leading` reads the first of them
 (`leading_term`).
 
-The division loop takes either AScalar or ParamPoly: it reads only
-`keyed_terms`, `is_zero` and `with_terms` (same ring, given terms), and
-tests coefficients for zero by truth value.
+The division loop runs on either ring through the core: it reads only
+`keyed_terms`, `is_zero` and `with_terms`, and tests coefficients for
+zero by truth value.
 """
 
 from __future__ import annotations
@@ -61,13 +70,95 @@ def leading_term(p, order: MonomialOrder):
 
 
 # ---------------------------------------------------------------------------
+# the sparse core shared by AScalar and ParamPoly
+
+
+class _Sparse:
+    """Ring arithmetic on a dict {exponent tuple: nonzero coefficient}.
+
+    A subclass supplies `ring` (the value two operands must share) and
+    `with_terms` (an element of the same ring with the given nonzero
+    terms). Coefficients are tested for zero by truth value, so one body
+    serves Fraction and ParamScalar coefficients.
+    """
+
+    __slots__ = ("terms", "_kc")
+
+    def _chk(self, other):
+        if self.ring != other.ring:
+            raise DimensionMismatch(f"ring mismatch: {self.ring} vs {other.ring}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._chk(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            if e in out:
+                v = out[e] + c
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+            else:
+                out[e] = c
+        return self.with_terms(out)
+
+    def __neg__(self):
+        return self.with_terms({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._chk(other)
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = exp_add(e1, e2)
+                v = c1 * c2
+                if e in out:
+                    v = out[e] + v
+                if v:
+                    out[e] = v
+                else:
+                    out.pop(e, None)
+        return self.with_terms(out)
+
+    def scale(self, c):
+        if not c:
+            return self.with_terms({})
+        return self.with_terms({e: v * c for e, v in self.terms.items()})
+
+    def mul_monomial(self, e: Exponent, c):
+        if not c:
+            return self.with_terms({})
+        return self.with_terms({exp_add(e0, e): v * c for e0, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
+
+    leading = leading_term
+
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    def is_homogeneous(self, dims: int | None = None) -> bool:
+        """All terms share one degree over the first dims coordinates."""
+        return len({exp_degree(e, dims) for e in self.terms}) <= 1
+
+
+# ---------------------------------------------------------------------------
 # AScalar: element of Q[a1..am]
 
 
-class AScalar:
+class AScalar(_Sparse):
     """Sparse parameter-ring polynomial with Fraction coefficients."""
 
-    __slots__ = ("terms", "m", "_kc")
+    __slots__ = ("m",)
 
     def __init__(self, terms, m, _prune=True):
         self.terms = {e: c for e, c in terms.items() if c} if _prune else terms
@@ -92,12 +183,13 @@ class AScalar:
         e = tuple(1 if j == i else 0 for j in range(m))
         return cls({e: Fraction(1)}, m)
 
-    def _chk(self, other):
-        if self.m != other.m:
-            raise DimensionMismatch("parameter-ring dimension mismatch")
+    @property
+    def ring(self) -> int:
+        return self.m
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def with_terms(self, terms) -> "AScalar":
+        """Element of the same ring with the given nonzero terms."""
+        return AScalar(terms, self.m, _prune=False)
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
@@ -107,66 +199,15 @@ class AScalar:
             return Fraction(0)
         return self.terms[(0,) * self.m]
 
-    def __add__(self, other):
-        self._chk(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return AScalar(out, self.m, _prune=False)
-
-    def __neg__(self):
-        return AScalar({e: -c for e, c in self.terms.items()}, self.m, _prune=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        self._chk(other)
-        if not self.terms or not other.terms:
-            return AScalar.zero(self.m)
         # constant fast path (terms are never mutated, so 1*x can be x)
         if len(self.terms) == 1 and not any(next(iter(self.terms))):
-            c = self.constant_value()
-            if c == 1:
-                return other
-            return AScalar({e: c * v for e, v in other.terms.items()}, self.m, _prune=False)
+            self, other = other, self
         if len(other.terms) == 1 and not any(next(iter(other.terms))):
-            c = other.constant_value()
-            if c == 1:
-                return self
-            return AScalar({e: c * v for e, v in self.terms.items()}, self.m, _prune=False)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return AScalar(out, self.m, _prune=False)
-
-    def scale(self, q: Fraction) -> "AScalar":
-        if q == 0:
-            return AScalar.zero(self.m)
-        return AScalar({e: c * q for e, c in self.terms.items()}, self.m, _prune=False)
-
-    def mul_monomial(self, e: Exponent, q: Fraction) -> "AScalar":
-        if q == 0:
-            return AScalar.zero(self.m)
-        return AScalar({exp_add(e0, e): c * q for e0, c in self.terms.items()},
-                       self.m, _prune=False)
-
-    def with_terms(self, terms) -> "AScalar":
-        """Element of the same ring with the given nonzero terms."""
-        return AScalar(terms, self.m, _prune=False)
-
-    def __eq__(self, other):
-        return isinstance(other, AScalar) and self.m == other.m and self.terms == other.terms
+            self._chk(other)
+            c = next(iter(other.terms.values()))
+            return self if c == 1 else self.scale(c)
+        return _Sparse.__mul__(self, other)
 
     def __hash__(self):
         return hash((self.m, frozenset(self.terms.items())))
@@ -180,14 +221,6 @@ class AScalar:
             raise ZeroPolynomialError("lead of zero scalar")
         e = max(self.terms)
         return e, self.terms[e]
-
-    leading = leading_term
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def is_homogeneous(self, dims: int | None = None) -> bool:
-        return len({exp_degree(e, dims) for e in self.terms}) <= 1
 
     def homogenize(self, dims: int) -> "AScalar":
         """Insert a balancing slot z after the first dims coordinates.
@@ -358,48 +391,20 @@ def squarefree_factors(s: AScalar) -> list[AScalar]:
     # split off the monomial content
     mins = [min(e[i] for e in s.terms) for i in range(s.m)]
     if any(mins):
-        for i, k in enumerate(mins):
-            if k:
-                out.append(AScalar.var(i, s.m))
+        out += [AScalar.var(i, s.m) for i, k in enumerate(mins) if k]
         s = AScalar({tuple(x - y for x, y in zip(e, mins)): c
                      for e, c in s.terms.items()}, s.m)
-        if s.is_constant():
-            return _dedupe(out)
-    prof = _univariate_profile(s)
-    if prof is None:
+    if not s.is_constant():
+        prof = _univariate_profile(s)
+        if prof is not None:
+            i, coeffs = prof
+            g = _poly_gcd_1d(coeffs, [k * coeffs[k] for k in range(1, len(coeffs))])
+            if len(g) > 1:
+                # square-free part = s / gcd(s, s')
+                s = s.exact_div(AScalar({tuple(k if j == i else 0 for j in range(s.m)): c
+                                         for k, c in enumerate(g) if c}, s.m))
         out.append(s.primitive())
-        return _dedupe(out)
-    i, coeffs = prof
-    d = [k * coeffs[k] for k in range(1, len(coeffs))]
-    g = _poly_gcd_1d(coeffs, d) if any(d) else [Fraction(1)]
-    sf = coeffs
-    if len(g) > 1:
-        # square-free part = s / gcd(s, s')
-        sf = _exact_div_1d(coeffs, g)
-    poly = AScalar({tuple(k if j == i else 0 for j in range(s.m)): c
-                    for k, c in enumerate(sf) if c != 0}, s.m)
-    if not poly.is_constant():
-        out.append(poly.primitive())
-    return _dedupe(out)
-
-
-def _exact_div_1d(p, q):
-    out = [Fraction(0)] * (len(p) - len(q) + 1)
-    p = p[:]
-    for k in range(len(out) - 1, -1, -1):
-        f = p[k + len(q) - 1] / q[-1]
-        out[k] = f
-        for j, c in enumerate(q):
-            p[k + j] -= f * c
-    return out
-
-
-def _dedupe(factors):
-    seen = []
-    for f in factors:
-        if all(f != g for g in seen):
-            seen.append(f)
-    return seen
+    return list(dict.fromkeys(out))
 
 
 def rational_roots(s: AScalar) -> list[Fraction]:
@@ -559,15 +564,13 @@ def _normalize_fraction(num: AScalar, den: AScalar):
 # ParamPoly: polynomial in the main variables over Frac(Q[a])
 
 
-class ParamPoly:
+class ParamPoly(_Sparse):
     """Sparse polynomial in n main variables with ParamScalar coefficients."""
 
-    __slots__ = ("terms", "n", "m", "_kc")
+    __slots__ = ("n", "m")
 
     def __init__(self, terms, n, m, _prune=True):
-        if _prune:
-            terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        self.terms = terms
+        self.terms = {e: c for e, c in terms.items() if c} if _prune else terms
         self.n = n
         self.m = m
         self._kc = None
@@ -589,85 +592,16 @@ class ParamPoly:
         e = tuple(1 if j == i else 0 for j in range(n))
         return cls({e: ParamScalar.one(m)}, n, m)
 
-    def _chk(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise DimensionMismatch(
-                f"ring mismatch: ({self.n},{self.m}) vs ({other.n},{other.m})")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        self._chk(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                v = out[e] + c
-                if v.is_zero():
-                    del out[e]
-                else:
-                    out[e] = v
-            else:
-                out[e] = c
-        return ParamPoly(out, self.n, self.m, _prune=False)
-
-    def __neg__(self):
-        return ParamPoly({e: -c for e, c in self.terms.items()},
-                         self.n, self.m, _prune=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._chk(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                v = c1 * c2
-                if e in out:
-                    v = out[e] + v
-                if v.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = v
-        return ParamPoly(out, self.n, self.m, _prune=False)
-
-    def scale(self, c: ParamScalar) -> "ParamPoly":
-        if c.is_zero():
-            return ParamPoly.zero(self.n, self.m)
-        return ParamPoly({e: v * c for e, v in self.terms.items()},
-                         self.n, self.m, _prune=False)
-
-    def mul_monomial(self, e: Exponent, c: ParamScalar) -> "ParamPoly":
-        if c.is_zero():
-            return ParamPoly.zero(self.n, self.m)
-        return ParamPoly({exp_add(e0, e): v * c for e0, v in self.terms.items()},
-                         self.n, self.m, _prune=False)
+    @property
+    def ring(self) -> tuple[int, int]:
+        return self.n, self.m
 
     def with_terms(self, terms) -> "ParamPoly":
         """Element of the same ring with the given nonzero terms."""
         return ParamPoly(terms, self.n, self.m, _prune=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        if self.n != other.n or self.m != other.m:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
-
     def __repr__(self):
         return f"ParamPoly({self.terms!r})"
-
-    leading = leading_term
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
 
     def specialize(self, point) -> "ParamPoly":
         """Evaluate all coefficients at a parameter point; result has m=0."""
@@ -679,12 +613,7 @@ class ParamPoly:
         return ParamPoly(out, self.n, 0, _prune=False)
 
     def map_coeffs(self, fn) -> "ParamPoly":
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[e] = v
-        return ParamPoly(out, self.n, self.m, _prune=False)
+        return ParamPoly({e: fn(c) for e, c in self.terms.items()}, self.n, self.m)
 
     def clear_denominators(self) -> tuple["ParamPoly", AScalar]:
         """Scale by a parameter polynomial so every coefficient is integral.
@@ -692,10 +621,8 @@ class ParamPoly:
         Returns (scaled poly, multiplier). The multiplier is the product of
         the distinct nonconstant denominators.
         """
-        dens = []
-        for c in self.terms.values():
-            if not c.den.is_constant() and all(c.den != d for d in dens):
-                dens.append(c.den)
+        dens = dict.fromkeys(c.den for c in self.terms.values()
+                             if not c.den.is_constant())
         mult = AScalar.one(self.m)
         for d in dens:
             mult = mult * d

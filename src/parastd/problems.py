@@ -292,6 +292,8 @@ def _parse_options(text: str, line: int) -> dict:
             raise ProblemSyntaxError(
                 f"unknown option {t.text!r} (expected one of {OPTION_KEYS})",
                 t.line, t.col)
+        if t.text in opts:
+            raise ProblemSyntaxError(f"duplicate option {t.text!r}", t.line, t.col)
         stream.expect("=")
         neg = stream.accept("-")
         v = stream.next()
@@ -374,6 +376,9 @@ def parse_point(text: str, params, line: int = 1) -> tuple[Fraction, ...]:
         if t.kind != "ident" or t.text not in index:
             raise UnknownIdentifier(f"unknown parameter {t.text!r}",
                                     t.line, t.col)
+        if t.text in values:
+            raise ProblemSyntaxError(f"duplicate parameter {t.text!r}",
+                                     t.line, t.col)
         stream.expect("=")
         neg = stream.accept("-")
         v = stream.next()

@@ -46,6 +46,8 @@ def variety_points(conditions, m: int, rng: Random, count: int, avoid=()):
     """Up to `count` rational points where all conditions vanish, none of
     `avoid` does. Deterministic for a fixed rng state."""
     conditions = [c for c in conditions if not c.is_zero()]
+    if any(c.is_constant() for c in conditions):
+        return []  # a nonzero constant vanishes nowhere
     avoid = [a for a in avoid if not a.is_constant()]
     found: list[tuple[Fraction, ...]] = []
 

@@ -77,6 +77,28 @@ def test_parse_problem_options():
         parse_problem(INTRO_TEXT + "options: wibble = 3\n")
 
 
+def test_parse_problem_duplicate_option():
+    with pytest.raises(ProblemSyntaxError, match="duplicate option 'seed'"):
+        parse_problem(INTRO_TEXT + "options: seed = 1, seed = 2\n")
+
+
+def test_parse_point_duplicate_parameter():
+    with pytest.raises(ProblemSyntaxError, match="duplicate parameter 'a'"):
+        parse_point("a=1,a=2", ("a",))
+
+
+def test_cli_rejects_duplicate_keys(capsys, tmp_path):
+    path = tmp_path / "intro.psb"
+    path.write_text(INTRO_TEXT + "options: seed = 1, seed = 2\n")
+    code, out, err = run_cli(capsys, "gsb", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error[input]: duplicate option 'seed'")
+    path.write_text(INTRO_TEXT)
+    code, out, err = run_cli(capsys, "specialize", str(path), "--point", "a=1,a=2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error[input]: duplicate parameter 'a'")
+
+
 E7_LOCAL_TEXT = """\
 params: a, b
 vars: x, y

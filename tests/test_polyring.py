@@ -1,10 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from parastd.errors import DenominatorVanishes, ZeroPolynomialError
+from parastd.errors import DenominatorVanishes, DimensionMismatch, ZeroPolynomialError
 from parastd.orders import grevlex, lex, matrix_order, neg_grevlex
 from parastd.polyring import (
     AScalar,
@@ -189,6 +190,52 @@ def test_homogenize_output_homogeneous(f):
 def test_embed_split_round_trip(f):
     g, _ = f.clear_denominators()
     assert split_params(embed_params_as_vars(g), 2, 2) == g
+
+
+# ---------------------------------------------------------------------------
+# the sparse core shared by AScalar and ParamPoly
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("left, right", [
+    (AScalar.var(0, 1), AScalar.var(1, 2)),
+    (AScalar.const(2, 1), AScalar.var(1, 2)),  # constant fast path of *
+    (AScalar.var(0, 1), AScalar.const(1, 2)),
+    (ParamPoly.var(0, 2, 1), ParamPoly.var(0, 3, 1)),
+])
+def test_ring_mismatch_raises(op, left, right):
+    with pytest.raises(DimensionMismatch):
+        op(left, right)
+    with pytest.raises(DimensionMismatch):
+        op(right, left)
+
+
+@given(polys(n=2, m=2), polys(n=2, m=2), st.integers(-3, 3),
+       st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_embed_params_as_vars_is_a_ring_morphism(f, g, k, e):
+    phi = embed_params_as_vars
+    const = ParamPoly.constant(k, 2, 2)  # its image takes AScalar's constant path
+    for p, q in ((f, g), (const, g), (f, const)):
+        assert phi(p + q) == phi(p) + phi(q)
+        assert phi(p - q) == phi(p) - phi(q)
+        assert phi(p * q) == phi(p) * phi(q)
+    c = Fraction(k, 2)
+    assert phi(f.scale(ParamScalar.const(c, 2))) == phi(f).scale(c)
+    assert phi(f.mul_monomial(e, ParamScalar.const(c, 2))) == \
+        phi(f).mul_monomial(e + (0, 0), c)
+
+
+def test_equal_scalars_hash_alike_whatever_their_term_order():
+    terms = {(2, 0): Fraction(1), (0, 1): Fraction(-3), (0, 0): Fraction(1, 2)}
+    s = AScalar(terms, 2)
+    t = AScalar(dict(reversed(terms.items())), 2)
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    u = AScalar.const(Fraction(1, 2), 2) + b * AScalar.const(-3, 2) + a * a
+    assert list(s.terms) != list(t.terms)
+    assert s == t == u
+    assert hash(s) == hash(t) == hash(u)
+    merged = list(dict.fromkeys([s, a, t, u]))
+    assert merged == [s, a] and merged[0] is s
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
-from .orders import MonomialOrder, exp_add, exp_divides, exp_lcm, exp_sub, is_global, lex
-from .division import divide, s_function
+from .orders import MonomialOrder, exp_add, exp_divides, exp_lcm, is_global, lex
+from .division import divide, s_combination, s_function
 from .polyring import AScalar, fraction_content, keyed_terms
 
 
@@ -85,11 +85,8 @@ def buchberger(F, order: MonomialOrder,
         if r.is_zero():
             continue
         # cofactors of the S-function, then subtract the division quotients
-        ei, ci = gens[i].leading(order)
-        ej, cj = gens[j].leading(order)
-        lcm = exp_lcm(ei, ej)
-        rc = [a.mul_monomial(exp_sub(lcm, ei), cj) - b.mul_monomial(exp_sub(lcm, ej), ci)
-              for a, b in zip(cofs[i], cofs[j])]
+        lead_i, lead_j = gens[i].leading(order), gens[j].leading(order)
+        rc = [s_combination(a, b, lead_i, lead_j) for a, b in zip(cofs[i], cofs[j])]
         for q, gc in zip(res.quotients, cofs):
             if q.is_zero():
                 continue

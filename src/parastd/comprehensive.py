@@ -10,8 +10,10 @@ parameter space.
 Prime decomposition is out of scope: the vanishing conditions need not be
 prime, so leading data mod the cell ideal can be coarser than on its
 components. Cells are therefore verified on admissible sample points when
-such points can be generated, and a failing cell is split on a square-free
-factor of an offending coefficient that vanishes at the bad sample.
+such points can be generated, by the check `verify` runs: the staircase and
+each generator's leading exponent (verify_specialization). A failing cell
+is split on a square-free factor of an offending coefficient that vanishes
+at the bad sample.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from random import Random
 
 from .errors import DepthExceeded, MultipleCells, NoCell, ParastdError, QContainsOne
 from .orders import MonomialOrder
-from .polyring import AScalar, squarefree_factors
+from .polyring import AScalar, factor_order, squarefree_factors
 from .buchberger import parameter_groebner
 from .genstd import (
     GenericBasis,
     PrimeContext,
     Staircase,
     generic_basis,
-    plain_staircase,
+    verify_specialization,
 )
 from .sampling import variety_points
 
@@ -57,7 +59,6 @@ class CellEntry:
 @dataclass
 class ComprehensiveResult:
     cells: list[CellEntry]
-    covering: bool = True
 
 
 def in_radical(p: AScalar, egens) -> bool:
@@ -77,11 +78,6 @@ def in_radical(p: AScalar, egens) -> bool:
     one = AScalar.const(1, m + 1)
     basis = parameter_groebner(ext + [one + tp])
     return any(g.is_constant() for g in basis)
-
-
-def _sort_factors(factors):
-    return sorted(factors,
-                  key=lambda f: (f.total_degree(), sorted(f.terms.items())))
 
 
 def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
@@ -118,7 +114,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
             for sf in squarefree_factors(fac):
                 if sf not in in_rad:
                     in_rad[sf] = in_radical(sf, ctx.qbasis)
-        branch = _sort_factors(sf for sf, d in in_rad.items() if not d)
+        branch = sorted((sf for sf, d in in_rad.items() if not d), key=factor_order)
         dead = [sf for sf, d in in_rad.items() if d]
 
         if dead:
@@ -128,11 +124,13 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
             if not proper:
                 raise ParastdError(
                     "input coefficients degenerate on an entire cell")
-            process(evanish + tuple(_sort_factors(proper)), navoid, depth + 1)
+            process(evanish + tuple(sorted(proper, key=factor_order)), navoid, depth + 1)
             return
 
         cell = Cell(evanish, navoid + tuple(branch))
-        bad = _failing_sample(cell, basis, F, order, rng)
+        points = variety_points(evanish, m, rng, VERIFY_SAMPLES, avoid=list(cell.nonvanish))
+        bad = next((c.point for c in verify_specialization(basis, points).checks
+                    if not c.ok), None)
         if bad is not None:
             split = _offending_factor(basis, bad, ctx)
             if split is None:
@@ -152,17 +150,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
     if frontier:
         raise DepthExceeded(
             f"{len(frontier)} cells unresolved at depth {max_depth}", frontier)
-    return ComprehensiveResult(entries, covering=True)
-
-
-def _failing_sample(cell, basis, F, order, rng):
-    """First admissible sample whose from-scratch staircase disagrees."""
-    points = variety_points(cell.vanish, basis.ctx.m, rng, VERIFY_SAMPLES,
-                            avoid=list(cell.nonvanish))
-    for p in points:
-        if plain_staircase([f.specialize(p) for f in F], order) != basis.staircase:
-            return p
-    return None
+    return ComprehensiveResult(entries)
 
 
 def _offending_factor(basis, point, ctx):
@@ -173,8 +161,7 @@ def _offending_factor(basis, point, ctx):
                 if sf not in cands and sf.evaluate(point) == 0 \
                         and not ctx.contains(sf) and not in_radical(sf, ctx.qbasis):
                     cands[sf] = None
-    cands = _sort_factors(cands)
-    return cands[0] if cands else None
+    return min(cands, key=factor_order, default=None)
 
 
 def locate(result: ComprehensiveResult, point) -> int:

@@ -254,17 +254,19 @@ def divide_series(f, G, order: MonomialOrder, max_degree: int, *,
     return DivisionResult(q, r, exact and exact0, steps)
 
 
-def s_function(f, g, order: MonomialOrder):
-    """Head-cancelling combination lc(g)*m*f - lc(f)*m'*g.
+def s_combination(f, g, lead_f, lead_g):
+    """cg*m*f - cf*m'*g for the head terms lead_f = (ef, cf), lead_g = (eg, cg).
 
-    m and m' lift the leading terms of f and g to their least common
-    multiple, so the two head monomials cancel.
+    m and m' lift ef and eg to their least common multiple, so the two
+    head terms cancel when they are the leading terms of f and g.
     """
+    (ef, cf), (eg, cg) = lead_f, lead_g
+    lcm = exp_lcm(ef, eg)
+    return f.mul_monomial(exp_sub(lcm, ef), cg) - g.mul_monomial(exp_sub(lcm, eg), cf)
+
+
+def s_function(f, g, order: MonomialOrder):
+    """Head-cancelling combination lc(g)*m*f - lc(f)*m'*g (s_combination)."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("S-function of zero polynomial")
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
-    lcm = exp_lcm(ef, eg)
-    left = f.mul_monomial(exp_sub(lcm, ef), cg)
-    right = g.mul_monomial(exp_sub(lcm, eg), cf)
-    return left - right
+    return s_combination(f, g, f.leading(order), g.leading(order))

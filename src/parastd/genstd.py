@@ -31,12 +31,16 @@ from .polyring import (
     AScalar,
     ParamPoly,
     ParamScalar,
+    divide_out,
     embed_params_as_vars,
+    factor_order,
     fraction_content,
     keyed_terms,
     split_params,
+    squarefree_factors,
 )
-from .division import DivisionResult, divide, divide_series, full_division_terminates
+from .division import (DivisionResult, divide, divide_series, full_division_terminates,
+                       s_combination)
 from .buchberger import buchberger, minimalize, normal_form_param, parameter_groebner
 
 
@@ -99,9 +103,6 @@ class Staircase:
     def contains(self, e: Exponent) -> bool:
         return any(exp_divides(g, e) for g in self.generators)
 
-    def is_empty(self) -> bool:
-        return not self.generators
-
     def max_generator_degree(self) -> int:
         return max((sum(e) for e in self.generators), default=0)
 
@@ -161,11 +162,13 @@ class GenericBasis:
     """Finite set plus excluded parameter polynomial h, stored factored.
 
     Specializations at points of V(Q) off V(h) are standard bases of the
-    specialized ideal. Cofactors (when present) express each generator in
-    the recorded inputs exactly.
+    specialized ideal. `leads[i]` is leading_mod_q(gens[i]), recorded once
+    when the basis is built; its exponents generate the staircase. Cofactors
+    (when present) express each generator in the recorded inputs exactly.
     """
 
     gens: list[ParamPoly]
+    leads: list[tuple[Exponent, ParamScalar]]
     h_factors: list[tuple[AScalar, int]]
     ctx: PrimeContext
     staircase: Staircase
@@ -182,8 +185,6 @@ class GenericBasis:
 
 
 def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
-    from .polyring import squarefree_factors
-
     counts: dict[AScalar, int] = {}
     for f in factors:
         if f.is_zero():
@@ -194,21 +195,15 @@ def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
         # split into square-free parts, keeping exact multiplicities so the
         # product of the stored factors is still divisible by every numerator
         for sf in squarefree_factors(p):
-            k = 0
-            q = p.exact_div(sf)
-            while q is not None:
-                k += 1
-                p = q.primitive() if not q.is_zero() else q
-                q = p.exact_div(sf) if not p.is_constant() else None
+            p, k = divide_out(p, sf)
             if k:
                 counts[sf] = counts.get(sf, 0) + k
         if not p.is_constant():
             counts[p] = counts.get(p, 0) + 1
-    return sorted(counts.items(),
-                  key=lambda t: (t[0].total_degree(), sorted(t[0].terms.items())))
+    return [(f, counts[f]) for f in sorted(counts, key=factor_order)]
 
 
-def _prepare_inputs(F, ctx):
+def _prepare_inputs(F):
     """Clear coefficient denominators; collect them as excluded factors."""
     cleared, multipliers, den_factors = [], [], []
     for f in F:
@@ -246,7 +241,7 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
         raise AllCoefficientsInQ(
             f"parameter count mismatch: inputs have {m}, context has {ctx.m}")
 
-    cleared, multipliers, den_factors = _prepare_inputs(inputs, ctx)
+    cleared, multipliers, den_factors = _prepare_inputs(inputs)
 
     # everything below runs over Q in the combined ring: x (then z), then a
     embedded = [embed_params_as_vars(g) for g in cleared]
@@ -268,9 +263,8 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
             work.append((idx, emb))
 
     if not work:
-        return GenericBasis([], _normalize_h_factors(den_factors), ctx,
-                            Staircase(n, ()), order, inputs,
-                            cofactors=[])
+        return GenericBasis([], [], _normalize_h_factors(den_factors), ctx,
+                            Staircase(n, ()), order, inputs, cofactors=[])
 
     n_main = n + 1 if homogeneous_route else n
     comb_order = combined_order(order, m, homogeneous_route)
@@ -279,7 +273,7 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     basis = minimalize(buchberger([g for _, g in work] + qcomb, comb_order,
                                   degree_dims=n_main))
 
-    gens, cofs, exps, lead_nums = [], [], [], []
+    gens, leads, cofs = [], [], []
     for g, cof, lead in zip(basis.generators, basis.cofactors,
                             basis.leading_exponents()):
         # the combined order compares x (and z) first, so the leading
@@ -301,18 +295,16 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
             raise AllCoefficientsInQ("reconstructed generator vanished")
         inv = 1 / fraction_content(ghat.terms.values())
         ghat = split_params(ghat.scale(inv), n, m)
-        e, c = leading_mod_q(ghat, order, ctx)
         cof_user = [ParamPoly.zero(n, m) for _ in inputs]
         for (idx, _), u in zip(work, us):
             cof_user[idx] = split_params((u * lifted[idx]).scale(inv), n, m)
         gens.append(ghat)
+        leads.append(leading_mod_q(ghat, order, ctx))
         cofs.append(cof_user)
-        exps.append(e)
-        lead_nums.append(c.num)
 
-    h_factors = _normalize_h_factors(lead_nums + hprime + den_factors)
-    staircase = Staircase.from_exponents(n, exps)
-    return GenericBasis(gens, h_factors, ctx, staircase, order, inputs, cofs)
+    h_factors = _normalize_h_factors([c.num for _, c in leads] + hprime + den_factors)
+    staircase = Staircase.from_exponents(n, [e for e, _ in leads])
+    return GenericBasis(gens, leads, h_factors, ctx, staircase, order, inputs, cofs)
 
 
 def _lift_params(s: AScalar, width: int) -> AScalar:
@@ -340,18 +332,16 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
         raise TruncationTooSmall(
             f"trunc_degree {trunc_degree} below staircase degree {need}")
     if not B.gens:
-        return GenericBasis([], list(B.h_factors), ctx, B.staircase, order,
+        return GenericBasis([], [], list(B.h_factors), ctx, B.staircase, order,
                             list(B.inputs))
     n, m = B.gens[0].n, B.gens[0].m
 
-    chosen: list[ParamPoly] = []
-    for e in B.staircase.generators:
-        for g in B.gens:
-            ge, lc = leading_mod_q(g, order, ctx)
-            if ge == e:
-                monic = g.scale(ParamScalar.one(m) / lc)
-                chosen.append(monic.map_coeffs(lambda c: c.reduced()))
-                break
+    # the first generator on each staircase corner, made monic mod Q
+    first: dict[Exponent, tuple[ParamPoly, ParamScalar]] = {}
+    for g, (e, lc) in zip(B.gens, B.leads):
+        first.setdefault(e, (g, lc))
+    chosen = [g.scale(ParamScalar.one(m) / lc).map_coeffs(lambda c: c.reduced())
+              for g, lc in map(first.get, B.staircase.generators)]
 
     out: list[ParamPoly] = []
     for e, g in zip(B.staircase.generators, chosen):
@@ -362,7 +352,8 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
             continue
         res = divide_mod_q(tail, chosen, order, ctx, trunc_degree)
         out.append(head + res.remainder.map_coeffs(lambda c: c.reduced()))
-    return GenericBasis(out, list(B.h_factors), ctx, B.staircase, order,
+    leads = [leading_mod_q(g, order, ctx) for g in out]
+    return GenericBasis(out, leads, list(B.h_factors), ctx, B.staircase, order,
                         list(B.inputs))
 
 
@@ -384,7 +375,6 @@ def plain_staircase(F, order: MonomialOrder) -> Staircase:
 class SampleCheck:
     point: tuple
     ok: bool
-    expected: Staircase
     got: Staircase
     note: str = ""
 
@@ -396,6 +386,12 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
+
+
+def _leading_exponent_at(g: ParamPoly, order: MonomialOrder, point) -> Exponent | None:
+    """Leading exponent of g specialized at point, None when it vanishes there."""
+    r = len(order.rows)
+    return next((k[r:] for k, c in keyed_terms(g, order) if c.evaluate(point)), None)
 
 
 def verify_specialization(B: GenericBasis, samples) -> VerificationReport:
@@ -414,16 +410,10 @@ def verify_specialization(B: GenericBasis, samples) -> VerificationReport:
         if h.evaluate(point) == 0:
             raise SampleOnExcludedLocus(f"point {point} lies on V(h)")
         got = plain_staircase([f.specialize(point) for f in B.inputs], B.order)
-        note = ""
-        ok = got == B.staircase
-        for g in B.gens:
-            e, _ = leading_mod_q(g, B.order, B.ctx)
-            ge = g.specialize(point)
-            if ge.is_zero() or ge.leading(B.order)[0] != e:
-                ok = False
-                note = "generator lost its leading exponent"
-                break
-        checks.append(SampleCheck(tuple(point), ok, B.staircase, got, note))
+        lost = any(_leading_exponent_at(g, B.order, point) != e
+                   for g, (e, _) in zip(B.gens, B.leads))
+        checks.append(SampleCheck(tuple(point), got == B.staircase and not lost, got,
+                                  "generator lost its leading exponent" if lost else ""))
     return VerificationReport(checks)
 
 
@@ -433,7 +423,7 @@ def s_criterion_mod_q(B: GenericBasis, trunc_degree: int | None = None) -> bool:
     gens = B.gens
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            s = _s_function_mod_q(gens[i], gens[j], order, ctx)
+            s = s_combination(gens[i], gens[j], B.leads[i], B.leads[j])
             if s.is_zero():
                 continue
             res = divide_mod_q(s, gens, order, ctx, trunc_degree=trunc_degree)
@@ -441,16 +431,6 @@ def s_criterion_mod_q(B: GenericBasis, trunc_degree: int | None = None) -> bool:
             if not r.is_zero():
                 return False
     return True
-
-
-def _s_function_mod_q(f, g, order, ctx):
-    from .orders import exp_lcm, exp_sub
-
-    ef, cf = leading_mod_q(f, order, ctx)
-    eg, cg = leading_mod_q(g, order, ctx)
-    lcm = exp_lcm(ef, eg)
-    return (f.mul_monomial(exp_sub(lcm, ef), cg)
-            - g.mul_monomial(exp_sub(lcm, eg), cf))
 
 
 def certify_membership(B: GenericBasis) -> list[ParamPoly]:

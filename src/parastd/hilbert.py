@@ -63,18 +63,14 @@ class HilbertData:
     def polynomial_value(self, r) -> Fraction:
         return sum(c * Fraction(r) ** k for k, c in enumerate(self.coefficients))
 
-    def polynomial_text(self, var: str = "r") -> str:
+    def polynomial_text(self) -> str:
         def mag(c):
             text = render_fraction(abs(c))
             return f"({text})" if "/" in text else text
 
         return render_terms(((c < 0, mag(c), (k,))
                              for k, c in reversed(list(enumerate(self.coefficients)))
-                             if c), (var,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1 if self.coefficients else 0
+                             if c), ("r",))
 
     def is_constant(self) -> bool:
         return len(self.coefficients) <= 1
@@ -172,7 +168,6 @@ class HilbertStratum:
 
 
 def hilbert_partition(F, order: MonomialOrder, max_depth: int = 12,
-                      r_max: int | None = None,
                       seed: int = 0) -> list[HilbertStratum]:
     """Partition parameter space by the local Hilbert-Samuel polynomial.
 
@@ -184,14 +179,12 @@ def hilbert_partition(F, order: MonomialOrder, max_depth: int = 12,
         raise ParastdError(
             "hilbert_partition needs a degree-compatible local order")
     result = comprehensive_basis(F, order, max_depth=max_depth, seed=seed)
-    return strata_from_cells(result, r_max)
+    return strata_from_cells(result)
 
 
-def strata_from_cells(result: ComprehensiveResult,
-                      r_max: int | None = None) -> list[HilbertStratum]:
+def strata_from_cells(result: ComprehensiveResult) -> list[HilbertStratum]:
     n = result.cells[0].staircase.n if result.cells else 0
-    if r_max is None:
-        r_max = default_r_max([e.staircase for e in result.cells], n)
+    r_max = default_r_max([e.staircase for e in result.cells], n)
     groups: list[tuple[HilbertData, list[Cell]]] = []
     for entry in result.cells:
         data = hilbert_polynomial(entry.staircase, r_max)

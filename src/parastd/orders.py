@@ -143,11 +143,8 @@ def grevlex(n: int) -> MonomialOrder:
 
 
 def neg_grevlex(n: int) -> MonomialOrder:
-    """Local order: degree-first descending, grevlex-style among equal degree."""
-    rows = [(-1,) * n]
-    for i in range(n - 1, 0, -1):
-        rows.append(tuple(-1 if j == i else 0 for j in range(n)))
-    return MonomialOrder(rows=tuple(rows), n=n)
+    """Local order: degree-first descending, grevlex's ties among equal degree."""
+    return MonomialOrder(rows=((-1,) * n,) + grevlex(n).rows[1:], n=n)
 
 
 def matrix_order(rows, n: int | None = None) -> MonomialOrder:

@@ -307,35 +307,58 @@ def fraction_content(values) -> Fraction:
                     lcm(*(q.denominator for q in values)))
 
 
+def factor_order(f: AScalar):
+    """Sort key of a factor: total degree, then its sorted terms."""
+    return f.total_degree(), sorted(f.terms.items())
+
+
+def divide_out(p: AScalar, f: AScalar) -> tuple[AScalar, int]:
+    """(primitive cofactor, count) after dividing the nonconstant f out of
+    the nonzero p as often as it goes, or until the cofactor is constant."""
+    k = 0
+    while not p.is_constant():
+        q = p.exact_div(f)
+        if q is None:
+            break
+        p, k = q.primitive(), k + 1
+    return p, k
+
+
 def divides_factor_power(num: AScalar, factors) -> bool:
     """True when num divides a product of powers of the given factors.
 
-    Repeatedly divides out each factor; succeeds when a nonzero constant
-    remains. Used for the "denominator divides a power of h" invariant.
+    Divides out each nonconstant factor once in turn (in the factorial
+    ring Q[a], dividing out a later factor cannot make an earlier one
+    divide again); succeeds when a constant remains. Used for the
+    "denominator divides a power of h" invariant.
     """
     if num.is_zero():
         return False
     cur = num.primitive()
-    progress = True
-    while progress and not cur.is_constant():
-        progress = False
-        for f in factors:
-            if f.is_constant():
-                continue
-            q = cur.exact_div(f)
-            while q is not None:
-                cur = q.primitive() if not q.is_zero() else q
-                progress = True
-                if cur.is_constant() or cur.is_zero():
-                    break
-                q = cur.exact_div(f)
-            if cur.is_constant():
-                break
-    return cur.is_constant() and not cur.is_zero()
+    for f in factors:
+        if not f.is_constant():
+            cur, _ = divide_out(cur, f)
+    return cur.is_constant()
 
 
 # ---------------------------------------------------------------------------
 # univariate helpers on AScalar (square-free split, rational roots)
+
+
+def univariate_coefficients(s: AScalar, i: int, values=()) -> list[Fraction]:
+    """Coefficient list of s in parameter i, constant term first.
+
+    With `values`, every other parameter j is first replaced by values[j];
+    without, s must involve no parameter but i.
+    """
+    acc: dict[int, Fraction] = {}
+    for e, c in s.terms.items():
+        for j, k in enumerate(e):
+            if k and j != i:
+                c *= values[j] ** k
+        acc[e[i]] = acc[e[i]] + c if e[i] in acc else c
+    zero = Fraction(0)
+    return [acc.get(k, zero) for k in range(max(acc, default=0) + 1)]
 
 
 def _univariate_profile(s: AScalar):
@@ -344,11 +367,7 @@ def _univariate_profile(s: AScalar):
     if len(used) > 1:
         return None
     i = used[0] if used else 0
-    deg = max((e[i] for e in s.terms), default=0)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in s.terms.items():
-        coeffs[e[i]] = c
-    return i, coeffs
+    return i, univariate_coefficients(s, i)
 
 
 def _poly_gcd_1d(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -38,10 +38,6 @@ class Problem:
     options: dict = field(default_factory=dict)
 
     @property
-    def n(self) -> int:
-        return len(self.vars)
-
-    @property
     def m(self) -> int:
         return len(self.params)
 
@@ -58,12 +54,12 @@ class _Tok:
     col: int
 
 
-def _tokenize(text: str, line: int, col0: int = 1) -> list[_Tok]:
+def _tokenize(text: str, line: int) -> list[_Tok]:
     toks = []
     i = 0
     while i < len(text):
         ch = text[i]
-        col = col0 + i
+        col = i + 1
         if ch.isspace():
             i += 1
             continue
@@ -119,6 +115,12 @@ class _Stream:
             raise ProblemSyntaxError(f"expected {text!r}, got {got!r}", line, col)
         self.pos += 1
 
+    def end(self):
+        """Refuse any token left over."""
+        t = self.peek()
+        if t is not None:
+            raise ProblemSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+
 
 # ---------------------------------------------------------------------------
 # expression parser
@@ -131,6 +133,14 @@ class _ExprParser:
         self.vars = {name: i for i, name in enumerate(vars)}
         self.n = len(vars)
         self.m = len(params)
+
+    def parse_top(self) -> ParamPoly:
+        """One expression; nesting too deep for the stack is an input error."""
+        try:
+            return self.parse_expr()
+        except RecursionError:
+            raise ProblemSyntaxError("expression nested too deeply",
+                                     self.s.line, 0) from None
 
     def parse_expr(self) -> ParamPoly:
         negate = self.s.accept("-")
@@ -202,22 +212,18 @@ class _ExprParser:
 
 def poly_from_string(text: str, params, vars, line: int = 1) -> ParamPoly:
     stream = _Stream(_tokenize(text, line), line)
-    p = _ExprParser(stream, params, vars).parse_expr()
-    if stream.peek() is not None:
-        t = stream.peek()
-        raise ProblemSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+    p = _ExprParser(stream, params, vars).parse_top()
+    stream.end()
     return p
 
 
 def _parse_poly_list(text: str, params, vars, line: int) -> list[ParamPoly]:
     stream = _Stream(_tokenize(text, line), line)
     parser = _ExprParser(stream, params, vars)
-    out = [parser.parse_expr()]
+    out = [parser.parse_top()]
     while stream.accept(","):
-        out.append(parser.parse_expr())
-    if stream.peek() is not None:
-        t = stream.peek()
-        raise ProblemSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+        out.append(parser.parse_top())
+    stream.end()
     return out
 
 
@@ -265,9 +271,7 @@ def parse_order_spec(text: str, n: int, line: int = 1) -> MonomialOrder:
             if not stream.accept(","):
                 break
         stream.expect("]")
-        if stream.peek() is not None:
-            t = stream.peek()
-            raise ProblemSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+        stream.end()
         if any(len(r) != n for r in rows):
             raise ProblemSyntaxError(
                 f"matrix rows must have {n} entries", line, 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .polyring import AScalar, rational_roots
+from .polyring import AScalar, rational_roots, univariate_coefficients
 
 _POOL = [Fraction(k) for k in (1, -1, 2, -2, 3, -3, 5, -5, 7, 4, -4, 9)] + [
     Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3),
@@ -27,19 +27,6 @@ def random_point(m: int, rng: Random) -> tuple[Fraction, ...]:
 
 def _admissible(point, avoid) -> bool:
     return all(a.evaluate(point) != 0 for a in avoid)
-
-
-def _univariate_in(s: AScalar, i: int, values) -> list[Fraction]:
-    """Coefficient list of s in variable i after substituting the others."""
-    deg = max((e[i] for e in s.terms), default=0)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in s.terms.items():
-        v = c
-        for j, k in enumerate(e):
-            if j != i and k:
-                v *= values[j] ** k
-        coeffs[e[i]] += v
-    return coeffs
 
 
 def variety_points(conditions, m: int, rng: Random, count: int, avoid=()):
@@ -76,7 +63,7 @@ def variety_points(conditions, m: int, rng: Random, count: int, avoid=()):
         tries += 1
         i = used[tries % len(used)]
         values = list(random_point(m, rng))
-        coeffs = _univariate_in(conditions[0], i, values)
+        coeffs = univariate_coefficients(conditions[0], i, values)
         if all(c == 0 for c in coeffs):
             roots = [values[i]]
         else:

@@ -319,7 +319,7 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     def fake_verify(basis, points):
         st = Staircase(2, ())
         return VerificationReport(
-            [SampleCheck(tuple(p), False, basis.staircase, st, "staged")
+            [SampleCheck(tuple(p), False, st, "staged")
              for p in points])
 
     monkeypatch.setattr(cli_mod, "verify_specialization", fake_verify)
@@ -337,3 +337,80 @@ def test_cli_hilbert_rejects_non_local_order(capsys, name):
     assert code == 1
     assert out == ""
     assert "degree-compatible local order" in err
+
+
+# ---------------------------------------------------------------------------
+# each command reads a fixed set of settings
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("gsb", {"point": "zzz=1"}, "point"),
+    ("gsb", {"trunc_degree": 99, "max_depth": 3}, "trunc_degree"),
+    ("reduce", {"max_depth": 3}, "max_depth"),
+    ("comprehensive", {"samples": 4}, "samples"),
+    ("verify", {"trunc_degree": 6}, "trunc_degree"),
+    ("specialize", {"point": "a=1", "trunc_degree": 6}, "trunc_degree"),
+])
+def test_run_rejects_settings_the_command_does_not_read(command, overrides, key):
+    prob = parse_problem(INTRO_TEXT)
+    with pytest.raises(ProblemSyntaxError, match=f"{command} does not read the setting '{key}'"):
+        run(command, prob, overrides)
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--point", "zzz=1"], "point"),
+    (["--trunc", "99", "--max-depth", "3"], "trunc_degree"),
+    (["--samples", "3"], "samples"),
+])
+def test_cli_rejects_flags_the_command_does_not_read(capsys, flags, key):
+    code, out, err = run_cli(capsys, "gsb", str(PROBLEMS / "intro.psb"), *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error[input]: gsb does not read the setting '{key}'\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("reduce", ["--trunc", "4"]),
+    ("divide", ["--trunc", "4"]),
+    ("specialize", ["--point", "a=2"]),
+    ("verify", ["--samples", "3"]),
+    ("comprehensive", ["--max-depth", "5"]),
+    ("hilbert", ["--max-depth", "5"]),
+] + [(command, ["--seed", "5"]) for command in
+     ("gsb", "reduce", "comprehensive", "hilbert", "divide", "verify")]
+  + [("specialize", ["--point", "a=2", "--seed", "5"])])
+def test_cli_flags_the_command_reads(capsys, command, flags):
+    code, out, err = run_cli(capsys, command, str(PROBLEMS / "milnor_cubic.psb"),
+                             "--format", "json", *flags)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["seed"] == (5 if "--seed" in flags else 11)
+    field, value = {
+        ("reduce", "--trunc"): ("trunc_degree", 4),
+        ("divide", "--trunc"): ("mode", "series"),
+        ("specialize", "--point"): ("point", {"a": "2"}),
+        ("verify", "--samples"): ("requested", 3),
+    }.get((command, flags[0]), (None, None))
+    if field is not None:
+        assert doc["result"][field] == value
+
+
+NESTED = "(" * 250 + "x1" + ")" * 250
+
+
+def test_deep_nesting_is_an_input_error():
+    with pytest.raises(ProblemSyntaxError, match="expression nested too deeply"):
+        poly_from_string(NESTED, ("a",), ("x1", "x2"))
+    with pytest.raises(ProblemSyntaxError, match="expression nested too deeply") as exc:
+        parse_problem(INTRO_TEXT.replace("a*x2 - x1*x2 + x1", f"x2, {NESTED}"))
+    assert exc.value.line == 4
+    shallow = "(" * 100 + "x1" + ")" * 100
+    assert poly_from_string(shallow, ("a",), ("x1", "x2")) == P("x1")
+
+
+def test_cli_deep_nesting_exits_1(capsys, tmp_path):
+    path = tmp_path / "deep.psb"
+    path.write_text(INTRO_TEXT.replace("a*x2 - x1*x2 + x1", NESTED))
+    code, out, err = run_cli(capsys, "gsb", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error[input]: expression nested too deeply")
+    assert "Traceback" not in err

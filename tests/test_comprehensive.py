@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from parastd.errors import DepthExceeded, MultipleCells, NoCell
+from parastd.errors import DepthExceeded, MultipleCells, NoCell, ParastdError
 from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
-from parastd.genstd import plain_staircase
+from parastd.genstd import SampleCheck, VerificationReport, plain_staircase
 from parastd.comprehensive import (
     Cell,
     comprehensive_basis,
@@ -179,3 +179,40 @@ def test_partition_fuzz_random_families():
             idx = locate(res, p)
             got = plain_staircase([f.specialize(p) for f in F], order)
             assert got == res.cells[idx].staircase
+
+
+def _fail_first_cell_at(point):
+    """A stand-in for verify_specialization that fails only its first call."""
+    calls = []
+
+    def fake(basis, points):
+        calls.append(basis)
+        if len(calls) == 1:
+            return VerificationReport([SampleCheck(point, False, basis.staircase, "staged")])
+        return VerificationReport([SampleCheck(tuple(p), True, basis.staircase)
+                                   for p in points])
+
+    return fake, calls
+
+
+def test_tree_splits_where_verify_specialization_fails(monkeypatch):
+    # the tree checks its cells with verify_specialization: a failing check
+    # at a = 2 splits the root cell on the factor a - 2 of a coefficient
+    import parastd.comprehensive as comp
+
+    fake, calls = _fail_first_cell_at((Fraction(2),))
+    monkeypatch.setattr(comp, "verify_specialization", fake)
+    res = comprehensive_basis([P("x1 + (a - 2)*x2")], lex(2))
+    split = A - AScalar.const(2, 1)
+    assert len(calls) == 3
+    assert [(e.cell.vanish, e.cell.nonvanish) for e in res.cells] == [
+        ((split,), ()), ((), (split,))]
+
+
+def test_tree_raises_when_the_failing_sample_has_no_offending_factor(monkeypatch):
+    import parastd.comprehensive as comp
+
+    fake, _ = _fail_first_cell_at((Fraction(3),))
+    monkeypatch.setattr(comp, "verify_specialization", fake)
+    with pytest.raises(ParastdError, match="no offending coefficient"):
+        comprehensive_basis([P("a*x2 - x1*x2 + x1")], INTRO_ORDER)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from parastd.errors import (
     AllCoefficientsInQ,
@@ -15,6 +16,7 @@ from parastd.orders import grevlex, lex, matrix_order, neg_grevlex
 from parastd.polyring import AScalar, ParamPoly, ParamScalar, divides_factor_power
 from parastd.division import divide, divide_series
 from parastd.genstd import (
+    _leading_exponent_at,
     GenericBasis,
     PrimeContext,
     Staircase,
@@ -149,7 +151,7 @@ def test_well_order_inputs_inside_q():
     F = [P("a*x1"), P("a*x2 - a")]
     B = generic_basis(F, lex(2), ctx_a())
     assert B.gens == []
-    assert B.staircase.is_empty()
+    assert not B.staircase.generators
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +414,51 @@ def test_two_parameter_prime_line():
     pts = [(Fraction(1), Fraction(-1)), (Fraction(-3), Fraction(3)),
            (Fraction(1, 2), Fraction(-1, 2))]
     assert verify_specialization(B, pts).ok
+
+
+# ---------------------------------------------------------------------------
+# leading terms mod Q recorded on the basis
+
+TWO = ("a", "b")
+LEAD_CASES = {
+    "intro Q=0": ([P("a*x2 - x1*x2 + x1")], INTRO_ORDER, CTX0),
+    "intro Q=<a>": ([P("a*x2 - x1*x2 + x1")], INTRO_ORDER, ctx_a()),
+    "two_params": ([P("a*x1^2 + b*x2", params=TWO), P("x1*x2 + a", params=TWO)],
+                   grevlex(2), PrimeContext.trivial(2)),
+    "milnor_cubic": ([P("3*x1^2 + a*x2"), P("3*x2^2 + a*x1")], INTRO_ORDER, CTX0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAD_CASES))
+def test_leads_are_the_leading_terms_mod_q(name):
+    F, order, ctx = LEAD_CASES[name]
+    B = generic_basis(F, order, ctx)
+    R = generic_reduced_basis(B, 6)
+    for basis in (B, R):
+        assert len(basis.leads) == len(basis.gens) > 0
+        for g, lead in zip(basis.gens, basis.leads):
+            assert lead == leading_mod_q(g, order, ctx)
+    assert B.staircase == Staircase.from_exponents(2, [e for e, _ in B.leads])
+
+
+WALK_ORDERS = [lex(2), grevlex(2), neg_grevlex(2), INTRO_ORDER]
+
+
+@given(st.integers(0, 10**6), st.sampled_from(WALK_ORDERS),
+       st.integers(-6, 6), st.integers(1, 4))
+def test_leading_exponent_walk_matches_specialization(seed, order, num, den):
+    # the walk stops at the first term whose coefficient survives at the
+    # point; it must agree with specializing the whole generator, on
+    # generic bases and on reduced ones with fractional coefficients
+    rng = random.Random(seed)
+    F = [random_poly(rng, 2, 1, max_terms=3, max_exp=2, integral=False)
+         for _ in range(rng.randint(1, 2))]
+    B = generic_basis(F, order, CTX0)
+    point = (Fraction(num, den),)
+    assume(B.h_poly().evaluate(point) != 0)
+    R = generic_reduced_basis(B, max(4, B.staircase.max_generator_degree()))
+    for basis in (B, R):
+        for g, (e, _) in zip(basis.gens, basis.leads):
+            spec = g.specialize(point)
+            assert not spec.is_zero()
+            assert _leading_exponent_at(g, order, point) == spec.leading(order)[0] == e

@@ -19,6 +19,7 @@ from parastd.polyring import (
     render_poly,
     split_params,
     squarefree_factors,
+    univariate_coefficients,
 )
 from parastd.genstd import PrimeContext, coeff_in_q
 
@@ -270,6 +271,24 @@ def test_divides_factor_power():
     b = AScalar.var(1, 2)
     assert divides_factor_power(a * a * b, [a, b])
     assert not divides_factor_power(a + b, [a, b])
+
+
+def test_univariate_coefficients():
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    three = AScalar.const(3, 2)
+    assert univariate_coefficients(a * a + three, 0) == [3, 0, 1]
+    assert univariate_coefficients(b * b * b - b, 1) == [0, -1, 0, 1]
+    assert univariate_coefficients(AScalar.zero(2), 1) == [0]
+    # a^2*b + 3*a*b - b + 2, other parameter substituted first
+    s = a * a * b + three * a * b - b + AScalar.const(2, 2)
+    assert univariate_coefficients(s, 0, (Fraction(7), Fraction(5))) == [-3, 15, 5]
+    assert univariate_coefficients(s, 1, (Fraction(2), Fraction(7))) == [2, 9]
+    # terms that cancel after substitution keep their slot
+    t = a * b - AScalar.const(2, 2) * a
+    assert univariate_coefficients(t, 0, (Fraction(1), Fraction(2))) == [0, 0]
+    out = univariate_coefficients(s, 0, (Fraction(1), Fraction(1, 2)))
+    assert out == [Fraction(3, 2), Fraction(3, 2), Fraction(1, 2)]
+    assert all(type(c) is Fraction for c in out)
 
 
 def test_squarefree_factors_univariate():

@@ -1,0 +1,78 @@
+"""Byte-identity of the CLI text output on the shipped problems.
+
+Every command runs through `cli.main` in `--format text` on each file of
+`problems/` at its default seed; `specialize` takes the desk workload's
+point for the problem's parameter count (bench/workloads.json). The
+digest of stdout, stderr and the exit code must match
+tests/text_digests.json, so a change to the text rendering, to an error
+message or to an exit code shows here, not only in the JSON results that
+tests/test_golden_cli.py pins.
+
+Regenerate the digests (only for an intended output change) with
+`PYTHONPATH=src python tests/test_text_output.py --write`.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from parastd.cli import COMMANDS, main
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = sorted(p.stem for p in (ROOT / "problems").glob("*.psb"))
+DIGESTS = Path(__file__).resolve().parent / "text_digests.json"
+POINTS = json.loads((ROOT / "bench" / "workloads.json").read_text(
+    encoding="utf-8"))["workloads"]["desk"]["matrix"]["points"]
+
+
+def _argv(command: str, problem: str) -> list[str]:
+    path = ROOT / "problems" / f"{problem}.psb"
+    argv = [command, str(path), "--format", "text"]
+    if command == "specialize":
+        text = path.read_text(encoding="utf-8")
+        params = next((line.split(":", 1)[1] for line in text.splitlines()
+                       if line.startswith("params:")), "")
+        count = len([p for p in params.split(",") if p.strip()])
+        argv += ["--point", POINTS[str(count)]]
+    return argv
+
+
+def text_digest(command: str, problem: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(_argv(command, problem))
+    blob = json.dumps([out.getvalue(), err.getvalue(), code])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _case_id(command: str, problem: str) -> str:
+    return f"{command} {problem}"
+
+
+CASES = [(c, p) for p in PROBLEMS for c in COMMANDS]
+
+
+def test_digest_file_covers_every_case():
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(_case_id(c, p) for c, p in CASES)
+
+
+@pytest.mark.parametrize("command, problem", CASES,
+                         ids=[_case_id(c, p) for c, p in CASES])
+def test_text_output_matches_digest(command, problem):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert text_digest(command, problem) == recorded[_case_id(command, problem)]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_text_output.py --write")
+    table = {_case_id(c, p): text_digest(c, p) for c, p in CASES}
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    print(f"wrote {len(table)} digests to {DIGESTS}")

@@ -32,22 +32,19 @@ class BasisResult:
         return [g.leading(self.order)[0] for g in self.generators]
 
 
-def buchberger(F, order: MonomialOrder,
-               degree_dims: int | None = None) -> BasisResult:
+def buchberger(F, order: MonomialOrder) -> BasisResult:
     """Compute a standard basis of the ideal generated by F.
 
     F is a list of AScalar, all in one ring. Terminates for a global
     order, or for homogeneous input under any order (the staircase grows
     strictly inside a noetherian lattice). S-functions are reduced by full
-    division. degree_dims restricts the homogeneity test to the first
-    coordinates (the (x, z) slice of a combined ring).
+    division.
     """
     F = list(F)
     nonzero = [f for f in F if not f.is_zero()]
     if not nonzero:
         raise ZeroPolynomialError("buchberger needs at least one nonzero input")
-    homog = all(f.is_homogeneous(degree_dims) for f in nonzero)
-    if not is_global(order) and not homog:
+    if not is_global(order) and not all(f.is_homogeneous() for f in nonzero):
         raise NonTerminatingOrder(
             "basis computation needs a well order or homogeneous input; "
             "route local orders through homogenization")

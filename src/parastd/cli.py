@@ -3,7 +3,7 @@
 Commands: gsb, reduce, comprehensive, hilbert, divide, specialize, verify.
 Output is a single self-describing document (schema "parastd/1", rationals
 as strings) rendered as text or JSON. Exit codes: 0 success, 1 input
-error, 2 verification failure.
+error (a usage error included), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -265,50 +265,44 @@ def render_document(doc: dict, fmt: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; each setting flag stores under its setting name."""
     ap = argparse.ArgumentParser(
         prog="parastd",
         description="standard bases of parametric polynomial ideals")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("problem", help="problem file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--trunc", type=int, default=None,
-                       help="series truncation degree (setting trunc_degree)")
-        p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--point", default=None,
-                       help="parameter point, e.g. a=2,b=-1/3")
+    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("problem", help="problem file")
+    ap.add_argument("--format", choices=("text", "json"), default="text")
+    ap.add_argument("--trunc", dest="trunc_degree", type=int,
+                    help="series truncation degree (setting trunc_degree)")
+    ap.add_argument("--max-depth", type=int)
+    ap.add_argument("--samples", type=int)
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--point", help="parameter point, e.g. a=2,b=-1/3")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        with open(args.problem, encoding="utf-8") as fh:
+        settings = vars(build_parser().parse_args(argv))
+    except SystemExit as e:  # argparse has printed the usage or the help
+        return EXIT_INPUT if e.code else EXIT_OK
+    command, path, fmt = (settings.pop(k) for k in ("command", "problem", "format"))
+    try:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         print(f"error[input]: {e}", file=sys.stderr)
         return EXIT_INPUT
-    overrides = {
-        "trunc_degree": args.trunc,
-        "max_depth": args.max_depth,
-        "samples": args.samples,
-        "seed": args.seed,
-        "point": args.point,
-    }
     try:
         problem = parse_problem(text)
-        doc, code = run(args.command, problem, overrides)
+        doc, code = run(command, problem, settings)
     except ProblemSyntaxError as e:
         print(f"error[input]: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ParastdError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return EXIT_INPUT
-    print(render_document(doc, args.format))
+    print(render_document(doc, fmt))
     return code
 
 

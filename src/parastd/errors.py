@@ -63,10 +63,6 @@ class MultipleCells(ParastdError):
     pass
 
 
-class NoStabilization(ParastdError):
-    pass
-
-
 class ProblemSyntaxError(ParastdError):
     def __init__(self, message, line=None, col=None):
         loc = "" if line is None else f" (line {line}, col {col})"

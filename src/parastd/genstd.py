@@ -270,8 +270,7 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     comb_order = combined_order(order, m, homogeneous_route)
     qcomb = [_lift_params(q, n_main) for q in ctx.qbasis]
     lifted = [_lift_params(mult, n) for mult in multipliers]
-    basis = minimalize(buchberger([g for _, g in work] + qcomb, comb_order,
-                                  degree_dims=n_main))
+    basis = minimalize(buchberger([g for _, g in work] + qcomb, comb_order))
 
     gens, leads, cofs = [], [], []
     for g, cof, lead in zip(basis.generators, basis.cofactors,
@@ -362,13 +361,22 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
 
 
 def plain_staircase(F, order: MonomialOrder) -> Staircase:
-    """Staircase of a parameter-free ideal, computed from scratch."""
-    nonzero = [f for f in F if not f.is_zero()]
+    """Staircase of a parameter-free ideal: the engine run on the ideal itself.
+
+    Under a global order the engine runs on the inputs as they are; under
+    any other order on their homogenizations, under the degree-first
+    combined order.
+    """
+    n = F[0].n if F else 0
+    nonzero = [embed_params_as_vars(f) for f in F if not f.is_zero()]
     if not nonzero:
-        n = F[0].n if F else 0
         return Staircase(n, ())
-    ctx = PrimeContext.trivial(nonzero[0].m)
-    return generic_basis(nonzero, order, ctx).staircase
+    if is_global(order):
+        basis = buchberger(nonzero, order)
+    else:
+        basis = buchberger([f.homogenize(n) for f in nonzero],
+                           combined_order(order, 0, True))
+    return Staircase.from_exponents(n, [e[:n] for e in basis.leading_exponents()])
 
 
 @dataclass

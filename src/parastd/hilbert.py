@@ -1,10 +1,12 @@
 """Staircase combinatorics: Hilbert-Samuel data and Milnor numbers.
 
 The Hilbert-Samuel function of a monomial staircase counts lattice points
-of bounded degree outside every generator cone; inclusion-exclusion over
-the generators with join pruning makes this exact and fast at desk scale.
-The eventual polynomial is recovered from the value table by finite
-differences.
+of bounded degree outside every generator cone. Inclusion-exclusion over
+the generators gives it as a signed sum of binomials C(r - d + n, n), one
+per lcm degree d (Bayer-Stillman, "Computation of Hilbert functions",
+JSC 1992). Read as polynomials in r, the same binomials give the eventual
+polynomial exactly, with no fit on a window of values; the index from
+which the two agree can lie past the last value of the printed window.
 """
 
 from __future__ import annotations
@@ -13,43 +15,42 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf
 
-from .errors import NoStabilization, ParastdError
+from .errors import ParastdError
 from .orders import MonomialOrder, exp_lcm, is_degree_compatible_local
 from .polyring import render_fraction, render_terms
 from .genstd import Staircase
 from .comprehensive import Cell, ComprehensiveResult, comprehensive_basis
 
 
-def hsf(E: Staircase, r: int) -> int:
-    """Count exponents of degree <= r outside every cone of the staircase.
+def _lcm_degrees(E: Staircase) -> dict[int, int]:
+    """Signed number of generator subsets per degree of their lcm.
 
-    Inclusion-exclusion over generator subsets, organized as a subset tree
-    pruned as soon as the running join exceeds degree r (joins only grow),
-    which also keeps generator counts beyond the naive 2^k range feasible.
+    Generators are added one at a time; subsets sharing an lcm are merged
+    into one signed count, so the table never outgrows the lcm lattice.
+    The empty subset has lcm 1 and sign +1.
     """
-    n = E.n
-    if r < 0:
-        return 0
-    total = comb(r + n, n)
-    gens = sorted(E.generators, key=sum)
+    joins = {(0,) * E.n: 1}
+    for g in E.generators:
+        grown = dict(joins)
+        for e, c in joins.items():
+            j = exp_lcm(e, g)
+            grown[j] = grown.get(j, 0) - c
+        joins = {e: c for e, c in grown.items() if c}
+    table: dict[int, int] = {}
+    for e, c in joins.items():
+        d = sum(e)
+        table[d] = table.get(d, 0) + c
+    return {d: c for d, c in table.items() if c}
 
-    def cone_count(beta):
-        d = sum(beta)
-        return comb(r - d + n, n) if d <= r else 0
 
-    acc = 0
+def _count(table: dict[int, int], n: int, r: int) -> int:
+    """hsf at degree r from the table of _lcm_degrees."""
+    return sum(c * comb(r - d + n, n) for d, c in table.items() if d <= r)
 
-    def walk(i, join, sign):
-        nonlocal acc
-        for j in range(i, len(gens)):
-            nj = exp_lcm(join, gens[j]) if join is not None else gens[j]
-            if sum(nj) > r:
-                continue
-            acc += sign * cone_count(nj)
-            walk(j + 1, nj, -sign)
 
-    walk(0, None, -1)
-    return total + acc
+def hsf(E: Staircase, r: int) -> int:
+    """Count exponents of degree <= r outside every cone of the staircase."""
+    return _count(_lcm_degrees(E), E.n, r)
 
 
 @dataclass
@@ -97,41 +98,29 @@ def _binomial_poly(shift: int, i: int) -> list[Fraction]:
 
 
 def hilbert_polynomial(E: Staircase, r_max: int) -> HilbertData:
-    """Fit the eventual polynomial of hsf by finite differences on the tail.
+    """Values of hsf on 0..r_max, its eventual polynomial and where it starts.
 
-    Reports the first index from which the (degree+1)-st differences vanish.
-    Degree is at most n (equal to n only for the empty staircase). Raises
-    NoStabilization when r_max leaves no stable tail.
+    Each lcm degree d contributes c_d * C(r - d + n, n); the polynomial
+    reads every binomial as a polynomial in r, and agrees with hsf for
+    r >= max d - n. The stabilization index, the least r from which they
+    agree for good, is found by walking down from there; it can exceed
+    r_max, which only bounds the value table.
     """
-    values = [hsf(E, r) for r in range(r_max + 1)]
-    if any(b < a for a, b in zip(values, values[1:])):
-        raise ParastdError("Hilbert-Samuel values must be nondecreasing")
-    for d in range(E.n + 1):
-        diffs = values
-        for _ in range(d + 1):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if not diffs:
-            break
-        r0 = len(diffs)
-        while r0 > 0 and diffs[r0 - 1] == 0:
-            r0 -= 1
-        if r0 == len(diffs):
-            continue  # no zero tail at this order
-        if r0 + d > r_max:
-            continue  # not enough points to interpolate
-        # Newton forward interpolation from r0
-        level = values[r0:]
-        poly = [Fraction(0)] * (d + 1)
-        for i in range(d + 1):
-            for k, c in enumerate(_binomial_poly(r0, i)):
-                poly[k] += c * level[0]
-            level = [b - a for a, b in zip(level, level[1:])]
-        while len(poly) > 1 and poly[-1] == 0:
-            poly.pop()
-        data = HilbertData(values, tuple(poly), r0)
-        if all(data.polynomial_value(r) == values[r] for r in range(r0, r_max + 1)):
-            return data
-    raise NoStabilization(f"no stable tail up to r_max={r_max}")
+    n = E.n
+    table = _lcm_degrees(E)
+    poly = [Fraction(0)] * (n + 1)
+    for d, c in table.items():
+        for k, b in enumerate(_binomial_poly(d - n, n)):
+            poly[k] += c * b
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    data = HilbertData([_count(table, n, r) for r in range(r_max + 1)],
+                       tuple(poly), 0)
+    r0 = max(max(table, default=0) - n, 0)
+    while r0 > 0 and _count(table, n, r0 - 1) == data.polynomial_value(r0 - 1):
+        r0 -= 1
+    data.stabilization_index = r0
+    return data
 
 
 def milnor_number(E: Staircase):

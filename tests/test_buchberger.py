@@ -82,7 +82,7 @@ def test_buchberger_homogenized_principal():
     # the homogenized intro polynomial is already a basis (principal ideal)
     comb = XA("a*x2 - x1*x2 + x1").homogenize(2)
     order = combined_order(INTRO_ORDER, 1, homogenized=True)
-    res = buchberger([comb], order, degree_dims=3)
+    res = buchberger([comb], order)
     assert len(res.generators) == 1
     assert all(g.is_homogeneous(3) for g in res.generators)
 

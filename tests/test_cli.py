@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import parastd
 
 from parastd.errors import (
     DuplicateSection,
@@ -414,3 +419,43 @@ def test_cli_deep_nesting_exits_1(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("error[input]: expression nested too deeply")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# usage errors: exit 1 (input error), never 2 (verification failure)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gsb"],
+    ["bogus", str(PROBLEMS / "intro.psb")],
+    ["gsb", str(PROBLEMS / "intro.psb"), "--trunc", "x"],
+    ["gsb", str(PROBLEMS / "intro.psb"), "--format", "xml"],
+])
+def test_cli_usage_error_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: parastd")
+
+
+def test_cli_help_exits_0(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: parastd")
+
+
+def test_cli_module_entry_point(capsys):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(parastd.__file__).resolve().parent.parent)}
+
+    def entry(*argv):
+        return subprocess.run([sys.executable, "-m", "parastd.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    assert entry("--help").returncode == 0
+    bad = entry("gsb")
+    assert bad.returncode == 1
+    assert "usage: parastd" in bad.stderr
+    intro = str(PROBLEMS / "intro.psb")
+    done = entry("gsb", intro)
+    code, out, _ = run_cli(capsys, "gsb", intro)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")

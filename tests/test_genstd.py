@@ -353,6 +353,23 @@ def test_plain_staircase_of_specialized_ideal():
     assert st.generators == ((0, 1),)  # locally x2 leads x1^2
 
 
+PLAIN_ORDERS = [lex(2), grevlex(2), neg_grevlex(2), INTRO_ORDER,
+                matrix_order([[1, -1], [1, 0]])]  # global, local and mixed
+
+
+@given(st.integers(0, 10**6), st.sampled_from(PLAIN_ORDERS), st.integers(0, 2))
+def test_plain_staircase_matches_generic_basis(seed, order, zeros):
+    # the engine run on the ideal itself agrees with the generic basis
+    # over a trivial Q, with zero inputs and fractional coefficients mixed in
+    rng = random.Random(seed)
+    F = [random_poly(rng, 2, 0, max_terms=3, max_exp=2, integral=False)
+         for _ in range(rng.randint(1, 3))]
+    for _ in range(zeros):
+        F.insert(rng.randint(0, len(F)), ParamPoly.zero(2, 0))
+    expected = generic_basis(F, order, PrimeContext.trivial(0)).staircase
+    assert plain_staircase(F, order) == expected
+
+
 def test_plain_staircase_of_zero_polynomials():
     # every generator vanishes at a = 0: the zero ideal has no staircase
     F = [P("a*x1").specialize((Fraction(0),)), ParamPoly.zero(2, 0)]

@@ -1,11 +1,15 @@
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import inf
 
 import pytest
+from hypothesis import given, strategies as st
 
-from parastd.errors import NoStabilization, ParastdError
+from parastd.cli import main
+from parastd.errors import ParastdError
 from parastd.orders import grevlex, matrix_order, neg_grevlex
 from parastd.genstd import Staircase, plain_staircase
 from parastd.hilbert import (
@@ -103,9 +107,97 @@ def test_hilbert_polynomial_zero_ideal_line():
 
 
 def test_hilbert_polynomial_no_stabilization():
-    E = S(2, (5, 5))
-    with pytest.raises(NoStabilization):
-        hilbert_polynomial(E, 2)
+    # the window 0..2 is too short to see the polynomial; it is exact anyway
+    # and stabilizes past the window
+    data = hilbert_polynomial(S(2, (5, 5)), 2)
+    assert data.values == [1, 3, 6]
+    assert data.coefficients == (-35, 10)
+    assert data.stabilization_index == 8
+
+
+# x1^7 + x2^7 + a*x1*x2: its Jacobian staircase at a = 0 is (x1^6, x2^6)
+BRIESKORN_TEXT = """\
+params: a
+vars: x1, x2
+order: neg_grevlex
+ideal: 7*x1^6 + a*x2, 7*x2^6 + a*x1
+"""
+
+
+def test_brieskorn_family_milnor_36(capsys, tmp_path):
+    F = [P("7*x1^6 + a*x2"), P("7*x2^6 + a*x1")]
+    closed = [s for s in hilbert_partition(F, neg_grevlex(2))
+              if s.cells[0].vanish]
+    assert len(closed) == 1
+    assert closed[0].milnor == 36
+    assert closed[0].data.coefficients == (Fraction(36),)
+    path = tmp_path / "brieskorn.psb"
+    path.write_text(BRIESKORN_TEXT)
+    assert main(["hilbert", str(path), "--format", "json"]) == 0
+    strata = json.loads(capsys.readouterr().out)["result"]["strata"]
+    at_zero = [s for s in strata if s["cells"][0]["vanish"] == ["a"]]
+    assert len(at_zero) == 1
+    assert at_zero[0]["milnor"] == "36"
+    assert at_zero[0]["polynomial"] == "36"
+    assert at_zero[0]["stabilizes_at"] == 10
+
+
+def simplex(n: int, r: int):
+    """Exponents in N^n of degree <= r."""
+    if n == 0:
+        yield ()
+        return
+    for a in range(r + 1):
+        for rest in simplex(n - 1, r - a):
+            yield (a,) + rest
+
+
+def brute_values(E: Staircase, r_max: int) -> list[int]:
+    """hsf on 0..r_max by enumerating the simplex of degree <= r_max."""
+    per_degree = [0] * (r_max + 1)
+    for alpha in simplex(E.n, r_max):
+        if not E.contains(alpha):
+            per_degree[sum(alpha)] += 1
+    return [sum(per_degree[:r + 1]) for r in range(r_max + 1)]
+
+
+@st.composite
+def staircases(draw):
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=5))
+    return Staircase.from_exponents(n, gens)
+
+
+@given(staircases())
+def test_hilbert_polynomial_is_exact_from_its_index(E):
+    r_max = default_r_max([E], E.n)
+    data = hilbert_polynomial(E, r_max)
+    assert data.values == brute_values(E, r_max)
+    r0 = data.stabilization_index
+    for r in range(r0, r0 + 21):
+        assert data.polynomial_value(r) == hsf(E, r)
+    if r0 > 0:
+        assert data.polynomial_value(r0 - 1) != hsf(E, r0 - 1)
+
+
+def test_box_staircase_polynomial_is_the_milnor_number():
+    for a in range(1, 10):
+        for b in range(1, 10):
+            E = S(2, (a, 0), (0, b))
+            data = hilbert_polynomial(E, default_r_max([E], 2))
+            assert data.coefficients == (Fraction(a * b),)
+            assert milnor_number(E) == a * b
+
+
+def test_hilbert_polynomial_of_many_generators_is_fast():
+    # m^4 in 4 variables: 35 generators
+    E = Staircase.from_exponents(
+        4, [e for e in product(range(5), repeat=4) if sum(e) == 4])
+    start = time.perf_counter()
+    data = hilbert_polynomial(E, default_r_max([E], 4))
+    assert time.perf_counter() - start < 1
+    assert data.coefficients == (Fraction(35),)
+    assert data.stabilization_index == 3
 
 
 def test_milnor_examples():

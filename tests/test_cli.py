@@ -1,12 +1,9 @@
 import json
-import os
-import subprocess
+import runpy
 import sys
 from pathlib import Path
 
 import pytest
-
-import parastd
 
 from parastd.errors import (
     DuplicateSection,
@@ -443,19 +440,22 @@ def test_cli_help_exits_0(capsys):
     assert out.startswith("usage: parastd")
 
 
-def test_cli_module_entry_point(capsys):
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(parastd.__file__).resolve().parent.parent)}
-
+def test_cli_module_entry_point(capsys, monkeypatch):
+    # what `python -m parastd.cli` runs, in this interpreter: a fresh
+    # parastd.cli module as __main__, exiting with main's code
     def entry(*argv):
-        return subprocess.run([sys.executable, "-m", "parastd.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        monkeypatch.setattr(sys, "argv", ["parastd", *argv])
+        monkeypatch.delitem(sys.modules, "parastd.cli", raising=False)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("parastd.cli", run_name="__main__")
+        out = capsys.readouterr()
+        return done.value.code, out.out, out.err
 
-    assert entry("--help").returncode == 0
-    bad = entry("gsb")
-    assert bad.returncode == 1
-    assert "usage: parastd" in bad.stderr
+    assert entry("--help")[0] == 0
+    code, _, err = entry("gsb")
+    assert code == 1
+    assert "usage: parastd" in err
     intro = str(PROBLEMS / "intro.psb")
     done = entry("gsb", intro)
     code, out, _ = run_cli(capsys, "gsb", intro)
-    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    assert done == (code, out, "")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf
 
-from .errors import ParastdError
+from .errors import ProblemSyntaxError
 from .orders import MonomialOrder, exp_lcm, is_degree_compatible_local
 from .polyring import render_fraction, render_terms
 from .genstd import Staircase
@@ -161,11 +161,13 @@ def hilbert_partition(F, order: MonomialOrder, max_depth: int = 12,
     """Partition parameter space by the local Hilbert-Samuel polynomial.
 
     Needs a degree-compatible local order (first weight row a negative
-    constant), so leading-exponent staircases compute the right dimensions.
-    Cells of the comprehensive partition with equal polynomials are merged.
+    constant), so leading-exponent staircases compute the right dimensions;
+    any other order is an input error (ProblemSyntaxError, which the CLI
+    reports as `error[input]`). Cells of the comprehensive partition with
+    equal polynomials are merged.
     """
     if not is_degree_compatible_local(order):
-        raise ParastdError(
+        raise ProblemSyntaxError(
             "hilbert_partition needs a degree-compatible local order")
     result = comprehensive_basis(F, order, max_depth=max_depth, seed=seed)
     return strata_from_cells(result)

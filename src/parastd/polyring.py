@@ -33,7 +33,7 @@ zero by truth value.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -426,47 +426,52 @@ def squarefree_factors(s: AScalar) -> list[AScalar]:
     return list(dict.fromkeys(out))
 
 
+def _divisors(k: int) -> set[int]:
+    """Positive divisors of k > 0, by trial division up to isqrt(k)."""
+    return {e for d in range(1, isqrt(k) + 1) if k % d == 0 for e in (d, k // d)}
+
+
 def rational_roots(s: AScalar) -> list[Fraction]:
-    """All rational roots of a univariate AScalar (exact)."""
+    """All rational roots of a univariate AScalar, sorted (exact).
+
+    Zero roots are split off, and the rest is scaled once to integer
+    coefficients c_0..c_n; a linear polynomial is solved directly.
+    Otherwise every candidate +-p/q in lowest terms with p | c_0 and
+    q | c_n (rational root theorem) is tested in integers by homogeneous
+    Horner, sum c_k p^k q^(n-k) == 0, and only roots found become
+    Fractions. The divisor walk costs O(sqrt|c_0| + sqrt|c_n|) steps, so
+    a huge constant term is slow.
+    """
     prof = _univariate_profile(s)
     if prof is None:
         raise ValueError("rational_roots needs a univariate scalar")
-    _, coeffs = prof
-    if len(coeffs) == 1:
-        return []
-    roots = []
-    # strip zero roots
+    coeffs = prof[1]
     low = 0
-    while coeffs[low] == 0:
+    while low < len(coeffs) - 1 and not coeffs[low]:
         low += 1
-    if low:
-        roots.append(Fraction(0))
-        coeffs = coeffs[low:]
+    roots = [Fraction(0)] if low else []
+    coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
-    mult = fraction_content(coeffs).denominator
-    ints = [int(c * mult) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(k):
-        out = []
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                out.append(d)
-                out.append(k // d)
-            d += 1
-        return out
-
-    cands = set()
-    for p in divisors(a0):
-        for q in divisors(an):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    for r in sorted(cands):
-        if sum(c * r ** k for k, c in enumerate(ints)) == 0:
-            roots.append(r)
-    return sorted(set(roots))
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    if len(ints) == 2:
+        roots.append(Fraction(-ints[0], ints[1]))
+    else:
+        top, rest = ints[-1], ints[-2::-1]
+        qs = _divisors(abs(top))
+        for p in _divisors(abs(ints[0])):
+            for q in qs:
+                if gcd(p, q) != 1:
+                    continue
+                for sp in (p, -p):
+                    acc, qk = top, 1
+                    for c in rest:
+                        qk *= q
+                        acc = acc * sp + c * qk
+                    if not acc:
+                        roots.append(Fraction(sp, q))
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ strategies here cover what the desk-scale pipelines need: no conditions
 (rejection sampling), univariate condition sets (rational roots), and a
 substitute-then-solve heuristic for the rest. Callers must cope with
 fewer points than requested.
+
+Roots come from `polyring.rational_roots`: integer candidates p/q from the
+divisors of the end coefficients, each tested exactly by homogeneous
+integer Horner. Its divisor walk costs O(sqrt|c_0|), so a condition whose
+constant term is huge after substitution is slow to solve. Root finding
+draws nothing from the rng, so the points for a seed depend only on the
+draws and the roots.
 """
 
 from __future__ import annotations

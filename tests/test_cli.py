@@ -338,7 +338,7 @@ def test_cli_hilbert_rejects_non_local_order(capsys, name):
     code, out, err = run_cli(capsys, "hilbert", str(PROBLEMS / f"{name}.psb"))
     assert code == 1
     assert out == ""
-    assert "degree-compatible local order" in err
+    assert err == "error[input]: hilbert_partition needs a degree-compatible local order\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ Every op of the benchmark's desk workload runs through `cli.run` on
 golden digest for the problem's default seed. Every distinct op of the
 well_gsb, local_tree and series_reduce workloads, which load the basis
 engine and the series division, runs the same way on the problem text in
-bench/workloads.json. The benchmark's workload module
+bench/workloads.json. The ops that sample parameter points (local_tree's,
+and desk's comprehensive and hilbert) also run at two other seeds, under
+the benchmark's check for a random seed. The benchmark's workload module
 is loaded by path and only read.
 """
 
@@ -29,7 +31,7 @@ def _load_workloads():
 
 
 WL = _load_workloads()
-GOLDEN = WL.load_golden()["default_seed"]
+GOLDEN, ANY_SEED = (WL.load_golden()[k] for k in ("default_seed", "any_seed"))
 DESK = WL.ops("desk")
 # every distinct op of the block-order route (gsb), the homogenized route
 # (hilbert) and the remainder-only series reduction (reduce --trunc), about
@@ -46,16 +48,29 @@ def _overrides(args):
             "trunc_degree": None if trunc is None else int(trunc)}
 
 
+def _spec_text(name):
+    """A problem's text as bench/workloads.json gives it."""
+    return "\n".join(WL.SPEC["problems"][name]) + "\n"
+
+
 def test_desk_problems_are_the_shipped_files():
     for name in WL.problems_of("desk"):
         shipped = (ROOT / "problems" / f"{name}.psb").read_text(encoding="utf-8")
-        assert shipped == "\n".join(WL.SPEC["problems"][name]) + "\n", name
+        assert shipped == _spec_text(name), name
 
 
-def _check_golden(op, text):
-    doc, code = run(op["command"], parse_problem(text), _overrides(op["args"]))
+def _check_golden(op, text, seed=None):
+    """Digest check of one op; with a seed, the check the benchmark makes
+    on every op it runs at a random seed."""
+    doc, code = run(op["command"], parse_problem(text),
+                    {**_overrides(op["args"]), "seed": seed})
     assert code == 0
-    assert WL.digest(doc["result"]) == GOLDEN[WL.op_id(op)]
+    oid = WL.op_id(op)
+    if seed is None:
+        assert WL.digest(doc["result"]) == GOLDEN[oid]
+    else:
+        want = ANY_SEED.get(oid, GOLDEN[oid])
+        assert WL.digest(WL.seed_free(op, doc["result"])) == want
 
 
 @pytest.mark.parametrize("op", DESK, ids=WL.op_id)
@@ -67,4 +82,18 @@ def test_desk_op_matches_golden_digest(op):
 @pytest.mark.parametrize("op_id", sorted(ENGINE))
 def test_engine_op_matches_golden_digest(op_id):
     op = ENGINE[op_id]
-    _check_golden(op, "\n".join(WL.SPEC["problems"][op["problem"]]) + "\n")
+    _check_golden(op, _spec_text(op["problem"]))
+
+
+# results that sample parameter points must not depend on the seed: every
+# distinct local_tree op and the desk ops that build a comprehensive tree,
+# each at two seeds other than the problem's own
+SAMPLED = {WL.op_id(op): op for op in WL.ops("local_tree") + DESK
+           if op["command"] in ("comprehensive", "hilbert")}
+
+
+@pytest.mark.parametrize("seed", [1, 12345])
+@pytest.mark.parametrize("op_id", sorted(SAMPLED))
+def test_sampled_op_is_seed_independent(op_id, seed):
+    op = SAMPLED[op_id]
+    _check_golden(op, _spec_text(op["problem"]), seed)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parastd.cli import main
-from parastd.errors import ParastdError
+from parastd.errors import ProblemSyntaxError
 from parastd.orders import grevlex, matrix_order, neg_grevlex
 from parastd.genstd import Staircase, plain_staircase
 from parastd.hilbert import (
@@ -231,9 +231,9 @@ def test_hilbert_partition_parameter_free():
 
 
 def test_hilbert_partition_requires_degree_compatible_local_order():
-    with pytest.raises(ParastdError):
+    with pytest.raises(ProblemSyntaxError):
         hilbert_partition([P("x1")], grevlex(2))
-    with pytest.raises(ParastdError):
+    with pytest.raises(ProblemSyntaxError):
         hilbert_partition([P("x1")], matrix_order([[-1, -2], [0, -1]]))
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from parastd.errors import DenominatorVanishes, DimensionMismatch, ZeroPolynomialError
 from parastd.orders import grevlex, lex, matrix_order, neg_grevlex
@@ -315,6 +315,43 @@ def test_rational_roots():
     two = AScalar.const(2, 1)
     p = (a - one) * (a + two) * (two * a - one)
     assert rational_roots(p) == [Fraction(-2), Fraction(1, 2), Fraction(1)]
+
+
+# Oracle for rational_roots: polynomials built from chosen roots,
+# c * prod(q*x - p) * (a factor without rational roots), in one parameter of
+# m, so the roots are known without solving anything.
+_SMALL_ROOT = st.tuples(st.integers(-12, 12), st.integers(1, 6))
+_LARGE_ROOT = st.tuples(st.integers(-10**4, 10**4), st.integers(1, 10**4))
+# coefficient lists, constant term first; irreducible over Q or 1
+_NO_ROOTS = [(1,), (1, 0, 1), (-2, 0, 1), (5, 3, 2), (7, -1, -3)]
+_NONZERO = st.integers(-6, 6).filter(bool)
+
+
+@given(small=st.lists(_SMALL_ROOT, max_size=3), large=st.lists(_LARGE_ROOT, max_size=1),
+       repeat=st.integers(0, 2), no_roots=st.sampled_from(_NO_ROOTS),
+       scale=st.builds(Fraction, _NONZERO, st.integers(1, 5)),
+       where=st.sampled_from([(0, 1), (1, 2), (0, 3)]))
+@example(small=[(0, 1), (3, 2)], large=[(9973, 10**4)], repeat=2, no_roots=(5, 3, 2),
+         scale=Fraction(-5, 3), where=(0, 1))
+@example(small=[(-7, 3), (-7, 3)], large=[(-10**4, 9999)], repeat=1, no_roots=(7, -1, -3),
+         scale=Fraction(-1), where=(1, 2))
+def test_rational_roots_oracle(small, large, repeat, no_roots, scale, where):
+    i, m = where
+    x, one = AScalar.var(i, m), AScalar.one(m)
+    chosen = small + large + small[:1] * repeat  # repeat the first root
+    f = AScalar.const(scale, m)
+    for p, q in chosen:
+        f = f * (AScalar.const(q, m) * x - AScalar.const(p, m))
+    g, power = AScalar.const(0, m), one
+    for c in no_roots:
+        g, power = g + AScalar.const(c, m) * power, power * x
+    f = f * g
+    roots = rational_roots(f)
+    assert roots == sorted({Fraction(p, q) for p, q in chosen})
+    for r in roots:
+        point = [Fraction(1 + j) for j in range(m)]
+        point[i] = r
+        assert f.evaluate(tuple(point)) == 0
 
 
 def test_render_parse_round_trip(intro_poly):

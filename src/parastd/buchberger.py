@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
-from .orders import MonomialOrder, exp_add, exp_divides, exp_lcm, is_global, lex
-from .division import divide, s_combination, s_function
-from .polyring import AScalar, fraction_content, keyed_terms
+from .orders import MonomialOrder, exp_add, exp_lcm, is_global, keyed_terms, lex
+from .division import divide, region_of, s_combination, s_function
+from .polyring import AScalar, fraction_content
 
 
 @dataclass
@@ -116,7 +116,7 @@ def minimalize(B: BasisResult) -> BasisResult:
     keep: list[int] = []
     kept_exps = []
     for i in idx:
-        if any(exp_divides(e, leads[i]) for e in kept_exps):
+        if region_of(kept_exps, leads[i]) is not None:
             continue
         keep.append(i)
         kept_exps.append(leads[i])

@@ -23,13 +23,14 @@ in the exponent and ends with the exponent itself, so the iterate is a dict
 from keys to coefficients: the leading term is the largest key, the
 exponent is the key's tail, and the key of a term generated by a reduction
 is the entrywise sum of the divisor term's key and the shift's key. Each
-term's key is computed once, by `keyed_terms`, which caches it on the
-immutable dividend and divisors; the loop itself computes none.
+term's key is computed once, by `orders.keyed_terms`, which caches it on
+the immutable dividend and divisors; the loop itself computes none.
 
 Dividends and divisors share one ring per call, AScalar or ParamPoly,
 the two instances of polyring's sparse core: the loop reads only
 `keyed_terms`, `is_zero` and `with_terms`, and tests coefficients for
-zero by truth value.
+zero by truth value. It is the package's only division algorithm (exact
+division and the square-free gcd in Q[a] call it too).
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .orders import (
     exp_lcm,
     exp_sub,
     is_global,
+    keyed_terms,
 )
-from .polyring import keyed_terms
 
 TRUNCATION_STEP_GUARD = 20000
 

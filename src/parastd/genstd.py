@@ -26,7 +26,8 @@ from .errors import (
     TruncationTooSmall,
     ZeroPolynomialError,
 )
-from .orders import Exponent, MonomialOrder, combined_order, exp_divides, is_global
+from .orders import (Exponent, MonomialOrder, combined_order, exp_divides, is_global,
+                     keyed_terms)
 from .polyring import (
     AScalar,
     ParamPoly,
@@ -35,12 +36,11 @@ from .polyring import (
     embed_params_as_vars,
     factor_order,
     fraction_content,
-    keyed_terms,
     split_params,
     squarefree_factors,
 )
 from .division import (DivisionResult, divide, divide_series, full_division_terminates,
-                       s_combination)
+                       region_of, s_combination)
 from .buchberger import buchberger, minimalize, normal_form_param, parameter_groebner
 
 
@@ -101,7 +101,7 @@ class Staircase:
         return cls(n, tuple(sorted(keep)))
 
     def contains(self, e: Exponent) -> bool:
-        return any(exp_divides(g, e) for g in self.generators)
+        return region_of(self.generators, e) is not None
 
     def max_generator_degree(self) -> int:
         return max((sum(e) for e in self.generators), default=0)

@@ -6,15 +6,19 @@ total order. The orders of the combined ring Q[x, a] used by the parametric
 pipelines (block order on x then parameters, and the degree-first
 homogenized order) are ordinary weight matrices on the concatenated exponent,
 built by `combined_order`.
+
+Order keys live here only: `MonomialOrder.key`, and `keyed_terms` /
+`leading_term`, which read a polynomial's terms in key order, cached per
+order object. So `lex` is memoized: each `lex(m)` is one object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import mul
+from operator import itemgetter, mul
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ZeroPolynomialError
 
 Exponent = tuple[int, ...]
 
@@ -78,6 +82,27 @@ def compare(order: MonomialOrder, a: Exponent, b: Exponent) -> int:
     return 0
 
 
+def keyed_terms(p, order: MonomialOrder) -> list:
+    """The pairs (order.key(e), coefficient) of p, largest key first.
+
+    Cached in p's `_kc` slot for the order object it was last asked for;
+    asking under another order object rebuilds the list.
+    """
+    kc = p._kc
+    if kc is None or kc[0] is not order:
+        kc = p._kc = (order, sorted([(order.key(e), c) for e, c in p.terms.items()],
+                                    key=itemgetter(0), reverse=True))
+    return kc[1]
+
+
+def leading_term(p, order: MonomialOrder):
+    """Order-maximum term (exponent, coefficient) of a nonzero p."""
+    if not p.terms:
+        raise ZeroPolynomialError("leading term of zero polynomial")
+    k, c = keyed_terms(p, order)[0]
+    return k[len(order.rows):], c
+
+
 @cache
 def classify(order: MonomialOrder) -> str:
     """GLOBAL if every variable exceeds 1, LOCAL if every one precedes 1.
@@ -129,8 +154,9 @@ def combined_order(main: MonomialOrder, m: int, homogenized: bool) -> MonomialOr
     return MonomialOrder(rows=tuple(r + (0,) * m for r in rows), n=n + m)
 
 
+@cache
 def lex(n: int) -> MonomialOrder:
-    """Pure lexicographic order, x1 largest."""
+    """Pure lexicographic order, x1 largest (memoized)."""
     return MonomialOrder(rows=(), n=n)
 
 

@@ -9,8 +9,8 @@ the subclass's `with_terms`; `_chk` refuses operands whose `ring` differs.
 * AScalar: the core over Fraction coefficients, ring value m. It is the
   parameter ring Q[a1..am], and also the ring the basis engine runs in
   for the combined ring Q[x, a] and for lex runs in the parameter ring.
-  It adds hashing, a constant fast path for *, lex `lead`, content,
-  exact division, homogenize/dehomogenize and evaluation.
+  It adds hashing, a constant fast path for *, content, exact division,
+  homogenize/dehomogenize and evaluation.
 * ParamPoly: the core over ParamScalar coefficients, ring value (n, m):
   polynomials in n main variables over Frac(Q[a1..am]). It adds
   specialization at a parameter point, coefficient maps and clearing
@@ -22,51 +22,25 @@ the subclass's `with_terms`; `_chk` refuses operands whose `ring` differs.
 
 Both polynomial classes are immutable once built: nothing writes to
 `terms` after construction. So each caches, in its `_kc` slot, its terms
-keyed by one order (`keyed_terms`), and `leading` reads the first of them
-(`leading_term`).
+keyed by one order (`orders.keyed_terms`), and `leading` reads the first
+of them (`orders.leading_term`); a lex leading term is `leading(lex(m))`.
 
-The division loop runs on either ring through the core: it reads only
-`keyed_terms`, `is_zero` and `with_terms`, and tests coefficients for
-zero by truth value.
+Exact division and the gcd of the square-free split run the `division`
+loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import itemgetter
 
 from .errors import (
     DenominatorVanishes,
     DimensionMismatch,
     ZeroPolynomialError,
 )
-from .orders import Exponent, MonomialOrder, exp_add, exp_degree
-
-
-# ---------------------------------------------------------------------------
-# order keys and leading terms, shared by AScalar and ParamPoly
-
-
-def keyed_terms(p, order: MonomialOrder) -> list:
-    """The pairs (order.key(e), coefficient) of p, largest key first.
-
-    Cached on p for the order object it was last asked for; asking under
-    another order object rebuilds the list.
-    """
-    kc = p._kc
-    if kc is None or kc[0] is not order:
-        kc = p._kc = (order, sorted([(order.key(e), c) for e, c in p.terms.items()],
-                                    key=itemgetter(0), reverse=True))
-    return kc[1]
-
-
-def leading_term(p, order: MonomialOrder):
-    """Order-maximum term (exponent, coefficient) of a nonzero p."""
-    if not p.terms:
-        raise ZeroPolynomialError("leading term of zero polynomial")
-    k, c = keyed_terms(p, order)[0]
-    return k[len(order.rows):], c
+from .orders import Exponent, MonomialOrder, exp_add, exp_degree, leading_term, lex
+from .division import divide, divide_truncated
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +189,6 @@ class AScalar(_Sparse):
     def __repr__(self):
         return f"AScalar({self.terms!r})"
 
-    def lead(self) -> tuple[Exponent, Fraction]:
-        """Leading term under lex on the parameter exponents."""
-        if not self.terms:
-            raise ZeroPolynomialError("lead of zero scalar")
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def homogenize(self, dims: int) -> "AScalar":
         """Insert a balancing slot z after the first dims coordinates.
 
@@ -262,7 +229,7 @@ class AScalar(_Sparse):
         if len(self.terms) == 1:
             return next(iter(self.terms.values()))
         cont = fraction_content(self.terms.values())
-        return -cont if self.lead()[1] < 0 else cont
+        return -cont if self.leading(lex(self.m))[1] < 0 else cont
 
     def primitive(self) -> "AScalar":
         """Divide out the content; leading lex coefficient becomes positive."""
@@ -271,31 +238,16 @@ class AScalar(_Sparse):
         return self.scale(1 / self.content())
 
     def exact_div(self, other: "AScalar") -> "AScalar | None":
-        """Exact quotient self/other in Q[a], or None when not divisible."""
+        """Exact quotient self/other in Q[a], or None when not divisible.
+
+        Lex division stopped where the leading exponent first escapes
+        other's cone; other divides self when nothing is left there.
+        """
         self._chk(other)
         if other.is_zero():
             return None
-        if self.is_zero():
-            return AScalar.zero(self.m)
-        le, lc = other.lead()
-        rem = dict(self.terms)
-        quo: dict = {}
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            d = tuple(x - y for x, y in zip(e, le))
-            if any(x < 0 for x in d):
-                return None
-            q = c / lc
-            quo[d] = q
-            for e2, c2 in other.terms.items():
-                ee = exp_add(d, e2)
-                v = rem.get(ee, 0) - q * c2
-                if v:
-                    rem[ee] = v
-                else:
-                    rem.pop(ee, None)
-        return AScalar(quo, self.m)
+        res = divide_truncated(self, [other], lex(self.m))
+        return None if res.remainder.terms else res.quotients[0]
 
 
 def fraction_content(values) -> Fraction:
@@ -361,45 +313,16 @@ def univariate_coefficients(s: AScalar, i: int, values=()) -> list[Fraction]:
     return [acc.get(k, zero) for k in range(max(acc, default=0) + 1)]
 
 
-def _univariate_profile(s: AScalar):
-    """Return (index, coeff list) when s involves at most one parameter."""
-    used = [i for i in range(s.m) if any(e[i] for e in s.terms)]
-    if len(used) > 1:
-        return None
-    i = used[0] if used else 0
-    return i, univariate_coefficients(s, i)
-
-
-def _poly_gcd_1d(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    def deg(p):
-        return len(p) - 1
-
-    def rem(p, q):
-        p = p[:]
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        while deg(p) >= deg(q) and any(p):
-            f = p[-1] / q[-1]
-            sh = deg(p) - deg(q)
-            for k, c in enumerate(q):
-                p[k + sh] -= f * c
-            while len(p) > 1 and p[-1] == 0:
-                p.pop()
-        return p
-
-    a, b = a[:], b[:]
-    while any(b):
-        a, b = b, rem(a, b)
-        while len(b) > 1 and b[-1] == 0:
-            b.pop()
-    lead = a[-1]
-    return [c / lead for c in a] if any(a) else [Fraction(1)]
+def _used_parameters(s: AScalar) -> list[int]:
+    """Indices of the parameters that occur in s."""
+    return [i for i in range(s.m) if any(e[i] for e in s.terms)]
 
 
 def squarefree_factors(s: AScalar) -> list[AScalar]:
     """Distinct square-free-ish factors of s, constants dropped.
 
-    Complete for univariate inputs (gcd with the derivative); a genuinely
+    Complete for univariate inputs: the square-free part is s / gcd(s, s'),
+    the gcd taken by Euclid with lex division remainders. A genuinely
     multivariate irreducible part is returned whole, which only refines the
     comprehensive tree, never breaks it. Monomial content splits into the
     individual variables.
@@ -414,14 +337,15 @@ def squarefree_factors(s: AScalar) -> list[AScalar]:
         s = AScalar({tuple(x - y for x, y in zip(e, mins)): c
                      for e, c in s.terms.items()}, s.m)
     if not s.is_constant():
-        prof = _univariate_profile(s)
-        if prof is not None:
-            i, coeffs = prof
-            g = _poly_gcd_1d(coeffs, [k * coeffs[k] for k in range(1, len(coeffs))])
-            if len(g) > 1:
-                # square-free part = s / gcd(s, s')
-                s = s.exact_div(AScalar({tuple(k if j == i else 0 for j in range(s.m)): c
-                                         for k, c in enumerate(g) if c}, s.m))
+        used = _used_parameters(s)
+        if len(used) == 1:
+            i, order = used[0], lex(s.m)
+            g, b = s, AScalar({e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c
+                               for e, c in s.terms.items() if e[i]}, s.m)
+            while b.terms:
+                g, b = b, divide(g, [b], order).remainder
+            if not g.is_constant():
+                s = s.exact_div(g)
         out.append(s.primitive())
     return list(dict.fromkeys(out))
 
@@ -442,10 +366,10 @@ def rational_roots(s: AScalar) -> list[Fraction]:
     Fractions. The divisor walk costs O(sqrt|c_0| + sqrt|c_n|) steps, so
     a huge constant term is slow.
     """
-    prof = _univariate_profile(s)
-    if prof is None:
+    used = _used_parameters(s)
+    if len(used) > 1:
         raise ValueError("rational_roots needs a univariate scalar")
-    coeffs = prof[1]
+    coeffs = univariate_coefficients(s, used[0] if used else 0)
     low = 0
     while low < len(coeffs) - 1 and not coeffs[low]:
         low += 1
@@ -726,7 +650,7 @@ def _is_simple_product(s: AScalar) -> bool:
 def render_scalar(c: ParamScalar, names) -> tuple[int, str, bool]:
     """Return (sign, magnitude string, needs_parens_when_factor)."""
     num, den = c.num, c.den
-    _, lead = num.lead()
+    _, lead = num.leading(lex(num.m))
     sign = -1 if lead < 0 else 1
     if sign < 0:
         num = -num

@@ -52,6 +52,7 @@ class _Tok:
     text: str
     line: int
     col: int
+    value: int = 0  # an int token's value
 
 
 def _tokenize(text: str, line: int) -> list[_Tok]:
@@ -69,11 +70,18 @@ def _tokenize(text: str, line: int) -> list[_Tok]:
                 j += 1
             toks.append(_Tok("ident", text[i:j], line, col))
             i = j
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
+            # ASCII digits only: str.isdigit also takes superscripts and
+            # other scripts' digits, which int() refuses or reads silently
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's digit limit
+                raise ProblemSyntaxError(
+                    f"integer literal of {j - i} digits is too long", line, col) from None
+            toks.append(_Tok("int", text[i:j], line, col, value))
             i = j
         elif ch in "+-*/^(),[]=":
             toks.append(_Tok("sym", ch, line, col))
@@ -186,7 +194,7 @@ class _ExprParser:
                 raise ProblemSyntaxError("exponent must be a natural number",
                                          t.line, t.col)
             out = ParamPoly.constant(1, self.n, self.m)
-            for _ in range(int(t.text)):
+            for _ in range(t.value):
                 out = out * atom
             return out
         return atom
@@ -194,7 +202,7 @@ class _ExprParser:
     def parse_atom(self) -> ParamPoly:
         t = self.s.next()
         if t.kind == "int":
-            return ParamPoly.constant(int(t.text), self.n, self.m)
+            return ParamPoly.constant(t.value, self.n, self.m)
         if t.kind == "ident":
             if t.text in self.vars:
                 return ParamPoly.var(self.vars[t.text], self.n, self.m)
@@ -263,7 +271,7 @@ def parse_order_spec(text: str, n: int, line: int = 1) -> MonomialOrder:
                 if t.kind != "int":
                     raise ProblemSyntaxError("matrix entries must be integers",
                                              t.line, t.col)
-                row.append(-int(t.text) if neg else int(t.text))
+                row.append(-t.value if neg else t.value)
                 if not stream.accept(","):
                     break
             stream.expect("]")
@@ -304,7 +312,7 @@ def _parse_options(text: str, line: int) -> dict:
         if v.kind != "int":
             raise ProblemSyntaxError("option values must be integers",
                                      v.line, v.col)
-        val = -int(v.text) if neg else int(v.text)
+        val = -v.value if neg else v.value
         check_option(t.text, val, v.line, v.col)
         opts[t.text] = val
         if stream.peek() is not None:
@@ -389,12 +397,12 @@ def parse_point(text: str, params, line: int = 1) -> tuple[Fraction, ...]:
         if v.kind != "int":
             raise ProblemSyntaxError("point values must be rationals",
                                      v.line, v.col)
-        val = Fraction(int(v.text))
+        val = Fraction(v.value)
         if stream.accept("/"):
             d = stream.next()
-            if d.kind != "int" or int(d.text) == 0:
+            if d.kind != "int" or d.value == 0:
                 raise ProblemSyntaxError("bad rational value", d.line, d.col)
-            val /= int(d.text)
+            val /= d.value
         values[t.text] = -val if neg else val
         if stream.peek() is not None:
             stream.expect(",")

@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from parastd.errors import (
     UnknownIdentifier,
 )
 from parastd.cli import main, run
-from parastd.polyring import render_poly
+from parastd.polyring import ParamScalar, render_poly
 from parastd.problems import parse_point, parse_problem, poly_from_string
 
 from conftest import INTRO_ORDER, P
@@ -416,6 +417,58 @@ def test_cli_deep_nesting_exits_1(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("error[input]: expression nested too deeply")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# numerals: ASCII digits only, each converted once by the tokenizer
+
+LONG = "7" * 5000  # past the interpreter's 4300-digit int() limit
+
+
+@pytest.mark.parametrize("section, payload, message", [
+    ("ideal", "x1^\u00b2", "unexpected character '\u00b2' (line 4, col 4)"),
+    ("ideal", "x1 + \u00b2", "unexpected character '\u00b2' (line 4, col 6)"),
+    ("order", "matrix [[\u00b2,1]]", "unexpected character '\u00b2' (line 3, col 4)"),
+    ("ideal", f"x1 + {LONG}", "integer literal of 5000 digits is too long (line 4, col 6)"),
+], ids=["superscript_exponent", "superscript_atom", "superscript_matrix_entry",
+        "long_literal"])
+def test_cli_bad_numeral_in_problem_is_an_input_error(capsys, tmp_path, section, payload,
+                                                       message):
+    text = "".join(f"{section}: {payload}\n" if ln.startswith(f"{section}:") else f"{ln}\n"
+                   for ln in INTRO_TEXT.splitlines())
+    path = tmp_path / "bad.psb"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "gsb", str(path))
+    assert (code, out, err) == (1, "", f"error[input]: {message}\n")
+
+
+def test_cli_bad_numeral_in_options_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.psb"
+    path.write_text(INTRO_TEXT + "options: seed = \u00b2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out, err) == (
+        1, "", "error[input]: unexpected character '\u00b2' (line 5, col 8)\n")
+
+
+@pytest.mark.parametrize("point, message", [
+    ("a=\u00b2", "unexpected character '\u00b2' (line 1, col 3)"),
+    (f"a={LONG}", "integer literal of 5000 digits is too long (line 1, col 3)"),
+    (f"a=1/{LONG}", "integer literal of 5000 digits is too long (line 1, col 5)"),
+], ids=["superscript", "long_numerator", "long_denominator"])
+def test_cli_bad_numeral_in_point_is_an_input_error(capsys, point, message):
+    code, out, err = run_cli(capsys, "specialize", str(PROBLEMS / "intro.psb"),
+                             "--point", point)
+    assert (code, out, err) == (1, "", f"error[input]: {message}\n")
+
+
+def test_numerals_are_ascii_digits_converted_once():
+    # another script's decimal digit is not a numeral (int() would read it)
+    with pytest.raises(ProblemSyntaxError, match="unexpected character"):
+        poly_from_string("x1^\u0663", ("a",), ("x1", "x2"))
+    long_ok = "9" * 4000
+    assert poly_from_string(f"{long_ok}*x1", ("a",), ("x1", "x2")).terms == \
+        {(1, 0): ParamScalar.const(10 ** 4000 - 1, 1)}
+    assert parse_point("a=-12/30", ("a",)) == (Fraction(-2, 5),)
 
 
 # ---------------------------------------------------------------------------

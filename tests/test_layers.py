@@ -1,0 +1,35 @@
+"""Layering of the parastd modules, read from their relative imports.
+
+`orders` is the bottom layer (order keys and exponent arithmetic) and
+`division` the one division loop above it; both stay below the coefficient
+rings in `polyring`, whose exact division and gcd call that loop.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "parastd"
+
+
+def relative_imports(module: str) -> set[str]:
+    """Names of the parastd modules that `module` imports relatively."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:  # from . import name
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("errors", set()),
+    ("orders", {"errors"}),
+    ("division", {"errors", "orders"}),
+], ids=["errors", "orders", "division"])
+def test_low_layers_import_only_what_is_below_them(module, allowed):
+    assert relative_imports(module) <= allowed

@@ -1,19 +1,19 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from parastd.errors import DenominatorVanishes, DimensionMismatch, ZeroPolynomialError
-from parastd.orders import grevlex, lex, matrix_order, neg_grevlex
+from parastd.orders import MonomialOrder, grevlex, keyed_terms, lex, matrix_order, neg_grevlex
 from parastd.polyring import (
     AScalar,
     ParamPoly,
     ParamScalar,
     divides_factor_power,
     embed_params_as_vars,
-    keyed_terms,
     rational_roots,
     render_ascalar,
     render_poly,
@@ -70,7 +70,7 @@ def test_leading_zero_polynomial():
 def test_leading_term_cache_is_keyed_by_order():
     # x1 + 3*x2^2: lex and neg_grevlex pick x1, grevlex picks x2^2
     p = AScalar({(1, 0): Fraction(1), (0, 2): Fraction(3)}, 2)
-    first_lex, same_lex = lex(2), lex(2)
+    first_lex, same_lex = lex(2), MonomialOrder(rows=(), n=2)
     assert first_lex == same_lex and first_lex is not same_lex
     assert p.leading(first_lex) == ((1, 0), 1)
     assert p.leading(grevlex(2)) == ((0, 2), 3)
@@ -307,6 +307,88 @@ def test_squarefree_multivariate_kept_whole():
     p = a * a * (a + b)
     facs = squarefree_factors(p)
     assert a in facs and (a + b) in facs
+
+
+# Oracles for exact division and the square-free split in Q[a]: every
+# expected value is built from chosen factors by ring arithmetic alone.
+_COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+def ascalars(m, max_terms=4, min_terms=0):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * m), _COEFF,
+                           min_size=min_terms, max_size=max_terms).map(
+        lambda terms: AScalar(terms, m))
+
+
+@st.composite
+def dividend_and_divisor(draw):
+    m = draw(st.integers(1, 3))
+    q = draw(ascalars(m, min_terms=1).filter(lambda q: not q.is_zero()))
+    return draw(ascalars(m)), q
+
+
+@given(dividend_and_divisor())
+def test_exact_div_recovers_the_cofactor(pq):
+    p, q = pq
+    assert (p * q).exact_div(q) == p
+
+
+@given(dividend_and_divisor(), _COEFF.filter(bool))
+def test_exact_div_refuses_a_nonzero_constant_remainder(pq, c):
+    p, q = pq
+    if q.is_constant():
+        q = q + AScalar.var(0, q.m)
+    assert (p * q + AScalar.const(c, q.m)).exact_div(q) is None
+
+
+def test_exact_div_edge_cases():
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    assert (a * b).exact_div(AScalar.zero(2)) is None
+    assert AScalar.zero(2).exact_div(a + b) == AScalar.zero(2)
+    assert (a * a - b * b).exact_div(a + b) == a - b
+    assert (a * a + b).exact_div(a) is None
+
+
+_ROOT = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+
+
+@given(where=st.sampled_from([(0, 1), (1, 2), (2, 3)]), c=_COEFF.filter(bool),
+       k=st.integers(0, 3), roots=st.lists(_ROOT, unique=True, max_size=3),
+       powers=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+@example(where=(0, 1), c=Fraction(-3, 2), k=2, roots=[Fraction(1, 2), Fraction(-2)],
+         powers=[3, 2, 1])
+def test_squarefree_factors_univariate_oracle(where, c, k, roots, powers):
+    i, m = where
+    a = AScalar.var(i, m)
+    s, radical = AScalar.const(c, m), AScalar.one(m)
+    for _ in range(k):
+        s = s * a
+    for r, power in zip(roots, powers):
+        # q*a - p is primitive with a positive lead, and so is their product
+        linear = AScalar.const(r.denominator, m) * a - AScalar.const(r.numerator, m)
+        radical = radical * linear
+        for _ in range(power):
+            s = s * linear
+    expected = ([a] if k else []) + ([radical] if roots else [])
+    assert squarefree_factors(s) == expected
+
+
+@given(u=st.integers(1, 4), v=st.integers(-4, 4).filter(bool),
+       w=st.integers(-4, 4).filter(bool), power=st.integers(1, 3),
+       mono=st.tuples(st.integers(0, 2), st.integers(0, 2)), c=_COEFF.filter(bool))
+def test_squarefree_factors_keeps_a_multivariate_part_whole(u, v, w, power, mono, c):
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    g = gcd(u, v, w)
+    f = AScalar.const(u // g, 2) * a + AScalar.const(v // g, 2) * b + AScalar.const(w // g, 2)
+    whole = AScalar.one(2)
+    for _ in range(power):
+        whole = whole * f  # primitive (Gauss), lex lead (u/g)^power > 0
+    s = AScalar.const(c, 2) * whole
+    for x, k in zip((a, b), mono):
+        for _ in range(k):
+            s = s * x
+    expected = [x for x, k in zip((a, b), mono) if k] + [whole]
+    assert squarefree_factors(s) == expected
 
 
 def test_rational_roots():

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from random import Random
 
 from .errors import DepthExceeded, MultipleCells, NoCell, ParastdError, QContainsOne
-from .orders import MonomialOrder
+from .orders import MonomialOrder, lex
 from .polyring import AScalar, factor_order, squarefree_factors
-from .buchberger import parameter_groebner
+from .buchberger import buchberger
 from .genstd import (
     GenericBasis,
     PrimeContext,
@@ -62,13 +62,15 @@ class ComprehensiveResult:
 
 
 def in_radical(p: AScalar, egens) -> bool:
-    """Rabinowitsch check: p vanishes wherever all of egens do."""
+    """Rabinowitsch check: p vanishes wherever all of egens do.
+
+    Then <egens, 1 - t*p> is the whole ring, so any Groebner basis of it,
+    reduced or not, holds a nonzero constant (Cox-Little-O'Shea, 4.2).
+    """
     egens = [g for g in egens if not g.is_zero()]
     if p.is_zero():
         return True
-    if p.is_constant():
-        return False
-    if not egens:
+    if p.is_constant() or not egens:
         return False
     m = p.m
     ext = [AScalar({e + (0,): c for e, c in g.terms.items()}, m + 1)
@@ -76,8 +78,8 @@ def in_radical(p: AScalar, egens) -> bool:
     # 1 - t*p with t the appended variable
     tp = AScalar({e + (1,): -c for e, c in p.terms.items()}, m + 1)
     one = AScalar.const(1, m + 1)
-    basis = parameter_groebner(ext + [one + tp])
-    return any(g.is_constant() for g in basis)
+    basis = buchberger(ext + [one + tp], lex(m + 1))
+    return any(g.is_constant() for g in basis.generators)
 
 
 def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
@@ -109,6 +111,8 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
             return  # a non-vanishing condition is identically zero here
         basis = generic_basis(F, order, ctx)
 
+        # stored h factors need not be square-free (genstd can store
+        # (a^2 + 8)^2 as one factor), so split them again before branching
         in_rad: dict[AScalar, bool] = {}
         for fac, _ in basis.h_factors:
             for sf in squarefree_factors(fac):
@@ -129,8 +133,8 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
 
         cell = Cell(evanish, navoid + tuple(branch))
         points = variety_points(evanish, m, rng, VERIFY_SAMPLES, avoid=list(cell.nonvanish))
-        bad = next((c.point for c in verify_specialization(basis, points).checks
-                    if not c.ok), None)
+        bad = next((c.point for c in verify_specialization(basis, points) if not c.ok),
+                   None)
         if bad is not None:
             split = _offending_factor(basis, bad, ctx)
             if split is None:

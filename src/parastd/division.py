@@ -30,7 +30,8 @@ Dividends and divisors share one ring per call, AScalar or ParamPoly,
 the two instances of polyring's sparse core: the loop reads only
 `keyed_terms`, `is_zero` and `with_terms`, and tests coefficients for
 zero by truth value. It is the package's only division algorithm (exact
-division and the square-free gcd in Q[a] call it too).
+division and the square-free gcd in Q[a] call it too), and it builds the
+DivisionResult that divide, divide_truncated and divide_series return.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                 iterate[kk] = -(c0 * coeff)
     # polynomials are immutable, so every empty quotient shares one zero
     zero = f.with_terms({})
-    return ([f.with_terms(q) if q else zero for q in quotients],
-            f.with_terms(remainder) if remainder else zero, exact, steps)
+    return DivisionResult([f.with_terms(q) if q else zero for q in quotients],
+                          f.with_terms(remainder) if remainder else zero, exact, steps)
 
 
 def _zero_result(f, G, exact=True) -> DivisionResult:
@@ -209,8 +210,7 @@ def divide(f, G, order: MonomialOrder) -> DivisionResult:
         raise NonTerminatingOrder(
             "full division needs a well order or homogeneous data; "
             "use divide_truncated or divide_series")
-    q, r, exact, steps = _division_loop(f, list(G), order, FULL)
-    return DivisionResult(q, r, exact, steps)
+    return _division_loop(f, list(G), order, FULL)
 
 
 def divide_truncated(f, G, order: MonomialOrder) -> DivisionResult:
@@ -224,8 +224,7 @@ def divide_truncated(f, G, order: MonomialOrder) -> DivisionResult:
     if f.is_zero():
         return _zero_result(f, G)
     guard = None if full_division_terminates(f, G, order) else TRUNCATION_STEP_GUARD
-    q, r, exact, steps = _division_loop(f, list(G), order, TRUNCATED, guard=guard)
-    return DivisionResult(q, r, exact, steps)
+    return _division_loop(f, list(G), order, TRUNCATED, guard=guard)
 
 
 def divide_series(f, G, order: MonomialOrder, max_degree: int, *,
@@ -249,10 +248,10 @@ def divide_series(f, G, order: MonomialOrder, max_degree: int, *,
     f0 = f.with_terms(start)
     if f0.is_zero():
         return _zero_result(f, G, exact0)
-    q, r, exact, steps = _division_loop(f0, list(G), order, SERIES,
-                                        max_degree=max_degree,
-                                        remainder_only=remainder_only)
-    return DivisionResult(q, r, exact and exact0, steps)
+    res = _division_loop(f0, list(G), order, SERIES, max_degree=max_degree,
+                         remainder_only=remainder_only)
+    res.cofactor_ok &= exact0  # terms of f above the cutoff were discarded too
+    return res
 
 
 def s_combination(f, g, lead_f, lead_g):

@@ -50,27 +50,25 @@ from .buchberger import buchberger, minimalize, normal_form_param, parameter_gro
 
 @dataclass
 class PrimeContext:
-    """A prime ideal Q of the parameter ring, with its lex Groebner basis.
+    """A prime ideal Q of the parameter ring, held as its reduced lex basis.
 
     Primality is asserted by the caller, not verified; every mod-Q test
     only needs zero normal forms plus the domain property of the quotient.
     """
 
-    qgens: tuple[AScalar, ...]
     qbasis: tuple[AScalar, ...]
     m: int
 
     @classmethod
     def from_generators(cls, qgens, m) -> "PrimeContext":
-        qgens = tuple(g for g in qgens if not g.is_zero())
         basis = tuple(parameter_groebner(list(qgens)))
         if any(g.is_constant() for g in basis):
             raise QContainsOne("the parameter ideal contains 1")
-        return cls(qgens, basis, m)
+        return cls(basis, m)
 
     @classmethod
     def trivial(cls, m) -> "PrimeContext":
-        return cls((), (), m)
+        return cls((), m)
 
     def normal_form(self, s: AScalar) -> AScalar:
         return normal_form_param(s, list(self.qbasis))
@@ -203,18 +201,6 @@ def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
     return [(f, counts[f]) for f in sorted(counts, key=factor_order)]
 
 
-def _prepare_inputs(F):
-    """Clear coefficient denominators; collect them as excluded factors."""
-    cleared, multipliers, den_factors = [], [], []
-    for f in F:
-        g, mult = f.clear_denominators()
-        cleared.append(g)
-        multipliers.append(mult)
-        if not mult.is_constant():
-            den_factors.append(mult)
-    return cleared, multipliers, den_factors
-
-
 def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     """Generic standard basis in the combined ring Q[x, a] (AScalars over Q).
 
@@ -241,7 +227,9 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
         raise AllCoefficientsInQ(
             f"parameter count mismatch: inputs have {m}, context has {ctx.m}")
 
-    cleared, multipliers, den_factors = _prepare_inputs(inputs)
+    # clear coefficient denominators; the nonconstant ones are excluded
+    cleared, multipliers = zip(*(f.clear_denominators() for f in inputs))
+    den_factors = [mult for mult in multipliers if not mult.is_constant()]
 
     # everything below runs over Q in the combined ring: x (then z), then a
     embedded = [embed_params_as_vars(g) for g in cleared]
@@ -387,32 +375,24 @@ class SampleCheck:
     note: str = ""
 
 
-@dataclass
-class VerificationReport:
-    checks: list[SampleCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def _leading_exponent_at(g: ParamPoly, order: MonomialOrder, point) -> Exponent | None:
     """Leading exponent of g specialized at point, None when it vanishes there."""
     r = len(order.rows)
     return next((k[r:] for k, c in keyed_terms(g, order) if c.evaluate(point)), None)
 
 
-def verify_specialization(B: GenericBasis, samples) -> VerificationReport:
+def verify_specialization(B: GenericBasis, samples) -> list[SampleCheck]:
     """Specialize the inputs at admissible points and recompute from scratch.
 
     Each sample must lie on V(Q) and off V(h). The from-scratch staircase
     of the specialized ideal must equal the recorded one, and each
     generator must keep its recorded leading exponent after specialization.
+    Returns one SampleCheck per sample.
     """
     checks = []
     h = B.h_poly()
     for point in samples:
-        for q in B.ctx.qgens:
+        for q in B.ctx.qbasis:
             if q.evaluate(point) != 0:
                 raise SampleOffVariety(f"point {point} is not on V(Q)")
         if h.evaluate(point) == 0:
@@ -422,7 +402,7 @@ def verify_specialization(B: GenericBasis, samples) -> VerificationReport:
                    for g, (e, _) in zip(B.gens, B.leads))
         checks.append(SampleCheck(tuple(point), got == B.staircase and not lost, got,
                                   "generator lost its leading exponent" if lost else ""))
-    return VerificationReport(checks)
+    return checks
 
 
 def s_criterion_mod_q(B: GenericBasis, trunc_degree: int | None = None) -> bool:

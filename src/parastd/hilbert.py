@@ -76,10 +76,6 @@ class HilbertData:
     def is_constant(self) -> bool:
         return len(self.coefficients) <= 1
 
-    def __eq__(self, other):
-        return (isinstance(other, HilbertData)
-                and self.coefficients == other.coefficients)
-
 
 def _binomial_poly(shift: int, i: int) -> list[Fraction]:
     """Coefficients of binomial(r - shift, i) as a polynomial in r."""
@@ -174,20 +170,13 @@ def hilbert_partition(F, order: MonomialOrder, max_depth: int = 12,
 
 
 def strata_from_cells(result: ComprehensiveResult) -> list[HilbertStratum]:
+    """Merge cells with equal Hilbert-Samuel polynomials; mu is a constant one."""
     n = result.cells[0].staircase.n if result.cells else 0
     r_max = default_r_max([e.staircase for e in result.cells], n)
-    groups: list[tuple[HilbertData, list[Cell]]] = []
+    groups: dict[tuple[Fraction, ...], tuple[HilbertData, list[Cell]]] = {}
     for entry in result.cells:
         data = hilbert_polynomial(entry.staircase, r_max)
-        for gd, cells in groups:
-            if gd == data:
-                cells.append(entry.cell)
-                break
-        else:
-            groups.append((data, [entry.cell]))
-    out = []
-    for data, cells in groups:
-        mu = data.polynomial_value(0) if data.is_constant() else inf
-        mu = int(mu) if mu is not inf else inf
-        out.append(HilbertStratum(tuple(cells), data, mu))
-    return out
+        groups.setdefault(data.coefficients, (data, []))[1].append(entry.cell)
+    return [HilbertStratum(tuple(cells), data,
+                           int(data.coefficients[0]) if data.is_constant() else inf)
+            for data, cells in groups.values()]

@@ -39,7 +39,7 @@ from .errors import (
     DimensionMismatch,
     ZeroPolynomialError,
 )
-from .orders import Exponent, MonomialOrder, exp_add, exp_degree, leading_term, lex
+from .orders import Exponent, MonomialOrder, exp_add, exp_degree, exp_sub, leading_term, lex
 from .division import divide, divide_truncated
 
 
@@ -109,6 +109,10 @@ class _Sparse:
         if not c:
             return self.with_terms({})
         return self.with_terms({exp_add(e0, e): v * c for e0, v in self.terms.items()})
+
+    def div_monomial(self, e: Exponent):
+        """Exact quotient by the monomial with exponent e (e divides every term)."""
+        return self.with_terms({exp_sub(e0, e): v for e0, v in self.terms.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -250,6 +254,11 @@ class AScalar(_Sparse):
         return None if res.remainder.terms else res.quotients[0]
 
 
+def _monomial_gcd(*polys) -> Exponent:
+    """Entrywise least exponent over all terms of the polys."""
+    return tuple(map(min, zip(*(e for p in polys for e in p.terms))))
+
+
 def fraction_content(values) -> Fraction:
     """Gcd of the numerators over the lcm of the denominators (0 when all are 0).
 
@@ -331,11 +340,10 @@ def squarefree_factors(s: AScalar) -> list[AScalar]:
         return []
     out: list[AScalar] = []
     # split off the monomial content
-    mins = [min(e[i] for e in s.terms) for i in range(s.m)]
+    mins = _monomial_gcd(s)
     if any(mins):
         out += [AScalar.var(i, s.m) for i, k in enumerate(mins) if k]
-        s = AScalar({tuple(x - y for x, y in zip(e, mins)): c
-                     for e, c in s.terms.items()}, s.m)
+        s = s.div_monomial(mins)
     if not s.is_constant():
         used = _used_parameters(s)
         if len(used) == 1:
@@ -496,15 +504,9 @@ def _normalize_fraction(num: AScalar, den: AScalar):
     if cd != 1:
         den = den.scale(1 / cd)
         num = num.scale(1 / cd)
-    m = num.m
-    if m:
-        mins = [min(min(e[i] for e in num.terms), min(e[i] for e in den.terms))
-                for i in range(m)]
-        if any(mins):
-            shift = lambda t: {tuple(x - y for x, y in zip(e, mins)): c
-                               for e, c in t.items()}
-            num = AScalar(shift(num.terms), m)
-            den = AScalar(shift(den.terms), m)
+    mins = _monomial_gcd(num, den)
+    if any(mins):
+        num, den = num.div_monomial(mins), den.div_monomial(mins)
     return num, den
 
 

@@ -371,8 +371,10 @@ def parse_problem(text: str) -> Problem:
             if p.is_zero():
                 continue
             scalar = p.terms[(0,) * len(vars_)]
-            qgens.append(scalar.num.scale(1 / scalar.den.constant_value())
-                         if scalar.den.is_constant() else scalar.num)
+            if not scalar.den.is_constant():
+                raise ProblemSyntaxError(
+                    "Q generators must be polynomials in the parameters", qline, 1)
+            qgens.append(scalar.num.scale(1 / scalar.den.constant_value()))
 
     options = _parse_options(*sections["options"]) if "options" in sections else {}
     return Problem(params, vars_, order, ideal, qgens, options)

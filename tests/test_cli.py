@@ -73,6 +73,34 @@ def test_parse_problem_q_with_main_variable():
         parse_problem(INTRO_TEXT + "Q: a*x1\n")
 
 
+Q_TEXT = """\
+params: a, b
+vars: x1
+order: lex
+ideal: x1
+"""
+
+
+@pytest.mark.parametrize("q", ["a/b", "1/a", "(a + 1)/(a - b)"])
+def test_q_generator_with_a_parameter_denominator_is_an_input_error(capsys, tmp_path, q):
+    # Q is an ideal of the polynomial ring Q[a, b]; a fraction in the
+    # parameters is not an element of it
+    path = tmp_path / "q.psb"
+    path.write_text(Q_TEXT + f"Q: {q}\n")
+    code, out, err = run_cli(capsys, "gsb", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error[input]: Q generators must be polynomials in the "
+                   "parameters (line 5, col 1)\n")
+
+
+def test_q_generator_with_a_constant_denominator_is_kept(capsys, tmp_path):
+    path = tmp_path / "q.psb"
+    path.write_text(Q_TEXT + "Q: a/2, b\n")
+    code, out, _ = run_cli(capsys, "gsb", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["q"] == ["1/2*a", "b"]
+
+
 def test_parse_problem_options():
     prob = parse_problem(INTRO_TEXT + "options: trunc_degree = 3, seed = 7\n")
     assert prob.options == {"trunc_degree": 3, "seed": 7}
@@ -316,14 +344,12 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     # a failing verification must surface as status + exit code 2; staged
     # by patching the verifier since correct pipelines never fail it
     import parastd.cli as cli_mod
-    from parastd.genstd import SampleCheck, VerificationReport
+    from parastd.genstd import SampleCheck
     from parastd.genstd import Staircase
 
     def fake_verify(basis, points):
         st = Staircase(2, ())
-        return VerificationReport(
-            [SampleCheck(tuple(p), False, st, "staged")
-             for p in points])
+        return [SampleCheck(tuple(p), False, st, "staged") for p in points]
 
     monkeypatch.setattr(cli_mod, "verify_specialization", fake_verify)
     code, out, _ = run_cli(capsys, "verify", str(PROBLEMS / "intro.psb"),

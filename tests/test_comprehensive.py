@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from parastd.errors import DepthExceeded, MultipleCells, NoCell, ParastdError
 from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
-from parastd.genstd import SampleCheck, VerificationReport, plain_staircase
+from parastd.genstd import SampleCheck, plain_staircase
 from parastd.comprehensive import (
     Cell,
     comprehensive_basis,
@@ -133,6 +134,67 @@ def test_in_radical():
     assert in_radical(a2, [A])
 
 
+def _product(factors, m):
+    out = AScalar.one(m)
+    for f in factors:
+        out = out * f
+    return out
+
+
+_ROOTS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# factors with no rational root, so they vanish at none of the chosen roots
+_NO_ROOT = [A * A + AScalar.one(1), A * A - AScalar.const(2, 1), A * A + A + AScalar.one(1)]
+
+
+# degrees stay at 6 or less: the lex basis behind in_radical grows fast
+# over Q (E of degree 9 with p of degree 10 takes seconds)
+@given(st.lists(st.tuples(_ROOTS, st.integers(1, 3)), min_size=1, max_size=2,
+                unique_by=lambda t: t[0]),
+       st.lists(st.tuples(_ROOTS, st.integers(1, 2)), max_size=2),
+       st.lists(st.sampled_from(_NO_ROOT), max_size=1),
+       st.integers(-3, 3).filter(bool))
+def test_in_radical_one_parameter_matches_root_evaluation(e_roots, p_roots, extra, c):
+    # E = <prod (a - r_i)^k_i> vanishes exactly at the r_i, so p lies in
+    # the radical of E iff p vanishes at every r_i
+    def lin(r):
+        return A - AScalar.const(r, 1)
+
+    E = _product([lin(r) for r, k in e_roots for _ in range(k)], 1)
+    p = _product([lin(r) for r, k in p_roots for _ in range(k)]
+                 + extra, 1).scale(Fraction(c))
+    expected = all(p.evaluate((r,)) == 0 for r, _ in e_roots)
+    assert in_radical(p, [E]) == expected
+
+
+_AB_POLY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           st.integers(-3, 3), max_size=3)
+
+
+@given(_ROOTS, _ROOTS, _AB_POLY, _AB_POLY, st.integers(-2, 2))
+def test_in_radical_two_parameters_matches_point_evaluation(r, s, u, v, c):
+    # E = <a - r, b - s> vanishes exactly at (r, s); p = (a - r)*u + (b - s)*v + c
+    # lies in its radical iff p vanishes there
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    ea, eb = a - AScalar.const(r, 2), b - AScalar.const(s, 2)
+
+    def poly(terms):
+        return AScalar({e: Fraction(k) for e, k in terms.items()}, 2)
+
+    p = ea * poly(u) + eb * poly(v) + AScalar.const(c, 2)
+    assert in_radical(p, [ea, eb]) == (p.evaluate((r, s)) == 0)
+
+
+def test_tree_resplits_stored_h_factors():
+    # the generic basis stores (a^2 + 8)^2 as one h factor here; the tree
+    # still branches on its square-free part a^2 + 8
+    res = comprehensive_basis([P("(a - 1)*(a^2 + 8)^3*x1^2 + x2")], grevlex(2))
+    sq = A * A + AScalar.const(8, 1)
+    root = res.cells[0].cell
+    assert root.vanish == ()
+    assert sq in root.nonvanish
+    assert sq * sq not in root.nonvanish
+
+
 def test_non_radical_conditions_handled():
     # user-style scenario where branching lands on a power: the machinery
     # saturates the vanishing set instead of emitting an empty cell
@@ -188,9 +250,8 @@ def _fail_first_cell_at(point):
     def fake(basis, points):
         calls.append(basis)
         if len(calls) == 1:
-            return VerificationReport([SampleCheck(point, False, basis.staircase, "staged")])
-        return VerificationReport([SampleCheck(tuple(p), True, basis.staircase)
-                                   for p in points])
+            return [SampleCheck(point, False, basis.staircase, "staged")]
+        return [SampleCheck(tuple(p), True, basis.staircase) for p in points]
 
     return fake, calls
 

@@ -491,8 +491,8 @@ def test_key_space_loop_matches_the_exponent_space_loop(seed, mode_name, order_n
             _division_loop(f, G, order, mode, **kwargs)
         return
     got = _division_loop(f, G, order, mode, **kwargs)
-    assert len(got[0]) == len(want[0])
-    for q, q_ref in zip(got[0], want[0]):
+    assert len(got.quotients) == len(want[0])
+    for q, q_ref in zip(got.quotients, want[0]):
         _assert_same_terms(q, q_ref)
-    _assert_same_terms(got[1], want[1])
-    assert got[2:] == want[2:]  # cofactor_ok and steps
+    _assert_same_terms(got.remainder, want[1])
+    assert (got.cofactor_ok, got.steps) == want[2:]

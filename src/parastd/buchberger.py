@@ -2,9 +2,15 @@
 
 Every basis element carries its expression in the input generators, so
 membership certificates survive minimalization. The pair queue runs the
-normal strategy (smallest lcm under the active order) and skips coprime
-pairs. New elements have their rational content divided out, which keeps
-coefficients small.
+normal strategy (smallest lcm under the active order, ties by (i, j)).
+Pairs are pruned by the Gebauer-Moeller update (JSC 1988) as each
+generator comes in: Buchberger's chain criterion drops queued pairs the
+new lead splits (B), and of the new pairs only one per minimal lcm stays
+(M, F), none where some pair with that lcm has coprime heads. Every
+generator stays a divisor and a pair partner, even when a later lead
+divides its own: the printed bases are minimal but not reduced, so
+dropping one would change which generators print. New elements have
+their rational content divided out, which keeps coefficients small.
 
 The engine runs over Q on AScalar polynomials: the parametric pipelines
 use it in the combined ring Q[x, a] and, for parameter ideals, in Q[a]
@@ -14,10 +20,11 @@ under lex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
-from .orders import MonomialOrder, exp_add, exp_lcm, is_global, keyed_terms, lex
+from .orders import (MonomialOrder, exp_add, exp_divides, exp_lcm, is_global,
+                     keyed_terms, lex)
 from .division import divide, region_of, s_combination, s_function
 from .polyring import AScalar, fraction_content
 
@@ -53,27 +60,42 @@ def buchberger(F, order: MonomialOrder) -> BasisResult:
     gens: list = []
     cofs: list[list] = []
     leads = []
+    pending: dict = {}  # (i, j) -> lcm of the heads, for pairs still to run
+    heap: list = []  # normal strategy: smallest lcm first, ties by (i, j)
+
+    def add(g, c):
+        gens.append(g)
+        cofs.append(c)
+        lk = g.leading(order)[0]
+        leads.append(lk)
+        k = len(leads) - 1
+        new = [exp_lcm(li, lk) for li in leads[:k]]
+        # criterion B: a pending pair whose lcm lk divides, and that k splits
+        for (i, j), l in list(pending.items()):
+            if l != new[i] and l != new[j] and exp_divides(lk, l):
+                del pending[i, j]
+        # criterion M: keep the minimal lcms; criterion F: one pair per lcm,
+        # the smallest i, and none where some pair with it has coprime heads
+        lcms = set(new)
+        skip = {l for l in lcms if any(d != l and exp_divides(d, l) for d in lcms)}
+        skip.update(l for li, l in zip(leads, new) if l == exp_add(li, lk))
+        for i, l in enumerate(new):
+            if l not in skip:
+                skip.add(l)
+                pending[i, k] = l
+                heappush(heap, (order.key(l), i, k))
+
     for i, f in enumerate(F):
         if f.is_zero():
             continue
         unit = [zero] * len(F)
         unit[i] = one
-        g, c = _shrink(f, unit)
-        gens.append(g)
-        cofs.append(c)
-        leads.append(g.leading(order)[0])
+        add(*_shrink(f, unit))
 
-    # normal strategy: pop the pair with the smallest lcm, ties by (i, j)
-    def entry(i, j):
-        return order.key(exp_lcm(leads[i], leads[j])), i, j
-
-    pairs = [entry(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    heapify(pairs)
-    while pairs:
-        _, i, j = heappop(pairs)
-        li, lj = leads[i], leads[j]
-        if exp_lcm(li, lj) == exp_add(li, lj):
-            continue  # coprime heads: S reduces to zero
+    while heap:
+        _, i, j = heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue  # pruned after it was queued
         s = s_function(gens[i], gens[j], order)
         if s.is_zero():
             continue
@@ -88,13 +110,7 @@ def buchberger(F, order: MonomialOrder) -> BasisResult:
             if q.is_zero():
                 continue
             rc = [a - q * b for a, b in zip(rc, gc)]
-        r, rc = _shrink(r, rc)
-        gens.append(r)
-        cofs.append(rc)
-        leads.append(r.leading(order)[0])
-        k = len(gens) - 1
-        for i2 in range(k):
-            heappush(pairs, entry(i2, k))
+        add(*_shrink(r, rc))
 
     return BasisResult(gens, cofs, order)
 

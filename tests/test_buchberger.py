@@ -1,11 +1,17 @@
+import io
+import json
 import random
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from parastd.cli import main
 from parastd.errors import NonTerminatingOrder
-from parastd.orders import combined_order, exp_divides, grevlex, lex
+from parastd.orders import combined_order, exp_divides, grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, embed_params_as_vars
 from parastd.division import divide, s_function
 from parastd.buchberger import (
@@ -214,11 +220,11 @@ def _scaled_terms(terms):
     return frozenset((e, c / lead) for e, c in terms.items())
 
 
-def q_ideals(n, count, integral=True):
+def q_ideals(n, count, integral=True, max_exp=2):
     """Lists of small random polynomials over Q in n variables."""
     return st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=count,
                     max_size=count).map(
-        lambda seeds: [random_q_poly(random.Random(s), n, max_terms=3, max_exp=2,
+        lambda seeds: [random_q_poly(random.Random(s), n, max_terms=3, max_exp=max_exp,
                                      integral=integral) for s in seeds])
 
 
@@ -240,6 +246,24 @@ def test_engine_on_q_against_sympy(case):
     assert ours == sympy_reduced_basis(F, sympy.symbols(f"x0:{n}"), order_name, sympy)
 
 
+@pytest.mark.parametrize("regime", ["lex", "grevlex", "homogenized"])
+@given(st.sampled_from([(2, 2), (3, 1)]).flatmap(lambda shape: st.integers(
+    min_value=3, max_value=4).flatmap(lambda k: q_ideals(shape[0], k, max_exp=shape[1]))))
+def test_pruned_engine_against_full_certificate(regime, F):
+    # the certificate forms every S-pair of the result, so it shares nothing
+    # with the criteria that let the engine skip pairs; 3-4 generators make
+    # the criteria fire, and the homogenized regime runs under a local order.
+    # Three variables take exponents up to 1: at 2 the homogenized runs blow up
+    n = F[0].m
+    if regime == "homogenized":
+        F, order = [f.homogenize(n) for f in F], neg_grevlex(n + 1)
+    else:
+        order = {"lex": lex, "grevlex": grevlex}[regime](n)
+    res = buchberger(F, order)
+    assert_is_standard_basis(res, F, order)
+    assert_cofactors_exact(res, F)
+
+
 @given(st.sampled_from([1, 2, 3]).flatmap(
     lambda m: st.integers(min_value=1, max_value=3).flatmap(lambda k: q_ideals(m, k))))
 def test_parameter_groebner_against_sympy(F):
@@ -249,3 +273,28 @@ def test_parameter_groebner_against_sympy(F):
     assert {_scaled_terms(g.terms) for g in ours} == sympy_reduced_basis(
         F, syms, "lex", sympy)
     assert all(g.terms[max(g.terms)] == 1 for g in ours)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_PROBLEMS = json.loads((ROOT / "bench" / "workloads.json").read_text(
+    encoding="utf-8"))["problems"]
+
+
+# S-functions the engine forms for `gsb`; a lost pair criterion raises them
+# (with the coprime test alone it formed 35 on cyclic4_a and 15 on katsura4_a)
+@pytest.mark.parametrize("problem, formed", [("cyclic4_a", 11), ("katsura4_a", 10)])
+def test_gsb_s_function_count(problem, formed, monkeypatch, tmp_path):
+    # the package re-exports the function under the submodule's name
+    engine = sys.modules["parastd.buchberger"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return s_function(*args)
+
+    monkeypatch.setattr(engine, "s_function", counted)
+    path = tmp_path / f"{problem}.psb"
+    path.write_text("\n".join(BENCH_PROBLEMS[problem]) + "\n", encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["gsb", str(path)]) == 0
+    assert len(calls) == formed

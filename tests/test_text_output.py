@@ -8,6 +8,12 @@ tests/text_digests.json, so a change to the text rendering, to an error
 message or to an exit code shows here, not only in the JSON results that
 tests/test_golden_cli.py pins.
 
+`gsb` and `comprehensive` also run on the engine problems of
+bench/workloads.json (`gsb` only on jac_x4y4_local, whose tree is slow).
+Their printed bases are minimal but not reduced, so a change to the
+basis engine that picks other generators of the same ideal (another
+sign or scale of one of them) shows here.
+
 Regenerate the digests (only for an intended output change) with
 `PYTHONPATH=src python tests/test_text_output.py --write`.
 """
@@ -16,6 +22,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -26,12 +33,13 @@ from parastd.cli import COMMANDS, main
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = sorted(p.stem for p in (ROOT / "problems").glob("*.psb"))
 DIGESTS = Path(__file__).resolve().parent / "text_digests.json"
-POINTS = json.loads((ROOT / "bench" / "workloads.json").read_text(
-    encoding="utf-8"))["workloads"]["desk"]["matrix"]["points"]
+SPEC = json.loads((ROOT / "bench" / "workloads.json").read_text(encoding="utf-8"))
+POINTS = SPEC["workloads"]["desk"]["matrix"]["points"]
+ENGINE_PROBLEMS = ["jac_cross3", "jac_chain3", "t345", "e7_local",
+                   "katsura4_a", "cyclic4_a"]
 
 
-def _argv(command: str, problem: str) -> list[str]:
-    path = ROOT / "problems" / f"{problem}.psb"
+def _argv(command: str, path: Path) -> list[str]:
     argv = [command, str(path), "--format", "text"]
     if command == "specialize":
         text = path.read_text(encoding="utf-8")
@@ -44,8 +52,14 @@ def _argv(command: str, problem: str) -> list[str]:
 
 def text_digest(command: str, problem: str) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(_argv(command, problem))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = ROOT / "problems" / f"{problem}.psb"
+        if problem not in PROBLEMS:
+            path = Path(tmp) / f"{problem}.psb"
+            path.write_text("\n".join(SPEC["problems"][problem]) + "\n",
+                            encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(_argv(command, path))
     blob = json.dumps([out.getvalue(), err.getvalue(), code])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -54,7 +68,9 @@ def _case_id(command: str, problem: str) -> str:
     return f"{command} {problem}"
 
 
-CASES = [(c, p) for p in PROBLEMS for c in COMMANDS]
+CASES = ([(c, p) for p in PROBLEMS for c in COMMANDS]
+         + [(c, p) for p in ENGINE_PROBLEMS for c in ("gsb", "comprehensive")]
+         + [("gsb", "jac_x4y4_local")])
 
 
 def test_digest_file_covers_every_case():

@@ -155,7 +155,7 @@ def _specialize(problem, settings):
 def _verify(problem, settings):
     basis = _generic_basis(problem)
     count = settings.get("samples", 10)
-    points = variety_points(problem.qgens, problem.m, Random(settings["seed"]),
+    points = variety_points(basis.ctx.qbasis, problem.m, Random(settings["seed"]),
                             count, avoid=[basis.h_poly()])
     if not points:
         raise ParastdError("no admissible sample points found")

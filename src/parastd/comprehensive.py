@@ -132,7 +132,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
             return
 
         cell = Cell(evanish, navoid + tuple(branch))
-        points = variety_points(evanish, m, rng, VERIFY_SAMPLES, avoid=list(cell.nonvanish))
+        points = variety_points(ctx.qbasis, m, rng, VERIFY_SAMPLES, avoid=list(cell.nonvanish))
         bad = next((c.point for c in verify_specialization(basis, points) if not c.ok),
                    None)
         if bad is not None:

@@ -194,8 +194,13 @@ class _ExprParser:
                 raise ProblemSyntaxError("exponent must be a natural number",
                                          t.line, t.col)
             out = ParamPoly.constant(1, self.n, self.m)
-            for _ in range(t.value):
-                out = out * atom
+            k = t.value
+            while k:  # square and multiply
+                if k & 1:
+                    out = out * atom
+                k >>= 1
+                if k:
+                    atom = atom * atom
             return out
         return atom
 

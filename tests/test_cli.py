@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,19 @@ def test_parse_problem_intro():
     assert prob.vars == ("x1", "x2")
     assert prob.order.rows == ((-1, -1), (-1, 0))
     assert prob.ideal == [P("a*x2 - x1*x2 + x1")]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_power_equals_repeated_product(n):
+    expected = P(" * ".join(["(x1 + a)"] * n) or "1")
+    assert P(f"(x1 + a)^{n}") == expected
+
+
+def test_huge_power_parses_by_squaring():
+    start = time.perf_counter()
+    p = P("x1^100000")
+    assert time.perf_counter() - start < 0.1
+    assert list(p.terms) == [(100000, 0)]
 
 
 def test_parse_problem_empty_ideal():

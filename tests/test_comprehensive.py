@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from parastd.errors import DepthExceeded, MultipleCells, NoCell, ParastdError
 from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
 from parastd.genstd import SampleCheck, plain_staircase
+from parastd.problems import parse_problem
 from parastd.comprehensive import (
     Cell,
     comprehensive_basis,
@@ -18,6 +20,7 @@ from parastd.comprehensive import (
 from conftest import INTRO_ORDER, P
 
 A = AScalar.var(0, 1)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +280,22 @@ def test_tree_raises_when_the_failing_sample_has_no_offending_factor(monkeypatch
     monkeypatch.setattr(comp, "verify_specialization", fake)
     with pytest.raises(ParastdError, match="no offending coefficient"):
         comprehensive_basis([P("a*x2 - x1*x2 + x1")], INTRO_ORDER)
+
+
+def test_every_cell_of_two_params_is_sampled(monkeypatch):
+    # the cell vanish: [b, a] has the one point (0, 0); the tree must check it
+    import parastd.comprehensive as comp
+
+    problem = parse_problem((PROBLEMS / "two_params.psb").read_text())
+    checked, real = {}, comp.verify_specialization
+
+    def recording(basis, points):
+        checked[basis.ctx.qbasis] = list(points)
+        return real(basis, points)
+
+    monkeypatch.setattr(comp, "verify_specialization", recording)
+    res = comprehensive_basis(problem.ideal, problem.order, seed=problem.options["seed"])
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    cell = next(e for e in res.cells if set(e.cell.vanish) == {a, b})
+    assert checked[cell.basis.ctx.qbasis] == [(Fraction(0), Fraction(0))]
+    assert all(checked[e.basis.ctx.qbasis] for e in res.cells)

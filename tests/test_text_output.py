@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from parastd.cli import COMMANDS, main
+from parastd.problems import parse_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = sorted(p.stem for p in (ROOT / "problems").glob("*.psb"))
@@ -50,7 +51,9 @@ def _argv(command: str, path: Path) -> list[str]:
     return argv
 
 
-def text_digest(command: str, problem: str) -> str:
+def text_digest(command: str, problem: str, seed: int | None = None) -> str:
+    """Digest of one run; with `seed`, the echoed seed line is put back to
+    the problem's default so that the digest of the default run applies."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = ROOT / "problems" / f"{problem}.psb"
@@ -58,9 +61,14 @@ def text_digest(command: str, problem: str) -> str:
             path = Path(tmp) / f"{problem}.psb"
             path.write_text("\n".join(SPEC["problems"][problem]) + "\n",
                             encoding="utf-8")
+        argv = _argv(command, path) + ([] if seed is None else ["--seed", str(seed)])
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(_argv(command, path))
-    blob = json.dumps([out.getvalue(), err.getvalue(), code])
+            code = main(argv)
+        stdout = out.getvalue()
+        if seed is not None:
+            default = parse_problem(path.read_text(encoding="utf-8")).options.get("seed", 0)
+            stdout = stdout.replace(f"\nseed: {seed}\n", f"\nseed: {default}\n", 1)
+    blob = json.dumps([stdout, err.getvalue(), code])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -71,6 +79,19 @@ def _case_id(command: str, problem: str) -> str:
 CASES = ([(c, p) for p in PROBLEMS for c in COMMANDS]
          + [(c, p) for p in ENGINE_PROBLEMS for c in ("gsb", "comprehensive")]
          + [("gsb", "jac_x4y4_local")])
+
+
+# The comprehensive tree shares one rng across its cells, so the sample
+# points of every cell depend on the seed; the printed cells must not.
+SEED_CASES = [(p, seed) for p in ENGINE_PROBLEMS for seed in (1, 12345)]
+
+
+@pytest.mark.parametrize("problem, seed", SEED_CASES,
+                         ids=[f"comprehensive {p} --seed {s}" for p, s in SEED_CASES])
+def test_comprehensive_output_does_not_depend_on_the_seed(problem, seed):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert text_digest("comprehensive", problem, seed) == \
+        recorded[_case_id("comprehensive", problem)]
 
 
 def test_digest_file_covers_every_case():

@@ -1,8 +1,10 @@
-"""Buchberger's algorithm with cofactor tracking, minimalization, reduction.
+"""Buchberger's algorithm with one image per generator, minimalization, reduction.
 
-Every basis element carries its expression in the input generators, so
-membership certificates survive minimalization. The pair queue runs the
-normal strategy (smallest lcm under the active order, ties by (i, j)).
+Each basis element carries one image polynomial, not a cofactor vector
+(Singular's `std` keeps no transformation matrix either): the caller
+gives the inputs' images, and a new element's image takes the same linear
+steps as the element. The pair queue runs the normal strategy (smallest
+lcm under the active order, ties by (i, j)).
 Pairs are pruned by the Gebauer-Moeller update (JSC 1988) as each
 generator comes in: Buchberger's chain criterion drops queued pairs the
 new lead splits (B), and of the new pairs only one per minimal lcm stays
@@ -32,20 +34,21 @@ from .polyring import AScalar, fraction_content
 @dataclass
 class BasisResult:
     generators: list
-    cofactors: list[list]
+    images: list
     order: MonomialOrder
 
     def leading_exponents(self):
         return [g.leading(self.order)[0] for g in self.generators]
 
 
-def buchberger(F, order: MonomialOrder) -> BasisResult:
+def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
     """Compute a standard basis of the ideal generated by F.
 
-    F is a list of AScalar, all in one ring. Terminates for a global
-    order, or for homogeneous input under any order (the staircase grows
-    strictly inside a noetherian lattice). S-functions are reduced by full
-    division.
+    F is a list of AScalar, all in one ring. `images[i]` (default 0) is the
+    image of F[i] under a linear map; each generator's image is its own
+    image under that map. Terminates for a global order, or for
+    homogeneous input under any order (the staircase grows strictly inside
+    a noetherian lattice). S-functions are reduced by full division.
     """
     F = list(F)
     nonzero = [f for f in F if not f.is_zero()]
@@ -56,16 +59,16 @@ def buchberger(F, order: MonomialOrder) -> BasisResult:
             "basis computation needs a well order or homogeneous input; "
             "route local orders through homogenization")
 
-    zero, one = AScalar.zero(nonzero[0].m), AScalar.one(nonzero[0].m)
+    zero = AScalar.zero(nonzero[0].m)
     gens: list = []
-    cofs: list[list] = []
+    ims: list = []
     leads = []
     pending: dict = {}  # (i, j) -> lcm of the heads, for pairs still to run
     heap: list = []  # normal strategy: smallest lcm first, ties by (i, j)
 
-    def add(g, c):
+    def add(g, im):
         gens.append(g)
-        cofs.append(c)
+        ims.append(im)
         lk = g.leading(order)[0]
         leads.append(lk)
         k = len(leads) - 1
@@ -88,9 +91,7 @@ def buchberger(F, order: MonomialOrder) -> BasisResult:
     for i, f in enumerate(F):
         if f.is_zero():
             continue
-        unit = [zero] * len(F)
-        unit[i] = one
-        add(*_shrink(f, unit))
+        add(*_shrink(f, images[i] if images else zero))
 
     while heap:
         _, i, j = heappop(heap)
@@ -103,25 +104,24 @@ def buchberger(F, order: MonomialOrder) -> BasisResult:
         r = res.remainder
         if r.is_zero():
             continue
-        # cofactors of the S-function, then subtract the division quotients
-        lead_i, lead_j = gens[i].leading(order), gens[j].leading(order)
-        rc = [s_combination(a, b, lead_i, lead_j) for a, b in zip(cofs[i], cofs[j])]
-        for q, gc in zip(res.quotients, cofs):
-            if q.is_zero():
-                continue
-            rc = [a - q * b for a, b in zip(rc, gc)]
-        add(*_shrink(r, rc))
+        # image of the S-function, minus the quotients times their images
+        im = s_combination(ims[i], ims[j], gens[i].leading(order),
+                           gens[j].leading(order))
+        for q, qi in zip(res.quotients, ims):
+            if not q.is_zero() and not qi.is_zero():
+                im = im - q * qi
+        add(*_shrink(r, im))
 
-    return BasisResult(gens, cofs, order)
+    return BasisResult(gens, ims, order)
 
 
-def _shrink(g, cofs):
-    """Divide g and its cofactors by the positive content of g."""
+def _shrink(g, im):
+    """Divide g and its image by the positive content of g."""
     cont = fraction_content(g.terms.values())
     if cont == 1:
-        return g, cofs
+        return g, im
     q = 1 / cont
-    return g.scale(q), [p.scale(q) for p in cofs]
+    return g.scale(q), im.scale(q)
 
 
 def minimalize(B: BasisResult) -> BasisResult:
@@ -138,7 +138,7 @@ def minimalize(B: BasisResult) -> BasisResult:
         kept_exps.append(leads[i])
     keep.sort()
     return BasisResult([B.generators[i] for i in keep],
-                       [B.cofactors[i] for i in keep], B.order)
+                       [B.images[i] for i in keep], B.order)
 
 
 def reduce_basis(gens: list, order: MonomialOrder) -> list:

@@ -111,15 +111,10 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
             return  # a non-vanishing condition is identically zero here
         basis = generic_basis(F, order, ctx)
 
-        # stored h factors need not be square-free (genstd can store
-        # (a^2 + 8)^2 as one factor), so split them again before branching
-        in_rad: dict[AScalar, bool] = {}
-        for fac, _ in basis.h_factors:
-            for sf in squarefree_factors(fac):
-                if sf not in in_rad:
-                    in_rad[sf] = in_radical(sf, ctx.qbasis)
-        branch = sorted((sf for sf, d in in_rad.items() if not d), key=factor_order)
-        dead = [sf for sf, d in in_rad.items() if d]
+        # the stored h factors are square-free and coprime: branch on them
+        in_rad = {fac: in_radical(fac, ctx.qbasis) for fac, _ in basis.h_factors}
+        branch = [fac for fac, d in in_rad.items() if not d]
+        dead = [fac for fac, d in in_rad.items() if d]
 
         if dead:
             # h vanishes on all of V(E): saturate E and retry; the node's

@@ -74,12 +74,6 @@ class DivisionResult:
     cofactor_ok: bool = True
     steps: int = field(default=0, repr=False)
 
-    def check_identity(self, f, divisors) -> bool:
-        acc = self.remainder
-        for q, g in zip(self.quotients, divisors):
-            acc = acc + q * g
-        return acc == f
-
 
 FULL = "full"
 TRUNCATED = "truncated"

@@ -32,6 +32,7 @@ from .polyring import (
     AScalar,
     ParamPoly,
     ParamScalar,
+    common_factor,
     divide_out,
     embed_params_as_vars,
     factor_order,
@@ -161,8 +162,9 @@ class GenericBasis:
 
     Specializations at points of V(Q) off V(h) are standard bases of the
     specialized ideal. `leads[i]` is leading_mod_q(gens[i]), recorded once
-    when the basis is built; its exponents generate the staircase. Cofactors
-    (when present) express each generator in the recorded inputs exactly.
+    when the basis is built; its exponents generate the staircase. Each
+    generator lies in the ideal of the recorded inputs (with denominators
+    cleared); no certificate of that is stored.
     """
 
     gens: list[ParamPoly]
@@ -172,7 +174,6 @@ class GenericBasis:
     staircase: Staircase
     order: MonomialOrder
     inputs: list[ParamPoly] = field(default_factory=list)
-    cofactors: list[list[ParamPoly]] | None = None
 
     def h_poly(self) -> AScalar:
         h = AScalar.one(self.ctx.m)
@@ -183,22 +184,39 @@ class GenericBasis:
 
 
 def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
+    """Coprime, square-free factors with exact powers of the product h of `factors`.
+
+    Splits each factor by `squarefree_factors`, then refines (Bach, Driscoll
+    and Shallit, J. Algorithms 1993): while two stored factors b^i, c^j
+    share a `common_factor` g, they become (b/g)^i, g^(i+j) and (c/g)^j.
+    Exact in one parameter, like the two helpers.
+    """
     counts: dict[AScalar, int] = {}
     for f in factors:
         if f.is_zero():
             raise ZeroPolynomialError("zero factor in h")
         p = f.primitive()
-        if p.is_constant():
-            continue
-        # split into square-free parts, keeping exact multiplicities so the
-        # product of the stored factors is still divisible by every numerator
         for sf in squarefree_factors(p):
             p, k = divide_out(p, sf)
             if k:
                 counts[sf] = counts.get(sf, 0) + k
         if not p.is_constant():
             counts[p] = counts.get(p, 0) + 1
-    return [(f, counts[f]) for f in sorted(counts, key=factor_order)]
+    todo, base = list(counts.items()), []
+    while todo:
+        p, k = todo.pop()
+        if p.is_constant():
+            continue
+        for idx, (b, j) in enumerate(base):
+            g = common_factor(p, b)
+            if not g.is_constant():
+                del base[idx]
+                todo += [(p.exact_div(g).primitive(), k), (g, k + j),
+                         (b.exact_div(g).primitive(), j)]
+                break
+        else:
+            base.append((p, k))
+    return sorted(base, key=lambda fk: factor_order(fk[0]))
 
 
 def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
@@ -212,10 +230,10 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     maximal-degree terms of each input (a safe over-exclusion that keeps
     specialization from dropping the input degrees). Either way the basis
     is minimalized, elements of Q are filtered out by the leading
-    coefficient test, and the survivors are (dehomogenized and) rewritten
-    into the input ideal through the tracked cofactors. h is the product
-    of the surviving leading coefficient numerators, times any cleared
-    input denominators.
+    coefficient test, and each survivor g is rewritten into the input
+    ideal as g minus its engine image (then dehomogenized). h is the
+    product of the surviving leading coefficient numerators, times any
+    cleared input denominators.
     """
     homogeneous_route = not is_global(order)
     inputs = list(F)
@@ -231,73 +249,66 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     cleared, multipliers = zip(*(f.clear_denominators() for f in inputs))
     den_factors = [mult for mult in multipliers if not mult.is_constant()]
 
-    # everything below runs over Q in the combined ring: x (then z), then a
-    embedded = [embed_params_as_vars(g) for g in cleared]
-    work = []          # (input index, polynomial fed to the basis engine)
+    # everything below runs over Q in the combined ring: x (then z), then a.
+    # g - image rewrites an engine generator g into the cleared inputs: a Q
+    # generator's image is itself, an input's is minus its terms dropped mod Q
+    work, images = [], []
     hprime: list[AScalar] = []
-    for idx, (g, emb) in enumerate(zip(cleared, embedded)):
+    for g in cleared:
         if g.is_zero():
             continue
+        emb = embed_params_as_vars(g)
         if homogeneous_route:
             g2 = drop_q_terms(g, ctx)
             if g2.is_zero():
                 continue
             d = g2.total_degree()
             hprime.extend(c.num for e, c in g2.terms.items() if sum(e) == d)
-            emb = emb.with_terms({e: c for e, c in emb.terms.items()
-                                  if e[:n] in g2.terms})
-            work.append((idx, emb.homogenize(n)))
+            kept = emb.with_terms({e: c for e, c in emb.terms.items()
+                                   if e[:n] in g2.terms})
+            work.append(kept.homogenize(n))
+            images.append(_pad(kept - emb, n, 1))
         else:
-            work.append((idx, emb))
+            work.append(emb)
+            images.append(AScalar.zero(n + m))
 
     if not work:
         return GenericBasis([], [], _normalize_h_factors(den_factors), ctx,
-                            Staircase(n, ()), order, inputs, cofactors=[])
+                            Staircase(n, ()), order, inputs)
 
     n_main = n + 1 if homogeneous_route else n
     comb_order = combined_order(order, m, homogeneous_route)
-    qcomb = [_lift_params(q, n_main) for q in ctx.qbasis]
-    lifted = [_lift_params(mult, n) for mult in multipliers]
-    basis = minimalize(buchberger([g for _, g in work] + qcomb, comb_order))
+    qcomb = [_pad(q, 0, n_main) for q in ctx.qbasis]
+    basis = minimalize(buchberger(work + qcomb, comb_order, images + qcomb))
 
-    gens, leads, cofs = [], [], []
-    for g, cof, lead in zip(basis.generators, basis.cofactors,
-                            basis.leading_exponents()):
+    gens, leads = [], []
+    for g, im, lead in zip(basis.generators, basis.images, basis.leading_exponents()):
         # the combined order compares x (and z) first, so the leading
         # coefficient in Q[a] collects the terms on the leading x exponent
         lc = AScalar({e[n_main:]: c for e, c in g.terms.items()
                       if e[:n_main] == lead[:n_main]}, m, _prune=False)
         if ctx.contains(lc):
             continue  # minimal basis: leading coefficient in Q iff g is in Q
-        # rewrite into the ORIGINAL ideal: sum of cofactors times the
-        # undropped cleared inputs (differs from g by Q-coefficient terms)
-        us = cof[:len(work)]
+        # rewrite into the ORIGINAL ideal (differs from g by Q-coefficient terms)
+        ghat = g - im
         if homogeneous_route:
-            us = [u.dehomogenize(n) for u in us]
-        ghat = AScalar.zero(n + m)
-        for (idx, _), u in zip(work, us):
-            if not u.is_zero():
-                ghat = ghat + u * embedded[idx]
+            ghat = ghat.dehomogenize(n)
         if ghat.is_zero():
             raise AllCoefficientsInQ("reconstructed generator vanished")
-        inv = 1 / fraction_content(ghat.terms.values())
-        ghat = split_params(ghat.scale(inv), n, m)
-        cof_user = [ParamPoly.zero(n, m) for _ in inputs]
-        for (idx, _), u in zip(work, us):
-            cof_user[idx] = split_params((u * lifted[idx]).scale(inv), n, m)
+        ghat = split_params(ghat.scale(1 / fraction_content(ghat.terms.values())), n, m)
         gens.append(ghat)
         leads.append(leading_mod_q(ghat, order, ctx))
-        cofs.append(cof_user)
 
     h_factors = _normalize_h_factors([c.num for _, c in leads] + hprime + den_factors)
     staircase = Staircase.from_exponents(n, [e for e, _ in leads])
-    return GenericBasis(gens, leads, h_factors, ctx, staircase, order, inputs, cofs)
+    return GenericBasis(gens, leads, h_factors, ctx, staircase, order, inputs)
 
 
-def _lift_params(s: AScalar, width: int) -> AScalar:
-    """A parameter polynomial as an element of the combined ring (x part 0)."""
+def _pad(s: AScalar, at: int, width: int) -> AScalar:
+    """s with `width` zero coordinates inserted at position `at`."""
     pad = (0,) * width
-    return AScalar({pad + e: c for e, c in s.terms.items()}, width + s.m, _prune=False)
+    return AScalar({e[:at] + pad + e[at:]: c for e, c in s.terms.items()},
+                   s.m + width, _prune=False)
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +431,3 @@ def s_criterion_mod_q(B: GenericBasis, trunc_degree: int | None = None) -> bool:
                 return False
     return True
 
-
-def certify_membership(B: GenericBasis) -> list[ParamPoly]:
-    """Defects g - sum(cofactor*input); all zero when certificates are exact."""
-    if B.cofactors is None:
-        raise ValueError("basis carries no cofactors")
-    defects = []
-    for g, cof in zip(B.gens, B.cofactors):
-        acc = g
-        for u, f in zip(cof, B.inputs):
-            if not u.is_zero() and not f.is_zero():
-                acc = acc - u * f
-        defects.append(acc)
-    return defects

@@ -285,23 +285,6 @@ def divide_out(p: AScalar, f: AScalar) -> tuple[AScalar, int]:
     return p, k
 
 
-def divides_factor_power(num: AScalar, factors) -> bool:
-    """True when num divides a product of powers of the given factors.
-
-    Divides out each nonconstant factor once in turn (in the factorial
-    ring Q[a], dividing out a later factor cannot make an earlier one
-    divide again); succeeds when a constant remains. Used for the
-    "denominator divides a power of h" invariant.
-    """
-    if num.is_zero():
-        return False
-    cur = num.primitive()
-    for f in factors:
-        if not f.is_constant():
-            cur, _ = divide_out(cur, f)
-    return cur.is_constant()
-
-
 # ---------------------------------------------------------------------------
 # univariate helpers on AScalar (square-free split, rational roots)
 
@@ -347,15 +330,26 @@ def squarefree_factors(s: AScalar) -> list[AScalar]:
     if not s.is_constant():
         used = _used_parameters(s)
         if len(used) == 1:
-            i, order = used[0], lex(s.m)
-            g, b = s, AScalar({e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c
-                               for e, c in s.terms.items() if e[i]}, s.m)
-            while b.terms:
-                g, b = b, divide(g, [b], order).remainder
+            i = used[0]
+            g = common_factor(s, AScalar({e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c
+                                          for e, c in s.terms.items() if e[i]}, s.m))
             if not g.is_constant():
                 s = s.exact_div(g)
         out.append(s.primitive())
     return list(dict.fromkeys(out))
+
+
+def common_factor(f: AScalar, g: AScalar) -> AScalar:
+    """Primitive common factor of the nonzero f and g (1 when none is found):
+    their gcd by Euclid on lex remainders when they involve one parameter
+    between them, else f or g when it divides the other."""
+    if len(set(_used_parameters(f) + _used_parameters(g))) > 1:
+        return next((x.primitive() for x, y in ((f, g), (g, f))
+                     if y.exact_div(x) is not None), AScalar.one(f.m))
+    order = lex(f.m)
+    while g.terms:
+        f, g = g, divide(f, [g], order).remainder
+    return f.primitive()
 
 
 def _divisors(k: int) -> set[int]:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from parastd.orders import matrix_order
-from parastd.polyring import AScalar, ParamPoly, ParamScalar
+from parastd.polyring import (AScalar, ParamPoly, ParamScalar, divide_out,
+                              embed_params_as_vars)
 from parastd.problems import poly_from_string
 
 settings.register_profile(
@@ -49,3 +50,46 @@ def random_poly(rng: random.Random, n, m, max_terms=5, max_exp=3,
     if not terms:
         terms = {(0,) * n: ParamScalar.one(m)}
     return ParamPoly(terms, n, m)
+
+
+def outside_input_ideal(B, sympy):
+    """Generators of the generic basis B that lie outside the ideal of its
+    inputs: each generator, embedded in Q[x, a], is reduced modulo a sympy
+    Groebner basis of the embedded inputs with denominators cleared. An
+    oracle that shares no code with the basis engine."""
+    n, m = B.inputs[0].n, B.inputs[0].m
+    syms = sympy.symbols(f"z0:{n + m}")
+
+    def expr(f):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.prod([s ** k for s, k in zip(syms, e)])
+                   for e, c in embed_params_as_vars(f).terms.items())
+
+    gb = sympy.groebner([expr(f.clear_denominators()[0]) for f in B.inputs],
+                        *syms, order="grevlex")
+    return [g for g in B.gens if gb.reduce(expr(g))[1] != 0]
+
+
+def division_identity(res, f, divisors) -> bool:
+    """f == remainder + sum(quotient_j * divisor_j) for a DivisionResult."""
+    acc = res.remainder
+    for q, g in zip(res.quotients, divisors):
+        acc = acc + q * g
+    return acc == f
+
+
+def divides_factor_power(num: AScalar, factors) -> bool:
+    """True when num divides a product of powers of the given factors.
+
+    Divides out each nonconstant factor as often as it goes, in turn (in
+    the factorial ring Q[a], dividing out a later factor cannot make an
+    earlier one divide again); succeeds when a constant remains. Checks
+    the "denominator divides a power of h" invariant.
+    """
+    if num.is_zero():
+        return False
+    cur = num.primitive()
+    for f in factors:
+        if not f.is_constant():
+            cur, _ = divide_out(cur, f)
+    return cur.is_constant()

@@ -58,20 +58,27 @@ def assert_is_standard_basis(res, inputs, order):
             assert divide(f, G, order).remainder.is_zero()
 
 
-def assert_cofactors_exact(res, inputs):
-    for g, cof in zip(res.generators, res.cofactors):
-        acc = g
-        for u, f in zip(cof, inputs):
-            if not u.is_zero():
-                acc = acc - u * f
-        assert acc.is_zero()
+def images_follow(F, order, seed):
+    """Run the engine with images p*f for a random p; every generator's
+    image must then be p*g, before and after minimalize (the image map is
+    linear, so a wrong sign or a lost quotient step shows here)."""
+    p = random_q_poly(random.Random(seed), F[0].m, max_terms=3, max_exp=2,
+                      integral=False)
+    res = buchberger(F, order, [p * f for f in F])
+    for r in (res, minimalize(res)):
+        assert len(r.images) == len(r.generators)
+        assert all(im == p * g for g, im in zip(r.generators, r.images))
+    return res
 
 
-def test_buchberger_textbook_pair():
+SEEDS = st.integers(min_value=0, max_value=10 ** 6)
+
+
+@given(SEEDS)
+def test_buchberger_textbook_pair(seed):
     F = [QP("x1^2 - x2"), QP("x1*x2 - 1")]
-    res = buchberger(F, GREVLEX2)
+    res = images_follow(F, GREVLEX2, seed)
     assert_is_standard_basis(res, F, GREVLEX2)
-    assert_cofactors_exact(res, F)
     mini = minimalize(res)
     # staircase pinned by the oracle: x1^2, x1*x2, x2^2 are the corners
     assert staircase_of(mini) == [(0, 2), (1, 1), (2, 0)]
@@ -229,18 +236,16 @@ def q_ideals(n, count, integral=True, max_exp=2):
 
 
 @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
-           q_ideals(n, 2, integral=False), st.sampled_from(["lex", "grevlex"]))))
-def test_engine_on_q_against_sympy(case):
-    # cofactors stay exact through minimalize, and the reduced basis is sympy's
+           q_ideals(n, 2, integral=False), st.sampled_from(["lex", "grevlex"]))), SEEDS)
+def test_engine_on_q_against_sympy(case, seed):
+    # images follow their generators through minimalize, and the reduced
+    # basis is sympy's
     sympy = pytest.importorskip("sympy")
     F, order_name = case
     n = F[0].m
     order = {"lex": lex, "grevlex": grevlex}[order_name](n)
-    full = buchberger(F, order)
-    mini = minimalize(full)
+    mini = minimalize(images_follow(F, order, seed))
     red = reduce_basis(mini.generators, order)
-    for res in (full, mini):
-        assert_cofactors_exact(res, F)
     assert all(g.leading(order)[1] == 1 for g in red)
     ours = {_scaled_terms(g.terms) for g in red}
     assert ours == sympy_reduced_basis(F, sympy.symbols(f"x0:{n}"), order_name, sympy)
@@ -248,8 +253,9 @@ def test_engine_on_q_against_sympy(case):
 
 @pytest.mark.parametrize("regime", ["lex", "grevlex", "homogenized"])
 @given(st.sampled_from([(2, 2), (3, 1)]).flatmap(lambda shape: st.integers(
-    min_value=3, max_value=4).flatmap(lambda k: q_ideals(shape[0], k, max_exp=shape[1]))))
-def test_pruned_engine_against_full_certificate(regime, F):
+    min_value=3, max_value=4).flatmap(lambda k: q_ideals(shape[0], k, max_exp=shape[1]))),
+    SEEDS)
+def test_pruned_engine_against_full_certificate(regime, F, seed):
     # the certificate forms every S-pair of the result, so it shares nothing
     # with the criteria that let the engine skip pairs; 3-4 generators make
     # the criteria fire, and the homogenized regime runs under a local order.
@@ -259,9 +265,8 @@ def test_pruned_engine_against_full_certificate(regime, F):
         F, order = [f.homogenize(n) for f in F], neg_grevlex(n + 1)
     else:
         order = {"lex": lex, "grevlex": grevlex}[regime](n)
-    res = buchberger(F, order)
+    res = images_follow(F, order, seed)
     assert_is_standard_basis(res, F, order)
-    assert_cofactors_exact(res, F)
 
 
 @given(st.sampled_from([1, 2, 3]).flatmap(

@@ -13,14 +13,14 @@ from parastd.errors import (
     TruncationTooSmall,
 )
 from parastd.orders import grevlex, lex, matrix_order, neg_grevlex
-from parastd.polyring import AScalar, ParamPoly, ParamScalar, divides_factor_power
+from parastd.polyring import AScalar, ParamPoly, ParamScalar
 from parastd.division import divide, divide_series
 from parastd.genstd import (
     _leading_exponent_at,
+    _normalize_h_factors,
     GenericBasis,
     PrimeContext,
     Staircase,
-    certify_membership,
     coeff_in_q,
     divide_mod_q,
     drop_q_terms,
@@ -32,7 +32,8 @@ from parastd.genstd import (
     verify_specialization,
 )
 
-from conftest import INTRO_ORDER, INTRO_PARAMS, INTRO_VARS, P, random_poly
+from conftest import (INTRO_ORDER, INTRO_PARAMS, INTRO_VARS, P, divides_factor_power,
+                      outside_input_ideal, random_poly)
 
 A = AScalar.var(0, 1)
 CTX0 = PrimeContext.trivial(1)
@@ -188,22 +189,70 @@ def test_local_degenerate_top_degree():
 
 
 def test_membership_certificates_exact(intro):
-    for ctx in (CTX0, ctx_a()):
-        B = generic_basis([intro, P("x1^2 - a*x1")], INTRO_ORDER, ctx)
-        assert all(d.is_zero() for d in certify_membership(B))
-    B2 = generic_basis([P("a*x1 + x2"), P("x1*x2 + a")], grevlex(2), CTX0)
-    assert all(d.is_zero() for d in certify_membership(B2))
-    # inputs with a parameter denominator: the cofactors carry the multiplier
-    # that cleared it, and the denominator is excluded through h
+    # every generator lies in the ideal of the inputs, by a sympy oracle
+    sympy = pytest.importorskip("sympy")
     one = AScalar.one(1)
     ctx_a_minus_1 = PrimeContext.from_generators([A - one], 1)
+    # homogeneous route with a term dropped mod Q: a*x2 lies in Q = <a>, so
+    # the generator g differs from its rewrite into the input by its image
+    assert drop_q_terms(intro, ctx_a()) != intro
+    cases = [([intro], INTRO_ORDER, ctx_a())]
+    for ctx in (CTX0, ctx_a()):
+        cases.append(([intro, P("x1^2 - a*x1")], INTRO_ORDER, ctx))
+    # well-order route, with and without Q generators in the engine
+    for ctx in (CTX0, ctx_a_minus_1):
+        cases.append(([P("a*x1 + x2"), P("x1*x2 + a")], grevlex(2), ctx))
+    # inputs with a parameter denominator: the cleared input is in the
+    # ideal, and the denominator is excluded through h
     for text, den in (("x1/a + x2", A), ("x1/(a+1) + x2", A + one)):
         for order in (grevlex(2), INTRO_ORDER):
             for ctx in (CTX0, ctx_a_minus_1):
-                B = generic_basis([P(text), P("x1^2 - a*x1")], order, ctx)
-                assert B.gens
-                assert all(d.is_zero() for d in certify_membership(B))
-                assert den in [f for f, _ in B.h_factors]
+                cases.append(([P(text), P("x1^2 - a*x1")], order, ctx))
+                assert den in [f for f, _ in generic_basis(*cases[-1]).h_factors]
+    for F, order, ctx in cases:
+        B = generic_basis(F, order, ctx)
+        assert B.gens
+        assert outside_input_ideal(B, sympy) == []
+
+
+def test_h_factors_are_square_free_and_coprime():
+    # h = (a - 1)*(a^2 + 8)^3: stored with exact powers, not as the
+    # square-free part (a - 1)*(a^2 + 8) and the leftover (a^2 + 8)^2
+    B = generic_basis([P("(a - 1)*(a^2 + 8)^3*x1^2 + x2")], grevlex(2), CTX0)
+    assert B.h_factors == [(A - AScalar.one(1), 1), (A * A + AScalar.const(8, 1), 3)]
+
+
+# irreducible, primitive, pairwise coprime factors of Q[a]
+H_POOL = [A, A - AScalar.one(1), A + AScalar.const(2, 1), A * A + AScalar.const(8, 1),
+          A * A - A + AScalar.const(3, 1)]
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(min_value=0, max_value=3),
+                                   min_size=len(H_POOL), max_size=len(H_POOL)),
+                          st.sampled_from([1, -1, 3, Fraction(-1, 2)])),
+                min_size=1, max_size=4))
+def test_h_factor_base_keeps_exact_powers(inputs):
+    factors = []
+    for powers, const in inputs:
+        f = AScalar.const(const, 1)
+        for p, k in zip(H_POOL, powers):
+            for _ in range(k):
+                f = f * p
+        factors.append(f)
+    total = [sum(col) for col in zip(*(powers for powers, _ in inputs))]
+    out = _normalize_h_factors(factors)
+    for f, k in out:
+        # square-free: a product of distinct pool factors, each with power k
+        rest, used = f, 0
+        for p, t in zip(H_POOL, total):
+            q = rest.exact_div(p)
+            if q is not None:
+                rest, used = q, used + 1
+                assert t == k
+        assert used and rest.is_constant()
+    # coprime and complete: each pool factor of h sits in exactly one factor
+    for p, t in zip(H_POOL, total):
+        assert sum(f.exact_div(p) is not None for f, _ in out) == (1 if t else 0)
 
 
 def test_lc_numerators_divide_h(intro):

@@ -12,7 +12,6 @@ from parastd.polyring import (
     AScalar,
     ParamPoly,
     ParamScalar,
-    divides_factor_power,
     embed_params_as_vars,
     rational_roots,
     render_ascalar,
@@ -23,7 +22,8 @@ from parastd.polyring import (
 )
 from parastd.genstd import PrimeContext, coeff_in_q
 
-from conftest import INTRO_ORDER, INTRO_PARAMS, INTRO_VARS, P, random_poly
+from conftest import (INTRO_ORDER, INTRO_PARAMS, INTRO_VARS, P, divides_factor_power,
+                      random_poly)
 
 
 def test_add_identity(intro_poly):

@@ -229,6 +229,18 @@ def test_cli_gsb_q_a(capsys):
     assert doc["result"]["staircase"] == [[1, 0]]
 
 
+@pytest.mark.parametrize("command", ["gsb", "reduce"])
+def test_cli_every_input_in_q(capsys, tmp_path, command):
+    # on the homogeneous route every input lies in Q: no generator survives
+    path = tmp_path / "allq.psb"
+    path.write_text("params: a\nvars: x1, x2\norder: neg_grevlex\n"
+                    "ideal: a*x1 + a^2*x2\nQ: a\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, command, str(path), "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["generators"], result["staircase"], result["h"]) == ([], [], "1")
+
+
 def test_cli_comprehensive_milnor(capsys):
     code, out, _ = run_cli(capsys, "comprehensive",
                            str(PROBLEMS / "milnor_cubic.psb"),

@@ -371,6 +371,48 @@ def test_remainder_only_zero_max_degree():
 
 
 # ---------------------------------------------------------------------------
+# nothing to divide: a zero dividend, or one cut away whole by the series cutoff
+
+DIVISIONS = {
+    "divide": lambda f, G, order: divide(f, G, order),
+    "truncated": lambda f, G, order: divide_truncated(f, G, order),
+    "series": lambda f, G, order: divide_series(f, G, order, 3),
+    "remainder_only": lambda f, G, order: divide_series(f, G, order, 3,
+                                                        remainder_only=True),
+}
+# a zero divisor is not read, and full division of zero needs no well
+# order even against an inhomogeneous divisor
+ZERO_DIVIDEND_DIVISORS = {
+    "grevlex": (["x1*x2 - 1", "x2^2"], GREVLEX2),
+    "zero_divisor": (["0"], GREVLEX2),
+    "zero_among_divisors": (["x1", "0"], neg_grevlex(2)),
+    "neg_grevlex_inhomogeneous": (["x1 + x2^2"], neg_grevlex(2)),
+}
+
+
+@pytest.mark.parametrize("divisors", sorted(ZERO_DIVIDEND_DIVISORS))
+@pytest.mark.parametrize("division", sorted(DIVISIONS))
+def test_zero_dividend_gives_zero_quotients_and_remainder(division, divisors):
+    texts, order = ZERO_DIVIDEND_DIVISORS[divisors]
+    zero = P("0")
+    res = DIVISIONS[division](zero, [P(t) for t in texts], order)
+    assert res.quotients == [zero] * len(texts)
+    assert res.remainder == zero
+    assert (res.cofactor_ok, res.steps) == (True, 0)
+
+
+@pytest.mark.parametrize("remainder_only", [False, True])
+@pytest.mark.parametrize("divisors", [["x2"], ["x2", "0"]], ids=["x2", "x2_and_zero"])
+def test_series_dividend_above_the_cutoff_gives_zeros(divisors, remainder_only):
+    zero = QP("0")
+    res = divide_series(QP("x1^5"), [QP(t) for t in divisors], neg_grevlex(2), 3,
+                        remainder_only=remainder_only)
+    assert res.quotients == [zero] * len(divisors)
+    assert res.remainder == zero
+    assert (res.cofactor_ok, res.steps) == (False, 0)
+
+
+# ---------------------------------------------------------------------------
 # the key-space loop against the exponent-space loop it replaced
 
 

@@ -309,6 +309,17 @@ def test_squarefree_multivariate_kept_whole():
     assert a in facs and (a + b) in facs
 
 
+def test_zero_and_constant_scalars_take_the_main_paths():
+    assert squarefree_factors(AScalar.zero(1)) == []
+    assert squarefree_factors(AScalar.const(3, 1)) == []
+    assert AScalar.zero(2).primitive().is_zero()
+    assert AScalar.const(0, 2).terms == {}
+    a = AScalar.var(0, 1)
+    x = ParamScalar(a + AScalar.one(1), a)
+    for prod in (x * ParamScalar.zero(1), ParamScalar.zero(1) * x):
+        assert prod.num.is_zero() and prod.den == AScalar.one(1)
+
+
 # Oracles for exact division and the square-free split in Q[a]: every
 # expected value is built from chosen factors by ring arithmetic alone.
 _COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))

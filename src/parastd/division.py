@@ -6,8 +6,10 @@ exponent partition, reduce by that divisor (smallest index wins), otherwise
 move the leading monomial to the remainder. Full division needs a well
 order or homogeneous data to terminate; the truncated variant stops the
 first time the leading exponent escapes every divisor cone; the series
-variant discards generated terms above a degree cutoff, which is the
-computable stand-in for power-series division under local orders.
+variant discards every term above a degree cutoff, the dividend's too,
+which is the computable stand-in for power-series division under local
+orders. A zero dividend, or one the cutoff removes whole, runs the same
+loop: it gives zero quotients and remainder and reads no divisor.
 
 A series division asked for its remainder only also discards every term
 below the highest corner: the order-least exponent of degree at most the
@@ -115,6 +117,17 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
     # terms are keyed by order key, not exponent (module docstring); an
     # exponent is the tail k[r:] of its key
     r = len(order.rows)
+    iterate = dict(keyed_terms(f, order))
+    exact = True
+    if mode == SERIES:
+        # the degree cut applies to the dividend as to every generated term
+        kept = {k: c for k, c in iterate.items() if sum(k[r:]) <= max_degree}
+        exact = len(kept) == len(iterate)
+        iterate = kept
+    # polynomials are immutable, so every empty quotient shares one zero
+    zero = f.with_terms({})
+    if not iterate:  # nothing to divide: the divisors are not read
+        return DivisionResult([zero] * len(divisors), zero, exact)
     keyed = []
     for g in divisors:
         if g.is_zero():
@@ -125,8 +138,6 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
     # ring elements are built once at the end
     quotients: list[dict] = [{} for _ in divisors]
     remainder: dict = {}
-    iterate = dict(keyed_terms(f, order))
-    exact = True
     floor = None
     if remainder_only:
         # series mode only: terms below the highest corner never reach the
@@ -137,7 +148,7 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
         else:
             floor = order.key(corner)
             kept = {k: c for k, c in iterate.items() if k >= floor}
-        exact = len(kept) == len(iterate)
+        exact &= len(kept) == len(iterate)
         iterate = kept
     steps = 0
     while iterate:
@@ -172,16 +183,8 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                 exact = False
             else:
                 iterate[kk] = -(c0 * coeff)
-    # polynomials are immutable, so every empty quotient shares one zero
-    zero = f.with_terms({})
     return DivisionResult([f.with_terms(q) if q else zero for q in quotients],
                           f.with_terms(remainder) if remainder else zero, exact, steps)
-
-
-def _zero_result(f, G, exact=True) -> DivisionResult:
-    """Zero quotients and remainder, all one zero element of f's ring."""
-    zero = f.with_terms({})
-    return DivisionResult([zero for _ in G], zero, exact)
 
 
 def full_division_terminates(f, G, order: MonomialOrder) -> bool:
@@ -193,14 +196,12 @@ def full_division_terminates(f, G, order: MonomialOrder) -> bool:
 def divide(f, G, order: MonomialOrder) -> DivisionResult:
     """Full division of f by the list G: unique quotients and remainder.
 
-    Requires a global order, or homogeneous data (any order); otherwise the
-    loop need not terminate and NonTerminatingOrder is raised. The result
-    satisfies the exact identity f = sum(q_j g_j) + R, the support conditions
-    on quotients and remainder, and the max property on leading exponents.
+    A nonzero f needs a global order, or homogeneous data (any order);
+    otherwise NonTerminatingOrder is raised. The result satisfies the exact
+    identity f = sum(q_j g_j) + R, the support conditions on quotients and
+    remainder, and the max property on leading exponents.
     """
-    if f.is_zero():
-        return _zero_result(f, G)
-    if not full_division_terminates(f, G, order):
+    if not f.is_zero() and not full_division_terminates(f, G, order):
         raise NonTerminatingOrder(
             "full division needs a well order or homogeneous data; "
             "use divide_truncated or divide_series")
@@ -215,8 +216,6 @@ def divide_truncated(f, G, order: MonomialOrder) -> DivisionResult:
     the quotients are polynomial. The support conditions of full division
     are not guaranteed, but the exact identity and the max property hold.
     """
-    if f.is_zero():
-        return _zero_result(f, G)
     guard = None if full_division_terminates(f, G, order) else TRUNCATION_STEP_GUARD
     return _division_loop(f, list(G), order, TRUNCATED, guard=guard)
 
@@ -226,8 +225,9 @@ def divide_series(f, G, order: MonomialOrder, max_degree: int, *,
     """Degree-bounded division: terms above max_degree are discarded.
 
     Computable stand-in for power-series division under local orders; the
-    identity holds modulo terms of total degree above the cutoff, signalled
-    by cofactor_ok=False whenever anything was discarded. With
+    loop cuts the dividend's terms above the cutoff like generated ones,
+    and the identity holds modulo terms of total degree above the cutoff,
+    signalled by cofactor_ok=False whenever anything was discarded. With
     remainder_only, terms below the highest corner are discarded too (see
     the module docstring): the remainder is unchanged, the quotients stop
     at the corner, and the identity holds modulo terms above the cutoff or
@@ -235,17 +235,8 @@ def divide_series(f, G, order: MonomialOrder, max_degree: int, *,
     """
     if max_degree < 0:
         raise TruncationTooSmall(f"truncation degree {max_degree} is negative")
-    if f.is_zero():
-        return _zero_result(f, G)
-    start = {e: c for e, c in f.terms.items() if exp_degree(e) <= max_degree}
-    exact0 = len(start) == len(f.terms)
-    f0 = f.with_terms(start)
-    if f0.is_zero():
-        return _zero_result(f, G, exact0)
-    res = _division_loop(f0, list(G), order, SERIES, max_degree=max_degree,
-                         remainder_only=remainder_only)
-    res.cofactor_ok &= exact0  # terms of f above the cutoff were discarded too
-    return res
+    return _division_loop(f, list(G), order, SERIES, max_degree=max_degree,
+                          remainder_only=remainder_only)
 
 
 def s_combination(f, g, lead_f, lead_g):

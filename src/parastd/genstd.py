@@ -71,11 +71,8 @@ class PrimeContext:
     def trivial(cls, m) -> "PrimeContext":
         return cls((), m)
 
-    def normal_form(self, s: AScalar) -> AScalar:
-        return normal_form_param(s, list(self.qbasis))
-
     def contains(self, s: AScalar) -> bool:
-        return self.normal_form(s).is_zero()
+        return normal_form_param(s, list(self.qbasis)).is_zero()
 
 
 def coeff_in_q(s: ParamScalar, ctx: PrimeContext) -> bool:
@@ -272,10 +269,6 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
             work.append(emb)
             images.append(AScalar.zero(n + m))
 
-    if not work:
-        return GenericBasis([], [], _normalize_h_factors(den_factors), ctx,
-                            Staircase(n, ()), order, inputs)
-
     n_main = n + 1 if homogeneous_route else n
     comb_order = combined_order(order, m, homogeneous_route)
     qcomb = [_pad(q, 0, n_main) for q in ctx.qbasis]
@@ -329,10 +322,7 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
     if trunc_degree < need:
         raise TruncationTooSmall(
             f"trunc_degree {trunc_degree} below staircase degree {need}")
-    if not B.gens:
-        return GenericBasis([], [], list(B.h_factors), ctx, B.staircase, order,
-                            list(B.inputs))
-    n, m = B.gens[0].n, B.gens[0].m
+    n, m = B.staircase.n, ctx.m
 
     # the first generator on each staircase corner, made monic mod Q
     first: dict[Exponent, tuple[ParamPoly, ParamScalar]] = {}

@@ -125,11 +125,8 @@ def milnor_number(E: Staircase):
     Finite exactly when every coordinate axis carries a pure-power
     generator; then the complement sits inside the box they bound.
     """
-    n = E.n
-    if n == 0:
-        return 0 if E.contains(()) else inf
     bounds = []
-    for i in range(n):
+    for i in range(E.n):
         pure = [g[i] for g in E.generators
                 if all(k == 0 for j, k in enumerate(g) if j != i)]
         if not pure:

@@ -145,8 +145,7 @@ class AScalar(_Sparse):
 
     @classmethod
     def const(cls, value, m) -> "AScalar":
-        q = Fraction(value)
-        return cls({(0,) * m: q} if q else {}, m)
+        return cls({(0,) * m: Fraction(value)}, m)
 
     @classmethod
     def zero(cls, m) -> "AScalar":
@@ -237,8 +236,6 @@ class AScalar(_Sparse):
 
     def primitive(self) -> "AScalar":
         """Divide out the content; leading lex coefficient becomes positive."""
-        if not self.terms:
-            return self
         return self.scale(1 / self.content())
 
     def exact_div(self, other: "AScalar") -> "AScalar | None":
@@ -319,8 +316,6 @@ def squarefree_factors(s: AScalar) -> list[AScalar]:
     comprehensive tree, never breaks it. Monomial content splits into the
     individual variables.
     """
-    if s.is_zero() or s.is_constant():
-        return []
     out: list[AScalar] = []
     # split off the monomial content
     mins = _monomial_gcd(s)
@@ -454,8 +449,6 @@ class ParamScalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return ParamScalar.zero(self.m)
         return ParamScalar(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):

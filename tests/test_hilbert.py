@@ -210,6 +210,12 @@ def test_milnor_examples():
     assert milnor_number(S(2, (3, 1), (0, 2))) == inf  # x1 axis unblocked
 
 
+def test_milnor_number_in_no_variables():
+    # Q[x] with n = 0 is Q: mu = dim Q = 1, and 0 for the unit ideal
+    assert milnor_number(Staircase(0, ())) == 1 == hsf(Staircase(0, ()), 0)
+    assert milnor_number(Staircase(0, ((),))) == 0
+
+
 def test_milnor_family_partition():
     F = [P("3*x1^2 + a*x2"), P("3*x2^2 + a*x1")]
     strata = hilbert_partition(F, INTRO_ORDER)

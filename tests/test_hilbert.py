@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 from itertools import product
 from math import inf
+from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from parastd.cli import main
 from parastd.errors import ProblemSyntaxError
 from parastd.orders import grevlex, matrix_order, neg_grevlex
 from parastd.genstd import Staircase, plain_staircase
+from parastd.problems import parse_problem
 from parastd.hilbert import (
     HilbertData,
     default_r_max,
@@ -267,3 +270,75 @@ def test_milnor_semicontinuity_on_shipped_families():
         closed_mu = [s.milnor for s in strata if s.cells[0].vanish]
         assert open_mu and closed_mu
         assert min(closed_mu) >= max(open_mu)
+
+
+# ---------------------------------------------------------------------------
+# mu against a dimension count that shares no engine, division or Hilbert code
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = json.loads((ROOT / "bench" / "workloads.json").read_text(encoding="utf-8"))
+# the shipped problems under a local order with a finite mu somewhere, and
+# the families of the benchmark's local_tree workload
+LOCAL_FAMILIES = {
+    **{name: (ROOT / "problems" / f"{name}.psb").read_text(encoding="utf-8")
+       for name in ("cusp_family", "milnor_cubic", "whitney")},
+    **{op["problem"]: "\n".join(BENCH["problems"][op["problem"]]) + "\n"
+       for op in BENCH["workloads"]["local_tree"]["ops"]},
+}
+GRID = [Fraction(v) for v in range(-2, 3)] + [Fraction(1, 2)]
+
+
+def quotient_dimension(polys, n: int, k: int) -> int:
+    """dim_Q Q[x]/(I + m^k) for I generated by polys ({exponent: Fraction}).
+
+    Modulo m^k, I is spanned by the truncations below degree k of x^alpha * f
+    with |alpha| < k, so the dimension is the number of monomials of degree
+    below k minus the rank of those truncations, found by exact row
+    reduction on rows keyed by their least monomial.
+    """
+    monos = [e for e in product(range(k), repeat=n) if sum(e) < k]
+    pivots: dict = {}  # least monomial -> row whose entry there is 1
+    for f in polys:
+        for alpha in monos:
+            row = {s: c for s, c in ((tuple(map(add, alpha, e)), c) for e, c in f.items())
+                   if sum(s) < k}
+            while row:
+                lead = min(row)
+                c = row[lead]
+                if lead not in pivots:
+                    pivots[lead] = {e: v / c for e, v in row.items()}
+                    break
+                for e, v in pivots[lead].items():
+                    w = row.get(e, 0) - c * v
+                    if w:
+                        row[e] = w
+                    else:
+                        del row[e]
+    return len(monos) - len(pivots)
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_FAMILIES))
+def test_milnor_number_matches_a_dimension_count(name):
+    # at a grid point of each stratum: a finite mu is d(s+1) = d(s+2) for
+    # d(k) = dim Q[x]/(I + m^k) and s = stabilizes_at (two equal values give
+    # m^(s+1) in I locally, by Nakayama); an infinite mu needs d to grow
+    problem = parse_problem(LOCAL_FAMILIES[name])
+    n = len(problem.vars)
+    checked = 0
+    for stratum in hilbert_partition(problem.ideal, problem.order,
+                                     seed=problem.options.get("seed", 0)):
+        point = next((p for cell in stratum.cells
+                      for p in product(GRID, repeat=problem.m) if cell.contains(p)), None)
+        if point is None:
+            continue
+        polys = [{e: v for e, c in f.terms.items() if (v := c.evaluate(point))}
+                 for f in problem.ideal]
+        s = stratum.data.stabilization_index
+        if stratum.milnor == inf:
+            dims = [quotient_dimension(polys, n, k) for k in range(1, 7)]
+            assert all(x < y for x, y in zip(dims, dims[1:])), (point, dims)
+        else:
+            dims = [quotient_dimension(polys, n, k) for k in (s + 1, s + 2)]
+            assert dims == [stratum.milnor] * 2, (point, s)
+        checked += 1
+    assert checked

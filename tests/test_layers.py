@@ -1,8 +1,9 @@
 """Layering of the parastd modules, read from their relative imports.
 
-`orders` is the bottom layer (order keys and exponent arithmetic) and
-`division` the one division loop above it; both stay below the coefficient
-rings in `polyring`, whose exact division and gcd call that loop.
+Each module imports only modules earlier in LAYERS. `orders` is the bottom
+layer (order keys and exponent arithmetic) and `division` the one division
+loop above it; both stay below the coefficient rings in `polyring`, whose
+exact division and gcd call that loop.
 """
 
 import ast
@@ -26,10 +27,14 @@ def relative_imports(module: str) -> set[str]:
     return out
 
 
-@pytest.mark.parametrize("module, allowed", [
-    ("errors", set()),
-    ("orders", {"errors"}),
-    ("division", {"errors", "orders"}),
-], ids=["errors", "orders", "division"])
-def test_low_layers_import_only_what_is_below_them(module, allowed):
-    assert relative_imports(module) <= allowed
+LAYERS = ("errors", "orders", "division", "polyring", "buchberger", "genstd",
+          "sampling", "comprehensive", "hilbert", "problems", "cli")
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} - {"__init__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_low_layers_import_only_what_is_below_them(module):
+    assert relative_imports(module) <= set(LAYERS[:LAYERS.index(module)])

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .errors import DepthExceeded, MultipleCells, NoCell, ParastdError, QContainsOne
+from .errors import (DepthExceeded, MultipleCells, NoCell, ParastdError, ProblemSyntaxError,
+                     QContainsOne)
 from .orders import MonomialOrder, lex
 from .polyring import AScalar, factor_order, squarefree_factors
 from .buchberger import buchberger
@@ -89,11 +90,15 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
     Tree recursion on (vanish, nonvanish) condition sets; every root-to-leaf
     path strictly increases the vanishing ideal, so max_depth is a guard,
     not the usual stopping reason. Inconsistent cells are pruned. Each
-    emitted cell is checked on up to VERIFY_SAMPLES sample points.
+    emitted cell is checked on up to VERIFY_SAMPLES sample points. A
+    parameter denominator, which could lie in a cell's ideal, is refused.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
         raise ParastdError("comprehensive basis of the zero ideal")
+    if any(not c.den.is_constant() for f in F for c in f.terms.values()):
+        raise ProblemSyntaxError("comprehensive_basis needs coefficients that are "
+                                 "polynomials in the parameters")
     m = F[0].m
     entries: list[CellEntry] = []
     frontier: list[tuple] = []
@@ -117,13 +122,9 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
         dead = [fac for fac, d in in_rad.items() if d]
 
         if dead:
-            # h vanishes on all of V(E): saturate E and retry; the node's
-            # region is unchanged while the ideal strictly grows
-            proper = [d for d in dead if not ctx.contains(d)]
-            if not proper:
-                raise ParastdError(
-                    "input coefficients degenerate on an entire cell")
-            process(evanish + tuple(sorted(proper, key=factor_order)), navoid, depth + 1)
+            # h vanishes on all of V(E): saturate E and retry; the region is the
+            # same, E grows: each factor divides a coefficient outside E
+            process(evanish + tuple(dead), navoid, depth + 1)
             return
 
         cell = Cell(evanish, navoid + tuple(branch))

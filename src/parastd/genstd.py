@@ -158,10 +158,10 @@ class GenericBasis:
     """Finite set plus excluded parameter polynomial h, stored factored.
 
     Specializations at points of V(Q) off V(h) are standard bases of the
-    specialized ideal. `leads[i]` is leading_mod_q(gens[i]), recorded once
-    when the basis is built; its exponents generate the staircase. Each
-    generator lies in the ideal of the recorded inputs (with denominators
-    cleared); no certificate of that is stored.
+    specialized ideal. `leads[i]` is leading_mod_q(gens[i]), read off the
+    engine when the basis is built; its exponents generate the staircase.
+    Each generator lies in the ideal of the recorded inputs (with
+    denominators cleared); no certificate of that is stored.
     """
 
     gens: list[ParamPoly]
@@ -286,11 +286,10 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
         ghat = g - im
         if homogeneous_route:
             ghat = ghat.dehomogenize(n)
-        if ghat.is_zero():
-            raise AllCoefficientsInQ("reconstructed generator vanished")
         ghat = split_params(ghat.scale(1 / fraction_content(ghat.terms.values())), n, m)
         gens.append(ghat)
-        leads.append(leading_mod_q(ghat, order, ctx))
+        # ghat - g has coefficients in Q only, so the x part of lead is its lead mod Q
+        leads.append((lead[:n], ghat.terms[lead[:n]]))
 
     h_factors = _normalize_h_factors([c.num for _, c in leads] + hprime + den_factors)
     staircase = Staircase.from_exponents(n, [e for e, _ in leads])
@@ -340,7 +339,8 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
             continue
         res = divide_mod_q(tail, chosen, order, ctx, trunc_degree)
         out.append(head + res.remainder.map_coeffs(lambda c: c.reduced()))
-    leads = [leading_mod_q(g, order, ctx) for g in out]
+    # monic at each corner; terms above it stem from terms in Q, so stay in Q (Q prime)
+    leads = [(e, ParamScalar.one(m)) for e in B.staircase.generators]
     return GenericBasis(out, leads, list(B.h_factors), ctx, B.staircase, order,
                         list(B.inputs))
 

@@ -6,7 +6,8 @@ the generators gives it as a signed sum of binomials C(r - d + n, n), one
 per lcm degree d (Bayer-Stillman, "Computation of Hilbert functions",
 JSC 1992). Read as polynomials in r, the same binomials give the eventual
 polynomial exactly, with no fit on a window of values; the index from
-which the two agree can lie past the last value of the printed window.
+which the two agree is closed-form and can lie past the printed window.
+The Milnor number is the polynomial when it is constant, else inf.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def hsf(E: Staircase, r: int) -> int:
 
 @dataclass
 class HilbertData:
-    """Value table of the Hilbert-Samuel function and its eventual polynomial."""
+    """Value table of the Hilbert-Samuel function, its eventual polynomial,
+    the index from which they agree, and the Milnor number it gives."""
 
     values: list[int]
     coefficients: tuple[Fraction, ...]  # polynomial in r, constant term first
@@ -73,8 +75,10 @@ class HilbertData:
                              for k, c in reversed(list(enumerate(self.coefficients)))
                              if c), ("r",))
 
-    def is_constant(self) -> bool:
-        return len(self.coefficients) <= 1
+    @property
+    def milnor(self):
+        """The value of a constant polynomial (a finite colength), else inf."""
+        return int(self.coefficients[0]) if len(self.coefficients) == 1 else inf
 
 
 def _binomial_poly(shift: int, i: int) -> list[Fraction]:
@@ -97,10 +101,11 @@ def hilbert_polynomial(E: Staircase, r_max: int) -> HilbertData:
     """Values of hsf on 0..r_max, its eventual polynomial and where it starts.
 
     Each lcm degree d contributes c_d * C(r - d + n, n); the polynomial
-    reads every binomial as a polynomial in r, and agrees with hsf for
-    r >= max d - n. The stabilization index, the least r from which they
-    agree for good, is found by walking down from there; it can exceed
-    r_max, which only bounds the value table.
+    reads every binomial as a polynomial in r. With D the largest d, they
+    agree from the stabilization index max(D - n, 0) on and not one below,
+    where they differ by c_D * C(-1, n) != 0 (each other binomial left out
+    is C(x, n) with 0 <= x < n). It can exceed r_max, which only bounds
+    the value table.
     """
     n = E.n
     table = _lcm_degrees(E)
@@ -110,29 +115,13 @@ def hilbert_polynomial(E: Staircase, r_max: int) -> HilbertData:
             poly[k] += c * b
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
-    data = HilbertData([_count(table, n, r) for r in range(r_max + 1)],
-                       tuple(poly), 0)
-    r0 = max(max(table, default=0) - n, 0)
-    while r0 > 0 and _count(table, n, r0 - 1) == data.polynomial_value(r0 - 1):
-        r0 -= 1
-    data.stabilization_index = r0
-    return data
+    return HilbertData([_count(table, n, r) for r in range(r_max + 1)],
+                       tuple(poly), max(max(table, default=0) - n, 0))
 
 
 def milnor_number(E: Staircase):
-    """Cardinality of the staircase complement, or inf when it is infinite.
-
-    Finite exactly when every coordinate axis carries a pure-power
-    generator; then the complement sits inside the box they bound.
-    """
-    bounds = []
-    for i in range(E.n):
-        pure = [g[i] for g in E.generators
-                if all(k == 0 for j, k in enumerate(g) if j != i)]
-        if not pure:
-            return inf
-        bounds.append(min(pure))
-    return hsf(E, sum(b - 1 for b in bounds))
+    """Cardinality of the staircase complement: the constant polynomial, else inf."""
+    return hilbert_polynomial(E, 0).milnor
 
 
 def default_r_max(staircases, n: int) -> int:
@@ -174,6 +163,5 @@ def strata_from_cells(result: ComprehensiveResult) -> list[HilbertStratum]:
     for entry in result.cells:
         data = hilbert_polynomial(entry.staircase, r_max)
         groups.setdefault(data.coefficients, (data, []))[1].append(entry.cell)
-    return [HilbertStratum(tuple(cells), data,
-                           int(data.coefficients[0]) if data.is_constant() else inf)
+    return [HilbertStratum(tuple(cells), data, data.milnor)
             for data, cells in groups.values()]

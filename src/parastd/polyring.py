@@ -331,7 +331,7 @@ def squarefree_factors(s: AScalar) -> list[AScalar]:
             if not g.is_constant():
                 s = s.exact_div(g)
         out.append(s.primitive())
-    return list(dict.fromkeys(out))
+    return out  # distinct: the last part has no monomial content, so it is no variable
 
 
 def common_factor(f: AScalar, g: AScalar) -> AScalar:
@@ -643,12 +643,9 @@ def render_scalar(c: ParamScalar, names) -> tuple[int, str, bool]:
     sign = -1 if lead < 0 else 1
     if sign < 0:
         num = -num
-    if den.is_constant() and den.constant_value() == 1:
-        if num.is_constant():
-            return sign, render_fraction(num.constant_value()), "/" in render_fraction(num.constant_value())
-        s = render_ascalar(num, names)
-        return sign, s, not _is_simple_product(num)
     ns = render_ascalar(num, names)
+    if den.is_constant():  # normalization makes a constant denominator 1
+        return sign, ns, "/" in ns if num.is_constant() else not _is_simple_product(num)
     if not _is_simple_product(num) and not num.is_constant():
         ns = f"({ns})"
     ds = render_ascalar(den, names)

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from parastd.errors import DepthExceeded, MultipleCells, NoCell, ParastdError
 from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
-from parastd.genstd import SampleCheck, plain_staircase
+from parastd.genstd import (SampleCheck, generic_reduced_basis, leading_mod_q,
+                            plain_staircase)
 from parastd.problems import parse_problem
 from parastd.comprehensive import (
     Cell,
@@ -328,3 +329,11 @@ def test_cells_partition_the_grid(name):
         got = plain_staircase([f.specialize(point) for f in problem.ideal],
                               problem.order)
         assert got == cell.staircase, point
+    # the leads read off the engine are the mod-Q leads, also on cell ideals
+    # that are not prime, and so are those of the truncated reduced basis
+    for entry in res.cells:
+        basis = entry.basis
+        trunc = max(6, basis.staircase.max_generator_degree())
+        for b in (basis, generic_reduced_basis(basis, trunc)):
+            for g, lead in zip(b.gens, b.leads):
+                assert lead == leading_mod_q(g, b.order, b.ctx), entry.cell

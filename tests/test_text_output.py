@@ -15,7 +15,8 @@ basis engine that picks other generators of the same ideal (another
 sign or scale of one of them) shows here.
 
 Regenerate the digests (only for an intended output change) with
-`PYTHONPATH=src python tests/test_text_output.py --write`.
+`PYTHONPATH=src python tests/test_text_output.py --write`; it prints the
+case ids it added, changed and removed.
 """
 
 import hashlib
@@ -109,7 +110,15 @@ def test_text_output_matches_digest(command, problem):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_text_output.py --write")
+    old = json.loads(DIGESTS.read_text(encoding="utf-8"))
     table = {_case_id(c, p): text_digest(c, p) for c, p in CASES}
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
     print(f"wrote {len(table)} digests to {DIGESTS}")
+    # every moved digest is to be listed in CHANGES.md
+    for label, ids in (("added", table.keys() - old.keys()),
+                       ("changed", {k for k in table.keys() & old.keys()
+                                    if table[k] != old[k]}),
+                       ("removed", old.keys() - table.keys())):
+        for case in sorted(ids):
+            print(f"{label}: {case}")

@@ -16,12 +16,21 @@ their rational content divided out, which keeps coefficients small.
 
 The engine runs over Q on AScalar polynomials: the parametric pipelines
 use it in the combined ring Q[x, a] and, for parameter ideals, in Q[a]
-under lex.
+under lex. Between `_shrink` and the return, generators are primitive
+polynomials with `int` coefficients, so S-functions and their reductions
+run the division loop's integer step (Collins' primitive
+pseudo-remainders, JACM 1967). A remainder is then `multiplier` times the
+one over Q, with multiplier > 0, so `_shrink` turns it into the same
+generator; the S-function's image is scaled by the multiplier before the
+quotients' images are subtracted, so every image is the one over Q too.
+Images keep Fraction coefficients, and the generators go back to
+Fraction on return, so callers see no `int`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
@@ -104,24 +113,36 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
         r = res.remainder
         if r.is_zero():
             continue
-        # image of the S-function, minus the quotients times their images
+        # image of multiplier * S-function, minus the quotients times their images
         im = s_combination(ims[i], ims[j], gens[i].leading(order),
                            gens[j].leading(order))
+        if res.multiplier != 1:
+            im = im.scale(res.multiplier)
         for q, qi in zip(res.quotients, ims):
             if not q.is_zero() and not qi.is_zero():
                 im = im - q * qi
         add(*_shrink(r, im))
 
-    return BasisResult(gens, ims, order)
+    return BasisResult([_to_fractions(g, order) for g in gens], ims, order)
 
 
 def _shrink(g, im):
-    """Divide g and its image by the positive content of g."""
+    """Divide g and its image by the positive content of g; the quotient
+    g / content comes back with int coefficients, the image keeps its own."""
     cont = fraction_content(g.terms.values())
-    if cont == 1:
-        return g, im
-    q = 1 / cont
-    return g.scale(q), im.scale(q)
+    num, den = cont.numerator, cont.denominator
+    g = g.with_terms({e: c.numerator // num * (den // c.denominator)
+                      for e, c in g.terms.items()})
+    return g, im if cont == 1 else im.scale(1 / cont)
+
+
+def _to_fractions(g, order):
+    """g with Fraction coefficients, its cached keyed terms under order kept."""
+    keyed = [(k, Fraction(c)) for k, c in keyed_terms(g, order)]
+    r = len(order.rows)
+    out = g.with_terms({k[r:]: c for k, c in keyed})
+    out._kc = (order, keyed)
+    return out
 
 
 def minimalize(B: BasisResult) -> BasisResult:

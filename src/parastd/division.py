@@ -34,11 +34,25 @@ the two instances of polyring's sparse core: the loop reads only
 zero by truth value. It is the package's only division algorithm (exact
 division and the square-free gcd in Q[a] call it too), and it builds the
 DivisionResult that divide, divide_truncated and divide_series return.
+
+A reduction step whose head coefficient c and divisor lead dc are both
+`int` (the basis engine's primitive integer polynomials) stays in the
+integers, as a pseudo-division step does: with g = gcd(c, dc) it first
+scales the iterate by a = |dc|/g, then subtracts sign(dc)*c/g times the
+shifted divisor, and multiplies the running multiplier by a. Quotient and
+remainder terms are stored with the multiplier current at the time and
+scaled up to the final one at the end. The result's `multiplier` is the
+positive integer with multiplier*f = sum(q_j g_j) + R; scaling never
+changes the iterate's support, so the steps, divisor choices and supports
+are those of division over Q, and every output is `multiplier` times its
+field counterpart. Every other coefficient type (Fraction, ParamScalar)
+takes the field step c/dc, and its multiplier is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from operator import add, sub
 
 from .errors import (
@@ -75,6 +89,7 @@ class DivisionResult:
     remainder: object
     cofactor_ok: bool = True
     steps: int = field(default=0, repr=False)
+    multiplier: int = 1
 
 
 FULL = "full"
@@ -150,7 +165,7 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
             kept = {k: c for k, c in iterate.items() if k >= floor}
         exact &= len(kept) == len(iterate)
         iterate = kept
-    steps = 0
+    steps, lam = 0, 1
     while iterate:
         steps += 1
         if guard is not None and steps > guard:
@@ -161,15 +176,24 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
         j = region_of(leads, e)
         if j is None:
             if mode == TRUNCATED:
-                remainder = {kk[r:]: c for kk, c in iterate.items()}
+                remainder = {kk[r:]: (c, lam) for kk, c in iterate.items()}
                 break
-            remainder[e] = iterate.pop(k)
+            remainder[e] = (iterate.pop(k), lam)
             continue
         kd, dc = keyed[j][0]
         shift = tuple(map(sub, k, kd))
-        coeff = iterate[k] / dc
+        c = iterate[k]
+        if type(c) is int and type(dc) is int:
+            # integer step (module docstring): a*c - dc*coeff == 0, a > 0
+            g = gcd(c, dc)
+            a, coeff = abs(dc) // g, (c if dc > 0 else -c) // g
+            if a != 1:
+                iterate = {kk: v * a for kk, v in iterate.items()}
+                lam *= a
+        else:
+            coeff = c / dc
         # leading exponents strictly decrease, so quotient terms never collide
-        quotients[j][shift[r:]] = coeff
+        quotients[j][shift[r:]] = (coeff, lam)
         for k0, c0 in keyed[j]:
             kk = tuple(map(add, k0, shift))
             if kk in iterate:
@@ -183,8 +207,15 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                 exact = False
             else:
                 iterate[kk] = -(c0 * coeff)
-    return DivisionResult([f.with_terms(q) if q else zero for q in quotients],
-                          f.with_terms(remainder) if remainder else zero, exact, steps)
+
+    def scaled(terms):  # each term times the factor lam gained after its stamp
+        if not terms:
+            return zero
+        return f.with_terms({e: c if s == lam else c * (lam // s)
+                             for e, (c, s) in terms.items()})
+
+    return DivisionResult([scaled(q) for q in quotients], scaled(remainder),
+                          exact, steps, lam)
 
 
 def full_division_terminates(f, G, order: MonomialOrder) -> bool:
@@ -198,8 +229,10 @@ def divide(f, G, order: MonomialOrder) -> DivisionResult:
 
     A nonzero f needs a global order, or homogeneous data (any order);
     otherwise NonTerminatingOrder is raised. The result satisfies the exact
-    identity f = sum(q_j g_j) + R, the support conditions on quotients and
-    remainder, and the max property on leading exponents.
+    identity multiplier*f = sum(q_j g_j) + R (multiplier 1 unless f and G
+    have int coefficients, see the module docstring), the support
+    conditions on quotients and remainder, and the max property on leading
+    exponents.
     """
     if not f.is_zero() and not full_division_terminates(f, G, order):
         raise NonTerminatingOrder(

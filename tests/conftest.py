@@ -19,6 +19,24 @@ INTRO_ORDER = matrix_order([[-1, -1], [-1, 0]])
 INTRO_PARAMS = ("a",)
 INTRO_VARS = ("x1", "x2")
 
+# katsura-5 and cyclic-5 with a parameter, as katsura4_a and cyclic4_a
+STRESS_PROBLEMS = {
+    "katsura5_a": [
+        "# katsura-5 in x0..x4 with the last equation's -x3 changed to -a*x3",
+        "params: a", "vars: x0, x1, x2, x3, x4", "order: grevlex",
+        "ideal: x0 + 2*x1 + 2*x2 + 2*x3 + 2*x4 - 1, "
+        "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 + 2*x4^2 - x0, "
+        "2*x0*x1 + 2*x1*x2 + 2*x2*x3 + 2*x3*x4 - x1, "
+        "x1^2 + 2*x0*x2 + 2*x1*x3 + 2*x2*x4 - x2, "
+        "2*x1*x2 + 2*x0*x3 + 2*x1*x4 - a*x3"],
+    "cyclic5_a": [
+        "# cyclic-5 with xyzuv - 1 changed to xyzuv - a",
+        "params: a", "vars: x, y, z, u, v", "order: grevlex",
+        "ideal: x + y + z + u + v, x*y + y*z + z*u + u*v + v*x, "
+        "x*y*z + y*z*u + z*u*v + u*v*x + v*x*y, "
+        "x*y*z*u + y*z*u*v + z*u*v*x + u*v*x*y + v*x*y*z, x*y*z*u*v - a"],
+}
+
 
 def P(text, params=INTRO_PARAMS, vars=INTRO_VARS):
     return poly_from_string(text, params, vars)

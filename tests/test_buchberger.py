@@ -22,7 +22,7 @@ from parastd.buchberger import (
     reduce_basis,
 )
 
-from conftest import INTRO_ORDER, P, random_poly
+from conftest import INTRO_ORDER, STRESS_PROBLEMS, P, random_poly
 
 GREVLEX2 = grevlex(2)
 
@@ -287,7 +287,8 @@ BENCH_PROBLEMS = json.loads((ROOT / "bench" / "workloads.json").read_text(
 
 # S-functions the engine forms for `gsb`; a lost pair criterion raises them
 # (with the coprime test alone it formed 35 on cyclic4_a and 15 on katsura4_a)
-@pytest.mark.parametrize("problem, formed", [("cyclic4_a", 11), ("katsura4_a", 10)])
+@pytest.mark.parametrize("problem, formed", [("cyclic4_a", 11), ("katsura4_a", 10),
+                                             ("katsura5_a", 28), ("cyclic5_a", 136)])
 def test_gsb_s_function_count(problem, formed, monkeypatch, tmp_path):
     # the package re-exports the function under the submodule's name
     engine = sys.modules["parastd.buchberger"]
@@ -299,7 +300,8 @@ def test_gsb_s_function_count(problem, formed, monkeypatch, tmp_path):
 
     monkeypatch.setattr(engine, "s_function", counted)
     path = tmp_path / f"{problem}.psb"
-    path.write_text("\n".join(BENCH_PROBLEMS[problem]) + "\n", encoding="utf-8")
+    lines = STRESS_PROBLEMS.get(problem) or BENCH_PROBLEMS[problem]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert main(["gsb", str(path)]) == 0
     assert len(calls) == formed

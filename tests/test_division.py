@@ -8,6 +8,7 @@ from parastd.errors import NonTerminatingDivision, NonTerminatingOrder, Truncati
 from parastd.orders import (
     exp_add, exp_degree, exp_sub, grevlex, is_global, lex, matrix_order, neg_grevlex)
 from parastd.polyring import AScalar, ParamPoly, ParamScalar
+from parastd.buchberger import buchberger
 from parastd.division import (
     FULL,
     SERIES,
@@ -538,3 +539,59 @@ def test_key_space_loop_matches_the_exponent_space_loop(seed, mode_name, order_n
         _assert_same_terms(q, q_ref)
     _assert_same_terms(got.remainder, want[1])
     assert (got.cofactor_ok, got.steps) == want[2:]
+
+
+# ---------------------------------------------------------------------------
+# the integer step: int coefficients against the same data over Fraction
+
+
+# nonzero integers, most of them not +-1, so that leads are non-monic
+_INT_COEFF = st.sampled_from([-9, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 9])
+
+
+@st.composite
+def _int_case(draw, max_vars=3):
+    """An order, an int dividend and one to three int divisors in two to
+    max_vars variables; homogeneous of one degree each under neg_grevlex."""
+    name = draw(st.sampled_from(["grevlex", "lex", "neg_grevlex"]))
+    n = draw(st.integers(2, max_vars))
+    order = {"grevlex": grevlex, "lex": lex, "neg_grevlex": neg_grevlex}[name](n)
+
+    def poly(max_terms):
+        d = draw(st.integers(1, 3))
+        exps = st.tuples(*[st.integers(0, 3)] * n)
+        if name == "neg_grevlex":  # full division needs homogeneous data there
+            exps = exps.filter(lambda e: sum(e) == d)
+        return AScalar(draw(st.dictionaries(exps, _INT_COEFF, min_size=1,
+                                            max_size=max_terms)), n)
+
+    return order, poly(5), [poly(3) for _ in range(draw(st.integers(1, 3)))]
+
+
+def _over_fractions(p):
+    return AScalar({e: Fraction(c) for e, c in p.terms.items()}, p.m)
+
+
+@given(_int_case())
+def test_integer_step_is_the_field_step_times_the_multiplier(case):
+    order, f, G = case
+    res = divide(f, G, order)
+    field = divide(_over_fractions(f), [_over_fractions(g) for g in G], order)
+    lam = res.multiplier
+    assert type(lam) is int and lam > 0 and field.multiplier == 1
+    assert res.steps == field.steps
+    assert res.remainder == field.remainder.scale(lam)
+    for q, q_field in zip(res.quotients, field.quotients):
+        assert q == q_field.scale(lam)
+    acc = res.remainder
+    for q, g in zip(res.quotients, G):
+        acc = acc + q * g
+    assert acc == f.scale(lam)
+
+
+# two variables: lex bases of four random cubics in three can take minutes
+@given(_int_case(max_vars=2))
+def test_engine_generators_come_back_over_fractions(case):
+    order, f, G = case
+    gens = buchberger([f, *G], order).generators
+    assert all(type(c) is Fraction for g in gens for c in g.terms.values())

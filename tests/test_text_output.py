@@ -12,7 +12,9 @@ tests/test_golden_cli.py pins.
 bench/workloads.json (`gsb` only on jac_x4y4_local, whose tree is slow).
 Their printed bases are minimal but not reduced, so a change to the
 basis engine that picks other generators of the same ideal (another
-sign or scale of one of them) shows here.
+sign or scale of one of them) shows here. `gsb` also runs on two larger
+engine problems kept in conftest.py, katsura5_a and cyclic5_a, whose
+non-monic integer leads load the engine's integer reduction step.
 
 Regenerate the digests (only for an intended output change) with
 `PYTHONPATH=src python tests/test_text_output.py --write`; it prints the
@@ -31,6 +33,8 @@ import pytest
 
 from parastd.cli import COMMANDS, main
 from parastd.problems import parse_problem
+
+from conftest import STRESS_PROBLEMS
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = sorted(p.stem for p in (ROOT / "problems").glob("*.psb"))
@@ -60,8 +64,8 @@ def text_digest(command: str, problem: str, seed: int | None = None) -> str:
         path = ROOT / "problems" / f"{problem}.psb"
         if problem not in PROBLEMS:
             path = Path(tmp) / f"{problem}.psb"
-            path.write_text("\n".join(SPEC["problems"][problem]) + "\n",
-                            encoding="utf-8")
+            lines = STRESS_PROBLEMS.get(problem) or SPEC["problems"][problem]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         argv = _argv(command, path) + ([] if seed is None else ["--seed", str(seed)])
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -79,7 +83,8 @@ def _case_id(command: str, problem: str) -> str:
 
 CASES = ([(c, p) for p in PROBLEMS for c in COMMANDS]
          + [(c, p) for p in ENGINE_PROBLEMS for c in ("gsb", "comprehensive")]
-         + [("gsb", "jac_x4y4_local")])
+         + [("gsb", "jac_x4y4_local")]
+         + [("gsb", p) for p in STRESS_PROBLEMS])
 
 
 # The comprehensive tree shares one rng across its cells, so the sample

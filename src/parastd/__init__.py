@@ -2,6 +2,7 @@
 
 from .orders import (
     MonomialOrder,
+    Staircase,
     classify,
     combined_order,
     compare,
@@ -16,7 +17,6 @@ from .buchberger import BasisResult, buchberger, minimalize, reduce_basis
 from .genstd import (
     GenericBasis,
     PrimeContext,
-    Staircase,
     divide_mod_q,
     generic_basis,
     generic_reduced_basis,

@@ -35,8 +35,8 @@ from heapq import heappop, heappush
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
 from .orders import (MonomialOrder, exp_add, exp_divides, exp_lcm, is_global,
-                     keyed_terms, lex)
-from .division import divide, region_of, s_combination, s_function
+                     keyed_terms, lex, minimal_exponents)
+from .division import divide, s_combination, s_function
 from .polyring import AScalar, fraction_content
 
 
@@ -89,7 +89,7 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
         # criterion M: keep the minimal lcms; criterion F: one pair per lcm,
         # the smallest i, and none where some pair with it has coprime heads
         lcms = set(new)
-        skip = {l for l in lcms if any(d != l and exp_divides(d, l) for d in lcms)}
+        skip = lcms.difference(minimal_exponents(lcms))
         skip.update(l for li, l in zip(leads, new) if l == exp_add(li, lk))
         for i, l in enumerate(new):
             if l not in skip:
@@ -146,18 +146,10 @@ def _to_fractions(g, order):
 
 
 def minimalize(B: BasisResult) -> BasisResult:
-    """Drop generators whose leading exponent lies in another's cone."""
+    """Keep, in index order, the first generator on each minimal lead
+    (`minimal_exponents` of all leads, so under any order)."""
     leads = B.leading_exponents()
-    idx = sorted(range(len(leads)),
-                 key=lambda i: keyed_terms(B.generators[i], B.order)[0][0])
-    keep: list[int] = []
-    kept_exps = []
-    for i in idx:
-        if region_of(kept_exps, leads[i]) is not None:
-            continue
-        keep.append(i)
-        kept_exps.append(leads[i])
-    keep.sort()
+    keep = sorted(map(leads.index, minimal_exponents(leads)))
     return BasisResult([B.generators[i] for i in keep],
                        [B.images[i] for i in keep], B.order)
 

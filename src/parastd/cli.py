@@ -153,8 +153,10 @@ def _specialize(problem, settings):
 
 
 def _verify(problem, settings):
-    basis = _generic_basis(problem)
     count = settings.get("samples", 10)
+    if count == 0:
+        raise ProblemSyntaxError("samples must be positive")
+    basis = _generic_basis(problem)
     points = variety_points(basis.ctx.qbasis, problem.m, Random(settings["seed"]),
                             count, avoid=[basis.h_poly()])
     if not points:

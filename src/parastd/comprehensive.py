@@ -23,13 +23,12 @@ from random import Random
 
 from .errors import (DepthExceeded, MultipleCells, NoCell, ParastdError, ProblemSyntaxError,
                      QContainsOne)
-from .orders import MonomialOrder, lex
+from .orders import MonomialOrder, Staircase, lex
 from .polyring import AScalar, factor_order, squarefree_factors
 from .buchberger import buchberger
 from .genstd import (
     GenericBasis,
     PrimeContext,
-    Staircase,
     generic_basis,
     verify_specialization,
 )

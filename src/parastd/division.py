@@ -65,22 +65,14 @@ from .orders import (
     Exponent,
     MonomialOrder,
     exp_degree,
-    exp_divides,
     exp_lcm,
     exp_sub,
     is_global,
     keyed_terms,
+    region_of,
 )
 
 TRUNCATION_STEP_GUARD = 20000
-
-
-def region_of(leads, e: Exponent) -> int | None:
-    """Index of the first divisor lead whose cone contains e, None if escaped."""
-    for j, d in enumerate(leads):
-        if exp_divides(d, e):
-            return j
-    return None
 
 
 @dataclass

@@ -9,7 +9,9 @@ bases, and specialization checks.
 
 A generic standard basis is a pair (generators, h): specializing the
 generators at any parameter point where Q vanishes and h does not yields a
-standard basis of the specialized ideal, with the recorded staircase.
+standard basis of the specialized ideal, with the recorded staircase
+(`orders.Staircase`) of leading exponents mod Q; the reduced basis starts
+from the first generator on each of its corners.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroPolynomialError,
 )
-from .orders import (Exponent, MonomialOrder, combined_order, exp_divides, is_global,
+from .orders import (Exponent, MonomialOrder, Staircase, combined_order, is_global,
                      keyed_terms)
 from .polyring import (
     AScalar,
@@ -41,12 +43,12 @@ from .polyring import (
     squarefree_factors,
 )
 from .division import (DivisionResult, divide, divide_series, full_division_terminates,
-                       region_of, s_combination)
+                       s_combination)
 from .buchberger import buchberger, minimalize, normal_form_param, parameter_groebner
 
 
 # ---------------------------------------------------------------------------
-# prime context and staircases
+# prime context
 
 
 @dataclass
@@ -80,27 +82,6 @@ def coeff_in_q(s: ParamScalar, ctx: PrimeContext) -> bool:
     if ctx.contains(s.den):
         raise DenominatorInQ("coefficient denominator reduces to zero mod Q")
     return ctx.contains(s.num)
-
-
-@dataclass(frozen=True)
-class Staircase:
-    """Minimal generators (an antichain) of a sum-stable subset of N^n."""
-
-    n: int
-    generators: tuple[Exponent, ...]
-
-    @classmethod
-    def from_exponents(cls, n, exponents) -> "Staircase":
-        exps = sorted(set(tuple(e) for e in exponents))
-        keep = [e for e in exps
-                if not any(f != e and exp_divides(f, e) for f in exps)]
-        return cls(n, tuple(sorted(keep)))
-
-    def contains(self, e: Exponent) -> bool:
-        return region_of(self.generators, e) is not None
-
-    def max_generator_degree(self) -> int:
-        return max((sum(e) for e in self.generators), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +305,9 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
     n, m = B.staircase.n, ctx.m
 
     # the first generator on each staircase corner, made monic mod Q
-    first: dict[Exponent, tuple[ParamPoly, ParamScalar]] = {}
-    for g, (e, lc) in zip(B.gens, B.leads):
-        first.setdefault(e, (g, lc))
-    chosen = [g.scale(ParamScalar.one(m) / lc).map_coeffs(lambda c: c.reduced())
-              for g, lc in map(first.get, B.staircase.generators)]
+    corners = [e for e, _ in B.leads]
+    chosen = [B.gens[i].scale(ParamScalar.one(m) / B.leads[i][1]).map_coeffs(
+        lambda c: c.reduced()) for i in map(corners.index, B.staircase.generators)]
 
     out: list[ParamPoly] = []
     for e, g in zip(B.staircase.generators, chosen):

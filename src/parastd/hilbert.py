@@ -17,9 +17,8 @@ from fractions import Fraction
 from math import comb, inf
 
 from .errors import ProblemSyntaxError
-from .orders import MonomialOrder, exp_lcm, is_degree_compatible_local
+from .orders import MonomialOrder, Staircase, exp_lcm, is_degree_compatible_local
 from .polyring import render_fraction, render_terms
-from .genstd import Staircase
 from .comprehensive import Cell, ComprehensiveResult, comprehensive_basis
 
 

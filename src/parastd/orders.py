@@ -10,6 +10,10 @@ built by `combined_order`.
 Order keys live here only: `MonomialOrder.key`, and `keyed_terms` /
 `leading_term`, which read a polynomial's terms in key order, cached per
 order object. So `lex` is memoized: each `lex(m)` is one object.
+
+Staircases live here too: `minimal_exponents` is the one routine for the
+minimal generators of a monomial ideal (`Staircase`, `buchberger.minimalize`
+and criterion M call it), and `region_of` finds the cone holding an exponent.
 """
 
 from __future__ import annotations
@@ -46,6 +50,38 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
 
 def exp_degree(a: Exponent, dims: int | None = None) -> int:
     return sum(a) if dims is None else sum(a[:dims])
+
+
+def region_of(leads, e: Exponent) -> int | None:
+    """Index of the first divisor lead whose cone contains e, None if escaped."""
+    for j, d in enumerate(leads):
+        if exp_divides(d, e):
+            return j
+    return None
+
+
+def minimal_exponents(exponents) -> list:
+    """The distinct exponents that no other one divides, in no particular order."""
+    exps = set(exponents)
+    return [e for e in exps if not any(f != e and exp_divides(f, e) for f in exps)]
+
+
+@dataclass(frozen=True)
+class Staircase:
+    """Minimal generators (an antichain) of a sum-stable subset of N^n."""
+
+    n: int
+    generators: tuple[Exponent, ...]
+
+    @classmethod
+    def from_exponents(cls, n, exponents) -> "Staircase":
+        return cls(n, tuple(sorted(minimal_exponents(exponents))))
+
+    def contains(self, e: Exponent) -> bool:
+        return region_of(self.generators, e) is not None
+
+    def max_generator_degree(self) -> int:
+        return max((sum(e) for e in self.generators), default=0)
 
 
 @dataclass(frozen=True)

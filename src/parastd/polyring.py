@@ -31,12 +31,14 @@ loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log10
 
 from .errors import (
     DenominatorVanishes,
     DimensionMismatch,
+    ParastdError,
     ZeroPolynomialError,
 )
 from .orders import Exponent, MonomialOrder, exp_add, exp_degree, exp_sub, leading_term, lex
@@ -602,7 +604,16 @@ def split_params(f: AScalar, n: int, m: int) -> ParamPoly:
 
 
 def render_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """q as text, p or p/q; a part longer than the interpreter prints
+    (sys.get_int_max_str_digits) raises ParastdError with its digit count."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        big = max(abs(q.numerator), q.denominator)
+        digits = int(big.bit_length() * log10(2))  # the digit count or one less
+        digits += 10 ** digits <= big
+        raise ParastdError(f"a coefficient has {digits} digits, more than the "
+                           f"{sys.get_int_max_str_digits()} that can be printed") from None
 
 
 def render_terms(terms, names) -> str:

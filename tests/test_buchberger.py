@@ -121,6 +121,36 @@ def test_minimalize_keeps_staircase():
     assert staircase_of(res) == [(1, 0)]
 
 
+def test_minimalize_under_a_local_order():
+    # neg_grevlex puts x1^2 below x1, so a walk up the order meets the
+    # multiple before its divisor
+    res = buchberger([QP("x1^2"), QP("x1")], neg_grevlex(2))
+    assert res.leading_exponents() == [(2, 0), (1, 0)]
+    mini = minimalize(res)
+    assert mini.generators == [res.generators[1]]
+    assert mini.images == [res.images[1]]
+
+
+@pytest.mark.parametrize("regime", ["lex", "grevlex", "homogenized"])
+@given(st.sampled_from([(2, 2), (3, 1)]).flatmap(
+    lambda shape: q_ideals(shape[0], 3, max_exp=shape[1])))
+def test_minimalize_keeps_the_first_generator_on_each_minimal_lead(regime, F):
+    n = F[0].m
+    if regime == "homogenized":
+        F, order = [f.homogenize(n) for f in F], neg_grevlex(n + 1)
+    else:
+        order = {"lex": lex, "grevlex": grevlex}[regime](n)
+    res = buchberger(F, order)
+    mini = minimalize(res)
+    leads, kept = res.leading_exponents(), mini.leading_exponents()
+    assert not any(i != j and exp_divides(a, b)
+                   for i, a in enumerate(kept) for j, b in enumerate(kept))
+    assert all(any(exp_divides(a, e) for a in kept) for e in leads)
+    firsts = [leads.index(e) for e in kept]
+    assert firsts == sorted(firsts)
+    assert all(g is res.generators[i] for g, i in zip(mini.generators, firsts))
+
+
 def test_reduce_basis_examples():
     lex2 = lex(2)
     F = [QP("2*x1 + x2^2"), QP("x2^3")]

@@ -172,6 +172,16 @@ def test_cli_rejects_negative_options(capsys, tmp_path, command, flag, option):
     assert f"{option} must be nonnegative" in err
 
 
+def test_cli_verify_refuses_zero_samples(capsys, tmp_path):
+    # a request for no points is an input error, not a failure to find any
+    code, out, err = run_cli(capsys, "verify", str(PROBLEMS / "intro.psb"), "--samples", "0")
+    assert (code, out, err) == (1, "", "error[input]: samples must be positive\n")
+    path = tmp_path / "intro.psb"
+    path.write_text(INTRO_TEXT + "options: samples = 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out, err) == (1, "", "error[input]: samples must be positive\n")
+
+
 def test_parse_point():
     assert parse_point("a=2,b=-1/3", ("a", "b")) == \
         (2, pytest.approx(-1 / 3))
@@ -521,6 +531,21 @@ def test_numerals_are_ascii_digits_converted_once():
     assert poly_from_string(f"{long_ok}*x1", ("a",), ("x1", "x2")).terms == \
         {(1, 0): ParamScalar.const(10 ** 4000 - 1, 1)}
     assert parse_point("a=-12/30", ("a",)) == (Fraction(-2, 5),)
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("vars: x1\norder: lex\nideal: x1 + 3^10000\n", 4772),
+    # 1 479-digit inputs; the lex basis holds 3^9300 (4 438 digits)
+    ("vars: x1, x2\norder: lex\nideal: x1 - 3^3100*x2, x1^3 - 1\n", 4438),
+], ids=["parsed", "computed"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_coefficient_too_long_to_print_is_an_error(capsys, tmp_path, text, digits, fmt):
+    path = tmp_path / "big.psb"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "gsb", str(path), "--format", fmt)
+    assert (code, out, err) == (1, "", f"error[ParastdError]: a coefficient has {digits} "
+                                f"digits, more than the {sys.get_int_max_str_digits()} "
+                                "that can be printed\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 from itertools import product
 from math import inf
-from operator import add
+from operator import add, le, mul
 from pathlib import Path
 
 import pytest
@@ -288,22 +288,26 @@ LOCAL_FAMILIES = {
 GRID = [Fraction(v) for v in range(-2, 3)] + [Fraction(1, 2)]
 
 
-def quotient_dimension(polys, n: int, k: int) -> int:
-    """dim_Q Q[x]/(I + m^k) for I generated by polys ({exponent: Fraction}).
+def quotient_dimension(polys, order, k: int):
+    """dim_Q Q[x]/(I + m^k) for I generated by polys ({exponent: Fraction}),
+    and the leads of the truncations below degree k of the elements of I.
 
     Modulo m^k, I is spanned by the truncations below degree k of x^alpha * f
     with |alpha| < k, so the dimension is the number of monomials of degree
     below k minus the rank of those truncations, found by exact row
-    reduction on rows keyed by their least monomial.
+    reduction with each row's pivot its largest term under `order`, whose
+    key (W.e followed by e) is written out here from the weight rows. The
+    pivot leads are then the leads of every nonzero vector in the span.
     """
-    monos = [e for e in product(range(k), repeat=n) if sum(e) < k]
-    pivots: dict = {}  # least monomial -> row whose entry there is 1
+    monos = [e for e in product(range(k), repeat=order.n) if sum(e) < k]
+    key = {e: tuple(sum(map(mul, row, e)) for row in order.rows) + e for e in monos}.get
+    pivots: dict = {}  # largest monomial -> row whose entry there is 1
     for f in polys:
         for alpha in monos:
             row = {s: c for s, c in ((tuple(map(add, alpha, e)), c) for e, c in f.items())
                    if sum(s) < k}
             while row:
-                lead = min(row)
+                lead = max(row, key=key)
                 c = row[lead]
                 if lead not in pivots:
                     pivots[lead] = {e: v / c for e, v in row.items()}
@@ -314,18 +318,22 @@ def quotient_dimension(polys, n: int, k: int) -> int:
                         row[e] = w
                     else:
                         del row[e]
-    return len(monos) - len(pivots)
+    return len(monos) - len(pivots), set(pivots)
 
 
 @pytest.mark.parametrize("name", sorted(LOCAL_FAMILIES))
 def test_milnor_number_matches_a_dimension_count(name):
     # at a grid point of each stratum: a finite mu is d(s+1) = d(s+2) for
     # d(k) = dim Q[x]/(I + m^k) and s = stabilizes_at (two equal values give
-    # m^(s+1) in I locally, by Nakayama); an infinite mu needs d to grow
+    # m^(s+1) in I locally, by Nakayama); an infinite mu needs d to grow.
+    # Under a degree-compatible local order the leads of the truncations
+    # below degree k are in(I) below k, so their minimal elements are the
+    # staircase generators of degree below k: all of them for a finite mu
+    # at k = s+2, since m^(s+1) lies in in(I)
     problem = parse_problem(LOCAL_FAMILIES[name])
-    n = len(problem.vars)
+    order = problem.order
     checked = 0
-    for stratum in hilbert_partition(problem.ideal, problem.order,
+    for stratum in hilbert_partition(problem.ideal, order,
                                      seed=problem.options.get("seed", 0)):
         point = next((p for cell in stratum.cells
                       for p in product(GRID, repeat=problem.m) if cell.contains(p)), None)
@@ -334,11 +342,19 @@ def test_milnor_number_matches_a_dimension_count(name):
         polys = [{e: v for e, c in f.terms.items() if (v := c.evaluate(point))}
                  for f in problem.ideal]
         s = stratum.data.stabilization_index
+        ks = range(1, 7) if stratum.milnor == inf else (s + 1, s + 2)
+        dims, leads = zip(*(quotient_dimension(polys, order, k) for k in ks))
         if stratum.milnor == inf:
-            dims = [quotient_dimension(polys, n, k) for k in range(1, 7)]
             assert all(x < y for x, y in zip(dims, dims[1:])), (point, dims)
         else:
-            dims = [quotient_dimension(polys, n, k) for k in (s + 1, s + 2)]
-            assert dims == [stratum.milnor] * 2, (point, s)
+            assert dims == (stratum.milnor,) * 2, (point, s)
+        k, leads = ks[-1], leads[-1]
+        minimal = {e for e in leads
+                   if not any(d != e and all(map(le, d, e)) for d in leads)}
+        got = plain_staircase([f.specialize(point) for f in problem.ideal], order)
+        below = {e for e in got.generators if sum(e) < k}
+        assert minimal == below, (point, k)
+        if stratum.milnor != inf:
+            assert below == set(got.generators), (point, k)
         checked += 1
     assert checked

@@ -1,9 +1,9 @@
 """Layering of the parastd modules, read from their relative imports.
 
 Each module imports only modules earlier in LAYERS. `orders` is the bottom
-layer (order keys and exponent arithmetic) and `division` the one division
-loop above it; both stay below the coefficient rings in `polyring`, whose
-exact division and gcd call that loop.
+layer (order keys, exponent arithmetic and staircases) and `division` the
+one division loop above it; both stay below the coefficient rings in
+`polyring`, whose exact division and gcd call that loop.
 """
 
 import ast

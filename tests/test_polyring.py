@@ -1,12 +1,14 @@
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from parastd.errors import DenominatorVanishes, DimensionMismatch, ZeroPolynomialError
+from parastd.errors import (DenominatorVanishes, DimensionMismatch, ParastdError,
+                            ZeroPolynomialError)
 from parastd.orders import MonomialOrder, grevlex, keyed_terms, lex, matrix_order, neg_grevlex
 from parastd.polyring import (
     AScalar,
@@ -15,6 +17,7 @@ from parastd.polyring import (
     embed_params_as_vars,
     rational_roots,
     render_ascalar,
+    render_fraction,
     render_poly,
     split_params,
     squarefree_factors,
@@ -460,3 +463,12 @@ def test_render_parse_round_trip(intro_poly):
                  (0, 0): Fraction(-1)}, 2)
     assert render_ascalar(s, ("a", "b")) == "-3/2*a^2 + a*b - 1"
     assert render_ascalar(AScalar({}, 2), ("a", "b")) == "0"
+
+
+def test_render_fraction_past_the_int_print_limit_names_the_digit_count():
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit  # one digit past the limit
+    assert render_fraction(Fraction(-(big - 1), 7)).startswith("-9999")
+    for q in (Fraction(big), Fraction(-big), Fraction(1, big), Fraction(big + 1, 3)):
+        with pytest.raises(ParastdError, match=f"has {limit + 1} digits, more than the {limit}"):
+            render_fraction(q)

@@ -20,7 +20,6 @@ from .genstd import (
     divide_mod_q,
     generic_basis,
     generic_reduced_basis,
-    leading_mod_q,
     verify_specialization,
 )
 from .comprehensive import Cell, ComprehensiveResult, comprehensive_basis, locate

@@ -284,9 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+PARSER = build_parser()  # built once; each parse_args returns a fresh namespace
+
+
 def main(argv=None) -> int:
     try:
-        settings = vars(build_parser().parse_args(argv))
+        settings = vars(PARSER.parse_args(argv))
     except SystemExit as e:  # argparse has printed the usage or the help
         return EXIT_INPUT if e.code else EXIT_OK
     command, path, fmt = (settings.pop(k) for k in ("command", "problem", "format"))

@@ -42,8 +42,7 @@ from .polyring import (
     split_params,
     squarefree_factors,
 )
-from .division import (DivisionResult, divide, divide_series, full_division_terminates,
-                       s_combination)
+from .division import DivisionResult, divide, divide_series, full_division_terminates
 from .buchberger import buchberger, minimalize, normal_form_param, parameter_groebner
 
 
@@ -85,17 +84,7 @@ def coeff_in_q(s: ParamScalar, ctx: PrimeContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# leading data and division modulo Q
-
-
-def leading_mod_q(f: ParamPoly, order: MonomialOrder,
-                  ctx: PrimeContext) -> tuple[Exponent, ParamScalar]:
-    """Order-maximum exponent among terms whose coefficient survives mod Q."""
-    r = len(order.rows)
-    for k, c in keyed_terms(f, order):
-        if not coeff_in_q(c, ctx):
-            return k[r:], c
-    raise AllCoefficientsInQ("no term survives reduction mod Q")
+# division modulo Q
 
 
 def drop_q_terms(f: ParamPoly, ctx: PrimeContext) -> ParamPoly:
@@ -139,8 +128,9 @@ class GenericBasis:
     """Finite set plus excluded parameter polynomial h, stored factored.
 
     Specializations at points of V(Q) off V(h) are standard bases of the
-    specialized ideal. `leads[i]` is leading_mod_q(gens[i]), read off the
-    engine when the basis is built; its exponents generate the staircase.
+    specialized ideal. `leads[i]` is the leading term of gens[i] among the
+    terms whose coefficient survives mod Q, read off the engine when the
+    basis is built; its exponents generate the staircase.
     Each generator lies in the ideal of the recorded inputs (with
     denominators cleared); no certificate of that is stored.
     """
@@ -383,20 +373,3 @@ def verify_specialization(B: GenericBasis, samples) -> list[SampleCheck]:
         checks.append(SampleCheck(tuple(point), got == B.staircase and not lost, got,
                                   "generator lost its leading exponent" if lost else ""))
     return checks
-
-
-def s_criterion_mod_q(B: GenericBasis, trunc_degree: int | None = None) -> bool:
-    """Check that every mod-Q S-function of two generators reduces to 0 mod Q."""
-    ctx, order = B.ctx, B.order
-    gens = B.gens
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            s = s_combination(gens[i], gens[j], B.leads[i], B.leads[j])
-            if s.is_zero():
-                continue
-            res = divide_mod_q(s, gens, order, ctx, trunc_degree=trunc_degree)
-            r = drop_q_terms(res.remainder, ctx)
-            if not r.is_zero():
-                return False
-    return True
-

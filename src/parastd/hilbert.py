@@ -62,9 +62,6 @@ class HilbertData:
     coefficients: tuple[Fraction, ...]  # polynomial in r, constant term first
     stabilization_index: int
 
-    def polynomial_value(self, r) -> Fraction:
-        return sum(c * Fraction(r) ** k for k, c in enumerate(self.coefficients))
-
     def polynomial_text(self) -> str:
         def mag(c):
             text = render_fraction(abs(c))

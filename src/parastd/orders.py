@@ -14,13 +14,18 @@ order object. So `lex` is memoized: each `lex(m)` is one object.
 Staircases live here too: `minimal_exponents` is the one routine for the
 minimal generators of a monomial ideal (`Staircase`, `buchberger.minimalize`
 and criterion M call it), and `region_of` finds the cone holding an exponent.
+Its cost follows its output: taken by increasing total degree, an exponent
+is tested only against the minimal ones already kept, since a proper divisor
+has smaller degree. The exponent kernels (`exp_add`, `exp_sub`,
+`exp_divides`, `exp_lcm`) run on C-level `map`; like `zip`, it stops at the
+shorter tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import itemgetter, mul
+from operator import add, itemgetter, le, mul, sub
 
 from .errors import DimensionMismatch, ZeroPolynomialError
 
@@ -32,20 +37,20 @@ MIXED = "mixed"
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:
     """True when x^a divides x^b, i.e. a <= b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_degree(a: Exponent, dims: int | None = None) -> int:
@@ -55,15 +60,25 @@ def exp_degree(a: Exponent, dims: int | None = None) -> int:
 def region_of(leads, e: Exponent) -> int | None:
     """Index of the first divisor lead whose cone contains e, None if escaped."""
     for j, d in enumerate(leads):
-        if exp_divides(d, e):
+        if all(map(le, d, e)):  # exp_divides, inline on the hot path
             return j
     return None
 
 
 def minimal_exponents(exponents) -> list:
-    """The distinct exponents that no other one divides, in no particular order."""
-    exps = set(exponents)
-    return [e for e in exps if not any(f != e and exp_divides(f, e) for f in exps)]
+    """The distinct exponents that no other one divides, in no particular order.
+
+    The distinct exponents are taken by increasing total degree, and each is
+    tested only against the minimal ones kept so far. That is exact: a proper
+    divisor of e has smaller degree, so it came earlier, and some kept
+    exponent divides it and hence e. For k distinct exponents with m minimal
+    ones the cost is a sort plus at most k*m divisibility tests, not k^2.
+    """
+    kept: list = []
+    for e in sorted(set(exponents), key=sum):
+        if not any(all(map(le, f, e)) for f in kept):
+            kept.append(e)
+    return kept
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from parastd.orders import matrix_order
+from parastd.division import s_combination
+from parastd.errors import AllCoefficientsInQ
+from parastd.genstd import coeff_in_q, divide_mod_q, drop_q_terms
+from parastd.orders import keyed_terms, matrix_order
 from parastd.polyring import (AScalar, ParamPoly, ParamScalar, divide_out,
                               embed_params_as_vars)
 from parastd.problems import poly_from_string
@@ -111,3 +114,33 @@ def divides_factor_power(num: AScalar, factors) -> bool:
         if not f.is_constant():
             cur, _ = divide_out(cur, f)
     return cur.is_constant()
+
+
+def leading_mod_q(f, order, ctx):
+    """Order-maximum (exponent, coefficient) of f among the terms whose
+    coefficient survives mod Q; the reference for the leads that
+    `generic_basis` reads off the engine."""
+    r = len(order.rows)
+    for k, c in keyed_terms(f, order):
+        if not coeff_in_q(c, ctx):
+            return k[r:], c
+    raise AllCoefficientsInQ("no term survives reduction mod Q")
+
+
+def s_criterion_mod_q(B, trunc_degree=None) -> bool:
+    """True when every mod-Q S-function of two generators of the generic
+    basis B reduces to 0 mod Q."""
+    for i in range(len(B.gens)):
+        for j in range(i + 1, len(B.gens)):
+            s = s_combination(B.gens[i], B.gens[j], B.leads[i], B.leads[j])
+            if s.is_zero():
+                continue
+            res = divide_mod_q(s, B.gens, B.order, B.ctx, trunc_degree=trunc_degree)
+            if not drop_q_terms(res.remainder, B.ctx).is_zero():
+                return False
+    return True
+
+
+def polynomial_value(data, r) -> Fraction:
+    """The eventual Hilbert-Samuel polynomial of a HilbertData at r."""
+    return sum(c * Fraction(r) ** k for k, c in enumerate(data.coefficients))

@@ -570,6 +570,25 @@ def test_cli_help_exits_0(capsys):
     assert out.startswith("usage: parastd")
 
 
+def test_cli_main_twice_starts_the_second_call_from_the_defaults(capsys, monkeypatch):
+    # one parser serves every call in a process; flags given to one call
+    # must not carry over to the next
+    seen = []
+    monkeypatch.setattr(sys.modules[main.__module__], "run",
+                        lambda command, problem, settings: (seen.append(settings),
+                                                            run(command, problem, settings))[1])
+    intro = PROBLEMS / "intro.psb"
+    code, first, _ = run_cli(capsys, "reduce", str(intro), "--trunc", "6", "--seed", "9",
+                             "--format", "json")
+    assert code == 0 and json.loads(first)["seed"] == 9
+    code, second, _ = run_cli(capsys, "reduce", str(intro), "--format", "json")
+    assert code == 0
+    assert seen[0]["trunc_degree"] == 6 and seen[0]["seed"] == 9
+    assert seen[1] == dict.fromkeys(seen[0])
+    doc, _ = run("reduce", parse_problem(intro.read_text(encoding="utf-8")))
+    assert json.loads(second) == json.loads(json.dumps(doc)) != json.loads(first)
+
+
 def test_cli_module_entry_point(capsys, monkeypatch):
     # what `python -m parastd.cli` runs, in this interpreter: a fresh
     # parastd.cli module as __main__, exiting with main's code

@@ -10,8 +10,7 @@ from hypothesis import given, strategies as st
 from parastd.errors import DepthExceeded, MultipleCells, NoCell, ParastdError
 from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
-from parastd.genstd import (SampleCheck, generic_reduced_basis, leading_mod_q,
-                            plain_staircase)
+from parastd.genstd import SampleCheck, generic_reduced_basis, plain_staircase
 from parastd.problems import parse_problem
 from parastd.comprehensive import (
     Cell,
@@ -20,7 +19,7 @@ from parastd.comprehensive import (
     locate,
 )
 
-from conftest import INTRO_ORDER, P, outside_input_ideal
+from conftest import INTRO_ORDER, P, leading_mod_q, outside_input_ideal
 
 A = AScalar.var(0, 1)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

@@ -26,14 +26,12 @@ from parastd.genstd import (
     drop_q_terms,
     generic_basis,
     generic_reduced_basis,
-    leading_mod_q,
     plain_staircase,
-    s_criterion_mod_q,
     verify_specialization,
 )
 
 from conftest import (INTRO_ORDER, INTRO_PARAMS, INTRO_VARS, P, divides_factor_power,
-                      outside_input_ideal, random_poly)
+                      leading_mod_q, outside_input_ideal, random_poly, s_criterion_mod_q)
 
 A = AScalar.var(0, 1)
 CTX0 = PrimeContext.trivial(1)

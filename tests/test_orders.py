@@ -1,5 +1,7 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from parastd.errors import DimensionMismatch
 from parastd.orders import (
@@ -11,10 +13,14 @@ from parastd.orders import (
     combined_order,
     compare,
     exp_add,
+    exp_divides,
+    exp_lcm,
+    exp_sub,
     grevlex,
     is_degree_compatible_local,
     lex,
     matrix_order,
+    minimal_exponents,
     neg_grevlex,
 )
 
@@ -145,3 +151,55 @@ def test_product_compatibility_bulk():
         order = rng.choice(pools[n])
         a, b, g = (tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(3))
         assert compare(order, a, b) == compare(order, exp_add(a, g), exp_add(b, g))
+
+
+# ---------------------------------------------------------------------------
+# minimal generators of a monomial ideal, and the exponent kernels
+
+
+def minimal_reference(exponents) -> set:
+    """The O(k^2) definition: the distinct exponents no other one divides."""
+    exps = set(exponents)
+    return {e for e in exps
+            if not any(f != e and all(x <= y for x, y in zip(f, e)) for f in exps)}
+
+
+exponent_lists = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * n),
+                       max_size=16))
+
+
+@given(exponent_lists)
+@example([])
+@example([(2, 1), (2, 1), (1, 0), (1, 0)])
+@example([(1, 1, 0), (0, 2, 0), (0, 0, 2), (2, 0, 0), (1, 0, 1), (0, 1, 1)])
+@example([(1, 1), (0, 1), (3, 0), (0, 1)])
+def test_minimal_exponents_matches_the_quadratic_definition(exps):
+    got = minimal_exponents(exps)
+    assert len(got) == len(set(got))
+    assert set(got) == minimal_reference(exps)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 4), (3, 3), (4, 2)])
+def test_minimal_exponents_keeps_an_equal_degree_antichain(n, d):
+    # distinct exponents of one degree never divide each other
+    layer = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+    assert set(minimal_exponents(layer + layer[::-1])) == set(layer)
+    # one more exponent below the layer divides some of it, and those go
+    below = (d - 1,) + (0,) * (n - 1)
+    assert set(minimal_exponents(layer + [below])) == (
+        {below} | {e for e in layer if not all(x <= y for x, y in zip(below, e))})
+
+
+int_tuples = st.lists(st.integers(min_value=-5, max_value=5), max_size=5).map(tuple)
+
+
+@given(int_tuples, int_tuples)
+@example((1, 2, 3), (1, 2))
+@example((), (0,))
+def test_exponent_kernels_match_their_zip_forms(a, b):
+    pairs = list(zip(a, b))
+    assert exp_add(a, b) == tuple(x + y for x, y in pairs)
+    assert exp_sub(a, b) == tuple(x - y for x, y in pairs)
+    assert exp_lcm(a, b) == tuple(max(x, y) for x, y in pairs)
+    assert exp_divides(a, b) is all(x <= y for x, y in pairs)

@@ -16,7 +16,7 @@ from math import inf
 from random import Random
 
 from .errors import ParastdError, ProblemSyntaxError
-from .polyring import render_ascalar, render_fraction, render_poly
+from .polyring import render_ascalar, render_fraction, render_poly, split_params
 from .division import divide, divide_series, divide_truncated, full_division_terminates
 from .genstd import (
     PrimeContext,
@@ -140,14 +140,14 @@ def _divide(problem, settings):
 
 def _specialize(problem, settings):
     point_text = settings.get("point")
-    if not point_text:
+    if not point_text and problem.params:
         raise ProblemSyntaxError("specialize needs --point a=..,b=..")
-    point = parse_point(point_text, problem.params)
+    point = parse_point(point_text or "", problem.params)
     spec = [f.specialize(point) for f in problem.ideal]
     return {
         "point": _point_doc(problem, point),
-        "polynomials": [render_poly(f, problem.order, problem.vars, ())
-                        for f in spec],
+        "polynomials": [render_poly(split_params(f, len(problem.vars), 0), problem.order,
+                                    problem.vars, ()) for f in spec],
         "staircase": _staircase_doc(plain_staircase(spec, problem.order)),
     }, EXIT_OK
 
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error[input]: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -10,10 +10,11 @@ parameter space.
 Prime decomposition is out of scope: the vanishing conditions need not be
 prime, so leading data mod the cell ideal can be coarser than on its
 components. Cells are therefore verified on admissible sample points when
-such points can be generated, by the check `verify` runs: the staircase and
-each generator's leading exponent (verify_specialization). A failing cell
-is split on a square-free factor of an offending coefficient that vanishes
-at the bad sample.
+such points can be generated, by the check `verify` runs: the staircase of
+the specialized ideal in Q[x] and each generator's leading exponent
+(verify_specialization). A failing cell is split on a square-free factor of
+an offending coefficient that vanishes at the bad sample. Radical
+membership runs the engine in Q[a, t], the t slot added by `pad`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from random import Random
 from .errors import (DepthExceeded, MultipleCells, NoCell, ParastdError, ProblemSyntaxError,
                      QContainsOne)
 from .orders import MonomialOrder, Staircase, lex
-from .polyring import AScalar, factor_order, squarefree_factors
+from .polyring import AScalar, factor_order, pad, squarefree_factors
 from .buchberger import buchberger
 from .genstd import (
     GenericBasis,
@@ -73,12 +74,10 @@ def in_radical(p: AScalar, egens) -> bool:
     if p.is_constant() or not egens:
         return False
     m = p.m
-    ext = [AScalar({e + (0,): c for e, c in g.terms.items()}, m + 1)
-           for g in egens]
+    ext = [pad(g, m, 1) for g in egens]
     # 1 - t*p with t the appended variable
-    tp = AScalar({e + (1,): -c for e, c in p.terms.items()}, m + 1)
-    one = AScalar.const(1, m + 1)
-    basis = buchberger(ext + [one + tp], lex(m + 1))
+    one_tp = AScalar.one(m + 1) + pad(p, m, 1).mul_monomial((0,) * m + (1,), -1)
+    basis = buchberger(ext + [one_tp], lex(m + 1))
     return any(g.is_constant() for g in basis.generators)
 
 

@@ -2,10 +2,11 @@
 
 Everything "mod Q": leading data after discarding coefficients whose
 numerator lies in Q, division modulo Q (f = sum(q_j g1_j) + R, with g1_j
-the part of g_j that survives mod Q), one construction of a generic
-standard basis whose route the order picks (block order on Q[x, a] for
-well orders, homogenization for the rest), truncated generic reduced
-bases, and specialization checks.
+the part of g_j that survives mod Q), generic standard bases, truncated
+generic reduced bases, and specialization checks. One runner, `_engine`,
+picks the engine's route from the order (block order on Q[x, a] for well
+orders, homogenization for the rest); generic bases and the staircases of
+specialized ideals, which are elements of Q[x], both go through it.
 
 A generic standard basis is a pair (generators, h): specializing the
 generators at any parameter point where Q vanishes and h does not yields a
@@ -39,6 +40,7 @@ from .polyring import (
     embed_params_as_vars,
     factor_order,
     fraction_content,
+    pad,
     split_params,
     squarefree_factors,
 )
@@ -187,21 +189,36 @@ def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
     return sorted(base, key=lambda fk: factor_order(fk[0]))
 
 
+def _engine(F, order: MonomialOrder, m: int, images=None):
+    """`buchberger` on F in Q[x, a] (order.n x slots, then m parameters).
+
+    A global order runs F under the block order; any other runs the
+    homogenizations (z after x, a zero z slot on the images) under the
+    degree-first combined order. Returns the unminimalized result and the
+    width of its x block, n or n + 1.
+    """
+    n = order.n
+    if is_global(order):
+        return buchberger(F, combined_order(order, m, False), images), n
+    if images is not None:
+        images = [pad(im, n, 1) for im in images]
+    return buchberger([f.homogenize(n) for f in F], combined_order(order, m, True),
+                      images), n + 1
+
+
 def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     """Generic standard basis in the combined ring Q[x, a] (AScalars over Q).
 
-    Under a well order, Buchberger runs on the input plus the Q generators
-    under the block order (x first, then a). Under any other order, the
-    inputs are first reduced mod Q termwise and homogenized with a fresh
-    balancing variable, and the basis is computed under the degree-first
-    combined order; h then also collects the coefficients of the
-    maximal-degree terms of each input (a safe over-exclusion that keeps
-    specialization from dropping the input degrees). Either way the basis
-    is minimalized, elements of Q are filtered out by the leading
-    coefficient test, and each survivor g is rewritten into the input
-    ideal as g minus its engine image (then dehomogenized). h is the
-    product of the surviving leading coefficient numerators, times any
-    cleared input denominators.
+    Buchberger runs on the inputs plus the Q generators by the route the
+    order picks (`_engine`). Under an order that is not global, each input
+    is first reduced mod Q termwise, and h also collects the coefficients
+    of its maximal-degree terms (a safe over-exclusion that keeps
+    specialization from dropping the input degrees). The basis is
+    minimalized, elements of Q are filtered out by the leading coefficient
+    test, and each survivor g is rewritten into the input ideal as g minus
+    its engine image (then dehomogenized). h is the product of the
+    surviving leading coefficient numerators, times any cleared input
+    denominators.
     """
     homogeneous_route = not is_global(order)
     inputs = list(F)
@@ -220,37 +237,26 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     # everything below runs over Q in the combined ring: x (then z), then a.
     # g - image rewrites an engine generator g into the cleared inputs: a Q
     # generator's image is itself, an input's is minus its terms dropped mod Q
-    work, images = [], []
-    hprime: list[AScalar] = []
+    work, images, hprime = [], [], []
     for g in cleared:
-        if g.is_zero():
+        kept = drop_q_terms(g, ctx) if homogeneous_route else g
+        if kept.is_zero():
             continue
-        emb = embed_params_as_vars(g)
         if homogeneous_route:
-            g2 = drop_q_terms(g, ctx)
-            if g2.is_zero():
-                continue
-            d = g2.total_degree()
-            hprime.extend(c.num for e, c in g2.terms.items() if sum(e) == d)
-            kept = emb.with_terms({e: c for e, c in emb.terms.items()
-                                   if e[:n] in g2.terms})
-            work.append(kept.homogenize(n))
-            images.append(_pad(kept - emb, n, 1))
-        else:
-            work.append(emb)
-            images.append(AScalar.zero(n + m))
+            d = kept.total_degree()
+            hprime.extend(c.num for e, c in kept.terms.items() if sum(e) == d)
+        work.append(embed_params_as_vars(kept))
+        images.append(work[-1] - embed_params_as_vars(g))
 
-    n_main = n + 1 if homogeneous_route else n
-    comb_order = combined_order(order, m, homogeneous_route)
-    qcomb = [_pad(q, 0, n_main) for q in ctx.qbasis]
-    basis = minimalize(buchberger(work + qcomb, comb_order, images + qcomb))
-
+    qgens = [pad(q, 0, n) for q in ctx.qbasis]
+    result, width = _engine(work + qgens, order, m, images + qgens)
+    basis = minimalize(result)
     gens, leads = [], []
     for g, im, lead in zip(basis.generators, basis.images, basis.leading_exponents()):
         # the combined order compares x (and z) first, so the leading
         # coefficient in Q[a] collects the terms on the leading x exponent
-        lc = AScalar({e[n_main:]: c for e, c in g.terms.items()
-                      if e[:n_main] == lead[:n_main]}, m, _prune=False)
+        lc = AScalar({e[width:]: c for e, c in g.terms.items()
+                      if e[:width] == lead[:width]}, m, _prune=False)
         if ctx.contains(lc):
             continue  # minimal basis: leading coefficient in Q iff g is in Q
         # rewrite into the ORIGINAL ideal (differs from g by Q-coefficient terms)
@@ -265,13 +271,6 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     h_factors = _normalize_h_factors([c.num for _, c in leads] + hprime + den_factors)
     staircase = Staircase.from_exponents(n, [e for e, _ in leads])
     return GenericBasis(gens, leads, h_factors, ctx, staircase, order, inputs)
-
-
-def _pad(s: AScalar, at: int, width: int) -> AScalar:
-    """s with `width` zero coordinates inserted at position `at`."""
-    pad = (0,) * width
-    return AScalar({e[:at] + pad + e[at:]: c for e, c in s.terms.items()},
-                   s.m + width, _prune=False)
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +318,13 @@ def generic_reduced_basis(B: GenericBasis, trunc_degree: int) -> GenericBasis:
 
 
 def plain_staircase(F, order: MonomialOrder) -> Staircase:
-    """Staircase of a parameter-free ideal: the engine run on the ideal itself.
-
-    Under a global order the engine runs on the inputs as they are; under
-    any other order on their homogenizations, under the degree-first
-    combined order.
-    """
-    n = F[0].n if F else 0
-    nonzero = [embed_params_as_vars(f) for f in F if not f.is_zero()]
+    """Staircase of an ideal of Q[x] (AScalars, as `ParamPoly.specialize`
+    returns): the engine run on the ideal itself, by `generic_basis`'s route."""
+    n = order.n
+    nonzero = [f for f in F if not f.is_zero()]
     if not nonzero:
         return Staircase(n, ())
-    if is_global(order):
-        basis = buchberger(nonzero, order)
-    else:
-        basis = buchberger([f.homogenize(n) for f in nonzero],
-                           combined_order(order, 0, True))
+    basis, _ = _engine(nonzero, order, 0)
     return Staircase.from_exponents(n, [e[:n] for e in basis.leading_exponents()])
 
 

@@ -13,7 +13,8 @@ the subclass's `with_terms`; `_chk` refuses operands whose `ring` differs.
   homogenize/dehomogenize and evaluation.
 * ParamPoly: the core over ParamScalar coefficients, ring value (n, m):
   polynomials in n main variables over Frac(Q[a1..am]). It adds
-  specialization at a parameter point, coefficient maps and clearing
+  specialization at a parameter point (an AScalar in the n main variables,
+  so a specialized ideal lives in Q[x]), coefficient maps and clearing
   denominators.
 * ParamScalar: a fraction num/den of AScalars. Fractions are not
   gcd-reduced (multivariate gcd is out of scope); equality is by cross
@@ -27,6 +28,7 @@ of them (`orders.leading_term`); a lex leading term is `leading(lex(m))`.
 
 Exact division and the gcd of the square-free split run the `division`
 loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
+`embed_params_as_vars`, `split_params` and `pad` move between the rings.
 """
 
 from __future__ import annotations
@@ -542,14 +544,9 @@ class ParamPoly(_Sparse):
     def __repr__(self):
         return f"ParamPoly({self.terms!r})"
 
-    def specialize(self, point) -> "ParamPoly":
-        """Evaluate all coefficients at a parameter point; result has m=0."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            q = c.evaluate(point)
-            if q:
-                out[e] = ParamScalar.const(q, 0)
-        return ParamPoly(out, self.n, 0, _prune=False)
+    def specialize(self, point) -> AScalar:
+        """Evaluate all coefficients at a parameter point: an element of Q[x]."""
+        return AScalar({e: c.evaluate(point) for e, c in self.terms.items()}, self.n)
 
     def map_coeffs(self, fn) -> "ParamPoly":
         return ParamPoly({e: fn(c) for e, c in self.terms.items()}, self.n, self.m)
@@ -572,7 +569,7 @@ class ParamPoly(_Sparse):
 
 
 # ---------------------------------------------------------------------------
-# embeddings between the parametric ring and the combined ring
+# maps between the parametric ring, the combined ring and their paddings
 
 
 def embed_params_as_vars(f: ParamPoly) -> AScalar:
@@ -597,6 +594,13 @@ def split_params(f: AScalar, n: int, m: int) -> ParamPoly:
         acc.setdefault(e[:n], {})[e[n:]] = c
     return ParamPoly({xe: ParamScalar(AScalar(terms, m, _prune=False))
                       for xe, terms in acc.items()}, n, m, _prune=False)
+
+
+def pad(s: AScalar, at: int, width: int) -> AScalar:
+    """s with `width` zero coordinates inserted at position `at`."""
+    zeros = (0,) * width
+    return AScalar({e[:at] + zeros + e[at:]: c for e, c in s.terms.items()},
+                   s.m + width, _prune=False)
 
 
 # ---------------------------------------------------------------------------

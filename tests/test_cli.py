@@ -304,6 +304,29 @@ def test_cli_specialize_every_generator_vanishes(capsys, tmp_path):
     assert "  staircase: []" in out.splitlines()
 
 
+def test_cli_specialize_without_parameters(capsys, tmp_path):
+    # a parameter-free problem takes the empty point; the rest still need --point
+    path = tmp_path / "free.psb"
+    path.write_text("vars: x1, x2\norder: neg_grevlex\nideal: x1^2 - x2^3, x1*x2\n")
+    code, out, err = run_cli(capsys, "specialize", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)["result"]
+    assert doc["point"] == {}
+    assert doc["polynomials"] == ["x1^2 - x2^3", "x1*x2"]
+    assert doc["staircase"] == [[0, 4], [1, 1], [2, 0]]
+    code, _, err = run_cli(capsys, "specialize", str(PROBLEMS / "intro.psb"))
+    assert code == 1
+    assert err == "error[input]: specialize needs --point a=..,b=..\n"
+
+
+def test_cli_problem_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.psb"
+    path.write_bytes(b"\xff\xfe params: a\n")
+    code, out, err = run_cli(capsys, "gsb", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error[input]: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_cli_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", str(PROBLEMS / "intro.psb"),
                            "--format", "json")

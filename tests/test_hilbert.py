@@ -249,12 +249,12 @@ def test_hilbert_partition_requires_degree_compatible_local_order():
 def test_specialization_cross_check_dimension():
     # dim Q[x]/(I + m^(r+1)) computed from a from-scratch standard basis of
     # I + m^(r+1) agrees with the staircase count
-    F = [P("x1^2 - x2^3", params=())]
+    F = [P("x1^2 - x2^3", params=()).specialize(())]
     order = neg_grevlex(2)
     E = plain_staircase(F, order)
     for r in range(1, 6):
         degree = r + 1
-        mgens = [P(f"x1^{i}*x2^{degree - i}", params=())
+        mgens = [P(f"x1^{i}*x2^{degree - i}", params=()).specialize(())
                  for i in range(degree + 1)]
         big = plain_staircase(F + mgens, order)
         quotient_dim = hsf(big, 2 * degree)

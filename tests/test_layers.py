@@ -1,9 +1,13 @@
-"""Layering of the parastd modules, read from their relative imports.
+"""Layering of the parastd modules, read from their relative imports and calls.
 
 Each module imports only modules earlier in LAYERS. `orders` is the bottom
 layer (order keys, exponent arithmetic and staircases) and `division` the
 one division loop above it; both stay below the coefficient rings in
 `polyring`, whose exact division and gcd call that loop.
+
+The engine route (homogenization, the combined order, the flattening of
+a parametric polynomial into Q[x, a]) is chosen in `genstd` only, so the
+functions that build it are called nowhere else in the package.
 """
 
 import ast
@@ -38,3 +42,20 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("module", LAYERS)
 def test_low_layers_import_only_what_is_below_them(module):
     assert relative_imports(module) <= set(LAYERS[:LAYERS.index(module)])
+
+
+ROUTE_FUNCTIONS = {"homogenize", "dehomogenize", "combined_order", "embed_params_as_vars"}
+
+
+def called_names(module: str) -> set[str]:
+    """Names of the functions and methods that `module` calls, by name or attribute."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_the_engine_route_is_built_in_genstd_only():
+    callers = {f: sorted(mod for mod in LAYERS if f in called_names(mod))
+               for f in ROUTE_FUNCTIONS}
+    assert callers == {f: ["genstd"] for f in ROUTE_FUNCTIONS}

@@ -62,7 +62,8 @@ def test_leading_after_specialization(intro_poly):
 
 
 def poly_over_q(text):
-    return P(text, params=(), vars=INTRO_VARS)
+    """The polynomial of Q[x1, x2] given by text: an AScalar, as specialize returns."""
+    return P(text, params=(), vars=INTRO_VARS).specialize(())
 
 
 def test_leading_zero_polynomial():

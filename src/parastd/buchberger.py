@@ -34,8 +34,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
-from .orders import (MonomialOrder, exp_add, exp_divides, exp_lcm, is_global,
-                     keyed_terms, lex, minimal_exponents)
+from .orders import (MonomialOrder, exp_add, exp_divides, exp_lcm, is_global, lex,
+                     map_coefficients, minimal_exponents)
 from .division import divide, s_combination, s_function
 from .polyring import AScalar, fraction_content
 
@@ -71,6 +71,7 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
     zero = AScalar.zero(nonzero[0].m)
     gens: list = []
     ims: list = []
+    heads = []  # leading (exponent, coefficient) of each generator
     leads = []
     pending: dict = {}  # (i, j) -> lcm of the heads, for pairs still to run
     heap: list = []  # normal strategy: smallest lcm first, ties by (i, j)
@@ -78,7 +79,8 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
     def add(g, im):
         gens.append(g)
         ims.append(im)
-        lk = g.leading(order)[0]
+        heads.append(g.leading(order))
+        lk = heads[-1][0]
         leads.append(lk)
         k = len(leads) - 1
         new = [exp_lcm(li, lk) for li in leads[:k]]
@@ -100,7 +102,7 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
     for i, f in enumerate(F):
         if f.is_zero():
             continue
-        add(*_shrink(f, images[i] if images else zero))
+        add(*_shrink(f, images[i] if images else zero, order))
 
     while heap:
         _, i, j = heappop(heap)
@@ -114,35 +116,30 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
         if r.is_zero():
             continue
         # image of multiplier * S-function, minus the quotients times their images
-        im = s_combination(ims[i], ims[j], gens[i].leading(order),
-                           gens[j].leading(order))
+        im = s_combination(ims[i], ims[j], heads[i], heads[j])
         if res.multiplier != 1:
             im = im.scale(res.multiplier)
         for q, qi in zip(res.quotients, ims):
             if not q.is_zero() and not qi.is_zero():
                 im = im - q * qi
-        add(*_shrink(r, im))
+        add(*_shrink(r, im, order))
 
     return BasisResult([_to_fractions(g, order) for g in gens], ims, order)
 
 
-def _shrink(g, im):
+def _shrink(g, im, order):
     """Divide g and its image by the positive content of g; the quotient
-    g / content comes back with int coefficients, the image keeps its own."""
+    g / content comes back with int coefficients and g's keyed terms under
+    order, the image keeps its own coefficients."""
     cont = fraction_content(g.terms.values())
     num, den = cont.numerator, cont.denominator
-    g = g.with_terms({e: c.numerator // num * (den // c.denominator)
-                      for e, c in g.terms.items()})
+    g = map_coefficients(g, order, lambda c: c.numerator // num * (den // c.denominator))
     return g, im if cont == 1 else im.scale(1 / cont)
 
 
 def _to_fractions(g, order):
     """g with Fraction coefficients, its cached keyed terms under order kept."""
-    keyed = [(k, Fraction(c)) for k, c in keyed_terms(g, order)]
-    r = len(order.rows)
-    out = g.with_terms({k[r:]: c for k, c in keyed})
-    out._kc = (order, keyed)
-    return out
+    return map_coefficients(g, order, Fraction)
 
 
 def minimalize(B: BasisResult) -> BasisResult:

@@ -20,13 +20,20 @@ reaches the remainder or changes a coefficient at or above the corner.
 The remainder is the one the full series division computes, term by term,
 while the quotients stop at the corner.
 
-The loop runs on order keys, not exponents. MonomialOrder.key is linear
-in the exponent and ends with the exponent itself, so the iterate is a dict
-from keys to coefficients: the leading term is the largest key, the
-exponent is the key's tail, and the key of a term generated by a reduction
-is the entrywise sum of the divisor term's key and the shift's key. Each
-term's key is computed once, by `orders.keyed_terms`, which caches it on
-the immutable dividend and divisors; the loop itself computes none.
+The loop runs on order keys, not exponents. MonomialOrder.key packs an
+exponent into one int and is linear in it (orders module docstring), so
+the iterate is a dict from keys to coefficients: the leading term is the
+largest key, a reduction step's shift is the difference of two keys, the
+key of each term it generates is the divisor term's key plus the shift,
+and the divisor is found by the guard-bit test `order.region` against the
+divisors' cached cones. Each generated key is tested against
+`order.overflow` with one AND; an entry that reaches 2^31 raises
+ExponentOverflow. Each term's key is computed once, by
+`orders.keyed_terms`, which caches it on the immutable dividend and
+divisors; the loop itself computes none, and it unpacks exponents only
+for the quotient and remainder terms it stores. The remainder keeps its
+keyed terms, so the basis engine never keys it again, and `s_function`
+builds an S-function from its parents' keyed terms, keying only the lcm.
 
 Dividends and divisors share one ring per call, AScalar or ParamPoly,
 the two instances of polyring's sparse core: the loop reads only
@@ -52,10 +59,12 @@ takes the field step c/dc, and its multiplier is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd
-from operator import add, sub
+from operator import itemgetter, or_
 
 from .errors import (
+    ExponentOverflow,
     NonTerminatingDivision,
     NonTerminatingOrder,
     TruncationTooSmall,
@@ -70,6 +79,7 @@ from .orders import (
     is_global,
     keyed_terms,
     region_of,
+    with_keyed_terms,
 )
 
 TRUNCATION_STEP_GUARD = 20000
@@ -121,14 +131,13 @@ def highest_corner(leads, n: int, order: MonomialOrder,
 
 def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                    remainder_only=False):
-    # terms are keyed by order key, not exponent (module docstring); an
-    # exponent is the tail k[r:] of its key
-    r = len(order.rows)
+    # terms are keyed by order key, not exponent (module docstring)
+    degree = order.degree
     iterate = dict(keyed_terms(f, order))
     exact = True
     if mode == SERIES:
         # the degree cut applies to the dividend as to every generated term
-        kept = {k: c for k, c in iterate.items() if sum(k[r:]) <= max_degree}
+        kept = {k: c for k, c in iterate.items() if degree(k) <= max_degree}
         exact = len(kept) == len(iterate)
         iterate = kept
     # polynomials are immutable, so every empty quotient shares one zero
@@ -140,7 +149,7 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
         if g.is_zero():
             raise ZeroPolynomialError("zero divisor")
         keyed.append(keyed_terms(g, order))
-    leads = [kg[0][0][r:] for kg in keyed]
+    cones = [order.cone(kg[0][0]) for kg in keyed]
     # iterate, quotients and remainder are plain dicts updated in place; the
     # ring elements are built once at the end
     quotients: list[dict] = [{} for _ in divisors]
@@ -149,6 +158,7 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
     if remainder_only:
         # series mode only: terms below the highest corner never reach the
         # remainder (module docstring); with no corner, nothing does
+        leads = [order.exponent(kg[0][0]) for kg in keyed]
         corner = highest_corner(leads, order.n, order, max_degree)
         if corner is None:
             kept = {}
@@ -157,6 +167,7 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
             kept = {k: c for k, c in iterate.items() if k >= floor}
         exact &= len(kept) == len(iterate)
         iterate = kept
+    region, overflow = order.region, order.overflow
     steps, lam = 0, 1
     while iterate:
         steps += 1
@@ -164,16 +175,15 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
             raise NonTerminatingDivision(
                 f"no stopping state after {guard} reduction steps")
         k = max(iterate)
-        e = k[r:]
-        j = region_of(leads, e)
+        j = region(cones, k)
         if j is None:
             if mode == TRUNCATED:
-                remainder = {kk[r:]: (c, lam) for kk, c in iterate.items()}
+                remainder = {kk: (c, lam) for kk, c in iterate.items()}
                 break
-            remainder[e] = (iterate.pop(k), lam)
+            remainder[k] = (iterate.pop(k), lam)
             continue
         kd, dc = keyed[j][0]
-        shift = tuple(map(sub, k, kd))
+        shift = k - kd
         c = iterate[k]
         if type(c) is int and type(dc) is int:
             # integer step (module docstring): a*c - dc*coeff == 0, a > 0
@@ -184,30 +194,34 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                 lam *= a
         else:
             coeff = c / dc
-        # leading exponents strictly decrease, so quotient terms never collide
-        quotients[j][shift[r:]] = (coeff, lam)
+        # leading keys strictly decrease, so quotient terms never collide
+        quotients[j][shift] = (coeff, lam)
         for k0, c0 in keyed[j]:
-            kk = tuple(map(add, k0, shift))
+            kk = k0 + shift
             if kk in iterate:
                 v = iterate[kk] - c0 * coeff
                 if v:
                     iterate[kk] = v
                 else:
                     del iterate[kk]
-            elif mode == SERIES and (sum(kk[r:]) > max_degree or (
+            elif mode == SERIES and (degree(kk) > max_degree or (
                     floor is not None and kk < floor)):
                 exact = False
+            elif kk & overflow:
+                raise ExponentOverflow("division generated an exponent entry of 2^31 or more")
             else:
                 iterate[kk] = -(c0 * coeff)
 
     def scaled(terms):  # each term times the factor lam gained after its stamp
-        if not terms:
-            return zero
-        return f.with_terms({e: c if s == lam else c * (lam // s)
-                             for e, (c, s) in terms.items()})
+        return [(k, c if s == lam else c * (lam // s)) for k, (c, s) in terms.items()]
 
-    return DivisionResult([scaled(q) for q in quotients], scaled(remainder),
-                          exact, steps, lam)
+    origin, exponent = order.origin, order.exponent
+    return DivisionResult(
+        [f.with_terms({exponent(s + origin): c for s, c in scaled(q)}) if q else zero
+         for q in quotients],
+        with_keyed_terms(f, order, sorted(scaled(remainder), key=itemgetter(0),
+                                          reverse=True)),
+        exact, steps, lam)
 
 
 def full_division_terminates(f, G, order: MonomialOrder) -> bool:
@@ -268,15 +282,41 @@ def s_combination(f, g, lead_f, lead_g):
     """cg*m*f - cf*m'*g for the head terms lead_f = (ef, cf), lead_g = (eg, cg).
 
     m and m' lift ef and eg to their least common multiple, so the two
-    head terms cancel when they are the leading terms of f and g.
+    head terms cancel when they are the leading terms of f and g. Zero
+    when f and g are both zero, without touching the heads.
     """
+    if f.is_zero() and g.is_zero():
+        return f
     (ef, cf), (eg, cg) = lead_f, lead_g
     lcm = exp_lcm(ef, eg)
     return f.mul_monomial(exp_sub(lcm, ef), cg) - g.mul_monomial(exp_sub(lcm, eg), cf)
 
 
 def s_function(f, g, order: MonomialOrder):
-    """Head-cancelling combination lc(g)*m*f - lc(f)*m'*g (s_combination)."""
+    """Head-cancelling combination lc(g)*m*f - lc(f)*m'*g (s_combination).
+
+    Built in key space: each term's key is its parent term's cached key
+    plus the parent's shift to the lcm, so only the lcm is keyed.
+    """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("S-function of zero polynomial")
-    return s_combination(f, g, f.leading(order), g.leading(order))
+    kf, kg = keyed_terms(f, order), keyed_terms(g, order)
+    (hf, cf), (hg, cg) = kf[0], kg[0]
+    top = order.key(exp_lcm(order.exponent(hf), order.exponent(hg)))
+    shift = top - hf
+    acc = {k + shift: c * cg for k, c in kf}
+    shift = top - hg
+    for k, c in kg:
+        kk = k + shift
+        if kk in acc:
+            v = acc[kk] + -(c * cf)
+            if v:
+                acc[kk] = v
+            else:
+                del acc[kk]
+        else:
+            acc[kk] = -(c * cf)
+    # keys are nonnegative, so their OR meets the mask iff one of them does
+    if reduce(or_, acc, 0) & order.overflow:
+        raise ExponentOverflow("S-function with an exponent entry of 2^31 or more")
+    return with_keyed_terms(f, order, sorted(acc.items(), key=itemgetter(0), reverse=True))

@@ -21,6 +21,10 @@ class NonTerminatingDivision(ParastdError):
     """Truncated division hit the step guard without reaching a stopping state."""
 
 
+class ExponentOverflow(ParastdError):
+    """An exponent or a weight row too large for the packed order keys."""
+
+
 class DenominatorVanishes(ParastdError):
     """Specialization point lies on the vanishing locus of a coefficient denominator."""
 

@@ -338,8 +338,8 @@ class SampleCheck:
 
 def _leading_exponent_at(g: ParamPoly, order: MonomialOrder, point) -> Exponent | None:
     """Leading exponent of g specialized at point, None when it vanishes there."""
-    r = len(order.rows)
-    return next((k[r:] for k, c in keyed_terms(g, order) if c.evaluate(point)), None)
+    return next((order.exponent(k) for k, c in keyed_terms(g, order) if c.evaluate(point)),
+                None)
 
 
 def verify_specialization(B: GenericBasis, samples) -> list[SampleCheck]:

@@ -9,7 +9,26 @@ built by `combined_order`.
 
 Order keys live here only: `MonomialOrder.key`, and `keyed_terms` /
 `leading_term`, which read a polynomial's terms in key order, cached per
-order object. So `lex` is memoized: each `lex(m)` is one object.
+order object. So `lex` and `combined_order` are memoized: equal arguments
+give one object.
+
+A key is one packed int (Bachmann and Schoenemann, ISSAC 1998; Monagan and
+Pearce, CASC 2007): one 64-bit field per weight row, holding W.e plus a
+bias of 2^62, then one per exponent entry, then one for the total degree,
+most significant first. Comparing two keys is comparing (W.e, e)
+lexicographically, so the order is the weight rows with a lex tiebreak.
+The key is linear, bias + sum(e_i * w_i) with one int w_i per variable,
+so key(a + b) - key(b) == key(a) - key(0): a division step adds a shift to
+a key. The layout is private to this module; the rest of the package
+reads a key through `exponent`, `degree`, `cone` / `region` (divisibility
+by guard bits: with bit 63 set in every entry and degree field, d divides
+e iff subtracting cone(d) from key(e) | guard clears none of them) and
+`overflow` (a mask that a sum of keys meets when an entry reaches 2^31).
+`key` raises ExponentOverflow for an entry of at least 2^31 and for an
+order with a row whose absolute weights sum to at least 2^30; below both
+caps every field of a sum key(e0) + key(e) - key(d), with d dividing e,
+stays in range (entries below 2^32, row values below 2^62 in size). The
+tables are built once per (rows, n).
 
 Staircases live here too: `minimal_exponents` is the one routine for the
 minimal generators of a monomial ideal (`Staircase`, `buchberger.minimalize`
@@ -23,11 +42,12 @@ shorter tuple.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cache
 from operator import add, itemgetter, le, mul, sub
 
-from .errors import DimensionMismatch, ZeroPolynomialError
+from .errors import DimensionMismatch, ExponentOverflow, ZeroPolynomialError
 
 Exponent = tuple[int, ...]
 
@@ -99,6 +119,49 @@ class Staircase:
         return max((sum(e) for e in self.generators), default=0)
 
 
+_FIELD_BITS = 64
+ENTRY_CAP = 1 << 31  # every exponent entry of a key stays below
+ROW_WEIGHT_CAP = 1 << 30  # every row's absolute weights sum to less
+_FIELD = (1 << _FIELD_BITS) - 1
+_ROW_BIAS = 1 << 62
+_GUARD = 1 << 63
+
+
+@dataclass(frozen=True, slots=True)
+class _Layout:
+    """Packing tables of the orders with one (rows, n)."""
+
+    weights: tuple[int, ...]  # key(e) = origin + sum(e_i * weights[i])
+    origin: int  # key of the zero exponent
+    entry_cap: int  # ENTRY_CAP, or 0 when a row is too wide for any key
+    low: int  # the entry and degree fields
+    guard: int  # bit 63 of each of them
+    overflow: int  # bits 31 to 63 of each entry field
+    nbytes: int
+    unpack: object  # bytes of a key -> its entries
+
+
+@cache
+def _layout(rows, n) -> _Layout:
+    r = len(rows)
+
+    def at(field):  # bit offset of a field, 0 the most significant
+        return (r + n - field) * _FIELD_BITS
+
+    weights = tuple(sum(row[i] << at(j) for j, row in enumerate(rows))
+                    + (1 << at(r + i)) + 1 for i in range(n))
+    wide = any(sum(map(abs, row)) >= ROW_WEIGHT_CAP for row in rows)
+    return _Layout(
+        weights=weights,
+        origin=sum(_ROW_BIAS << at(j) for j in range(r)),
+        entry_cap=0 if wide else ENTRY_CAP,
+        low=(1 << at(r - 1)) - 1,
+        guard=sum(_GUARD << at(f) for f in range(r, r + n + 1)),
+        overflow=sum((_FIELD ^ (ENTRY_CAP - 1)) << at(r + i) for i in range(n)),
+        nbytes=(r + n + 1) * _FIELD_BITS // 8,
+        unpack=struct.Struct(f">{r * _FIELD_BITS // 8}x{n}Q{_FIELD_BITS // 8}x").unpack)
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total order on exponents: weight rows first, then lex tiebreak."""
@@ -111,16 +174,62 @@ class MonomialOrder:
             if len(row) != self.n:
                 raise DimensionMismatch(
                     f"weight row of length {len(row)} in dimension {self.n}")
+        object.__setattr__(self, "_lay", _layout(self.rows, self.n))
 
-    def key(self, e: Exponent):
-        """Sort key: bigger key means bigger monomial.
+    def __reduce__(self):  # copies and pickles rebuild the layout from the fields
+        return MonomialOrder, (self.rows, self.n)
 
-        The key is (W.e) + e: linear in e, so key(a + b) is the entrywise
-        sum key(a) + key(b), and e is its tail key[len(rows):].
+    def key(self, e: Exponent) -> int:
+        """Sort key, one int: bigger key means bigger monomial.
+
+        The key packs (W.e, e, |e|) (module docstring), so it is linear in
+        e and `exponent` and `degree` read e and |e| back.
         """
         if len(e) != self.n:
             raise DimensionMismatch(f"exponent {e} in dimension {self.n}")
-        return tuple(sum(map(mul, row, e)) for row in self.rows) + e
+        lay = self._lay
+        if max(e, default=0) >= lay.entry_cap:
+            if lay.entry_cap:
+                raise ExponentOverflow(f"exponent {e} has an entry of 2^31 or more")
+            raise ExponentOverflow("a weight row of the order has absolute weights "
+                                   "summing to 2^30 or more")
+        return sum(map(mul, e, lay.weights), lay.origin)
+
+    def exponent(self, k: int) -> Exponent:
+        """The exponent whose key is k."""
+        lay = self._lay
+        return lay.unpack(k.to_bytes(lay.nbytes, "big"))
+
+    @staticmethod
+    def degree(k: int) -> int:
+        """Total degree of the exponent whose key is k."""
+        return k & _FIELD
+
+    def cone(self, k: int) -> int:
+        """The divisibility tag of the exponent whose key is k, for `region`."""
+        return k & self._lay.low
+
+    def region(self, cones, k: int) -> int | None:
+        """Index of the first cone (`cone` of a key) whose exponent divides
+        the exponent of key k, None if escaped (`region_of` on keys)."""
+        g = self._lay.guard
+        kg = k | g
+        for j, c in enumerate(cones):
+            if (kg - c) & g == g:
+                return j
+        return None
+
+    @property
+    def origin(self) -> int:
+        """Key of the zero exponent: key(a) - origin is the shift that
+        multiplies by x^a, so exponent(k - key(d) + origin) is e - d."""
+        return self._lay.origin
+
+    @property
+    def overflow(self) -> int:
+        """Mask that a key formed by adding shifts to keys meets when an
+        entry has reached ENTRY_CAP: such a key lies beyond `key`'s range."""
+        return self._lay.overflow
 
 
 def compare(order: MonomialOrder, a: Exponent, b: Exponent) -> int:
@@ -151,7 +260,23 @@ def leading_term(p, order: MonomialOrder):
     if not p.terms:
         raise ZeroPolynomialError("leading term of zero polynomial")
     k, c = keyed_terms(p, order)[0]
-    return k[len(order.rows):], c
+    return order.exponent(k), c
+
+
+def with_keyed_terms(p, order: MonomialOrder, keyed: list):
+    """Element of p's ring whose terms are `keyed`, pairs (order.key(e), c)
+    with c nonzero, largest key first; the list becomes its cached keyed terms."""
+    out = p.with_terms({order.exponent(k): c for k, c in keyed})
+    out._kc = (order, keyed)
+    return out
+
+
+def map_coefficients(p, order: MonomialOrder, fn):
+    """p with each coefficient c replaced by fn(c), which must be nonzero;
+    p's keyed terms under order are carried over, not recomputed."""
+    out = p.with_terms({e: fn(c) for e, c in p.terms.items()})
+    out._kc = (order, [(k, fn(c)) for k, c in keyed_terms(p, order)])
+    return out
 
 
 @cache
@@ -189,8 +314,9 @@ def is_degree_compatible_local(order: MonomialOrder) -> bool:
     return row[0] < 0 and all(w == row[0] for w in row) and classify(order) == LOCAL
 
 
+@cache
 def combined_order(main: MonomialOrder, m: int, homogenized: bool) -> MonomialOrder:
-    """Weight-matrix order on the combined exponent (x, [z], a).
+    """Weight-matrix order on the combined exponent (x, [z], a), memoized.
 
     The x part is compared first and the m parameters break the remaining
     ties by lex, so with a well order on x this is the block (elimination)

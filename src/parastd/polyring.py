@@ -23,8 +23,10 @@ the subclass's `with_terms`; `_chk` refuses operands whose `ring` differs.
 
 Both polynomial classes are immutable once built: nothing writes to
 `terms` after construction. So each caches, in its `_kc` slot, its terms
-keyed by one order (`orders.keyed_terms`), and `leading` reads the first
-of them (`orders.leading_term`); a lex leading term is `leading(lex(m))`.
+keyed by one order (`orders.keyed_terms`, or handed over when it is built
+by `orders.with_keyed_terms` or `orders.map_coefficients`), and `leading`
+reads the first of them (`orders.leading_term`); a lex leading term is
+`leading(lex(m))`.
 
 Exact division and the gcd of the square-free split run the `division`
 loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
@@ -481,6 +483,8 @@ class ParamScalar:
         return self
 
     def evaluate(self, point) -> Fraction:
+        if self.den.is_constant():  # nonzero, so no point makes it vanish
+            return self.num.evaluate(point) / self.den.constant_value()
         d = self.den.evaluate(point)
         if d == 0:
             raise DenominatorVanishes(f"denominator vanishes at {point}")

@@ -120,10 +120,9 @@ def leading_mod_q(f, order, ctx):
     """Order-maximum (exponent, coefficient) of f among the terms whose
     coefficient survives mod Q; the reference for the leads that
     `generic_basis` reads off the engine."""
-    r = len(order.rows)
     for k, c in keyed_terms(f, order):
         if not coeff_in_q(c, ctx):
-            return k[r:], c
+            return order.exponent(k), c
     raise AllCoefficientsInQ("no term survives reduction mod Q")
 
 

@@ -212,6 +212,18 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("power, code", [(2 ** 31 - 1, 0), (2 ** 31, 1)])
+def test_cli_gsb_refuses_an_exponent_past_the_key_cap(capsys, tmp_path, power, code):
+    path = tmp_path / "big.psb"
+    path.write_text(f"params: a\nvars: x1, x2\norder: grevlex\nideal: x1^{power} - x2\n")
+    got, out, err = run_cli(capsys, "gsb", str(path))
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error[ExponentOverflow]: ")
+    else:
+        assert err == "" and f"x1^{power}" in out
+
+
 def test_cli_gsb_intro(capsys):
     code, out, _ = run_cli(capsys, "gsb", str(PROBLEMS / "intro.psb"),
                            "--format", "json")

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from parastd.errors import NonTerminatingDivision, NonTerminatingOrder, TruncationTooSmall
+from parastd.errors import (ExponentOverflow, NonTerminatingDivision, NonTerminatingOrder,
+                            TruncationTooSmall)
 from parastd.orders import (
-    exp_add, exp_degree, exp_sub, grevlex, is_global, lex, matrix_order, neg_grevlex)
+    ENTRY_CAP, combined_order, exp_add, exp_degree, exp_divides, exp_sub, grevlex, is_global,
+    keyed_terms, lex, matrix_order, neg_grevlex)
 from parastd.polyring import AScalar, ParamPoly, ParamScalar
 from parastd.buchberger import buchberger
 from parastd.division import (
@@ -20,6 +22,7 @@ from parastd.division import (
     full_division_terminates,
     highest_corner,
     region_of,
+    s_combination,
     s_function,
 )
 
@@ -595,3 +598,67 @@ def test_engine_generators_come_back_over_fractions(case):
     order, f, G = case
     gens = buchberger([f, *G], order).generators
     assert all(type(c) is Fraction for g in gens for c in g.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# packed keys in the loop and in the S-function
+
+
+KEY_ORDERS = [lex(3), grevlex(3), neg_grevlex(3), matrix_order([[2, -1, 3], [0, -4, 1]]),
+              combined_order(neg_grevlex(1), 1, True), combined_order(grevlex(2), 1, False)]
+
+
+def _fresh_keys(p, order):
+    """p's keyed terms computed anew, not read from its cache."""
+    return keyed_terms(p.with_terms(dict(p.terms)), order)
+
+
+@given(st.sampled_from(KEY_ORDERS), st.lists(st.tuples(*[st.integers(0, 3)] * 3),
+                                             max_size=5),
+       st.tuples(*[st.integers(0, 4)] * 3))
+def test_cone_lookup_is_region_of(order, leads, e):
+    cones = [order.cone(order.key(d)) for d in leads]
+    assert order.region(cones, order.key(e)) == region_of(leads, e)
+
+
+def _int_poly(rng, n=3):
+    return AScalar({tuple(rng.randint(0, 3) for _ in range(n)): rng.choice([-3, -1, 1, 2])
+                    for _ in range(rng.randint(1, 5))}, 3)
+
+
+@given(st.sampled_from(KEY_ORDERS), st.integers(0, 10 ** 6))
+def test_key_space_s_function_is_the_exponent_space_one(order, seed):
+    rng = random.Random(seed)
+    f, g = _int_poly(rng), _int_poly(rng)
+    s = s_function(f, g, order)
+    assert s == s_combination(f, g, f.leading(order), g.leading(order))
+    assert s._kc[0] is order and s._kc[1] == _fresh_keys(s, order)
+
+
+@given(st.sampled_from(KEY_ORDERS[:2] + KEY_ORDERS[4:]), st.integers(0, 10 ** 6))
+def test_remainder_keeps_its_keyed_terms(order, seed):
+    rng = random.Random(seed)
+    f, G = _int_poly(rng), [_int_poly(rng) for _ in range(rng.randint(1, 3))]
+    r = divide(f, G, order).remainder
+    assert r._kc[0] is order and r._kc[1] == _fresh_keys(r, order)
+    for e, _ in r._kc[1]:
+        assert not any(exp_divides(g.leading(order)[0], order.exponent(e)) for g in G)
+
+
+def test_lex_division_past_the_entry_cap_raises():
+    # x1^2 by x1 - x2^(2^31 - 1): the second step generates x2^(2^32 - 2)
+    f = AScalar({(2, 0): Fraction(1)}, 2)
+    g = AScalar({(1, 0): Fraction(1), (0, ENTRY_CAP - 1): Fraction(-1)}, 2)
+    with pytest.raises(ExponentOverflow):
+        divide(f, [g], lex(2))
+    # one step stays in range: x1 = g + x2^(2^31 - 1)
+    res = divide(AScalar({(1, 0): Fraction(1)}, 2), [g], lex(2))
+    assert res.remainder == AScalar({(0, ENTRY_CAP - 1): Fraction(1)}, 2)
+
+
+def test_s_function_past_the_entry_cap_raises():
+    # under lex the head of f is x1, so x2 lifts x2^(2^31 - 1) to x2^(2^31)
+    f = AScalar({(1, 0): Fraction(1), (0, ENTRY_CAP - 1): Fraction(1)}, 2)
+    g = AScalar({(0, 1): Fraction(1)}, 2)
+    with pytest.raises(ExponentOverflow):
+        s_function(f, g, lex(2))

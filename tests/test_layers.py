@@ -8,6 +8,9 @@ one division loop above it; both stay below the coefficient rings in
 The engine route (homogenization, the combined order, the flattening of
 a parametric polynomial into Q[x, a]) is chosen in `genstd` only, so the
 functions that build it are called nowhere else in the package.
+
+The packed key layout is known to `orders` only: no other module names
+its constants or tables, or slices a key by the number of weight rows.
 """
 
 import ast
@@ -59,3 +62,31 @@ def test_the_engine_route_is_built_in_genstd_only():
     callers = {f: sorted(mod for mod in LAYERS if f in called_names(mod))
                for f in ROUTE_FUNCTIONS}
     assert callers == {f: ["genstd"] for f in ROUTE_FUNCTIONS}
+
+
+LAYOUT_NAMES = {"_FIELD_BITS", "ENTRY_CAP", "ROW_WEIGHT_CAP", "_FIELD", "_ROW_BIAS",
+                "_GUARD", "_Layout", "_layout", "_lay"}
+
+
+def layout_readers(module: str) -> set[str]:
+    """Layout names that `module` uses, and "len(.rows)" if it counts weight rows."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "len" and node.args
+              and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "rows"):
+            out.add("len(.rows)")
+    return out & (LAYOUT_NAMES | {"len(.rows)"})
+
+
+def test_the_key_layout_is_known_to_orders_only():
+    readers = {mod: sorted(layout_readers(mod)) for mod in LAYERS}
+    assert readers.pop("orders")  # the guard sees the layout where it lives
+    assert readers == {mod: [] for mod in LAYERS if mod != "orders"}

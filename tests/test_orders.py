@@ -1,13 +1,17 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from parastd.errors import DimensionMismatch
+from parastd.errors import DimensionMismatch, ExponentOverflow
 from parastd.orders import (
+    ENTRY_CAP,
     GLOBAL,
     LOCAL,
     MIXED,
+    ROW_WEIGHT_CAP,
     MonomialOrder,
     classify,
     combined_order,
@@ -203,3 +207,104 @@ def test_exponent_kernels_match_their_zip_forms(a, b):
     assert exp_sub(a, b) == tuple(x - y for x, y in pairs)
     assert exp_lcm(a, b) == tuple(max(x, y) for x, y in pairs)
     assert exp_divides(a, b) is all(x <= y for x, y in pairs)
+
+
+# ---------------------------------------------------------------------------
+# packed keys: one int per exponent
+
+
+@st.composite
+def packed_orders(draw):
+    """A matrix order with negative weights (some rows near the weight cap),
+    neg_grevlex, or a block or homogenized combined order over one of them."""
+    n = draw(st.integers(1, 4))
+    weight = st.one_of(st.integers(-5, 5),
+                       st.integers(-(ROW_WEIGHT_CAP - 1) // n, (ROW_WEIGHT_CAP - 1) // n))
+    main = draw(st.one_of(
+        st.lists(st.lists(weight, min_size=n, max_size=n), max_size=3).map(
+            lambda rows: matrix_order(rows, n)),
+        st.just(neg_grevlex(n)), st.just(grevlex(n))))
+    if draw(st.booleans()):
+        return main
+    return combined_order(main, draw(st.integers(0, 2)), draw(st.booleans()))
+
+
+def entries(n, top):
+    return st.tuples(*[st.one_of(st.integers(0, 6), st.integers(0, top - 1))] * n)
+
+
+def weighted(order, e):
+    """The tuple key the packed one replaces: (W.e, e)."""
+    return tuple(sum(w * x for w, x in zip(row, e)) for row in order.rows) + e
+
+
+@given(packed_orders().flatmap(
+    lambda o: st.tuples(st.just(o), entries(o.n, ENTRY_CAP), entries(o.n, ENTRY_CAP))))
+def test_packed_key_compares_as_the_weighted_tuple(case):
+    order, a, b = case
+    assert (order.key(a) < order.key(b)) == (weighted(order, a) < weighted(order, b))
+    assert (order.key(a) == order.key(b)) == (a == b)
+
+
+@given(packed_orders().flatmap(lambda o: st.tuples(st.just(o), entries(o.n, ENTRY_CAP))))
+def test_packed_key_unpacks_to_its_exponent_and_degree(case):
+    order, e = case
+    assert order.exponent(order.key(e)) == e
+    assert order.degree(order.key(e)) == sum(e)
+
+
+@given(packed_orders().flatmap(lambda o: st.tuples(
+    st.just(o), entries(o.n, ENTRY_CAP // 2), entries(o.n, ENTRY_CAP // 2))))
+def test_packed_key_is_linear(case):
+    order, a, b = case
+    zero = (0,) * order.n
+    assert order.key(exp_add(a, b)) - order.key(b) == order.key(a) - order.key(zero)
+    assert order.key(zero) == order.origin
+
+
+@given(packed_orders().flatmap(
+    lambda o: st.tuples(st.just(o), entries(o.n, ENTRY_CAP), entries(o.n, ENTRY_CAP))))
+def test_cone_test_is_exp_divides(case):
+    order, a, b = case
+    cone = order.cone(order.key(a))
+    assert (order.region([cone], order.key(b)) == 0) is exp_divides(a, b)
+    assert order.region([], order.key(b)) is None
+
+
+def test_key_refuses_an_entry_at_the_cap():
+    order = grevlex(2)
+    assert order.exponent(order.key((ENTRY_CAP - 1, 0))) == (ENTRY_CAP - 1, 0)
+    with pytest.raises(ExponentOverflow):
+        order.key((0, ENTRY_CAP))
+
+
+def test_key_refuses_a_row_at_the_weight_cap():
+    fits = matrix_order([[ROW_WEIGHT_CAP // 2, -(ROW_WEIGHT_CAP // 2 - 1)]])
+    assert fits.exponent(fits.key((3, 4))) == (3, 4)
+    wide = matrix_order([[ROW_WEIGHT_CAP // 2, -(ROW_WEIGHT_CAP // 2)]])
+    with pytest.raises(ExponentOverflow):
+        wide.key((0, 0))
+
+
+def test_overflow_mask_meets_a_sum_past_the_cap():
+    # (2^31 - 1, 0) times x1 is one past the cap; keys add as exponents do
+    order = neg_grevlex(2)
+    top = order.key((ENTRY_CAP - 1, 0))
+    shift = order.key((1, 0)) - order.origin
+    assert (top - shift) & order.overflow == 0
+    assert (top + shift) & order.overflow
+
+
+def test_combined_order_is_memoized():
+    main, same = grevlex(3), matrix_order(grevlex(3).rows)
+    assert main == same and main is not same
+    for homogenized in (False, True):
+        assert combined_order(main, 2, homogenized) is combined_order(same, 2, homogenized)
+    assert combined_order(main, 2, False) is not combined_order(main, 2, True)
+
+
+def test_an_order_survives_copy_and_pickle():
+    order = combined_order(neg_grevlex(2), 1, True)
+    for twin in (copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
+        assert twin == order
+        assert twin.key((1, 0, 2, 3)) == order.key((1, 0, 2, 3))

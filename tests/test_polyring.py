@@ -80,8 +80,11 @@ def test_leading_term_cache_is_keyed_by_order():
     assert p.leading(grevlex(2)) == ((0, 2), 3)
     assert p.leading(same_lex) == ((1, 0), 1)
     assert p.leading(neg_grevlex(2)) == ((1, 0), 1)
-    # grevlex(2) has rows (1, 1) and (0, -1); each key ends with its exponent
-    assert keyed_terms(p, grevlex(2)) == [((2, -2, 0, 2), 3), ((1, 0, 1, 0), 1)]
+    # grevlex(2) has rows (1, 1) and (0, -1); each key packs its exponent
+    order = grevlex(2)
+    keyed = keyed_terms(p, order)
+    assert [(order.exponent(k), c) for k, c in keyed] == [((0, 2), 3), ((1, 0), 1)]
+    assert [k for k, _ in keyed] == [order.key((0, 2)), order.key((1, 0))]
 
 
 def test_derived_polynomials_do_not_inherit_the_cache():

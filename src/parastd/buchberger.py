@@ -45,9 +45,7 @@ class BasisResult:
     generators: list
     images: list
     order: MonomialOrder
-
-    def leading_exponents(self):
-        return [g.leading(self.order)[0] for g in self.generators]
+    leads: list  # each generator's leading exponent under order
 
 
 def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
@@ -124,7 +122,7 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
                 im = im - q * qi
         add(*_shrink(r, im, order))
 
-    return BasisResult([_to_fractions(g, order) for g in gens], ims, order)
+    return BasisResult([_to_fractions(g, order) for g in gens], ims, order, leads)
 
 
 def _shrink(g, im, order):
@@ -145,10 +143,9 @@ def _to_fractions(g, order):
 def minimalize(B: BasisResult) -> BasisResult:
     """Keep, in index order, the first generator on each minimal lead
     (`minimal_exponents` of all leads, so under any order)."""
-    leads = B.leading_exponents()
-    keep = sorted(map(leads.index, minimal_exponents(leads)))
-    return BasisResult([B.generators[i] for i in keep],
-                       [B.images[i] for i in keep], B.order)
+    keep = sorted(map(B.leads.index, minimal_exponents(B.leads)))
+    return BasisResult([B.generators[i] for i in keep], [B.images[i] for i in keep],
+                       B.order, [B.leads[i] for i in keep])
 
 
 def reduce_basis(gens: list, order: MonomialOrder) -> list:

@@ -25,7 +25,7 @@ from .genstd import (
     plain_staircase,
     verify_specialization,
 )
-from .comprehensive import comprehensive_basis
+from .comprehensive import MAX_DEPTH, comprehensive_basis
 from .hilbert import hilbert_partition
 from .problems import OPTION_KEYS, Problem, check_option, parse_point, parse_problem
 from .sampling import variety_points
@@ -95,7 +95,7 @@ def _reduce(problem, settings):
 def _comprehensive(problem, settings):
     result = comprehensive_basis(
         problem.ideal, problem.order,
-        max_depth=settings.get("max_depth", 12), seed=settings["seed"])
+        max_depth=settings.get("max_depth", MAX_DEPTH), seed=settings["seed"])
     cells = [{
         **_cell_doc(problem, entry.cell),
         "basis": [_render(problem, g) for g in entry.basis.gens],
@@ -108,7 +108,7 @@ def _comprehensive(problem, settings):
 def _hilbert(problem, settings):
     strata = hilbert_partition(
         problem.ideal, problem.order,
-        max_depth=settings.get("max_depth", 12), seed=settings["seed"])
+        max_depth=settings.get("max_depth", MAX_DEPTH), seed=settings["seed"])
     return {"strata": [{
         "cells": [_cell_doc(problem, c) for c in s.cells],
         "hsf_values": s.data.values,

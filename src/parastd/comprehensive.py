@@ -36,6 +36,7 @@ from .genstd import (
 from .sampling import variety_points
 
 VERIFY_SAMPLES = 3  # sample points checked per emitted cell
+MAX_DEPTH = 12  # default guard on the depth of the tree
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def in_radical(p: AScalar, egens) -> bool:
     return any(g.is_constant() for g in basis.generators)
 
 
-def comprehensive_basis(F, order: MonomialOrder, max_depth: int = 12,
+def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
                         seed: int = 0) -> ComprehensiveResult:
     """Partition parameter space into cells of constant staircase.
 

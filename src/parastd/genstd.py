@@ -252,7 +252,7 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     result, width = _engine(work + qgens, order, m, images + qgens)
     basis = minimalize(result)
     gens, leads = [], []
-    for g, im, lead in zip(basis.generators, basis.images, basis.leading_exponents()):
+    for g, im, lead in zip(basis.generators, basis.images, basis.leads):
         # the combined order compares x (and z) first, so the leading
         # coefficient in Q[a] collects the terms on the leading x exponent
         lc = AScalar({e[width:]: c for e, c in g.terms.items()
@@ -325,7 +325,7 @@ def plain_staircase(F, order: MonomialOrder) -> Staircase:
     if not nonzero:
         return Staircase(n, ())
     basis, _ = _engine(nonzero, order, 0)
-    return Staircase.from_exponents(n, [e[:n] for e in basis.leading_exponents()])
+    return Staircase.from_exponents(n, [e[:n] for e in basis.leads])
 
 
 @dataclass

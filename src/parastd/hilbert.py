@@ -19,7 +19,7 @@ from math import comb, inf
 from .errors import ProblemSyntaxError
 from .orders import MonomialOrder, Staircase, exp_lcm, is_degree_compatible_local
 from .polyring import render_fraction, render_terms
-from .comprehensive import Cell, ComprehensiveResult, comprehensive_basis
+from .comprehensive import MAX_DEPTH, Cell, ComprehensiveResult, comprehensive_basis
 
 
 def _lcm_degrees(E: Staircase) -> dict[int, int]:
@@ -134,7 +134,7 @@ class HilbertStratum:
     milnor: object  # int or math.inf
 
 
-def hilbert_partition(F, order: MonomialOrder, max_depth: int = 12,
+def hilbert_partition(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
                       seed: int = 0) -> list[HilbertStratum]:
     """Partition parameter space by the local Hilbert-Samuel polynomial.
 

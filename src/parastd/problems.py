@@ -17,8 +17,10 @@ is how fraction coefficients like (1/a) round-trip.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DuplicateSection, ProblemSyntaxError, UnknownIdentifier
 from .orders import MonomialOrder, grevlex, lex, matrix_order, neg_grevlex
@@ -46,8 +48,7 @@ class Problem:
 # tokenizer
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # ident | int | sym
     text: str
     line: int
@@ -55,45 +56,34 @@ class _Tok:
     value: int = 0  # an int token's value
 
 
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<ident>\w+)|(?P<sym>[-+*/^(),\[\]=])|\S")
+
+
 def _tokenize(text: str, line: int) -> list[_Tok]:
+    """Split a line into tokens; any whitespace separates them. Integers
+    are ASCII digits only: str.isdigit also takes superscripts and other
+    scripts' digits, which int() refuses or reads silently. A word must
+    start with a letter or '_'."""
     toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            i = j
-        elif "0" <= ch <= "9":
-            # ASCII digits only: str.isdigit also takes superscripts and
-            # other scripts' digits, which int() refuses or reads silently
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() + 1
+        if kind == "int":
             try:
-                value = int(text[i:j])
+                value = int(word)
             except ValueError:  # past the interpreter's digit limit
                 raise ProblemSyntaxError(
-                    f"integer literal of {j - i} digits is too long", line, col) from None
-            toks.append(_Tok("int", text[i:j], line, col, value))
-            i = j
-        elif ch in "+-*/^(),[]=":
-            toks.append(_Tok("sym", ch, line, col))
-            i += 1
+                    f"integer literal of {len(word)} digits is too long", line, col) from None
+            toks.append(_Tok(kind, word, line, col, value))
+        elif kind == "sym" or (kind == "ident" and (word[0].isalpha() or word[0] == "_")):
+            toks.append(_Tok(kind, word, line, col))
         else:
-            raise ProblemSyntaxError(f"unexpected character {ch!r}", line, col)
+            raise ProblemSyntaxError(f"unexpected character {word[0]!r}", line, col)
     return toks
 
 
 class _Stream:
-    def __init__(self, toks, line):
-        self.toks = toks
+    def __init__(self, text: str, line: int):
+        self.toks = _tokenize(text, line)
         self.pos = 0
         self.line = line
 
@@ -115,13 +105,9 @@ class _Stream:
         return False
 
     def expect(self, text):
-        t = self.peek()
-        if not (t and t.kind == "sym" and t.text == text):
-            got = t.text if t else "end of line"
-            line = t.line if t else self.line
-            col = t.col if t else 0
-            raise ProblemSyntaxError(f"expected {text!r}, got {got!r}", line, col)
-        self.pos += 1
+        if not self.accept(text):
+            t = self.peek() or _Tok("sym", "end of line", self.line, 0)
+            raise ProblemSyntaxError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
 
     def end(self):
         """Refuse any token left over."""
@@ -224,14 +210,14 @@ class _ExprParser:
 
 
 def poly_from_string(text: str, params, vars, line: int = 1) -> ParamPoly:
-    stream = _Stream(_tokenize(text, line), line)
+    stream = _Stream(text, line)
     p = _ExprParser(stream, params, vars).parse_top()
     stream.end()
     return p
 
 
 def _parse_poly_list(text: str, params, vars, line: int) -> list[ParamPoly]:
-    stream = _Stream(_tokenize(text, line), line)
+    stream = _Stream(text, line)
     parser = _ExprParser(stream, params, vars)
     out = [parser.parse_top()]
     while stream.accept(","):
@@ -244,18 +230,62 @@ def _parse_poly_list(text: str, params, vars, line: int) -> list[ParamPoly]:
 # sections
 
 
+def _comma_list(stream: _Stream, read, close: str | None = None) -> list:
+    """Items from `read()`, separated by commas, then the symbol `close`.
+    With close None the list runs to the end of the line, and may be empty
+    or end in a comma."""
+    items = []
+    while close or stream.peek() is not None:
+        items.append(read())
+        if not stream.accept(","):
+            break
+    if close:
+        stream.expect(close)
+    elif stream.peek() is not None:
+        stream.expect(",")  # refuses the leftover token, naming the separator
+    return items
+
+
+def _signed_int(stream: _Stream, message: str) -> tuple[int, _Tok]:
+    """An optionally negated integer, and the token of its digits."""
+    neg = stream.accept("-")
+    t = stream.next()
+    if t.kind != "int":
+        raise ProblemSyntaxError(message, t.line, t.col)
+    return (-t.value if neg else t.value), t
+
+
+def _assignments(stream: _Stream, keys: tuple, what: str, read_value,
+                 unknown=ProblemSyntaxError) -> dict:
+    """Comma-separated `name = value` pairs to the end of the line, each
+    name one of `keys` and none twice; `read_value(name)` reads the value."""
+    out = {}
+
+    def pair():
+        t = stream.next()
+        if t.kind != "ident" or t.text not in keys:
+            raise unknown(f"unknown {what} {t.text!r} (expected one of {keys})",
+                          t.line, t.col)
+        if t.text in out:
+            raise ProblemSyntaxError(f"duplicate {what} {t.text!r}", t.line, t.col)
+        stream.expect("=")
+        out[t.text] = read_value(t.text)
+
+    _comma_list(stream, pair)
+    return out
+
+
 def _parse_names(text: str, line: int) -> tuple[str, ...]:
-    stream = _Stream(_tokenize(text, line), line)
-    names = []
-    while stream.peek() is not None:
+    stream = _Stream(text, line)
+
+    def name():
         t = stream.next()
         if t.kind != "ident":
             raise ProblemSyntaxError(f"expected a name, got {t.text!r}",
                                      t.line, t.col)
-        names.append(t.text)
-        if stream.peek() is not None:
-            stream.expect(",")
-    return tuple(names)
+        return t.text
+
+    return tuple(_comma_list(stream, name))
 
 
 def parse_order_spec(text: str, n: int, line: int = 1) -> MonomialOrder:
@@ -264,26 +294,16 @@ def parse_order_spec(text: str, n: int, line: int = 1) -> MonomialOrder:
     if text in presets:
         return presets[text](n)
     if text.startswith("matrix"):
-        stream = _Stream(_tokenize(text[len("matrix"):], line), line)
-        stream.expect("[")
-        rows = []
-        while True:
+        stream = _Stream(text[len("matrix"):], line)
+
+        def row():
             stream.expect("[")
-            row = []
-            while True:
-                neg = stream.accept("-")
-                t = stream.next()
-                if t.kind != "int":
-                    raise ProblemSyntaxError("matrix entries must be integers",
-                                             t.line, t.col)
-                row.append(-t.value if neg else t.value)
-                if not stream.accept(","):
-                    break
-            stream.expect("]")
-            rows.append(tuple(row))
-            if not stream.accept(","):
-                break
-        stream.expect("]")
+            return tuple(_comma_list(
+                stream, lambda: _signed_int(stream, "matrix entries must be integers")[0],
+                "]"))
+
+        stream.expect("[")
+        rows = _comma_list(stream, row, "]")
         stream.end()
         if any(len(r) != n for r in rows):
             raise ProblemSyntaxError(
@@ -301,28 +321,14 @@ def check_option(key: str, value: int, line=None, col=None) -> None:
 
 
 def _parse_options(text: str, line: int) -> dict:
-    stream = _Stream(_tokenize(text, line), line)
-    opts = {}
-    while stream.peek() is not None:
-        t = stream.next()
-        if t.kind != "ident" or t.text not in OPTION_KEYS:
-            raise ProblemSyntaxError(
-                f"unknown option {t.text!r} (expected one of {OPTION_KEYS})",
-                t.line, t.col)
-        if t.text in opts:
-            raise ProblemSyntaxError(f"duplicate option {t.text!r}", t.line, t.col)
-        stream.expect("=")
-        neg = stream.accept("-")
-        v = stream.next()
-        if v.kind != "int":
-            raise ProblemSyntaxError("option values must be integers",
-                                     v.line, v.col)
-        val = -v.value if neg else v.value
-        check_option(t.text, val, v.line, v.col)
-        opts[t.text] = val
-        if stream.peek() is not None:
-            stream.expect(",")
-    return opts
+    stream = _Stream(text, line)
+
+    def value(key):
+        val, t = _signed_int(stream, "option values must be integers")
+        check_option(key, val, t.line, t.col)
+        return val
+
+    return _assignments(stream, OPTION_KEYS, "option", value)
 
 
 def parse_problem(text: str) -> Problem:
@@ -341,14 +347,11 @@ def parse_problem(text: str) -> Problem:
             raise DuplicateSection(f"duplicate section {name!r}", lineno, 1)
         sections[name] = (payload.strip(), lineno)
 
-    if "vars" not in sections:
-        raise ProblemSyntaxError("missing 'vars' section")
-    if "order" not in sections:
-        raise ProblemSyntaxError("missing 'order' section")
-    if "ideal" not in sections:
-        raise ProblemSyntaxError("missing 'ideal' section")
+    for name in ("vars", "order", "ideal"):
+        if name not in sections:
+            raise ProblemSyntaxError(f"missing {name!r} section")
 
-    params = _parse_names(*sections["params"]) if "params" in sections else ()
+    params = _parse_names(*sections.get("params", ("", 0)))
     vars_ = _parse_names(*sections["vars"])
     if not vars_:
         raise ProblemSyntaxError("'vars' must declare at least one variable",
@@ -381,38 +384,24 @@ def parse_problem(text: str) -> Problem:
                     "Q generators must be polynomials in the parameters", qline, 1)
             qgens.append(scalar.num.scale(1 / scalar.den.constant_value()))
 
-    options = _parse_options(*sections["options"]) if "options" in sections else {}
+    options = _parse_options(*sections.get("options", ("", 0)))
     return Problem(params, vars_, order, ideal, qgens, options)
 
 
 def parse_point(text: str, params, line: int = 1) -> tuple[Fraction, ...]:
     """Parse 'a=2,b=-1/3' into a parameter point in declared order."""
-    stream = _Stream(_tokenize(text, line), line)
-    values: dict[str, Fraction] = {}
-    index = {name: i for i, name in enumerate(params)}
-    while stream.peek() is not None:
-        t = stream.next()
-        if t.kind != "ident" or t.text not in index:
-            raise UnknownIdentifier(f"unknown parameter {t.text!r}",
-                                    t.line, t.col)
-        if t.text in values:
-            raise ProblemSyntaxError(f"duplicate parameter {t.text!r}",
-                                     t.line, t.col)
-        stream.expect("=")
-        neg = stream.accept("-")
-        v = stream.next()
-        if v.kind != "int":
-            raise ProblemSyntaxError("point values must be rationals",
-                                     v.line, v.col)
-        val = Fraction(v.value)
+    stream = _Stream(text, line)
+
+    def value(_):
+        val = Fraction(_signed_int(stream, "point values must be rationals")[0])
         if stream.accept("/"):
             d = stream.next()
             if d.kind != "int" or d.value == 0:
                 raise ProblemSyntaxError("bad rational value", d.line, d.col)
             val /= d.value
-        values[t.text] = -val if neg else val
-        if stream.peek() is not None:
-            stream.expect(",")
+        return val
+
+    values = _assignments(stream, tuple(params), "parameter", value, UnknownIdentifier)
     missing = [p for p in params if p not in values]
     if missing:
         raise ProblemSyntaxError(f"point misses parameters {missing}", line, 0)

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,6 +13,10 @@ from parastd.orders import keyed_terms, matrix_order
 from parastd.polyring import (AScalar, ParamPoly, ParamScalar, divide_out,
                               embed_params_as_vars)
 from parastd.problems import poly_from_string
+
+# the benchmark's problems and workloads, read only
+BENCH_SPEC = json.loads((Path(__file__).resolve().parent.parent / "bench" / "workloads.json")
+                        .read_text(encoding="utf-8"))
 
 settings.register_profile(
     "desk", max_examples=40, deadline=None,

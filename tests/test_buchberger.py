@@ -1,10 +1,8 @@
 import io
-import json
 import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +20,7 @@ from parastd.buchberger import (
     reduce_basis,
 )
 
-from conftest import INTRO_ORDER, STRESS_PROBLEMS, P, random_poly
+from conftest import BENCH_SPEC, INTRO_ORDER, STRESS_PROBLEMS, P, random_poly
 
 GREVLEX2 = grevlex(2)
 
@@ -42,7 +40,7 @@ def random_q_poly(rng, n, **kwargs):
 
 
 def staircase_of(res):
-    return sorted(set(res.leading_exponents()))
+    return sorted(set(res.leads))
 
 
 def assert_is_standard_basis(res, inputs, order):
@@ -125,7 +123,7 @@ def test_minimalize_under_a_local_order():
     # neg_grevlex puts x1^2 below x1, so a walk up the order meets the
     # multiple before its divisor
     res = buchberger([QP("x1^2"), QP("x1")], neg_grevlex(2))
-    assert res.leading_exponents() == [(2, 0), (1, 0)]
+    assert res.leads == [(2, 0), (1, 0)]
     mini = minimalize(res)
     assert mini.generators == [res.generators[1]]
     assert mini.images == [res.images[1]]
@@ -142,7 +140,9 @@ def test_minimalize_keeps_the_first_generator_on_each_minimal_lead(regime, F):
         order = {"lex": lex, "grevlex": grevlex}[regime](n)
     res = buchberger(F, order)
     mini = minimalize(res)
-    leads, kept = res.leading_exponents(), mini.leading_exponents()
+    leads, kept = res.leads, mini.leads
+    assert leads == [g.leading(order)[0] for g in res.generators]
+    assert kept == [g.leading(order)[0] for g in mini.generators]
     assert not any(i != j and exp_divides(a, b)
                    for i, a in enumerate(kept) for j, b in enumerate(kept))
     assert all(any(exp_divides(a, e) for a in kept) for e in leads)
@@ -201,10 +201,10 @@ def test_homogeneity_preserved():
 def test_staircase_stable_under_minimalize_and_reduce():
     F = [QP("x1^2 - x2"), QP("x1*x2 - 1")]
     res = buchberger(F, GREVLEX2)
-    cones = {e for e in res.leading_exponents()}
+    cones = {e for e in res.leads}
     mini = minimalize(res)
     red = reduce_basis(mini.generators, GREVLEX2)
-    for leads in (mini.leading_exponents(), [g.leading(GREVLEX2)[0] for g in red]):
+    for leads in (mini.leads, [g.leading(GREVLEX2)[0] for g in red]):
         for e in cones:
             assert any(exp_divides(d, e) for d in leads)
 
@@ -218,7 +218,7 @@ def test_random_ideals_against_sympy():
         n = rng.choice([2, 3])
         F = [random_q_poly(rng, n, max_terms=3, max_exp=2) for _ in range(2)]
         res = minimalize(buchberger(F, grevlex(n)))
-        ours = set(res.leading_exponents())
+        ours = set(res.leads)
         sf = [to_sympy(f, syms, sympy) for f in F]
         gb = sympy.groebner(sf, *syms[:n], order="grevlex")
         theirs = set()
@@ -310,11 +310,6 @@ def test_parameter_groebner_against_sympy(F):
     assert all(g.terms[max(g.terms)] == 1 for g in ours)
 
 
-ROOT = Path(__file__).resolve().parent.parent
-BENCH_PROBLEMS = json.loads((ROOT / "bench" / "workloads.json").read_text(
-    encoding="utf-8"))["problems"]
-
-
 # S-functions the engine forms for `gsb`; a lost pair criterion raises them
 # (with the coprime test alone it formed 35 on cyclic4_a and 15 on katsura4_a)
 @pytest.mark.parametrize("problem, formed", [("cyclic4_a", 11), ("katsura4_a", 10),
@@ -330,7 +325,7 @@ def test_gsb_s_function_count(problem, formed, monkeypatch, tmp_path):
 
     monkeypatch.setattr(engine, "s_function", counted)
     path = tmp_path / f"{problem}.psb"
-    lines = STRESS_PROBLEMS.get(problem) or BENCH_PROBLEMS[problem]
+    lines = STRESS_PROBLEMS.get(problem) or BENCH_SPEC["problems"][problem]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert main(["gsb", str(path)]) == 0

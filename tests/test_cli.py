@@ -144,6 +144,52 @@ def test_cli_rejects_duplicate_keys(capsys, tmp_path):
     assert err.startswith("error[input]: duplicate parameter 'a'")
 
 
+# ---------------------------------------------------------------------------
+# lexical rules and list separators of the section readers
+
+
+def test_names_take_unicode_digits_and_a_leading_underscore():
+    prob = parse_problem("params: _b\nvars: x\u00b2, y\norder: lex\n"
+                         "ideal: _b*x\u00b2 - y\n")
+    assert (prob.params, prob.vars) == (("_b",), ("x\u00b2", "y"))
+    assert prob.ideal == [poly_from_string("b*x - y", ("b",), ("x", "y"))]
+
+
+def test_a_tab_separates_tokens():
+    prob = parse_problem("params:\ta\nvars:\tx1,\tx2\norder:\tmatrix\t[[-1,\t-1],[-1,0]]\n"
+                         "ideal:\ta*x2\t-\tx1*x2\t+\tx1\n")
+    intro = parse_problem(INTRO_TEXT)
+    assert (prob.params, prob.vars, prob.order.rows, prob.ideal) == \
+        (intro.params, intro.vars, intro.order.rows, intro.ideal)
+    assert parse_point("a\t=\t-1/2", ("a",)) == (Fraction(-1, 2),)
+
+
+def test_a_trailing_comma_ends_names_options_and_points(capsys):
+    prob = parse_problem("params: a,\nvars: x1, x2,\norder: matrix [[-1,-1],[-1,0]]\n"
+                         "ideal: a*x2 - x1*x2 + x1\noptions: seed = 3,\n")
+    assert (prob.params, prob.vars, prob.options) == (("a",), ("x1", "x2"), {"seed": 3})
+    intro = str(PROBLEMS / "intro.psb")
+    code, out, err = run_cli(capsys, "specialize", intro, "--point", "a=2,")
+    assert code == 0 and (code, out, err) == run_cli(capsys, "specialize", intro,
+                                                     "--point", "a=2")
+
+
+@pytest.mark.parametrize("text, message", [
+    (INTRO_TEXT.replace("x1\n", "x1,\n"), "unexpected end of expression (line 4, col 0)"),
+    (INTRO_TEXT.replace("[[-1,-1],[-1,0]]", "[[1,]]"),
+     "matrix entries must be integers (line 3, col 6)"),
+    (INTRO_TEXT + "options: seed =\n", "unexpected end of expression (line 5, col 0)"),
+], ids=["ideal_trailing_comma", "matrix_trailing_comma", "option_without_value"])
+def test_cli_refuses_a_trailing_comma_in_ideal_and_matrix_and_a_missing_value(
+        capsys, tmp_path, text, message):
+    path = tmp_path / "bad.psb"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ProblemSyntaxError):
+        parse_problem(text)
+    code, out, err = run_cli(capsys, "gsb", str(path))
+    assert (code, out, err) == (1, "", f"error[input]: {message}\n")
+
+
 E7_LOCAL_TEXT = """\
 params: a, b
 vars: x, y
@@ -551,7 +597,10 @@ def test_cli_bad_numeral_in_options_is_an_input_error(capsys, tmp_path):
     ("a=\u00b2", "unexpected character '\u00b2' (line 1, col 3)"),
     (f"a={LONG}", "integer literal of 5000 digits is too long (line 1, col 3)"),
     (f"a=1/{LONG}", "integer literal of 5000 digits is too long (line 1, col 5)"),
-], ids=["superscript", "long_numerator", "long_denominator"])
+    ("a=1/-3", "bad rational value (line 1, col 5)"),
+    ("a=1/0", "bad rational value (line 1, col 5)"),
+], ids=["superscript", "long_numerator", "long_denominator", "negative_denominator",
+        "zero_denominator"])
 def test_cli_bad_numeral_in_point_is_an_input_error(capsys, point, message):
     code, out, err = run_cli(capsys, "specialize", str(PROBLEMS / "intro.psb"),
                              "--point", point)

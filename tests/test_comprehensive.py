@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -19,12 +18,10 @@ from parastd.comprehensive import (
     locate,
 )
 
-from conftest import INTRO_ORDER, P, leading_mod_q, outside_input_ideal
+from conftest import BENCH_SPEC, INTRO_ORDER, P, leading_mod_q, outside_input_ideal
 
 A = AScalar.var(0, 1)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-BENCH_PROBLEMS = json.loads((PROBLEMS.parent / "bench" / "workloads.json").read_text(
-    encoding="utf-8"))["problems"]
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +306,7 @@ def test_every_cell_of_two_params_is_sampled(monkeypatch):
 # hits V(a), V(b) and V(a, b) directly
 PARTITION_CASES = {**{p.stem: p.read_text(encoding="utf-8")
                       for p in sorted(PROBLEMS.glob("*.psb"))},
-                   **{k: "\n".join(v) + "\n" for k, v in BENCH_PROBLEMS.items()}}
+                   **{k: "\n".join(v) + "\n" for k, v in BENCH_SPEC["problems"].items()}}
 GRID = [Fraction(v) for v in range(-2, 3)] + [Fraction(1, 2)]
 
 

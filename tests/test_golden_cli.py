@@ -19,6 +19,8 @@ import pytest
 from parastd.cli import run
 from parastd.problems import parse_problem
 
+from conftest import BENCH_SPEC
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -50,7 +52,7 @@ def _overrides(args):
 
 def _spec_text(name):
     """A problem's text as bench/workloads.json gives it."""
-    return "\n".join(WL.SPEC["problems"][name]) + "\n"
+    return "\n".join(BENCH_SPEC["problems"][name]) + "\n"
 
 
 def test_desk_problems_are_the_shipped_files():

@@ -24,7 +24,7 @@ from parastd.hilbert import (
     milnor_number,
 )
 
-from conftest import INTRO_ORDER, P, polynomial_value
+from conftest import BENCH_SPEC, INTRO_ORDER, P, polynomial_value
 
 
 def brute_hsf(E: Staircase, r: int) -> int:
@@ -276,14 +276,13 @@ def test_milnor_semicontinuity_on_shipped_families():
 # mu against a dimension count that shares no engine, division or Hilbert code
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCH = json.loads((ROOT / "bench" / "workloads.json").read_text(encoding="utf-8"))
 # the shipped problems under a local order with a finite mu somewhere, and
 # the families of the benchmark's local_tree workload
 LOCAL_FAMILIES = {
     **{name: (ROOT / "problems" / f"{name}.psb").read_text(encoding="utf-8")
        for name in ("cusp_family", "milnor_cubic", "whitney")},
-    **{op["problem"]: "\n".join(BENCH["problems"][op["problem"]]) + "\n"
-       for op in BENCH["workloads"]["local_tree"]["ops"]},
+    **{op["problem"]: "\n".join(BENCH_SPEC["problems"][op["problem"]]) + "\n"
+       for op in BENCH_SPEC["workloads"]["local_tree"]["ops"]},
 }
 GRID = [Fraction(v) for v in range(-2, 3)] + [Fraction(1, 2)]
 

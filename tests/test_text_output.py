@@ -34,13 +34,12 @@ import pytest
 from parastd.cli import COMMANDS, main
 from parastd.problems import parse_problem
 
-from conftest import STRESS_PROBLEMS
+from conftest import BENCH_SPEC, STRESS_PROBLEMS
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = sorted(p.stem for p in (ROOT / "problems").glob("*.psb"))
 DIGESTS = Path(__file__).resolve().parent / "text_digests.json"
-SPEC = json.loads((ROOT / "bench" / "workloads.json").read_text(encoding="utf-8"))
-POINTS = SPEC["workloads"]["desk"]["matrix"]["points"]
+POINTS = BENCH_SPEC["workloads"]["desk"]["matrix"]["points"]
 ENGINE_PROBLEMS = ["jac_cross3", "jac_chain3", "t345", "e7_local",
                    "katsura4_a", "cyclic4_a"]
 
@@ -64,7 +63,7 @@ def text_digest(command: str, problem: str, seed: int | None = None) -> str:
         path = ROOT / "problems" / f"{problem}.psb"
         if problem not in PROBLEMS:
             path = Path(tmp) / f"{problem}.psb"
-            lines = STRESS_PROBLEMS.get(problem) or SPEC["problems"][problem]
+            lines = STRESS_PROBLEMS.get(problem) or BENCH_SPEC["problems"][problem]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         argv = _argv(command, path) + ([] if seed is None else ["--seed", str(seed)])
         with redirect_stdout(out), redirect_stderr(err):

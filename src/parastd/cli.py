@@ -158,7 +158,7 @@ def _verify(problem, settings):
         raise ProblemSyntaxError("samples must be positive")
     basis = _generic_basis(problem)
     points = variety_points(basis.ctx.qbasis, problem.m, Random(settings["seed"]),
-                            count, avoid=[basis.h_poly()])
+                            count, avoid=[fac for fac, _ in basis.h_factors])
     if not points:
         raise ParastdError("no admissible sample points found")
     checks = verify_specialization(basis, points)

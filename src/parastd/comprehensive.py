@@ -13,8 +13,10 @@ components. Cells are therefore verified on admissible sample points when
 such points can be generated, by the check `verify` runs: the staircase of
 the specialized ideal in Q[x] and each generator's leading exponent
 (verify_specialization). A failing cell is split on a square-free factor of
-an offending coefficient that vanishes at the bad sample. Radical
-membership runs the engine in Q[a, t], the t slot added by `pad`.
+an offending coefficient that vanishes at the bad sample. The radical
+check (`in_radical`) first tries ideal membership, one division by the
+cell's generators, and only when that leaves a remainder runs the engine
+in Q[a, t], the t slot added by `pad`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (DepthExceeded, MultipleCells, NoCell, ParastdError, Problem
                      QContainsOne)
 from .orders import MonomialOrder, Staircase, lex
 from .polyring import AScalar, factor_order, pad, squarefree_factors
-from .buchberger import buchberger
+from .buchberger import buchberger, normal_form_param
 from .genstd import (
     GenericBasis,
     PrimeContext,
@@ -64,16 +66,22 @@ class ComprehensiveResult:
 
 
 def in_radical(p: AScalar, egens) -> bool:
-    """Rabinowitsch check: p vanishes wherever all of egens do.
+    """Whether p vanishes wherever all of egens do: p in the radical of <egens>.
 
-    Then <egens, 1 - t*p> is the whole ring, so any Groebner basis of it,
-    reduced or not, holds a nonzero constant (Cox-Little-O'Shea, 4.2).
+    Membership is tried first: a zero remainder of p on division by egens
+    proves p in <egens>, so in its radical, whether or not egens is a
+    Groebner basis. Only otherwise runs the Rabinowitsch check: p is in
+    the radical iff <egens, 1 - t*p> is the whole ring, so iff any
+    Groebner basis of it, reduced or not, holds a nonzero constant
+    (Cox-Little-O'Shea, 4.2).
     """
     egens = [g for g in egens if not g.is_zero()]
     if p.is_zero():
         return True
     if p.is_constant() or not egens:
         return False
+    if normal_form_param(p, egens).is_zero():
+        return True
     m = p.m
     ext = [pad(g, m, 1) for g in egens]
     # 1 - t*p with t the appended variable
@@ -158,7 +166,7 @@ def _offending_factor(basis, point, ctx):
         for c in g.terms.values():
             for sf in squarefree_factors(c.num):
                 if sf not in cands and sf.evaluate(point) == 0 \
-                        and not ctx.contains(sf) and not in_radical(sf, ctx.qbasis):
+                        and not in_radical(sf, ctx.qbasis):
                     cands[sf] = None
     return min(cands, key=factor_order, default=None)
 

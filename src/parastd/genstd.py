@@ -79,8 +79,12 @@ class PrimeContext:
 
 
 def coeff_in_q(s: ParamScalar, ctx: PrimeContext) -> bool:
-    """Membership of a fraction's numerator in Q; the denominator must stay out."""
-    if ctx.contains(s.den):
+    """Membership of a fraction's numerator in Q; the denominator must stay out.
+
+    A constant denominator is nonzero, so it stays out of the proper ideal Q
+    (`from_generators` refuses Q = (1)) and is not tested.
+    """
+    if not s.den.is_constant() and ctx.contains(s.den):
         raise DenominatorInQ("coefficient denominator reduces to zero mod Q")
     return ctx.contains(s.num)
 
@@ -345,18 +349,18 @@ def _leading_exponent_at(g: ParamPoly, order: MonomialOrder, point) -> Exponent 
 def verify_specialization(B: GenericBasis, samples) -> list[SampleCheck]:
     """Specialize the inputs at admissible points and recompute from scratch.
 
-    Each sample must lie on V(Q) and off V(h). The from-scratch staircase
-    of the specialized ideal must equal the recorded one, and each
-    generator must keep its recorded leading exponent after specialization.
-    Returns one SampleCheck per sample.
+    Each sample must lie on V(Q) and off V(h); h is tested factor by
+    factor, on its stored factors, and never expanded. The from-scratch
+    staircase of the specialized ideal must equal the recorded one, and
+    each generator must keep its recorded leading exponent after
+    specialization. Returns one SampleCheck per sample.
     """
     checks = []
-    h = B.h_poly()
     for point in samples:
         for q in B.ctx.qbasis:
             if q.evaluate(point) != 0:
                 raise SampleOffVariety(f"point {point} is not on V(Q)")
-        if h.evaluate(point) == 0:
+        if any(fac.evaluate(point) == 0 for fac, _ in B.h_factors):
             raise SampleOnExcludedLocus(f"point {point} lies on V(h)")
         got = plain_staircase([f.specialize(point) for f in B.inputs], B.order)
         lost = any(_leading_exponent_at(g, B.order, point) != e

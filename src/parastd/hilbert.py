@@ -5,8 +5,10 @@ of bounded degree outside every generator cone. Inclusion-exclusion over
 the generators gives it as a signed sum of binomials C(r - d + n, n), one
 per lcm degree d (Bayer-Stillman, "Computation of Hilbert functions",
 JSC 1992). Read as polynomials in r, the same binomials give the eventual
-polynomial exactly, with no fit on a window of values; the index from
-which the two agree is closed-form and can lie past the printed window.
+polynomial exactly, with no fit on a window of values; it is summed in
+integers, over n! times each binomial, with one division by n! at the
+end. The index from which the two agree is closed-form and can lie past
+the printed window.
 The Milnor number is the polynomial when it is constant, else inf.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
+from math import comb, factorial, inf
 
 from .errors import ProblemSyntaxError
 from .orders import MonomialOrder, Staircase, exp_lcm, is_degree_compatible_local
@@ -77,42 +79,44 @@ class HilbertData:
         return int(self.coefficients[0]) if len(self.coefficients) == 1 else inf
 
 
-def _binomial_poly(shift: int, i: int) -> list[Fraction]:
-    """Coefficients of binomial(r - shift, i) as a polynomial in r."""
-    coeffs = [Fraction(1)]
-    for j in range(i):
-        root = Fraction(shift + j)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+def _falling_poly(shift: int, n: int) -> list[int]:
+    """Integer coefficients in r of n! * C(r - shift, n), the product of
+    r - shift - j over j < n; constant term first."""
+    coeffs = [1]
+    for j in range(n):
+        root = shift + j
+        nxt = [0] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             nxt[k + 1] += c
             nxt[k] -= c * root
         coeffs = nxt
-    fact = 1
-    for j in range(2, i + 1):
-        fact *= j
-    return [c / fact for c in coeffs]
+    return coeffs
 
 
 def hilbert_polynomial(E: Staircase, r_max: int) -> HilbertData:
     """Values of hsf on 0..r_max, its eventual polynomial and where it starts.
 
     Each lcm degree d contributes c_d * C(r - d + n, n); the polynomial
-    reads every binomial as a polynomial in r. With D the largest d, they
-    agree from the stabilization index max(D - n, 0) on and not one below,
-    where they differ by c_D * C(-1, n) != 0 (each other binomial left out
-    is C(x, n) with 0 <= x < n). It can exceed r_max, which only bounds
-    the value table.
+    reads every binomial as a polynomial in r. The sum is taken in
+    integers, over n! times each binomial, and divided by n! once at the
+    end. With D the largest d, hsf and the polynomial agree from the
+    stabilization index max(D - n, 0) on and not one below, where they
+    differ by c_D * C(-1, n) != 0 (each other binomial left out is C(x, n)
+    with 0 <= x < n). It can exceed r_max, which only bounds the value
+    table.
     """
     n = E.n
     table = _lcm_degrees(E)
-    poly = [Fraction(0)] * (n + 1)
+    poly = [0] * (n + 1)
     for d, c in table.items():
-        for k, b in enumerate(_binomial_poly(d - n, n)):
+        for k, b in enumerate(_falling_poly(d - n, n)):
             poly[k] += c * b
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
+    fact = factorial(n)
     return HilbertData([_count(table, n, r) for r in range(r_max + 1)],
-                       tuple(poly), max(max(table, default=0) - n, 0))
+                       tuple(Fraction(c, fact) for c in poly),
+                       max(max(table, default=0) - n, 0))
 
 
 def milnor_number(E: Staircase):

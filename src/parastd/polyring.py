@@ -10,7 +10,10 @@ the subclass's `with_terms`; `_chk` refuses operands whose `ring` differs.
   parameter ring Q[a1..am], and also the ring the basis engine runs in
   for the combined ring Q[x, a] and for lex runs in the parameter ring.
   It adds hashing, a constant fast path for *, content, exact division,
-  homogenize/dehomogenize and evaluation.
+  homogenize/dehomogenize and evaluation. Evaluation runs in integers:
+  terms are summed over one common denominator from the numerators and
+  denominators of the coefficients and coordinates, and only the sum
+  becomes a Fraction.
 * ParamPoly: the core over ParamScalar coefficients, ring value (n, m):
   polynomials in n main variables over Frac(Q[a1..am]). It adds
   specialization at a parameter point (an AScalar in the n main variables,
@@ -30,6 +33,7 @@ reads the first of them (`orders.leading_term`); a lex leading term is
 
 Exact division and the gcd of the square-free split run the `division`
 loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
+`divide_out` of a monomial reads its power off the exponents instead.
 `embed_params_as_vars`, `split_params` and `pad` move between the rings.
 """
 
@@ -222,14 +226,24 @@ class AScalar(_Sparse):
         return AScalar(out, self.m - 1, _prune=False)
 
     def evaluate(self, point) -> Fraction:
-        out = Fraction(0)
+        """Value at a point of Fraction or int entries.
+
+        Each term's numerator and denominator are ints, read off the
+        coefficient and the coordinates; the terms are summed over one
+        common denominator and only the sum becomes a Fraction.
+        """
+        num, den = 0, 1
         for e, c in self.terms.items():
-            v = c
+            tn, td = c.numerator, c.denominator
             for x, k in zip(point, e):
                 if k:
-                    v *= Fraction(x) ** k
-            out += v
-        return out
+                    tn *= x.numerator ** k
+                    td *= x.denominator ** k
+            if td == den:
+                num += tn
+            else:
+                num, den = num * td + tn * den, den * td
+        return Fraction(num, den)
 
     def content(self) -> Fraction:
         """Positive rational content, sign taken from the lex leading term."""
@@ -278,7 +292,17 @@ def factor_order(f: AScalar):
 
 def divide_out(p: AScalar, f: AScalar) -> tuple[AScalar, int]:
     """(primitive cofactor, count) after dividing the nonconstant f out of
-    the nonzero p as often as it goes, or until the cofactor is constant."""
+    the nonzero p as often as it goes, or until the cofactor is constant.
+
+    A monomial f = c*a^d goes into p exactly k times, k the least
+    floor(t_i / d_i) over the terms a^t of p and the d_i > 0, so its power
+    is read off the exponents and divided out at once; any other f is
+    divided out by repeated `exact_div`. A count of 0 leaves p as it is.
+    """
+    if len(f.terms) == 1:
+        (d,) = f.terms
+        k = min(t[i] // di for t in p.terms for i, di in enumerate(d) if di)
+        return (p.div_monomial(tuple(di * k for di in d)).primitive(), k) if k else (p, 0)
     k = 0
     while not p.is_constant():
         q = p.exact_div(f)
@@ -483,8 +507,9 @@ class ParamScalar:
         return self
 
     def evaluate(self, point) -> Fraction:
-        if self.den.is_constant():  # nonzero, so no point makes it vanish
-            return self.num.evaluate(point) / self.den.constant_value()
+        if self.den.is_constant():  # nonzero, and 1 once normalized
+            c = self.den.constant_value()
+            return self.num.evaluate(point) if c == 1 else self.num.evaluate(point) / c
         d = self.den.evaluate(point)
         if d == 0:
             raise DenominatorVanishes(f"denominator vanishes at {point}")
@@ -492,7 +517,10 @@ class ParamScalar:
 
 
 def _normalize_fraction(num: AScalar, den: AScalar):
-    """Cheap canonicalization: contents, denominator sign, monomial gcd."""
+    """Cheap canonicalization: contents, denominator sign, monomial gcd.
+    The identity when den is the constant 1."""
+    if len(den.terms) == 1 and den.terms.get((0,) * den.m) == 1:
+        return num, den
     if num.is_zero():
         return num, AScalar.one(num.m)
     cd = den.content()

@@ -289,12 +289,14 @@ def _parse_names(text: str, line: int) -> tuple[str, ...]:
 
 
 def parse_order_spec(text: str, n: int, line: int = 1) -> MonomialOrder:
-    text = text.strip()
+    """The order `text` names. Error columns count from the start of `text`,
+    whose leading blanks stand for the blanked section name."""
+    spec = text.strip()
     presets = {"grevlex": grevlex, "lex": lex, "neg_grevlex": neg_grevlex}
-    if text in presets:
-        return presets[text](n)
-    if text.startswith("matrix"):
-        stream = _Stream(text[len("matrix"):], line)
+    if spec in presets:
+        return presets[spec](n)
+    if spec.startswith("matrix"):
+        stream = _Stream(text.replace("matrix", " " * len("matrix"), 1), line)
 
         def row():
             stream.expect("[")
@@ -310,7 +312,7 @@ def parse_order_spec(text: str, n: int, line: int = 1) -> MonomialOrder:
                 f"matrix rows must have {n} entries", line, 0)
         return matrix_order(rows, n)
     raise ProblemSyntaxError(
-        f"unknown order {text!r} (grevlex, lex, neg_grevlex or matrix [[..]])",
+        f"unknown order {spec!r} (grevlex, lex, neg_grevlex or matrix [[..]])",
         line, 0)
 
 
@@ -339,13 +341,14 @@ def parse_problem(text: str) -> Problem:
             continue
         if ":" not in line:
             raise ProblemSyntaxError("expected 'section: content'", lineno, 1)
-        name, _, payload = line.partition(":")
-        name = name.strip()
+        head, _, payload = line.partition(":")
+        name = head.strip()
         if name not in _SECTIONS:
             raise ProblemSyntaxError(f"unknown section {name!r}", lineno, 1)
         if name in sections:
             raise DuplicateSection(f"duplicate section {name!r}", lineno, 1)
-        sections[name] = (payload.strip(), lineno)
+        # blank the section name, so that token columns count from the line start
+        sections[name] = (" " * (len(head) + 1) + payload, lineno)
 
     for name in ("vars", "order", "ideal"):
         if name not in sections:
@@ -365,12 +368,12 @@ def parse_problem(text: str) -> Problem:
     order = parse_order_spec(sections["order"][0], len(vars_),
                              sections["order"][1])
     ideal_text, ideal_line = sections["ideal"]
-    if not ideal_text:
+    if not ideal_text.strip():
         raise ProblemSyntaxError("'ideal' section is empty", ideal_line, 1)
     ideal = _parse_poly_list(ideal_text, params, vars_, ideal_line)
 
     qgens: list[AScalar] = []
-    if "Q" in sections and sections["Q"][0]:
+    if "Q" in sections and sections["Q"][0].strip():
         qtext, qline = sections["Q"]
         for p in _parse_poly_list(qtext, params, vars_, qline):
             if any(any(e) for e in p.terms):

@@ -97,6 +97,18 @@ def outside_input_ideal(B, sympy):
     return [g for g in B.gens if gb.reduce(expr(g))[1] != 0]
 
 
+def value_at(s: AScalar, point) -> Fraction:
+    """s at a point, by a plain Fraction loop over its terms: an oracle for
+    AScalar.evaluate that shares no code with it."""
+    total = Fraction(0)
+    for e, c in s.terms.items():
+        term = Fraction(c)
+        for x, k in zip(point, e):
+            term *= Fraction(x) ** k
+        total += term
+    return total
+
+
 def division_identity(res, f, divisors) -> bool:
     """f == remainder + sum(quotient_j * divisor_j) for a DivisionResult."""
     acc = res.remainder

@@ -177,7 +177,7 @@ def test_a_trailing_comma_ends_names_options_and_points(capsys):
 @pytest.mark.parametrize("text, message", [
     (INTRO_TEXT.replace("x1\n", "x1,\n"), "unexpected end of expression (line 4, col 0)"),
     (INTRO_TEXT.replace("[[-1,-1],[-1,0]]", "[[1,]]"),
-     "matrix entries must be integers (line 3, col 6)"),
+     "matrix entries must be integers (line 3, col 19)"),
     (INTRO_TEXT + "options: seed =\n", "unexpected end of expression (line 5, col 0)"),
 ], ids=["ideal_trailing_comma", "matrix_trailing_comma", "option_without_value"])
 def test_cli_refuses_a_trailing_comma_in_ideal_and_matrix_and_a_missing_value(
@@ -186,6 +186,19 @@ def test_cli_refuses_a_trailing_comma_in_ideal_and_matrix_and_a_missing_value(
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ProblemSyntaxError):
         parse_problem(text)
+    code, out, err = run_cli(capsys, "gsb", str(path))
+    assert (code, out, err) == (1, "", f"error[input]: {message}\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("x1\n", "$\n", "unexpected character '$' (line 4, col 23)"),
+    ("ideal: ", "  ideal :   ", "unexpected character '$' (line 4, col 28)"),
+], ids=["payload_after_one_space", "padded_section_name"])
+def test_error_columns_count_from_the_start_of_the_line(capsys, tmp_path, old, new,
+                                                       message):
+    text = INTRO_TEXT.replace("x1\n", "$\n").replace(old, new)
+    path = tmp_path / "bad.psb"
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "gsb", str(path))
     assert (code, out, err) == (1, "", f"error[input]: {message}\n")
 
@@ -569,10 +582,10 @@ LONG = "7" * 5000  # past the interpreter's 4300-digit int() limit
 
 
 @pytest.mark.parametrize("section, payload, message", [
-    ("ideal", "x1^\u00b2", "unexpected character '\u00b2' (line 4, col 4)"),
-    ("ideal", "x1 + \u00b2", "unexpected character '\u00b2' (line 4, col 6)"),
-    ("order", "matrix [[\u00b2,1]]", "unexpected character '\u00b2' (line 3, col 4)"),
-    ("ideal", f"x1 + {LONG}", "integer literal of 5000 digits is too long (line 4, col 6)"),
+    ("ideal", "x1^\u00b2", "unexpected character '\u00b2' (line 4, col 11)"),
+    ("ideal", "x1 + \u00b2", "unexpected character '\u00b2' (line 4, col 13)"),
+    ("order", "matrix [[\u00b2,1]]", "unexpected character '\u00b2' (line 3, col 17)"),
+    ("ideal", f"x1 + {LONG}", "integer literal of 5000 digits is too long (line 4, col 13)"),
 ], ids=["superscript_exponent", "superscript_atom", "superscript_matrix_entry",
         "long_literal"])
 def test_cli_bad_numeral_in_problem_is_an_input_error(capsys, tmp_path, section, payload,
@@ -590,7 +603,7 @@ def test_cli_bad_numeral_in_options_is_an_input_error(capsys, tmp_path):
     path.write_text(INTRO_TEXT + "options: seed = \u00b2\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "verify", str(path))
     assert (code, out, err) == (
-        1, "", "error[input]: unexpected character '\u00b2' (line 5, col 8)\n")
+        1, "", "error[input]: unexpected character '\u00b2' (line 5, col 17)\n")
 
 
 @pytest.mark.parametrize("point, message", [

@@ -11,6 +11,8 @@ from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
 from parastd.genstd import SampleCheck, generic_reduced_basis, plain_staircase
 from parastd.problems import parse_problem
+from parastd import comprehensive
+from parastd.buchberger import buchberger
 from parastd.comprehensive import (
     Cell,
     comprehensive_basis,
@@ -18,7 +20,8 @@ from parastd.comprehensive import (
     locate,
 )
 
-from conftest import BENCH_SPEC, INTRO_ORDER, P, leading_mod_q, outside_input_ideal
+from conftest import (BENCH_SPEC, INTRO_ORDER, P, leading_mod_q, outside_input_ideal,
+                      value_at)
 
 A = AScalar.var(0, 1)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -165,7 +168,7 @@ def test_in_radical_one_parameter_matches_root_evaluation(e_roots, p_roots, extr
     E = _product([lin(r) for r, k in e_roots for _ in range(k)], 1)
     p = _product([lin(r) for r, k in p_roots for _ in range(k)]
                  + extra, 1).scale(Fraction(c))
-    expected = all(p.evaluate((r,)) == 0 for r, _ in e_roots)
+    expected = all(value_at(p, (r,)) == 0 for r, _ in e_roots)
     assert in_radical(p, [E]) == expected
 
 
@@ -184,7 +187,40 @@ def test_in_radical_two_parameters_matches_point_evaluation(r, s, u, v, c):
         return AScalar({e: Fraction(k) for e, k in terms.items()}, 2)
 
     p = ea * poly(u) + eb * poly(v) + AScalar.const(c, 2)
-    assert in_radical(p, [ea, eb]) == (p.evaluate((r, s)) == 0)
+    assert in_radical(p, [ea, eb]) == (value_at(p, (r, s)) == 0)
+
+
+def _count_engine_runs(mp):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return buchberger(*args, **kwargs)
+
+    mp.setattr(comprehensive, "buchberger", counted)
+    return calls
+
+
+@given(_ROOTS, _ROOTS, _AB_POLY, _AB_POLY)
+def test_in_radical_of_a_member_runs_no_engine(r, s, u, v):
+    # p = (a - r)*u + (b - s)*v lies in <a - r, b - s> itself
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    ea, eb = a - AScalar.const(r, 2), b - AScalar.const(s, 2)
+
+    def poly(terms):
+        return AScalar({e: Fraction(k) for e, k in terms.items()}, 2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_engine_runs(mp)
+        assert in_radical(ea * poly(u) + eb * poly(v), [ea, eb])
+    assert calls == []
+
+
+def test_in_radical_outside_the_ideal_runs_the_engine(monkeypatch):
+    # a is not in <a^2> but in its radical: only the Rabinowitsch run says so
+    calls = _count_engine_runs(monkeypatch)
+    assert in_radical(A, [A * A])
+    assert len(calls) == 1
 
 
 def test_tree_resplits_stored_h_factors():

@@ -354,6 +354,14 @@ def test_verify_rejects_excluded_point(intro):
         verify_specialization(B, [(Fraction(0),)])
 
 
+def test_verify_rejects_a_root_of_a_repeated_h_factor():
+    # (a - 1)^2 from the lead and again from the top degree: h = (a - 1)^4
+    B = generic_basis([P("(a - 1)^2*x2 + x1")], INTRO_ORDER, CTX0)
+    assert [k for _, k in B.h_factors] == [4]
+    with pytest.raises(SampleOnExcludedLocus):
+        verify_specialization(B, [(Fraction(1),)])
+
+
 def test_verify_rejects_off_variety_point(intro):
     B = generic_basis([intro], INTRO_ORDER, ctx_a())
     with pytest.raises(SampleOffVariety):

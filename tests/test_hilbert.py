@@ -2,7 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import inf
 from operator import add, le, mul
 from pathlib import Path
@@ -169,6 +169,23 @@ def staircases(draw):
     n = draw(st.integers(1, 4))
     gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=5))
     return Staircase.from_exponents(n, gens)
+
+
+@given(staircases())
+def test_hilbert_polynomial_matches_sympy_binomial_sum(E):
+    # c_d counts the generator subsets with lcm of degree d, signed by
+    # their size, over every subset; sympy expands the binomials
+    sympy = pytest.importorskip("sympy")
+    n, r = E.n, sympy.Symbol("r")
+    table: dict[int, int] = {}
+    for size in range(len(E.generators) + 1):
+        for subset in combinations(E.generators, size):
+            d = sum(map(max, zip(*subset))) if subset else 0
+            table[d] = table.get(d, 0) + (-1) ** size
+    expr = sympy.expand(sum(c * sympy.expand_func(sympy.binomial(r - d + n, n))
+                            for d, c in table.items()))
+    expected = [Fraction(int(c.p), int(c.q)) for c in sympy.Poly(expr, r).all_coeffs()]
+    assert hilbert_polynomial(E, 0).coefficients == tuple(reversed(expected))
 
 
 @given(staircases())

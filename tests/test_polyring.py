@@ -7,13 +7,14 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from parastd.errors import (DenominatorVanishes, DimensionMismatch, ParastdError,
-                            ZeroPolynomialError)
+from parastd.errors import (DenominatorInQ, DenominatorVanishes, DimensionMismatch,
+                            ParastdError, ZeroPolynomialError)
 from parastd.orders import MonomialOrder, grevlex, keyed_terms, lex, matrix_order, neg_grevlex
 from parastd.polyring import (
     AScalar,
     ParamPoly,
     ParamScalar,
+    divide_out,
     embed_params_as_vars,
     rational_roots,
     render_ascalar,
@@ -152,6 +153,10 @@ def test_coeff_in_q_examples():
     am1 = AScalar({(1, 0): Fraction(1), (0, 0): Fraction(-1)}, 2)
     ctx = PrimeContext.from_generators([am1], 2)
     assert coeff_in_q(ParamScalar(ab_minus_b), ctx)
+    # a denominator in Q is refused; a constant one never lies in the proper Q
+    with pytest.raises(DenominatorInQ):
+        coeff_in_q(ParamScalar(AScalar.one(1), AScalar.var(0, 1)), ctx_a)
+    assert not coeff_in_q(ParamScalar(one_plus_a.num, AScalar.const(3, 1)), ctx_a)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +362,73 @@ def test_exact_div_refuses_a_nonzero_constant_remainder(pq, c):
     if q.is_constant():
         q = q + AScalar.var(0, q.m)
     assert (p * q + AScalar.const(c, q.m)).exact_div(q) is None
+
+
+def _divide_out_reference(p, f):
+    """f divided out of p by exact_div, one power at a time."""
+    k = 0
+    while not p.is_constant():
+        q = p.exact_div(f)
+        if q is None:
+            break
+        p, k = q.primitive(), k + 1
+    return p, k
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    ascalars(m, min_terms=1).filter(lambda p: not p.is_zero()),
+    ascalars(m, min_terms=1).filter(lambda f: not f.is_constant()),
+    st.booleans(), st.integers(0, 3))))
+def test_divide_out_matches_repeated_exact_div(args):
+    cofactor, f, monomial, power = args
+    if monomial:
+        f = AScalar(dict([max(f.terms.items())]), f.m)
+        if f.is_constant():
+            f = f * AScalar.var(0, f.m)
+    p = cofactor
+    for _ in range(power):
+        p = p * f
+    assert divide_out(p, f) == _divide_out_reference(p, f)
+
+
+# Oracles for evaluation in integers: sympy substitutes the point, with int
+# or Fraction entries, into the scalar written as a sympy expression.
+_ENTRY = st.one_of(st.integers(-4, 4), _COEFF)
+
+
+def _sympy_value(s: AScalar, point) -> Fraction:
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(f"a0:{s.m}")
+    expr = sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(v ** k for v, k in zip(syms, e)))
+                       for e, c in s.terms.items()))
+    value = expr.subs({v: sympy.Rational(x.numerator, x.denominator)
+                       for v, x in zip(syms, point)})
+    return Fraction(int(value.p), int(value.q))
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(ascalars(m),
+                                                     st.tuples(*[_ENTRY] * m))))
+def test_evaluate_matches_sympy(args):
+    s, point = args
+    value = s.evaluate(point)
+    assert type(value) is Fraction and value == _sympy_value(s, point)
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    ascalars(m), ascalars(m, min_terms=1).filter(lambda d: not d.is_zero()),
+    st.tuples(*[_ENTRY] * m), st.booleans())))
+def test_param_scalar_evaluate_divides_or_raises(args):
+    num, den, point, vanish = args
+    if vanish:  # a factor a0 - point[0] makes the denominator vanish there
+        den = den * (AScalar.var(0, den.m) - AScalar.const(point[0], den.m))
+    c = ParamScalar(num, den)
+    d = _sympy_value(c.den, point)
+    if d == 0:
+        with pytest.raises(DenominatorVanishes):
+            c.evaluate(point)
+    else:
+        assert c.evaluate(point) == _sympy_value(c.num, point) / d
 
 
 def test_exact_div_edge_cases():

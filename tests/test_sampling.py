@@ -9,6 +9,8 @@ from parastd.buchberger import parameter_groebner
 from parastd.polyring import AScalar, rational_roots
 from parastd.sampling import variety_points
 
+from conftest import value_at
+
 
 def _scalars(m):
     return [AScalar.var(i, m) for i in range(m)], AScalar.one(m)
@@ -52,14 +54,14 @@ def test_walk_against_chosen_points(kind, m, data, r, s, t, free, avoid, seed, c
     got = variety_points(parameter_groebner(gens), m, Random(seed), count, avoid=avoid)
     assert len(got) <= count and len(set(got)) == len(got)
     for p in got:
-        assert all(g.evaluate(p) == 0 for g in gens)
-        assert all(a.evaluate(p) != 0 for a in avoid)
+        assert all(value_at(g, p) == 0 for g in gens)
+        assert all(value_at(a, p) != 0 for a in avoid)
     points = [tuple(c.get(k, free) for k in range(m)) for c in chosen]
     # on the curve the walk draws the lex-smaller of x_i, x_j: for i < j it
     # solves a linear polynomial for x_i, for i > j it needs x_j^2 to be a
     # rational square (see test_curve_solved_for_the_drawn_parameter_is_missed)
     reachable = kind != "principal" or i < j
-    if reachable and any(all(a.evaluate(p) != 0 for a in avoid) for p in points):
+    if reachable and any(all(value_at(a, p) != 0 for a in avoid) for p in points):
         assert got
 
 

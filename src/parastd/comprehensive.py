@@ -16,7 +16,8 @@ the specialized ideal in Q[x] and each generator's leading exponent
 an offending coefficient that vanishes at the bad sample. The radical
 check (`in_radical`) first tries ideal membership, one division by the
 cell's generators, and only when that leaves a remainder runs the engine
-in Q[a, t], the t slot added by `pad`.
+in Q[a, t], the t slot added by `pad`. One call asks each question (a
+polynomial against a cell's Q basis) once.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
     entries: list[CellEntry] = []
     frontier: list[tuple] = []
     rng = Random(seed)
+    answers: dict = {}  # (p, Q basis) -> in_radical(p, Q basis), for this call only
+
+    def radical(p: AScalar, qbasis: tuple) -> bool:
+        key = p, qbasis
+        if key not in answers:
+            answers[key] = in_radical(p, qbasis)
+        return answers[key]
 
     def process(evanish: tuple, navoid: tuple, depth: int):
         if depth > max_depth:
@@ -119,12 +127,12 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
             ctx = PrimeContext.from_generators(evanish, m)
         except QContainsOne:
             return  # empty locus
-        if any(in_radical(nv, ctx.qbasis) for nv in navoid):
+        if any(radical(nv, ctx.qbasis) for nv in navoid):
             return  # a non-vanishing condition is identically zero here
         basis = generic_basis(F, order, ctx)
 
         # the stored h factors are square-free and coprime: branch on them
-        in_rad = {fac: in_radical(fac, ctx.qbasis) for fac, _ in basis.h_factors}
+        in_rad = {fac: radical(fac, ctx.qbasis) for fac, _ in basis.h_factors}
         branch = [fac for fac, d in in_rad.items() if not d]
         dead = [fac for fac, d in in_rad.items() if d]
 
@@ -139,7 +147,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
         bad = next((c.point for c in verify_specialization(basis, points) if not c.ok),
                    None)
         if bad is not None:
-            split = _offending_factor(basis, bad, ctx)
+            split = _offending_factor(basis, bad, ctx, radical)
             if split is None:
                 raise ParastdError(
                     f"cell verification failed at {bad} with no offending "
@@ -160,13 +168,15 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
     return ComprehensiveResult(entries)
 
 
-def _offending_factor(basis, point, ctx):
+def _offending_factor(basis, point, ctx, radical):
+    """Least square-free factor of a generator coefficient that vanishes at
+    point and is outside the radical of Q, by the radical test `radical`."""
     cands: dict[AScalar, None] = {}
     for g in basis.gens:
         for c in g.terms.values():
             for sf in squarefree_factors(c.num):
                 if sf not in cands and sf.evaluate(point) == 0 \
-                        and not in_radical(sf, ctx.qbasis):
+                        and not radical(sf, ctx.qbasis):
                     cands[sf] = None
     return min(cands, key=factor_order, default=None)
 

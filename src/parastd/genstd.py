@@ -165,17 +165,20 @@ def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
     share a `common_factor` g, they become (b/g)^i, g^(i+j) and (c/g)^j.
     Exact in one parameter, like the two helpers.
     """
-    counts: dict[AScalar, int] = {}
+    repeats: dict[AScalar, int] = {}
     for f in factors:
         if f.is_zero():
             raise ZeroPolynomialError("zero factor in h")
+        repeats[f] = repeats.get(f, 0) + 1
+    counts: dict[AScalar, int] = {}
+    for f, r in repeats.items():  # each distinct factor split once
         p = f.primitive()
         for sf in squarefree_factors(p):
             p, k = divide_out(p, sf)
             if k:
-                counts[sf] = counts.get(sf, 0) + k
+                counts[sf] = counts.get(sf, 0) + k * r
         if not p.is_constant():
-            counts[p] = counts.get(p, 0) + 1
+            counts[p] = counts.get(p, 0) + r
     todo, base = list(counts.items()), []
     while todo:
         p, k = todo.pop()
@@ -241,6 +244,8 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
     # everything below runs over Q in the combined ring: x (then z), then a.
     # g - image rewrites an engine generator g into the cleared inputs: a Q
     # generator's image is itself, an input's is minus its terms dropped mod Q
+    # (zero when none is dropped, as always on the global route)
+    zero = AScalar.zero(n + m)
     work, images, hprime = [], [], []
     for g in cleared:
         kept = drop_q_terms(g, ctx) if homogeneous_route else g
@@ -250,7 +255,8 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
             d = kept.total_degree()
             hprime.extend(c.num for e, c in kept.terms.items() if sum(e) == d)
         work.append(embed_params_as_vars(kept))
-        images.append(work[-1] - embed_params_as_vars(g))
+        images.append(zero if len(kept.terms) == len(g.terms)
+                      else work[-1] - embed_params_as_vars(g))
 
     qgens = [pad(q, 0, n) for q in ctx.qbasis]
     result, width = _engine(work + qgens, order, m, images + qgens)
@@ -264,10 +270,11 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
         if ctx.contains(lc):
             continue  # minimal basis: leading coefficient in Q iff g is in Q
         # rewrite into the ORIGINAL ideal (differs from g by Q-coefficient terms)
-        ghat = g - im
+        ghat = g if im.is_zero() else g - im
         if homogeneous_route:
             ghat = ghat.dehomogenize(n)
-        ghat = split_params(ghat.scale(1 / fraction_content(ghat.terms.values())), n, m)
+        cont = fraction_content(ghat.terms.values())
+        ghat = split_params(ghat if cont == 1 else ghat.scale(1 / cont), n, m)
         gens.append(ghat)
         # ghat - g has coefficients in Q only, so the x part of lead is its lead mod Q
         leads.append((lead[:n], ghat.terms[lead[:n]]))

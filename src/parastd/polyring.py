@@ -35,6 +35,10 @@ Exact division and the gcd of the square-free split run the `division`
 loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
 `divide_out` of a monomial reads its power off the exponents instead.
 `embed_params_as_vars`, `split_params` and `pad` move between the rings.
+
+Rendering sorts each AScalar's terms once, descending, which is lex order;
+a ParamScalar takes its sign from the first of its numerator's sorted
+terms, the lex leading one, and prints the numerator times that sign.
 """
 
 from __future__ import annotations
@@ -560,11 +564,6 @@ class ParamPoly(_Sparse):
     def monomial(cls, e: Exponent, coeff: ParamScalar, n, m) -> "ParamPoly":
         return cls({tuple(e): coeff}, n, m)
 
-    @classmethod
-    def var(cls, i, n, m) -> "ParamPoly":
-        e = tuple(1 if j == i else 0 for j in range(n))
-        return cls({e: ParamScalar.one(m)}, n, m)
-
     @property
     def ring(self) -> tuple[int, int]:
         return self.n, self.m
@@ -615,16 +614,18 @@ def embed_params_as_vars(f: ParamPoly) -> AScalar:
             raise ValueError("embed_params_as_vars needs integral coefficients")
         d = c.den.constant_value()
         for ge, q in c.num.terms.items():
-            out[e + ge] = q / d
+            out[e + ge] = q if d == 1 else q / d
     return AScalar(out, f.n + f.m, _prune=False)
 
 
 def split_params(f: AScalar, n: int, m: int) -> ParamPoly:
-    """Inverse of embed_params_as_vars: last m coordinates become parameters."""
+    """Inverse of embed_params_as_vars: last m coordinates become parameters.
+    Every coefficient shares the denominator 1 and is not normalized again."""
     acc: dict = {}
     for e, c in f.terms.items():
         acc.setdefault(e[:n], {})[e[n:]] = c
-    return ParamPoly({xe: ParamScalar(AScalar(terms, m, _prune=False))
+    one = AScalar.one(m)
+    return ParamPoly({xe: ParamScalar(AScalar(terms, m, _prune=False), one, _norm=False)
                       for xe, terms in acc.items()}, n, m, _prune=False)
 
 
@@ -670,10 +671,15 @@ def render_terms(terms, names) -> str:
     return out or "0"
 
 
+def _render_sorted(items, names, negate=False) -> str:
+    """Text of the (exponent, coefficient) pairs `items`, sorted descending;
+    with negate, of their negation."""
+    return render_terms((((c.numerator < 0) != negate, render_fraction(abs(c)), e)
+                         for e, c in items), names)
+
+
 def render_ascalar(s: AScalar, names) -> str:
-    return render_terms(((c < 0, render_fraction(abs(c)), e)
-                         for e, c in sorted(s.terms.items(), reverse=True)),
-                        names)
+    return _render_sorted(sorted(s.terms.items(), reverse=True), names)
 
 
 def _is_simple_product(s: AScalar) -> bool:
@@ -684,16 +690,17 @@ def _is_simple_product(s: AScalar) -> bool:
 
 
 def render_scalar(c: ParamScalar, names) -> tuple[int, str, bool]:
-    """Return (sign, magnitude string, needs_parens_when_factor)."""
+    """Return (sign, magnitude string, needs_parens_when_factor); the sign is
+    the numerator's lex leading coefficient's, so a one-term numerator prints
+    as a simple product."""
     num, den = c.num, c.den
-    _, lead = num.leading(lex(num.m))
-    sign = -1 if lead < 0 else 1
-    if sign < 0:
-        num = -num
-    ns = render_ascalar(num, names)
+    items = sorted(num.terms.items(), reverse=True)
+    negative = items[0][1].numerator < 0
+    sign = -1 if negative else 1
+    ns = _render_sorted(items, names, negative)
     if den.is_constant():  # normalization makes a constant denominator 1
-        return sign, ns, "/" in ns if num.is_constant() else not _is_simple_product(num)
-    if not _is_simple_product(num) and not num.is_constant():
+        return sign, ns, "/" in ns if num.is_constant() else len(items) > 1
+    if len(items) > 1:
         ns = f"({ns})"
     ds = render_ascalar(den, names)
     if not _is_simple_product(den):

@@ -13,6 +13,13 @@ Expressions: expr := '-'? term (('+'|'-') term)*; term := factor (('*'|'/')
 factor)*; factor := atom ('^' natural)?; atom := identifier | integer |
 '(' expr ')'. Division is exact and only by x-free subexpressions, which
 is how fraction coefficients like (1/a) round-trip.
+
+Values live in the combined ring Q[x, a] (AScalars, the variables before
+the parameters) until a division by a nonconstant parameter expression:
+there the value, and every operand it meets from then on, is a ParamPoly
+over Frac(Q[a]) with ParamScalar arithmetic, whose fractions are not
+gcd-reduced. Each parsed expression becomes a ParamPoly once, by
+`polyring.split_params`.
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import DuplicateSection, ProblemSyntaxError, UnknownIdentifier
 from .orders import MonomialOrder, grevlex, lex, matrix_order, neg_grevlex
-from .polyring import AScalar, ParamPoly, ParamScalar
+from .polyring import AScalar, ParamPoly, ParamScalar, split_params
 
 _SECTIONS = ("params", "vars", "order", "ideal", "Q", "options")
 OPTION_KEYS = ("trunc_degree", "max_depth", "samples", "seed")
@@ -128,32 +136,41 @@ class _ExprParser:
         self.n = len(vars)
         self.m = len(params)
 
+    def _poly(self, v) -> ParamPoly:
+        return v if type(v) is ParamPoly else split_params(v, self.n, self.m)
+
+    def _apply(self, op, u, v):
+        """op(u, v), on ParamPolys when either operand is one."""
+        if type(u) is not type(v):
+            u, v = self._poly(u), self._poly(v)
+        return op(u, v)
+
     def parse_top(self) -> ParamPoly:
         """One expression; nesting too deep for the stack is an input error."""
         try:
-            return self.parse_expr()
+            return self._poly(self.parse_expr())
         except RecursionError:
             raise ProblemSyntaxError("expression nested too deeply",
                                      self.s.line, 0) from None
 
-    def parse_expr(self) -> ParamPoly:
+    def parse_expr(self):
         negate = self.s.accept("-")
         acc = self.parse_term()
         if negate:
             acc = -acc
         while True:
             if self.s.accept("+"):
-                acc = acc + self.parse_term()
+                acc = self._apply(add, acc, self.parse_term())
             elif self.s.accept("-"):
-                acc = acc - self.parse_term()
+                acc = self._apply(sub, acc, self.parse_term())
             else:
                 return acc
 
-    def parse_term(self) -> ParamPoly:
+    def parse_term(self):
         acc = self.parse_factor()
         while True:
             if self.s.accept("*"):
-                acc = acc * self.parse_factor()
+                acc = self._apply(mul, acc, self.parse_factor())
             elif self.s.accept("/"):
                 tok = self.s.peek()
                 div = self.parse_factor()
@@ -161,25 +178,29 @@ class _ExprParser:
             else:
                 return acc
 
-    def _divide(self, num: ParamPoly, den: ParamPoly, tok) -> ParamPoly:
+    def _divide(self, num, den, tok):
         line = tok.line if tok else self.s.line
         col = tok.col if tok else 0
         if den.is_zero():
             raise ProblemSyntaxError("division by zero", line, col)
+        if type(num) is type(den) is AScalar and den.is_constant():
+            return num.scale(1 / den.constant_value())
+        num, den = self._poly(num), self._poly(den)
         if any(any(e) for e in den.terms):
             raise ProblemSyntaxError(
                 "division only by parameter/constant expressions", line, col)
         scalar = den.terms[(0,) * self.n]
         return num.scale(ParamScalar.one(self.m) / scalar)
 
-    def parse_factor(self) -> ParamPoly:
+    def parse_factor(self):
         atom = self.parse_atom()
         if self.s.accept("^"):
             t = self.s.next()
             if t.kind != "int":
                 raise ProblemSyntaxError("exponent must be a natural number",
                                          t.line, t.col)
-            out = ParamPoly.constant(1, self.n, self.m)
+            out = (ParamPoly.constant(1, self.n, self.m) if type(atom) is ParamPoly
+                   else AScalar.one(self.n + self.m))
             k = t.value
             while k:  # square and multiply
                 if k & 1:
@@ -190,16 +211,15 @@ class _ExprParser:
             return out
         return atom
 
-    def parse_atom(self) -> ParamPoly:
+    def parse_atom(self):
         t = self.s.next()
         if t.kind == "int":
-            return ParamPoly.constant(t.value, self.n, self.m)
+            return AScalar.const(t.value, self.n + self.m)
         if t.kind == "ident":
             if t.text in self.vars:
-                return ParamPoly.var(self.vars[t.text], self.n, self.m)
+                return AScalar.var(self.vars[t.text], self.n + self.m)
             if t.text in self.params:
-                c = ParamScalar(AScalar.var(self.params[t.text], self.m))
-                return ParamPoly({(0,) * self.n: c}, self.n, self.m)
+                return AScalar.var(self.n + self.params[t.text], self.n + self.m)
             raise UnknownIdentifier(f"unknown identifier {t.text!r}",
                                     t.line, t.col)
         if t.kind == "sym" and t.text == "(":

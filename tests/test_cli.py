@@ -6,17 +6,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from parastd.errors import (
     DuplicateSection,
     ProblemSyntaxError,
     UnknownIdentifier,
 )
+from parastd import orders
 from parastd.cli import main, run
+from parastd.genstd import PrimeContext, generic_basis
 from parastd.polyring import ParamScalar, render_poly
 from parastd.problems import parse_point, parse_problem, poly_from_string
 
-from conftest import INTRO_ORDER, P
+from conftest import BENCH_SPEC, INTRO_ORDER, P, value_at
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -250,19 +253,170 @@ def test_parse_point():
         parse_point("c=2", ("a",))
 
 
+# Divisions by parameter expressions, with the text each prints and every
+# coefficient's numerator and denominator terms. A ParamScalar fraction is
+# not gcd-reduced, so another arithmetic path could build an equal fraction
+# that prints differently; these pin the path.
+PINNED_DIVISIONS = {
+    "x2 + x1/a + x1^2/a^2": ("x2 + (1/a)*x1 + (1/a^2)*x1^2", {
+        (0, 1): ({(0, 0): "1"}, {(0, 0): "1"}),
+        (1, 0): ({(0, 0): "1"}, {(1, 0): "1"}),
+        (2, 0): ({(0, 0): "1"}, {(2, 0): "1"})}),
+    "4/a + b*x1^2 - a*b*x1 + a/2": ("(1/2*a^2 + 4)/a - a*b*x1 + b*x1^2", {
+        (0, 0): ({(0, 0): "4", (2, 0): "1/2"}, {(1, 0): "1"}),
+        (2, 0): ({(0, 1): "1"}, {(0, 0): "1"}),
+        (1, 0): ({(1, 1): "-1"}, {(0, 0): "1"})}),
+    "x1/(a^2 - b) - (1/b)*x2": ("-(1/b)*x2 + (1/(a^2 - b))*x1", {
+        (1, 0): ({(0, 0): "1"}, {(2, 0): "1", (0, 1): "-1"}),
+        (0, 1): ({(0, 0): "-1"}, {(0, 1): "1"})}),
+    "(a + b)^3*x1/(a*b)": ("((a^3 + 3*a^2*b + 3*a*b^2 + b^3)/a*b)*x1", {
+        (1, 0): ({(3, 0): "1", (2, 1): "3", (1, 2): "3", (0, 3): "1"}, {(1, 1): "1"})}),
+}
+# its denominator a*b prints without parentheses, so the text reads back as
+# ((a + b)^3/a)*b*x1
+MISPRINTED = "(a + b)^3*x1/(a*b)"
+
+
 def test_expression_grammar_round_trip():
     texts = [
         "a*x2 + x1 - x1*x2",
         "x2 + (1/a)*x1 + (1/a^2)*x1^2",
         "-x1*x2 + 3",
         "(a+1)*x1 - 1/2",
+        *PINNED_DIVISIONS,
     ]
     for t in texts:
-        f = poly_from_string(t, ("a",), ("x1", "x2"))
-        printed = render_poly(f, INTRO_ORDER, ("x1", "x2"), ("a",))
-        f2 = poly_from_string(printed, ("a",), ("x1", "x2"))
+        f = poly_from_string(t, ("a", "b"), ("x1", "x2"))
+        printed = render_poly(f, INTRO_ORDER, ("x1", "x2"), ("a", "b"))
+        if t in PINNED_DIVISIONS:
+            want, coefficients = PINNED_DIVISIONS[t]
+            assert printed == want
+            assert {e: (c.num.terms, c.den.terms) for e, c in f.terms.items()} == {
+                e: tuple({k: Fraction(v) for k, v in part.items()} for part in parts)
+                for e, parts in coefficients.items()}
+            if t == MISPRINTED:
+                continue
+        f2 = poly_from_string(printed, ("a", "b"), ("x1", "x2"))
         assert f2 == f
-        assert render_poly(f2, INTRO_ORDER, ("x1", "x2"), ("a",)) == printed
+        assert render_poly(f2, INTRO_ORDER, ("x1", "x2"), ("a", "b")) == printed
+
+
+@pytest.mark.xfail(strict=True, reason="a monomial denominator with two "
+                   "parameters prints without parentheses")
+def test_a_monomial_denominator_reads_back_as_printed():
+    f = poly_from_string(MISPRINTED, ("a", "b"), ("x1", "x2"))
+    printed = render_poly(f, INTRO_ORDER, ("x1", "x2"), ("a", "b"))
+    assert poly_from_string(printed, ("a", "b"), ("x1", "x2")) == f
+
+
+# the parser against sympy on the same text: vars x, y and params a, b
+ORACLE_VARS, ORACLE_PARAMS = ("x", "y"), ("a", "b")
+
+
+def _power(atom, top=4):
+    return st.tuples(atom, st.none() | st.integers(0, top)).map(
+        lambda p: p[0] if p[1] is None else f"{p[0]}^{p[1]}")
+
+
+def _sum(term):
+    """'-'? term (('+'|'-') term)*"""
+    return st.tuples(st.booleans(), term, st.lists(st.tuples(st.sampled_from("+-"), term),
+                                                   max_size=2)).map(
+        lambda p: ("-" if p[0] else "") + p[1] + "".join(f" {op} {t}" for op, t in p[2]))
+
+
+def _parameter_sum(parts) -> str:
+    """Parenthesized sum of (negative, coefficient, monomial) parts."""
+    text = ""
+    for i, (neg, c, mono) in enumerate(parts):
+        sign = "-" if neg else ("+" if i else "")
+        text += f" {sign} {c}*{mono}" if i else f"{sign}{c}*{mono}"
+    return f"({text})"
+
+
+# divisors: nonzero integers and parameters, and sums of distinct parameter
+# monomials with nonzero coefficients (so nonzero), each to a power
+DIVISORS = st.one_of(
+    _power(st.integers(1, 9).map(str)),
+    _power(st.sampled_from(ORACLE_PARAMS)),
+    _power(st.lists(st.tuples(st.booleans(), st.integers(1, 5),
+                              st.sampled_from(["1", "a", "b", "a*b", "a^2"])),
+                    min_size=1, max_size=3, unique_by=lambda t: t[2]).map(_parameter_sum),
+           top=2),
+)
+
+
+def _expressions(depth):
+    atom = st.one_of(st.integers(0, 12).map(str),
+                     st.sampled_from(ORACLE_VARS + ORACLE_PARAMS))
+    if depth:
+        atom = st.one_of(atom, _expressions(depth - 1).map(lambda t: f"({t})"))
+    factor = _power(atom, 4 if not depth else 2)
+    step = st.one_of(factor.map(lambda t: "*" + t), DIVISORS.map(lambda t: "/" + t))
+    term = st.tuples(factor, st.lists(step, max_size=2)).map(lambda p: p[0] + "".join(p[1]))
+    return _sum(term)
+
+
+def _value(f, point):
+    """f at point (x, y, a, b) from its terms, by plain Fraction arithmetic;
+    None where a coefficient's denominator vanishes."""
+    xs, ps = point[:2], point[2:]
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        den = value_at(c.den, ps)
+        if den == 0:
+            return None
+        term = value_at(c.num, ps) / den
+        for x, k in zip(xs, e):
+            term *= x ** k
+        total += term
+    return total
+
+
+@given(_expressions(2), st.lists(st.fractions(-4, 4, max_denominator=7), min_size=4,
+                                  max_size=4))
+def test_parser_agrees_with_sympy(text, point):
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+
+    f = poly_from_string(text, ORACLE_PARAMS, ORACLE_VARS)
+    names = ORACLE_VARS + ORACLE_PARAMS
+    symbols = {name: sympy.Symbol(name) for name in names}
+    expr = parse_expr(text, local_dict=symbols,
+                      transformations=standard_transformations + (convert_xor,))
+    want = expr.xreplace({symbols[name]: sympy.Rational(v.numerator, v.denominator)
+                          for name, v in zip(names, point)})
+    got = _value(f, point)
+    if got is None or not want.is_Rational:
+        return  # a denominator vanishes at this point, on one side or both
+    assert Fraction(int(want.p), int(want.q)) == got, text
+
+
+KATSURA4_A = "\n".join(BENCH_SPEC["problems"]["katsura4_a"]) + "\n"
+
+
+def test_parsing_builds_one_param_scalar_per_coefficient(monkeypatch):
+    made = []
+    init = ParamScalar.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParamScalar, "__init__", counting)
+    problem = parse_problem(KATSURA4_A)
+    assert len(made) == sum(len(f.terms) for f in problem.ideal) == 18
+
+
+def test_rendering_a_basis_keys_no_coefficient(monkeypatch):
+    problem = parse_problem(KATSURA4_A)
+    basis = generic_basis(problem.ideal, problem.order, PrimeContext.trivial(problem.m))
+    keyed = []
+    real = orders.keyed_terms
+    monkeypatch.setattr(orders, "keyed_terms", lambda p, order: keyed.append(p) or real(p, order))
+    for g in basis.gens:
+        render_poly(g, problem.order, problem.vars, problem.params)
+    assert keyed == []
 
 
 def run_cli(capsys, *argv):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
 from parastd.genstd import SampleCheck, generic_reduced_basis, plain_staircase
 from parastd.problems import parse_problem
+from parastd.cli import run
 from parastd import comprehensive
 from parastd.buchberger import buchberger
 from parastd.comprehensive import (
@@ -369,3 +372,23 @@ def test_cells_partition_the_grid(name):
         for b in (basis, generic_reduced_basis(basis, trunc)):
             for g, lead in zip(b.gens, b.leads):
                 assert lead == leading_mod_q(g, b.order, b.ctx), entry.cell
+
+
+def test_hilbert_asks_each_radical_question_once(monkeypatch):
+    # e7_local's tree asks 18 distinct questions (p against a Q basis); each
+    # is asked once, and the result is the benchmark's golden one
+    golden = json.loads((PROBLEMS.parent / "bench" / "golden.json").read_text(encoding="utf-8"))
+    problem = parse_problem("\n".join(BENCH_SPEC["problems"]["e7_local"]) + "\n")
+    asked = []
+
+    def recording(p, egens):
+        asked.append((p, tuple(egens)))
+        return in_radical(p, egens)
+
+    monkeypatch.setattr(comprehensive, "in_radical", recording)
+    doc, code = run("hilbert", problem)
+    assert code == 0
+    assert len(asked) == len(set(asked)) == 18
+    text = json.dumps(doc["result"], sort_keys=True, separators=(",", ":"))
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == golden["default_seed"]["hilbert e7_local"])

@@ -13,8 +13,10 @@ from parastd.errors import (
     TruncationTooSmall,
 )
 from parastd.orders import grevlex, lex, matrix_order, neg_grevlex
-from parastd.polyring import AScalar, ParamPoly, ParamScalar
+from parastd.polyring import (AScalar, ParamPoly, ParamScalar, render_ascalar,
+                              squarefree_factors)
 from parastd.division import divide, divide_series
+from parastd import genstd
 from parastd.genstd import (
     _leading_exponent_at,
     _normalize_h_factors,
@@ -251,6 +253,25 @@ def test_h_factor_base_keeps_exact_powers(inputs):
     # coprime and complete: each pool factor of h sits in exactly one factor
     for p, t in zip(H_POOL, total):
         assert sum(f.exact_div(p) is not None for f, _ in out) == (1 if t else 0)
+
+
+def test_h_factors_split_each_distinct_input_once(monkeypatch):
+    # repeated inputs (3*a is not a repeat of a) add up their powers; the
+    # factors and powers are the ones each input split apart gives
+    texts = ["(a - 1)^2*(a^2 + 8)", "a", "(a - 1)^2*(a^2 + 8)", "3*a", "a",
+             "(a^2 + 8)^3", "a*b - b", "a", "2*(a*b - b)"]
+    inputs = [P(t, params=("a", "b"), vars=("x",)).terms[(0,)].num for t in texts]
+    split = []
+
+    def counting(s):
+        split.append(s)
+        return squarefree_factors(s)
+
+    monkeypatch.setattr(genstd, "squarefree_factors", counting)
+    out = _normalize_h_factors(inputs)
+    assert [(render_ascalar(f, ("a", "b")), k) for f, k in out] == [
+        ("a - 1", 6), ("b", 2), ("a", 4), ("a^2 + 8", 5)]
+    assert len(split) == len(set(inputs)) == 6
 
 
 def test_lc_numerators_divide_h(intro):

@@ -214,7 +214,8 @@ def test_embed_split_round_trip(f):
     (AScalar.var(0, 1), AScalar.var(1, 2)),
     (AScalar.const(2, 1), AScalar.var(1, 2)),  # constant fast path of *
     (AScalar.var(0, 1), AScalar.const(1, 2)),
-    (ParamPoly.var(0, 2, 1), ParamPoly.var(0, 3, 1)),
+    (ParamPoly.monomial((1, 0), ParamScalar.one(1), 2, 1),
+     ParamPoly.monomial((1, 0, 0), ParamScalar.one(1), 3, 1)),
 ])
 def test_ring_mismatch_raises(op, left, right):
     with pytest.raises(DimensionMismatch):

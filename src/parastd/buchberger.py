@@ -23,8 +23,19 @@ pseudo-remainders, JACM 1967). A remainder is then `multiplier` times the
 one over Q, with multiplier > 0, so `_shrink` turns it into the same
 generator; the S-function's image is scaled by the multiplier before the
 quotients' images are subtracted, so every image is the one over Q too.
-Images keep Fraction coefficients, and the generators go back to
-Fraction on return, so callers see no `int`.
+
+The engine works in key space from input to return. Each generator is
+held as its keyed terms, pairs (order key, int) largest first as
+`orders.keyed_terms` yields them, with its leading exponent and the cone
+of its leading key, all computed once when it comes in. Each S-function
+is formed by the division module's S-function kernel (`s_function_keyed`,
+whose lcm key is the pair's heap key) and reduced by its division kernel
+(`divide_keyed`) against those lists and cones: these are the only two
+division functions the engine calls, so it holds no reduction loop of
+its own. A quotient becomes a polynomial only when its divisor's image is
+nonzero. Ring elements are built once per returned generator, with
+Fraction coefficients and their keyed terms as cache; images keep
+Fraction coefficients, so callers see no `int`.
 """
 
 from __future__ import annotations
@@ -32,12 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
+from operator import le
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
-from .orders import (MonomialOrder, exp_add, exp_divides, exp_lcm, is_global, lex,
-                     map_coefficients, minimal_exponents)
-from .division import divide, s_combination, s_function
-from .polyring import AScalar, fraction_content
+from .orders import MonomialOrder, is_global, keyed_terms, lex, minimal_exponents, with_keyed_terms
+from .division import divide, divide_keyed, quotient_poly, s_combination, s_function_keyed
+from .polyring import AScalar
 
 
 @dataclass
@@ -67,30 +79,36 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
             "route local orders through homogenization")
 
     zero = AScalar.zero(nonzero[0].m)
-    gens: list = []
+    gens: list = []  # keyed terms of each generator, int coefficients
+    cones: list = []  # order.cone of each generator's leading key
     ims: list = []
-    heads = []  # leading (exponent, coefficient) of each generator
-    leads = []
+    leads: list = []  # leading exponent of each generator
+    degrees: list = []  # and its total degree
     pending: dict = {}  # (i, j) -> lcm of the heads, for pairs still to run
-    heap: list = []  # normal strategy: smallest lcm first, ties by (i, j)
+    heap: list = []  # (key of the lcm, i, j): smallest lcm first, ties by (i, j)
 
     def add(g, im):
+        lk = order.exponent(g[0][0])
+        # the pairs (i, k) of the new generator k, by their lcms
+        new = [tuple(map(max, li, lk)) for li in leads]
+        k, dk = len(leads), sum(lk)
         gens.append(g)
+        cones.append(order.cone(g[0][0]))
         ims.append(im)
-        heads.append(g.leading(order))
-        lk = heads[-1][0]
         leads.append(lk)
-        k = len(leads) - 1
-        new = [exp_lcm(li, lk) for li in leads[:k]]
+        degrees.append(dk)
+        if not k:
+            return
         # criterion B: a pending pair whose lcm lk divides, and that k splits
         for (i, j), l in list(pending.items()):
-            if l != new[i] and l != new[j] and exp_divides(lk, l):
+            if l != new[i] and l != new[j] and all(map(le, lk, l)):
                 del pending[i, j]
         # criterion M: keep the minimal lcms; criterion F: one pair per lcm,
         # the smallest i, and none where some pair with it has coprime heads
+        # (coprime: the lcm's degree is the sum of the heads' degrees)
         lcms = set(new)
         skip = lcms.difference(minimal_exponents(lcms))
-        skip.update(l for li, l in zip(leads, new) if l == exp_add(li, lk))
+        skip.update(l for di, l in zip(degrees, new) if sum(l) == di + dk)
         for i, l in enumerate(new):
             if l not in skip:
                 skip.add(l)
@@ -100,44 +118,41 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
     for i, f in enumerate(F):
         if f.is_zero():
             continue
-        add(*_shrink(f, images[i] if images else zero, order))
+        add(*_shrink(keyed_terms(f, order), images[i] if images else zero))
 
     while heap:
-        _, i, j = heappop(heap)
+        top, i, j = heappop(heap)
         if pending.pop((i, j), None) is None:
             continue  # pruned after it was queued
-        s = s_function(gens[i], gens[j], order)
-        if s.is_zero():
+        s = s_function_keyed(gens[i], gens[j], top, order)
+        if not s:
             continue
-        res = divide(s, gens, order)
-        r = res.remainder
-        if r.is_zero():
+        quotients, r, _, _, multiplier = divide_keyed(s, gens, cones, order)
+        if not r:
             continue
         # image of multiplier * S-function, minus the quotients times their images
-        im = s_combination(ims[i], ims[j], heads[i], heads[j])
-        if res.multiplier != 1:
-            im = im.scale(res.multiplier)
-        for q, qi in zip(res.quotients, ims):
-            if not q.is_zero() and not qi.is_zero():
-                im = im - q * qi
-        add(*_shrink(r, im, order))
+        im = s_combination(ims[i], ims[j], (leads[i], gens[i][0][1]),
+                           (leads[j], gens[j][0][1]))
+        if multiplier != 1:
+            im = im.scale(multiplier)
+        for d in sorted(quotients):
+            if not ims[d].is_zero():
+                im = im - quotient_poly(zero, order, quotients[d]) * ims[d]
+        add(*_shrink(r, im))
 
-    return BasisResult([_to_fractions(g, order) for g in gens], ims, order, leads)
-
-
-def _shrink(g, im, order):
-    """Divide g and its image by the positive content of g; the quotient
-    g / content comes back with int coefficients and g's keyed terms under
-    order, the image keeps its own coefficients."""
-    cont = fraction_content(g.terms.values())
-    num, den = cont.numerator, cont.denominator
-    g = map_coefficients(g, order, lambda c: c.numerator // num * (den // c.denominator))
-    return g, im if cont == 1 else im.scale(1 / cont)
+    return BasisResult([with_keyed_terms(zero, order, [(k, Fraction(c)) for k, c in g])
+                        for g in gens], ims, order, leads)
 
 
-def _to_fractions(g, order):
-    """g with Fraction coefficients, its cached keyed terms under order kept."""
-    return map_coefficients(g, order, Fraction)
+def _shrink(g, im):
+    """Divide the keyed terms g and the image im by the positive content
+    num/den of g; g comes back with int coefficients, im keeps its own.
+    A primitive g with int coefficients, as most remainders are, is kept."""
+    num = gcd(*(c.numerator for _, c in g))
+    den = lcm(*(c.denominator for _, c in g))
+    if num != 1 or type(g[0][1]) is not int:  # the terms share one type
+        g = [(k, c.numerator // num * (den // c.denominator)) for k, c in g]
+    return g, im if num == den == 1 else im.scale(Fraction(den, num))
 
 
 def minimalize(B: BasisResult) -> BasisResult:

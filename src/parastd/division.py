@@ -28,19 +28,29 @@ key of each term it generates is the divisor term's key plus the shift,
 and the divisor is found by the guard-bit test `order.region` against the
 divisors' cached cones. Each generated key is tested against
 `order.overflow` with one AND; an entry that reaches 2^31 raises
-ExponentOverflow. Each term's key is computed once, by
-`orders.keyed_terms`, which caches it on the immutable dividend and
-divisors; the loop itself computes none, and it unpacks exponents only
-for the quotient and remainder terms it stores. The remainder keeps its
-keyed terms, so the basis engine never keys it again, and `s_function`
-builds an S-function from its parents' keyed terms, keying only the lcm.
+ExponentOverflow.
+
+The loop is a kernel in key space, `divide_keyed`: the iterate, a dict
+from keys to coefficients, goes in with each divisor's keyed terms and
+the cone of its leading key; quotient and remainder terms, the step
+count and the multiplier come out, still keyed. It computes no key and
+unpacks no exponent, and it is the package's only division algorithm.
+`divide`, `divide_truncated` and `divide_series` wrap it for ring
+elements: they read each term's key from `orders.keyed_terms`, which
+caches it on the immutable dividend and divisors, and build the
+DivisionResult, unpacking exponents for the terms of the quotients and
+the remainder only; the remainder keeps its keyed terms as its cache.
+The S-function has a kernel in key space too, `s_function_keyed`: each
+term's key is its parent term's key plus the parent's shift to the lcm,
+so only the lcm is keyed, and `s_function` wraps it. The basis engine
+calls the two kernels directly, on keyed term lists it keeps from input
+to return, so it builds no ring element per S-pair.
 
 Dividends and divisors share one ring per call, AScalar or ParamPoly,
-the two instances of polyring's sparse core: the loop reads only
-`keyed_terms`, `is_zero` and `with_terms`, and tests coefficients for
-zero by truth value. It is the package's only division algorithm (exact
-division and the square-free gcd in Q[a] call it too), and it builds the
-DivisionResult that divide, divide_truncated and divide_series return.
+the two instances of polyring's sparse core: the wrappers read only
+`keyed_terms`, `is_zero` and `with_terms`, and the kernel tests
+coefficients for zero by truth value. Exact division and the square-free
+gcd in Q[a] call the wrappers too.
 
 A reduction step whose head coefficient c and divisor lead dc are both
 `int` (the basis engine's primitive integer polynomials) stays in the
@@ -129,45 +139,25 @@ def highest_corner(leads, n: int, order: MonomialOrder,
     return best
 
 
-def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
-                   remainder_only=False):
-    # terms are keyed by order key, not exponent (module docstring)
-    degree = order.degree
-    iterate = dict(keyed_terms(f, order))
-    exact = True
-    if mode == SERIES:
-        # the degree cut applies to the dividend as to every generated term
-        kept = {k: c for k, c in iterate.items() if degree(k) <= max_degree}
-        exact = len(kept) == len(iterate)
-        iterate = kept
-    # polynomials are immutable, so every empty quotient shares one zero
-    zero = f.with_terms({})
-    if not iterate:  # nothing to divide: the divisors are not read
-        return DivisionResult([zero] * len(divisors), zero, exact)
-    keyed = []
-    for g in divisors:
-        if g.is_zero():
-            raise ZeroPolynomialError("zero divisor")
-        keyed.append(keyed_terms(g, order))
-    cones = [order.cone(kg[0][0]) for kg in keyed]
-    # iterate, quotients and remainder are plain dicts updated in place; the
-    # ring elements are built once at the end
-    quotients: list[dict] = [{} for _ in divisors]
+def divide_keyed(iterate: dict, keyed: list, cones: list, order: MonomialOrder,
+                 mode: str = FULL, max_degree: int | None = None,
+                 floor: int | None = None, guard: int | None = None):
+    """The division kernel, in key space: divide the iterate by the divisors.
+
+    `iterate` maps keys to nonzero coefficients and is consumed. Divisor j
+    is given by its keyed terms `keyed[j]`, largest key first, and by the
+    cone of its leading key, `cones[j]`. In SERIES mode a generated term of
+    degree above max_degree, or with a key below floor, is dropped. Returns
+    (quotients, remainder, exact, steps, multiplier): quotients maps the
+    index j of each divisor that took a step to its quotient terms, pairs
+    (shift, coefficient) with key(e) = shift + order.origin for the term
+    x^e; the remainder lists pairs (key, coefficient), largest key first;
+    exact is False when SERIES mode dropped a term.
+    """
+    degree, region, overflow = order.degree, order.region, order.overflow
+    quotients: dict = {}
     remainder: dict = {}
-    floor = None
-    if remainder_only:
-        # series mode only: terms below the highest corner never reach the
-        # remainder (module docstring); with no corner, nothing does
-        leads = [order.exponent(kg[0][0]) for kg in keyed]
-        corner = highest_corner(leads, order.n, order, max_degree)
-        if corner is None:
-            kept = {}
-        else:
-            floor = order.key(corner)
-            kept = {k: c for k, c in iterate.items() if k >= floor}
-        exact &= len(kept) == len(iterate)
-        iterate = kept
-    region, overflow = order.region, order.overflow
+    exact = True
     steps, lam = 0, 1
     while iterate:
         steps += 1
@@ -195,7 +185,10 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
         else:
             coeff = c / dc
         # leading keys strictly decrease, so quotient terms never collide
-        quotients[j][shift] = (coeff, lam)
+        q = quotients.get(j)
+        if q is None:
+            q = quotients[j] = {}
+        q[shift] = (coeff, lam)
         for k0, c0 in keyed[j]:
             kk = k0 + shift
             if kk in iterate:
@@ -215,13 +208,57 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
     def scaled(terms):  # each term times the factor lam gained after its stamp
         return [(k, c if s == lam else c * (lam // s)) for k, (c, s) in terms.items()]
 
+    return ({j: scaled(q) for j, q in quotients.items()},
+            sorted(scaled(remainder), key=itemgetter(0), reverse=True), exact, steps, lam)
+
+
+def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
+                   remainder_only=False):
+    # terms are keyed by order key, not exponent (module docstring)
+    iterate = dict(keyed_terms(f, order))
+    exact = True
+    if mode == SERIES:
+        # the degree cut applies to the dividend as to every generated term
+        degree = order.degree
+        kept = {k: c for k, c in iterate.items() if degree(k) <= max_degree}
+        exact = len(kept) == len(iterate)
+        iterate = kept
+    # polynomials are immutable, so every empty quotient shares one zero
+    zero = f.with_terms({})
+    if not iterate:  # nothing to divide: the divisors are not read
+        return DivisionResult([zero] * len(divisors), zero, exact)
+    keyed = []
+    for g in divisors:
+        if g.is_zero():
+            raise ZeroPolynomialError("zero divisor")
+        keyed.append(keyed_terms(g, order))
+    cones = [order.cone(kg[0][0]) for kg in keyed]
+    floor = None
+    if remainder_only:
+        # series mode only: terms below the highest corner never reach the
+        # remainder (module docstring); with no corner, nothing does
+        leads = [order.exponent(kg[0][0]) for kg in keyed]
+        corner = highest_corner(leads, order.n, order, max_degree)
+        if corner is None:
+            kept = {}
+        else:
+            floor = order.key(corner)
+            kept = {k: c for k, c in iterate.items() if k >= floor}
+        exact &= len(kept) == len(iterate)
+        iterate = kept
+    quotients, remainder, loop_exact, steps, lam = divide_keyed(
+        iterate, keyed, cones, order, mode, max_degree, floor, guard)
+    return DivisionResult([quotient_poly(f, order, quotients[j]) if j in quotients else zero
+                           for j in range(len(keyed))],
+                          with_keyed_terms(f, order, remainder),
+                          exact and loop_exact, steps, lam)
+
+
+def quotient_poly(p, order: MonomialOrder, terms: list):
+    """Element of p's ring with the quotient terms (shift, coefficient)
+    of `divide_keyed`."""
     origin, exponent = order.origin, order.exponent
-    return DivisionResult(
-        [f.with_terms({exponent(s + origin): c for s, c in scaled(q)}) if q else zero
-         for q in quotients],
-        with_keyed_terms(f, order, sorted(scaled(remainder), key=itemgetter(0),
-                                          reverse=True)),
-        exact, steps, lam)
+    return p.with_terms({exponent(s + origin): c for s, c in terms})
 
 
 def full_division_terminates(f, G, order: MonomialOrder) -> bool:
@@ -292,17 +329,15 @@ def s_combination(f, g, lead_f, lead_g):
     return f.mul_monomial(exp_sub(lcm, ef), cg) - g.mul_monomial(exp_sub(lcm, eg), cf)
 
 
-def s_function(f, g, order: MonomialOrder):
-    """Head-cancelling combination lc(g)*m*f - lc(f)*m'*g (s_combination).
+def s_function_keyed(kf: list, kg: list, top: int, order: MonomialOrder) -> dict:
+    """The S-function kernel, in key space: lc(g)*m*f - lc(f)*m'*g as a
+    dict from keys to nonzero coefficients.
 
-    Built in key space: each term's key is its parent term's cached key
-    plus the parent's shift to the lcm, so only the lcm is keyed.
+    kf and kg are the keyed terms of f and g, largest key first, and top is
+    the key of the lcm of their leading exponents. Each term's key is its
+    parent term's key plus the parent's shift to the lcm.
     """
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomialError("S-function of zero polynomial")
-    kf, kg = keyed_terms(f, order), keyed_terms(g, order)
     (hf, cf), (hg, cg) = kf[0], kg[0]
-    top = order.key(exp_lcm(order.exponent(hf), order.exponent(hg)))
     shift = top - hf
     acc = {k + shift: c * cg for k, c in kf}
     shift = top - hg
@@ -319,4 +354,15 @@ def s_function(f, g, order: MonomialOrder):
     # keys are nonnegative, so their OR meets the mask iff one of them does
     if reduce(or_, acc, 0) & order.overflow:
         raise ExponentOverflow("S-function with an exponent entry of 2^31 or more")
+    return acc
+
+
+def s_function(f, g, order: MonomialOrder):
+    """Head-cancelling combination lc(g)*m*f - lc(f)*m'*g (s_combination),
+    built from the cached keyed terms of f and g by `s_function_keyed`."""
+    if f.is_zero() or g.is_zero():
+        raise ZeroPolynomialError("S-function of zero polynomial")
+    kf, kg = keyed_terms(f, order), keyed_terms(g, order)
+    top = order.key(exp_lcm(order.exponent(kf[0][0]), order.exponent(kg[0][0])))
+    acc = s_function_keyed(kf, kg, top, order)
     return with_keyed_terms(f, order, sorted(acc.items(), key=itemgetter(0), reverse=True))

@@ -271,14 +271,6 @@ def with_keyed_terms(p, order: MonomialOrder, keyed: list):
     return out
 
 
-def map_coefficients(p, order: MonomialOrder, fn):
-    """p with each coefficient c replaced by fn(c), which must be nonzero;
-    p's keyed terms under order are carried over, not recomputed."""
-    out = p.with_terms({e: fn(c) for e, c in p.terms.items()})
-    out._kc = (order, [(k, fn(c)) for k, c in keyed_terms(p, order)])
-    return out
-
-
 @cache
 def classify(order: MonomialOrder) -> str:
     """GLOBAL if every variable exceeds 1, LOCAL if every one precedes 1.

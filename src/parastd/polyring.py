@@ -27,9 +27,8 @@ the subclass's `with_terms`; `_chk` refuses operands whose `ring` differs.
 Both polynomial classes are immutable once built: nothing writes to
 `terms` after construction. So each caches, in its `_kc` slot, its terms
 keyed by one order (`orders.keyed_terms`, or handed over when it is built
-by `orders.with_keyed_terms` or `orders.map_coefficients`), and `leading`
-reads the first of them (`orders.leading_term`); a lex leading term is
-`leading(lex(m))`.
+by `orders.with_keyed_terms`), and `leading` reads the first of them
+(`orders.leading_term`); a lex leading term is `leading(lex(m))`.
 
 Exact division and the gcd of the square-free split run the `division`
 loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
@@ -683,10 +682,13 @@ def render_ascalar(s: AScalar, names) -> str:
 
 
 def _is_simple_product(s: AScalar) -> bool:
-    """Single term with positive coefficient renders without parentheses."""
+    """A single term with positive coefficient in at most one parameter
+    renders as a denominator without parentheses: `/a^2` reads back as
+    printed, `/a*b` would read as a division by a times b."""
     if len(s.terms) != 1:
         return False
-    return next(iter(s.terms.values())) > 0
+    (e, c), = s.terms.items()
+    return c > 0 and sum(map(bool, e)) <= 1
 
 
 def render_scalar(c: ParamScalar, names) -> tuple[int, str, bool]:

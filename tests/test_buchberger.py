@@ -11,7 +11,7 @@ from parastd.cli import main
 from parastd.errors import NonTerminatingOrder
 from parastd.orders import combined_order, exp_divides, grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, embed_params_as_vars
-from parastd.division import divide, s_function
+from parastd.division import divide, divide_keyed, s_function, s_function_keyed
 from parastd.buchberger import (
     buchberger,
     minimalize,
@@ -310,23 +310,59 @@ def test_parameter_groebner_against_sympy(F):
     assert all(g.terms[max(g.terms)] == 1 for g in ours)
 
 
+def engine_work(monkeypatch, tmp_path, command, problem):
+    """Counts of the engine's work in one CLI run: S-functions formed,
+    reductions, zero remainders and division steps, read off the engine's
+    calls of the two key-space kernels."""
+    # the package re-exports the function under the submodule's name
+    engine = sys.modules["parastd.buchberger"]
+    counts = {"s_functions": 0, "reductions": 0, "zero": 0, "steps": 0}
+
+    def s_function_counted(*args):
+        counts["s_functions"] += 1
+        return s_function_keyed(*args)
+
+    def divide_counted(*args):
+        out = divide_keyed(*args)
+        counts["reductions"] += 1
+        counts["zero"] += not out[1]
+        counts["steps"] += out[3]
+        return out
+
+    monkeypatch.setattr(engine, "s_function_keyed", s_function_counted)
+    monkeypatch.setattr(engine, "divide_keyed", divide_counted)
+    path = tmp_path / f"{problem}.psb"
+    lines = STRESS_PROBLEMS.get(problem) or BENCH_SPEC["problems"][problem]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main([command, str(path)]) == 0
+    return counts
+
+
 # S-functions the engine forms for `gsb`; a lost pair criterion raises them
 # (with the coprime test alone it formed 35 on cyclic4_a and 15 on katsura4_a)
 @pytest.mark.parametrize("problem, formed", [("cyclic4_a", 11), ("katsura4_a", 10),
                                              ("katsura5_a", 28), ("cyclic5_a", 136)])
 def test_gsb_s_function_count(problem, formed, monkeypatch, tmp_path):
-    # the package re-exports the function under the submodule's name
-    engine = sys.modules["parastd.buchberger"]
-    calls = []
+    assert engine_work(monkeypatch, tmp_path, "gsb", problem)["s_functions"] == formed
 
-    def counted(*args):
-        calls.append(args)
-        return s_function(*args)
 
-    monkeypatch.setattr(engine, "s_function", counted)
-    path = tmp_path / f"{problem}.psb"
-    lines = STRESS_PROBLEMS.get(problem) or BENCH_SPEC["problems"][problem]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with redirect_stdout(io.StringIO()):
-        assert main(["gsb", str(path)]) == 0
-    assert len(calls) == formed
+# The engine's work on the ops of the well_gsb and local_tree benchmark
+# workloads: (S-functions formed, reductions, zero remainders, division
+# steps); a zero S-function is not reduced. A change to the pair criteria,
+# the pair order or the division loop moves them.
+ENGINE_WORK = {
+    ("gsb", "katsura4_a"): (10, 10, 5, 243),
+    ("gsb", "cyclic4_a"): (11, 11, 5, 53),
+    ("hilbert", "jac_cross3"): (188, 174, 87, 576),
+    ("hilbert", "jac_chain3"): (386, 238, 98, 521),
+    ("hilbert", "t345"): (79, 72, 28, 322),
+    ("hilbert", "e7_local"): (105, 91, 25, 158),
+}
+
+
+@pytest.mark.parametrize("command, problem", ENGINE_WORK,
+                         ids=[f"{c} {p}" for c, p in ENGINE_WORK])
+def test_engine_work_on_the_benchmark_ops(command, problem, monkeypatch, tmp_path):
+    counts = engine_work(monkeypatch, tmp_path, command, problem)
+    assert tuple(counts.values()) == ENGINE_WORK[command, problem]

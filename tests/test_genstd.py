@@ -103,6 +103,14 @@ def test_divide_mod_q_local_inhomogeneous_needs_trunc_degree(intro):
         divide_mod_q(intro, [intro], INTRO_ORDER, ctx_a())
 
 
+def test_divide_mod_q_refuses_a_divisor_that_vanishes_mod_q():
+    # every coefficient of the divisor lies in Q = <a>
+    ab = ("a", "b")
+    ctx = PrimeContext.from_generators([AScalar.var(0, 2)], 2)
+    with pytest.raises(AllCoefficientsInQ, match="divisor vanishes mod Q"):
+        divide_mod_q(P("x1", ab), [P("a*x1 + a*b*x2", ab)], grevlex(2), ctx)
+
+
 def test_divide_mod_q_specialization_consistency():
     # dividing after specialization matches specializing the division
     rng = random.Random(19)
@@ -146,6 +154,11 @@ def test_well_order_principal_q_a():
     B = generic_basis(F, lex(2), ctx_a())
     assert B.staircase.generators == ((0, 1),)
     assert B.h_poly().is_constant()
+
+
+def test_generic_basis_refuses_a_context_of_another_parameter_count():
+    with pytest.raises(AllCoefficientsInQ, match="parameter count mismatch"):
+        generic_basis([P("a*x1 + x2")], lex(2), PrimeContext.trivial(2))
 
 
 def test_well_order_inputs_inside_q():

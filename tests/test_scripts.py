@@ -1,15 +1,24 @@
-"""The demonstration scripts run end to end and print what they printed before.
+"""The scripts run end to end: the two demonstrations print what they
+printed before, and the output digest tool prints one digest line per run.
 
-Both import the library API directly, so an API change that breaks them
+They import the library API directly, so an API change that breaks them
 fails here rather than only when someone runs them by hand.
 """
 
+import hashlib
+import io
+import re
 import runpy
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from parastd.cli import EXIT_INPUT, main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 INTRO_WALKTHROUGH = """\
 ideal generator: a*x2 + x1 - x1*x2
@@ -57,3 +66,26 @@ family f = x2^2 - x1^3 - a*x1^2
 def test_script_output_pinned(capsys, script, expected):
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert capsys.readouterr().out == expected
+
+
+def test_output_digests_on_one_problem(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["output_digests.py", "intro"])
+    runpy.run_path(str(SCRIPTS / "output_digests.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    # the problem file and the bench text, 7 commands, 2 formats, 2 seeds
+    assert len(lines) == 2 * 7 * 2 * 2
+    runs = {}
+    for line in lines:
+        label, out, err, code = line.rsplit(" ", 3)
+        assert re.fullmatch("[0-9a-f]{64}", out) and re.fullmatch("[0-9a-f]{64}", err)
+        runs[label] = (out, err, int(code))
+    assert len(runs) == len(lines)
+    # intro has one generator, so divide refuses it
+    assert {code for label, (_, _, code) in runs.items()
+            if " divide " in label} == {EXIT_INPUT}
+
+    with redirect_stdout(io.StringIO()) as printed:
+        assert main(["gsb", str(ROOT / "problems" / "intro.psb"), "--format", "json"]) == 0
+    digest = hashlib.sha256(printed.getvalue().encode("utf-8")).hexdigest()
+    empty = hashlib.sha256(b"").hexdigest()
+    assert runs["problems/intro gsb json seed=default"] == (digest, empty, 0)

@@ -160,19 +160,23 @@ class GenericBasis:
 def _normalize_h_factors(factors) -> list[tuple[AScalar, int]]:
     """Coprime, square-free factors with exact powers of the product h of `factors`.
 
-    Splits each factor by `squarefree_factors`, then refines (Bach, Driscoll
-    and Shallit, J. Algorithms 1993): while two stored factors b^i, c^j
-    share a `common_factor` g, they become (b/g)^i, g^(i+j) and (c/g)^j.
-    Exact in one parameter, like the two helpers.
+    Constant factors are skipped. Each distinct primitive part, in the
+    order it first occurs, is split once by `squarefree_factors` (so
+    associates such as a + b and -3*a - 3*b share one split), then the
+    parts are refined (Bach, Driscoll and Shallit, J. Algorithms 1993):
+    while two stored factors b^i, c^j share a `common_factor` g, they
+    become (b/g)^i, g^(i+j) and (c/g)^j. Exact in one parameter, like the
+    two helpers.
     """
     repeats: dict[AScalar, int] = {}
     for f in factors:
         if f.is_zero():
             raise ZeroPolynomialError("zero factor in h")
-        repeats[f] = repeats.get(f, 0) + 1
+        if not f.is_constant():
+            p = f.primitive()
+            repeats[p] = repeats.get(p, 0) + 1
     counts: dict[AScalar, int] = {}
-    for f, r in repeats.items():  # each distinct factor split once
-        p = f.primitive()
+    for p, r in repeats.items():
         for sf in squarefree_factors(p):
             p, k = divide_out(p, sf)
             if k:

@@ -32,7 +32,10 @@ by `orders.with_keyed_terms`), and `leading` reads the first of them
 
 Exact division and the gcd of the square-free split run the `division`
 loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
-`divide_out` of a monomial reads its power off the exponents instead.
+Where one term settles the answer, they read it off the exponents
+instead, as `divide_out` of a monomial does: exact division by a one-term
+divisor, or of a one-term dividend by a longer one, and a gcd with a
+one-term side.
 `embed_params_as_vars`, `split_params` and `pad` move between the rings.
 
 Rendering sorts each AScalar's terms once, descending, which is lex order;
@@ -52,7 +55,8 @@ from .errors import (
     ParastdError,
     ZeroPolynomialError,
 )
-from .orders import Exponent, MonomialOrder, exp_add, exp_degree, exp_sub, leading_term, lex
+from .orders import (Exponent, MonomialOrder, exp_add, exp_degree, exp_divides, exp_sub,
+                     leading_term, lex)
 from .division import divide, divide_truncated
 
 
@@ -249,13 +253,14 @@ class AScalar(_Sparse):
         return Fraction(num, den)
 
     def content(self) -> Fraction:
-        """Positive rational content, sign taken from the lex leading term."""
+        """Positive rational content, sign taken from the lex leading term,
+        the one at the largest exponent tuple (lex compares tuples as such)."""
         if not self.terms:
             return Fraction(1)
         if len(self.terms) == 1:
             return next(iter(self.terms.values()))
         cont = fraction_content(self.terms.values())
-        return -cont if self.leading(lex(self.m))[1] < 0 else cont
+        return -cont if self.terms[max(self.terms)] < 0 else cont
 
     def primitive(self) -> "AScalar":
         """Divide out the content; leading lex coefficient becomes positive."""
@@ -264,11 +269,19 @@ class AScalar(_Sparse):
     def exact_div(self, other: "AScalar") -> "AScalar | None":
         """Exact quotient self/other in Q[a], or None when not divisible.
 
-        Lex division stopped where the leading exponent first escapes
-        other's cone; other divides self when nothing is left there.
+        A one-term other c*a^d divides when d divides every term, and the
+        quotient is read off the exponents. A one-term self is no multiple
+        of a longer other, whose multiples keep distinct lex lead and trail
+        terms. Otherwise lex division stops where the leading exponent first
+        escapes other's cone; other divides self when nothing is left there.
         """
         self._chk(other)
-        if other.is_zero():
+        if len(other.terms) == 1:
+            (d, c), = other.terms.items()
+            if not all(exp_divides(d, e) for e in self.terms):
+                return None
+            return self.div_monomial(d).scale(1 / c)
+        if len(self.terms) == 1 or other.is_zero():
             return None
         res = divide_truncated(self, [other], lex(self.m))
         return None if res.remainder.terms else res.quotients[0]
@@ -368,12 +381,15 @@ def squarefree_factors(s: AScalar) -> list[AScalar]:
 
 
 def common_factor(f: AScalar, g: AScalar) -> AScalar:
-    """Primitive common factor of the nonzero f and g (1 when none is found):
-    their gcd by Euclid on lex remainders when they involve one parameter
-    between them, else f or g when it divides the other."""
+    """Primitive common factor of the nonzero f and g (1 when none is found).
+    In one parameter between them it is their gcd: the monomial gcd when f
+    or g is one term, else by Euclid on lex remainders. In more, it is f or
+    g when it divides the other."""
     if len(set(_used_parameters(f) + _used_parameters(g))) > 1:
         return next((x.primitive() for x, y in ((f, g), (g, f))
                      if y.exact_div(x) is not None), AScalar.one(f.m))
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        return AScalar({_monomial_gcd(f, g): Fraction(1)}, f.m, _prune=False)
     order = lex(f.m)
     while g.terms:
         f, g = g, divide(f, [g], order).remainder
@@ -389,12 +405,14 @@ def rational_roots(s: AScalar) -> list[Fraction]:
     """All rational roots of a univariate AScalar, sorted (exact).
 
     Zero roots are split off, and the rest is scaled once to integer
-    coefficients c_0..c_n; a linear polynomial is solved directly.
-    Otherwise every candidate +-p/q in lowest terms with p | c_0 and
-    q | c_n (rational root theorem) is tested in integers by homogeneous
-    Horner, sum c_k p^k q^(n-k) == 0, and only roots found become
-    Fractions. The divisor walk costs O(sqrt|c_0| + sqrt|c_n|) steps, so
-    a huge constant term is slow.
+    coefficients c_0..c_n; a linear polynomial is solved directly, and a
+    quadratic from its discriminant D = c_1^2 - 4*c_0*c_2, which has
+    rational roots only when it is a square (`isqrt`). Otherwise every
+    candidate +-p/q in lowest terms with p | c_0 and q | c_n (rational
+    root theorem) is tested in integers by homogeneous Horner,
+    sum c_k p^k q^(n-k) == 0, and only roots found become Fractions. The
+    divisor walk costs O(sqrt|c_0| + sqrt|c_n|) steps, so a huge constant
+    term is slow from degree 3 on.
     """
     used = _used_parameters(s)
     if len(used) > 1:
@@ -411,6 +429,11 @@ def rational_roots(s: AScalar) -> list[Fraction]:
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     if len(ints) == 2:
         roots.append(Fraction(-ints[0], ints[1]))
+    elif len(ints) == 3:
+        c0, c1, c2 = ints
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc >= 0 and (r := isqrt(disc)) * r == disc:
+            roots += {Fraction(-c1 + r, 2 * c2), Fraction(-c1 - r, 2 * c2)}
     else:
         top, rest = ints[-1], ints[-2::-1]
         qs = _divisors(abs(top))

@@ -244,6 +244,15 @@ def test_cli_verify_refuses_zero_samples(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error[input]: samples must be positive\n")
 
 
+def test_cli_verify_on_a_locus_without_rational_points_fails(capsys, tmp_path):
+    # V(a^2 + 1) has no rational point, so no specialization can be checked
+    path = tmp_path / "no_points.psb"
+    path.write_text(INTRO_TEXT + "Q: a^2 + 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out, err) == (
+        1, "", "error[ParastdError]: no admissible sample points found\n")
+
+
 def test_parse_point():
     assert parse_point("a=2,b=-1/3", ("a", "b")) == \
         (2, pytest.approx(-1 / 3))

@@ -268,12 +268,8 @@ def test_h_factor_base_keeps_exact_powers(inputs):
         assert sum(f.exact_div(p) is not None for f, _ in out) == (1 if t else 0)
 
 
-def test_h_factors_split_each_distinct_input_once(monkeypatch):
-    # repeated inputs (3*a is not a repeat of a) add up their powers; the
-    # factors and powers are the ones each input split apart gives
-    texts = ["(a - 1)^2*(a^2 + 8)", "a", "(a - 1)^2*(a^2 + 8)", "3*a", "a",
-             "(a^2 + 8)^3", "a*b - b", "a", "2*(a*b - b)"]
-    inputs = [P(t, params=("a", "b"), vars=("x",)).terms[(0,)].num for t in texts]
+def _counted_splits(monkeypatch):
+    """The list of inputs `genstd` hands `squarefree_factors`, from now on."""
     split = []
 
     def counting(s):
@@ -281,10 +277,32 @@ def test_h_factors_split_each_distinct_input_once(monkeypatch):
         return squarefree_factors(s)
 
     monkeypatch.setattr(genstd, "squarefree_factors", counting)
+    return split
+
+
+def test_h_factors_split_each_distinct_input_once(monkeypatch):
+    # repeated inputs add up their powers; the factors and powers are the
+    # ones each input split apart gives, and inputs with one primitive part
+    # (3*a and a, a*b - b and 2*(a*b - b)) share one split
+    texts = ["(a - 1)^2*(a^2 + 8)", "a", "(a - 1)^2*(a^2 + 8)", "3*a", "a",
+             "(a^2 + 8)^3", "a*b - b", "a", "2*(a*b - b)"]
+    inputs = [P(t, params=("a", "b"), vars=("x",)).terms[(0,)].num for t in texts]
+    split = _counted_splits(monkeypatch)
     out = _normalize_h_factors(inputs)
     assert [(render_ascalar(f, ("a", "b")), k) for f, k in out] == [
         ("a - 1", 6), ("b", 2), ("a", 4), ("a^2 + 8", 5)]
-    assert len(split) == len(set(inputs)) == 6
+    assert len(split) == len({f.primitive() for f in inputs}) == 4
+
+
+def test_h_factors_split_associates_once(monkeypatch):
+    # a + b, -3*a - 3*b and -27*a - 27*b share one primitive part; the
+    # constant 4 is no factor
+    inputs = [P(t, params=("a", "b"), vars=("x",)).terms[(0,)].num
+              for t in ("a + b", "-3*a - 3*b", "-27*a - 27*b", "4")]
+    split = _counted_splits(monkeypatch)
+    out = _normalize_h_factors(inputs)
+    assert [(render_ascalar(f, ("a", "b")), k) for f, k in out] == [("a + b", 3)]
+    assert len(split) == 1
 
 
 def test_lc_numerators_divide_h(intro):

@@ -1,6 +1,7 @@
 import operator
 import random
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -9,11 +10,13 @@ from hypothesis import example, given, strategies as st
 
 from parastd.errors import (DenominatorInQ, DenominatorVanishes, DimensionMismatch,
                             ParastdError, ZeroPolynomialError)
+from parastd import polyring
 from parastd.orders import MonomialOrder, grevlex, keyed_terms, lex, matrix_order, neg_grevlex
 from parastd.polyring import (
     AScalar,
     ParamPoly,
     ParamScalar,
+    common_factor,
     divide_out,
     embed_params_as_vars,
     rational_roots,
@@ -397,12 +400,23 @@ def test_divide_out_matches_repeated_exact_div(args):
 _ENTRY = st.one_of(st.integers(-4, 4), _COEFF)
 
 
-def _sympy_value(s: AScalar, point) -> Fraction:
+def _sympy_expr(s: AScalar):
+    """s as a sympy expression in a0..a(m-1), with those symbols."""
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols(f"a0:{s.m}")
-    expr = sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(v ** k for v, k in zip(syms, e)))
-                       for e, c in s.terms.items()))
+                       for e, c in s.terms.items())), syms
+
+
+def _from_sympy(poly, m) -> AScalar:
+    """A sympy Poly over QQ in all m parameters as an AScalar."""
+    return AScalar({e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()}, m)
+
+
+def _sympy_value(s: AScalar, point) -> Fraction:
+    sympy = pytest.importorskip("sympy")
+    expr, syms = _sympy_expr(s)
     value = expr.subs({v: sympy.Rational(x.numerator, x.denominator)
                        for v, x in zip(syms, point)})
     return Fraction(int(value.p), int(value.q))
@@ -438,6 +452,98 @@ def test_exact_div_edge_cases():
     assert AScalar.zero(2).exact_div(a + b) == AScalar.zero(2)
     assert (a * a - b * b).exact_div(a + b) == a - b
     assert (a * a + b).exact_div(a) is None
+
+
+# Oracles for the one-term paths of exact division, gcd and content: sympy
+# divides, takes gcds and reads lex leading coefficients in Q[a0..].
+def _univariate(coeffs, i, m) -> AScalar:
+    """The sum of c*a_i^k over the items k: c of coeffs, in m parameters."""
+    return AScalar({tuple(k if j == i else 0 for j in range(m)): Fraction(c)
+                    for k, c in coeffs.items()}, m)
+
+
+def _operand(m, one_term):
+    return ascalars(m, min_terms=1, max_terms=1 if one_term else 3)
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.booleans().flatmap(lambda one: _operand(m, one)),
+    st.booleans().flatmap(lambda one: _operand(m, one)).filter(lambda q: not q.is_zero()),
+    st.booleans())))
+def test_exact_div_matches_sympy_div(args):
+    p, q, multiple = args
+    if multiple:
+        p = p * q
+    sympy = pytest.importorskip("sympy")
+    (pe, syms), (qe, _) = _sympy_expr(p), _sympy_expr(q)
+    quo, rem = sympy.div(sympy.Poly(pe, *syms, domain="QQ"),
+                         sympy.Poly(qe, *syms, domain="QQ"))
+    # one divisor is a Groebner basis of its ideal: q | p iff the remainder is 0
+    expected = _from_sympy(quo, p.m) if rem.is_zero else None
+    assert p.exact_div(q) == expected
+
+
+@given(st.sampled_from([(0, 1), (1, 2), (2, 3)]).flatmap(lambda where: st.tuples(
+    st.just(where), *[st.booleans().flatmap(
+        lambda one: st.dictionaries(st.integers(0, 4), _COEFF, min_size=1,
+                                    max_size=1 if one else 3))] * 3)))
+def test_common_factor_in_one_parameter_matches_sympy_gcd(args):
+    (i, m), *coeffs = args
+    f, g, shared = (_univariate(terms, i, m) for terms in coeffs)
+    if f.is_zero() or g.is_zero():
+        return
+    if not shared.is_zero():
+        f, g = f * shared, g * shared
+    sympy = pytest.importorskip("sympy")
+    (fe, syms), (ge, _) = _sympy_expr(f), _sympy_expr(g)
+    gcd_q = sympy.gcd(sympy.Poly(fe, *syms, domain="QQ"), sympy.Poly(ge, *syms, domain="QQ"))
+    _, gcd_z = gcd_q.clear_denoms(convert=True)  # monic, so the lead stays positive
+    assert common_factor(f, g) == _from_sympy(gcd_z.primitive()[1], m)
+
+
+@given(st.integers(1, 3).flatmap(lambda m: ascalars(m, min_terms=1)))
+def test_content_sign_is_the_sympy_lex_leading_sign(s):
+    if s.is_zero():
+        return
+    sympy = pytest.importorskip("sympy")
+    expr, syms = _sympy_expr(s)
+    lead = sympy.Poly(expr, *syms, domain="QQ").LC()
+    assert (s.content() > 0) == (lead > 0)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends its arguments to the
+    returned list on each call."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_one_term_exact_division_skips_the_division_loop(monkeypatch):
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    three = AScalar.const(3, 2)
+    calls = _counting(monkeypatch, polyring, "divide_truncated")
+    assert (three * a * a * b + a * b).exact_div(three * a * b) == a + AScalar.const(
+        Fraction(1, 3), 2)
+    assert (a * a + b).exact_div(a) is None
+    assert (three * a * b).exact_div(a + b) is None
+    assert (a * b).exact_div(a - AScalar.one(2)) is None
+    assert calls == []
+    assert (a * a - b * b).exact_div(a + b) == a - b  # two terms by two: the loop
+    assert len(calls) == 1
+
+
+def test_content_takes_no_order_keys(monkeypatch):
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    s = AScalar.const(-6, 2) * a + AScalar.const(4, 2) * b * b + AScalar.const(2, 2)
+    calls = _counting(monkeypatch, MonomialOrder, "key")
+    assert s.content() == Fraction(-2)
+    assert calls == []
 
 
 _ROOT = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
@@ -488,6 +594,36 @@ def test_rational_roots():
     two = AScalar.const(2, 1)
     p = (a - one) * (a + two) * (two * a - one)
     assert rational_roots(p) == [Fraction(-2), Fraction(1, 2), Fraction(1)]
+
+
+_QUADRATIC_COEFF = st.one_of(st.integers(-40, 40), st.integers(-10**40, 10**40))
+
+
+@given(st.one_of(
+    st.tuples(_QUADRATIC_COEFF, _QUADRATIC_COEFF, _QUADRATIC_COEFF.filter(bool)),
+    # (q1*x - p1)*(q2*x - p2), so the discriminant is a square
+    st.tuples(*[st.integers(-10**12, 10**12)] * 2, *[st.integers(1, 10**12)] * 2).map(
+        lambda pq: (pq[0] * pq[1], -(pq[0] * pq[3] + pq[1] * pq[2]), pq[2] * pq[3]))),
+    st.sampled_from([(0, 1), (1, 2)]))
+def test_rational_roots_of_a_quadratic_match_sympy(coeffs, where):
+    s = _univariate(dict(enumerate(coeffs)), *where)
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    roots = sympy.Poly([sympy.Integer(c) for c in reversed(coeffs)], t).ground_roots()
+    assert rational_roots(s) == sorted(Fraction(int(r.p), int(r.q)) for r in roots)
+
+
+@pytest.mark.parametrize("power", [14, 40])
+def test_rational_roots_of_a_quadratic_with_a_huge_constant_are_fast(power):
+    a = AScalar.var(0, 1)
+    s = a * a - AScalar.const(10**power, 1)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        roots = rational_roots(s)
+        best = min(best, time.perf_counter() - start)
+    assert roots == [-Fraction(10**(power // 2)), Fraction(10**(power // 2))]
+    assert best < 0.01
 
 
 # Oracle for rational_roots: polynomials built from chosen roots,

@@ -36,7 +36,7 @@ def main():
         for stratum in hilbert_partition(polys, order):
             print(f"  stratum {describe(stratum.cells)}: "
                   f"HSP = {stratum.data.polynomial_text()}, "
-                  f"milnor = {stratum.milnor}")
+                  f"milnor = {stratum.data.milnor}")
 
 
 if __name__ == "__main__":

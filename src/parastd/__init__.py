@@ -13,7 +13,7 @@ from .orders import (
 )
 from .polyring import AScalar, ParamPoly, ParamScalar, render_poly
 from .division import DivisionResult, divide, divide_series, divide_truncated, s_function
-from .buchberger import BasisResult, buchberger, minimalize, reduce_basis
+from .buchberger import BasisResult, minimalize, reduce_basis
 from .genstd import (
     GenericBasis,
     PrimeContext,

@@ -56,8 +56,7 @@ from .polyring import AScalar
 class BasisResult:
     generators: list
     images: list
-    order: MonomialOrder
-    leads: list  # each generator's leading exponent under order
+    leads: list  # each generator's leading exponent under the engine's order
 
 
 def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
@@ -141,7 +140,7 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
         add(*_shrink(r, im))
 
     return BasisResult([with_keyed_terms(zero, order, [(k, Fraction(c)) for k, c in g])
-                        for g in gens], ims, order, leads)
+                        for g in gens], ims, leads)
 
 
 def _shrink(g, im):
@@ -160,7 +159,7 @@ def minimalize(B: BasisResult) -> BasisResult:
     (`minimal_exponents` of all leads, so under any order)."""
     keep = sorted(map(B.leads.index, minimal_exponents(B.leads)))
     return BasisResult([B.generators[i] for i in keep], [B.images[i] for i in keep],
-                       B.order, [B.leads[i] for i in keep])
+                       [B.leads[i] for i in keep])
 
 
 def reduce_basis(gens: list, order: MonomialOrder) -> list:

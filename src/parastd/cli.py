@@ -99,7 +99,7 @@ def _comprehensive(problem, settings):
     cells = [{
         **_cell_doc(problem, entry.cell),
         "basis": [_render(problem, g) for g in entry.basis.gens],
-        "staircase": _staircase_doc(entry.staircase),
+        "staircase": _staircase_doc(entry.basis.staircase),
         "h": _render_a(problem, entry.basis.h_poly()),
     } for entry in result.cells]
     return {"cells": cells, "covering": True}, EXIT_OK
@@ -114,7 +114,7 @@ def _hilbert(problem, settings):
         "hsf_values": s.data.values,
         "polynomial": s.data.polynomial_text(),
         "stabilizes_at": s.data.stabilization_index,
-        "milnor": "infinite" if s.milnor is inf else str(s.milnor),
+        "milnor": "infinite" if s.data.milnor is inf else str(s.data.milnor),
     } for s in strata]}, EXIT_OK
 
 

@@ -27,7 +27,7 @@ from random import Random
 
 from .errors import (DepthExceeded, MultipleCells, NoCell, ParastdError, ProblemSyntaxError,
                      QContainsOne)
-from .orders import MonomialOrder, Staircase, lex
+from .orders import MonomialOrder, lex
 from .polyring import AScalar, factor_order, pad, squarefree_factors
 from .buchberger import buchberger, normal_form_param
 from .genstd import (
@@ -56,9 +56,10 @@ class Cell:
 
 @dataclass
 class CellEntry:
+    """A cell with its generic basis; the cell's staircase is basis.staircase."""
+
     cell: Cell
     basis: GenericBasis
-    staircase: Staircase
 
 
 @dataclass
@@ -155,7 +156,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
             process(evanish + (split,), navoid, depth + 1)
             process(evanish, navoid + (split,), depth + 1)
             return
-        entries.append(CellEntry(cell, basis, basis.staircase))
+        entries.append(CellEntry(cell, basis))
         excluded: list[AScalar] = []
         for fac in branch:
             process(evanish + (fac,), navoid + tuple(excluded), depth + 1)

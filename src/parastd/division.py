@@ -81,14 +81,11 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .orders import (
-    Exponent,
     MonomialOrder,
-    exp_degree,
     exp_lcm,
     exp_sub,
     is_global,
     keyed_terms,
-    region_of,
     with_keyed_terms,
 )
 
@@ -109,34 +106,33 @@ TRUNCATED = "truncated"
 SERIES = "series"
 
 
-def highest_corner(leads, n: int, order: MonomialOrder,
-                   max_degree: int) -> Exponent | None:
-    """Order-least exponent of degree <= max_degree in no cone of leads.
+def highest_corner(cones: list, order: MonomialOrder, max_degree: int) -> int | None:
+    """Key of the order-least exponent of degree <= max_degree in none of
+    the cones (`order.cone` of the divisors' leading keys).
 
     None when every such exponent lies in a cone. The standard monomials
-    are closed under division, so a walk up from 0 that raises one entry
-    at a time and never leaves them visits each of them and nothing else.
+    are closed under division, so a walk up from `order.origin` that adds
+    one variable's key shift at a time and never leaves them visits each
+    of them and nothing else; it tests `order.region` and `order.degree`
+    on keys and unpacks no exponent.
     """
-    zero = (0,) * n
-    if region_of(leads, zero) is not None:
+    region, degree, origin = order.region, order.degree, order.origin
+    if region(cones, origin) is not None:
         return None
-    best, best_key = zero, order.key(zero)
-    seen = {zero}
-    stack = [zero]
+    shifts = [order.key(tuple(int(i == j) for j in range(order.n))) - origin
+              for i in range(order.n)]
+    seen = {origin}
+    stack = [origin]
     while stack:
-        e = stack.pop()
-        if exp_degree(e) == max_degree:
+        k = stack.pop()
+        if degree(k) == max_degree:
             continue
-        for i in range(n):
-            u = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if u in seen or region_of(leads, u) is not None:
-                continue
-            seen.add(u)
-            stack.append(u)
-            k = order.key(u)
-            if k < best_key:
-                best, best_key = u, k
-    return best
+        for s in shifts:
+            u = k + s
+            if u not in seen and region(cones, u) is None:
+                seen.add(u)
+                stack.append(u)
+    return min(seen)
 
 
 def divide_keyed(iterate: dict, keyed: list, cones: list, order: MonomialOrder,
@@ -237,13 +233,8 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
     if remainder_only:
         # series mode only: terms below the highest corner never reach the
         # remainder (module docstring); with no corner, nothing does
-        leads = [order.exponent(kg[0][0]) for kg in keyed]
-        corner = highest_corner(leads, order.n, order, max_degree)
-        if corner is None:
-            kept = {}
-        else:
-            floor = order.key(corner)
-            kept = {k: c for k, c in iterate.items() if k >= floor}
+        floor = highest_corner(cones, order, max_degree)
+        kept = {} if floor is None else {k: c for k, c in iterate.items() if k >= floor}
         exact &= len(kept) == len(iterate)
         iterate = kept
     quotients, remainder, loop_exact, steps, lam = divide_keyed(

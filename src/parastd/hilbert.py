@@ -131,11 +131,11 @@ def default_r_max(staircases, n: int) -> int:
 
 @dataclass
 class HilbertStratum:
-    """Constructible union of cells sharing one Hilbert-Samuel polynomial."""
+    """Constructible union of cells sharing one Hilbert-Samuel polynomial;
+    its Milnor number is data.milnor."""
 
     cells: tuple[Cell, ...]
     data: HilbertData
-    milnor: object  # int or math.inf
 
 
 def hilbert_partition(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
@@ -157,11 +157,11 @@ def hilbert_partition(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
 
 def strata_from_cells(result: ComprehensiveResult) -> list[HilbertStratum]:
     """Merge cells with equal Hilbert-Samuel polynomials; mu is a constant one."""
-    n = result.cells[0].staircase.n if result.cells else 0
-    r_max = default_r_max([e.staircase for e in result.cells], n)
+    n = result.cells[0].basis.staircase.n if result.cells else 0
+    r_max = default_r_max([e.basis.staircase for e in result.cells], n)
     groups: dict[tuple[Fraction, ...], tuple[HilbertData, list[Cell]]] = {}
     for entry in result.cells:
-        data = hilbert_polynomial(entry.staircase, r_max)
+        data = hilbert_polynomial(entry.basis.staircase, r_max)
         groups.setdefault(data.coefficients, (data, []))[1].append(entry.cell)
-    return [HilbertStratum(tuple(cells), data, data.milnor)
+    return [HilbertStratum(tuple(cells), data)
             for data, cells in groups.values()]

@@ -33,9 +33,9 @@ by `orders.with_keyed_terms`), and `leading` reads the first of them
 Exact division and the gcd of the square-free split run the `division`
 loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
 Where one term settles the answer, they read it off the exponents
-instead, as `divide_out` of a monomial does: exact division by a one-term
-divisor, or of a one-term dividend by a longer one, and a gcd with a
-one-term side.
+instead: exact division by a one-term divisor (so `divide_out` of a
+monomial too), or of a one-term dividend by a longer one, and a gcd with
+a one-term side.
 `embed_params_as_vars`, `split_params` and `pad` move between the rings.
 
 Rendering sorts each AScalar's terms once, descending, which is lex order;
@@ -308,17 +308,10 @@ def factor_order(f: AScalar):
 
 def divide_out(p: AScalar, f: AScalar) -> tuple[AScalar, int]:
     """(primitive cofactor, count) after dividing the nonconstant f out of
-    the nonzero p as often as it goes, or until the cofactor is constant.
-
-    A monomial f = c*a^d goes into p exactly k times, k the least
-    floor(t_i / d_i) over the terms a^t of p and the d_i > 0, so its power
-    is read off the exponents and divided out at once; any other f is
-    divided out by repeated `exact_div`. A count of 0 leaves p as it is.
+    the nonzero p as often as it goes, or until the cofactor is constant,
+    by repeated `exact_div`; a one-term f is divided off the exponents
+    there. A count of 0 leaves p as it is.
     """
-    if len(f.terms) == 1:
-        (d,) = f.terms
-        k = min(t[i] // di for t in p.terms for i, di in enumerate(d) if di)
-        return (p.div_monomial(tuple(di * k for di in d)).primitive(), k) if k else (p, 0)
     k = 0
     while not p.is_constant():
         q = p.exact_div(f)
@@ -456,7 +449,14 @@ def rational_roots(s: AScalar) -> list[Fraction]:
 
 
 class ParamScalar:
-    """Fraction of parameter polynomials with a tracked denominator."""
+    """Fraction num/den of parameter polynomials with a tracked denominator.
+
+    A constant denominator is exactly AScalar.one(m): `_normalize_fraction`
+    divides num and den by den's content, and the two constructions that
+    skip it, `__neg__` and `split_params`, pass on a denominator that is 1
+    already. So a reader takes num itself as the value of a fraction with
+    a constant denominator.
+    """
 
     __slots__ = ("num", "den")
 
@@ -533,9 +533,8 @@ class ParamScalar:
         return self
 
     def evaluate(self, point) -> Fraction:
-        if self.den.is_constant():  # nonzero, and 1 once normalized
-            c = self.den.constant_value()
-            return self.num.evaluate(point) if c == 1 else self.num.evaluate(point) / c
+        if self.den.is_constant():  # the denominator 1 (class docstring)
+            return self.num.evaluate(point)
         d = self.den.evaluate(point)
         if d == 0:
             raise DenominatorVanishes(f"denominator vanishes at {point}")
@@ -634,9 +633,8 @@ def embed_params_as_vars(f: ParamPoly) -> AScalar:
     for e, c in f.terms.items():
         if not c.den.is_constant():
             raise ValueError("embed_params_as_vars needs integral coefficients")
-        d = c.den.constant_value()
-        for ge, q in c.num.terms.items():
-            out[e + ge] = q if d == 1 else q / d
+        for ge, q in c.num.terms.items():  # over the denominator 1
+            out[e + ge] = q
     return AScalar(out, f.n + f.m, _prune=False)
 
 

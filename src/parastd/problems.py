@@ -405,7 +405,7 @@ def parse_problem(text: str) -> Problem:
             if not scalar.den.is_constant():
                 raise ProblemSyntaxError(
                     "Q generators must be polynomials in the parameters", qline, 1)
-            qgens.append(scalar.num.scale(1 / scalar.den.constant_value()))
+            qgens.append(scalar.num)  # over the denominator 1
 
     options = _parse_options(*sections.get("options", ("", 0)))
     return Problem(params, vars_, order, ideal, qgens, options)

@@ -13,9 +13,10 @@ draws nothing has visited every rational point. A free parameter drawn
 from the pool may still not extend to a rational point, so callers must
 cope with fewer points than requested.
 
-Roots come from `polyring.rational_roots` (integer candidates p/q tested
-by integer Horner; the divisor walk costs O(sqrt|c_0|)), memoized within a
-call on the substituted coefficients. Root finding draws nothing from the
+Roots come from `polyring.rational_roots` (a quadratic from its
+discriminant; from degree 3 on, integer candidates p/q tested by integer
+Horner, a divisor walk of O(sqrt|c_0| + sqrt|c_n|) steps), memoized within
+a call on the substituted coefficients. Root finding draws nothing from the
 rng, so the points for a seed depend only on the draws and the roots.
 """
 

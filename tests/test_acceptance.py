@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from parastd.orders import grevlex, lex, matrix_order
+from parastd.orders import grevlex, lex, matrix_order, region_of
 from parastd.polyring import (
     AScalar,
     ParamPoly,
@@ -24,7 +24,7 @@ from parastd.polyring import (
     embed_params_as_vars,
     render_poly,
 )
-from parastd.division import divide, region_of, s_function
+from parastd.division import divide, s_function
 from parastd.buchberger import buchberger, minimalize
 from parastd.genstd import (
     PrimeContext,
@@ -223,12 +223,12 @@ def test_criterion_5_comprehensive_partition():
             spec = [f.specialize(c) for f in milnor_F]
             got = plain_staircase([f for f in spec if not f.is_zero()],
                                   INTRO_ORDER)
-            assert got == entry.staircase
+            assert got == entry.basis.staircase
     # Milnor numbers per cell, verified against brute-force complements
     mus = {}
     for entry in milnor.cells:
-        mu = milnor_number(entry.staircase)
-        brute = _brute_complement_count(entry.staircase, 8)
+        mu = milnor_number(entry.basis.staircase)
+        brute = _brute_complement_count(entry.basis.staircase, 8)
         assert mu == brute
         key = "open" if entry.cell.nonvanish else "closed"
         mus[key] = mu

@@ -1,12 +1,12 @@
 import io
 import random
-import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from parastd import buchberger as engine
 from parastd.cli import main
 from parastd.errors import NonTerminatingOrder
 from parastd.orders import combined_order, exp_divides, grevlex, lex, neg_grevlex
@@ -314,8 +314,6 @@ def engine_work(monkeypatch, tmp_path, command, problem):
     """Counts of the engine's work in one CLI run: S-functions formed,
     reductions, zero remainders and division steps, read off the engine's
     calls of the two key-space kernels."""
-    # the package re-exports the function under the submodule's name
-    engine = sys.modules["parastd.buchberger"]
     counts = {"s_functions": 0, "reductions": 0, "zero": 0, "steps": 0}
 
     def s_function_counted(*args):

@@ -47,22 +47,22 @@ def test_intro_two_cells(intro_result):
     generic, special = cells
     assert generic.cell.vanish == ()
     assert list(generic.cell.nonvanish) == [A]
-    assert generic.staircase.generators == ((0, 1),)
+    assert generic.basis.staircase.generators == ((0, 1),)
     assert list(special.cell.vanish) == [A]
-    assert special.staircase.generators == ((1, 0),)
+    assert special.basis.staircase.generators == ((1, 0),)
 
 
 def test_parameter_free_input_single_cell():
     res = comprehensive_basis([P("x1", params=())], INTRO_ORDER)
     assert len(res.cells) == 1
-    assert res.cells[0].staircase.generators == ((1, 0),)
+    assert res.cells[0].basis.staircase.generators == ((1, 0),)
 
 
 def test_milnor_family_cells(milnor_result):
     cells = milnor_result.cells
     assert len(cells) == 2
-    assert cells[0].staircase.generators == ((0, 1), (1, 0))
-    assert cells[1].staircase.generators == ((0, 2), (2, 0))
+    assert cells[0].basis.staircase.generators == ((0, 1), (1, 0))
+    assert cells[1].basis.staircase.generators == ((0, 2), (2, 0))
 
 
 def test_locate_examples(intro_result):
@@ -111,7 +111,7 @@ def test_per_cell_staircase_constancy(milnor_result):
         assert samples
         for c in samples:
             got = plain_staircase([f.specialize(c) for f in F], INTRO_ORDER)
-            assert got == entry.staircase
+            assert got == entry.basis.staircase
 
 
 def test_global_generating_set(milnor_result):
@@ -245,7 +245,7 @@ def test_non_radical_conditions_handled():
     for point in [(Fraction(0),), (Fraction(1),), (Fraction(-2),)]:
         idx = locate(res, point)
         got = plain_staircase([f.specialize(point) for f in F], lex(2))
-        assert got == res.cells[idx].staircase
+        assert got == res.cells[idx].basis.staircase
 
 
 def test_two_parameter_partition():
@@ -261,7 +261,7 @@ def test_two_parameter_partition():
     for p in pts:
         idx = locate(res, p)
         got = plain_staircase([f.specialize(p) for f in F], grevlex(2))
-        assert got == res.cells[idx].staircase, (p, idx)
+        assert got == res.cells[idx].basis.staircase, (p, idx)
 
 
 def test_partition_fuzz_random_families():
@@ -282,7 +282,7 @@ def test_partition_fuzz_random_families():
         for p in sorted(pts):
             idx = locate(res, p)
             got = plain_staircase([f.specialize(p) for f in F], order)
-            assert got == res.cells[idx].staircase
+            assert got == res.cells[idx].basis.staircase
 
 
 def _fail_first_cell_at(point):
@@ -363,7 +363,7 @@ def test_cells_partition_the_grid(name):
         cell = res.cells[locate(res, point)]  # raises unless exactly one cell
         got = plain_staircase([f.specialize(point) for f in problem.ideal],
                               problem.order)
-        assert got == cell.staircase, point
+        assert got == cell.basis.staircase, point
     # the leads read off the engine are the mod-Q leads, also on cell ideals
     # that are not prime, and so are those of the truncated reduced basis
     for entry in res.cells:

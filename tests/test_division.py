@@ -8,7 +8,7 @@ from parastd.errors import (ExponentOverflow, NonTerminatingDivision, NonTermina
                             TruncationTooSmall)
 from parastd.orders import (
     ENTRY_CAP, combined_order, exp_add, exp_degree, exp_divides, exp_sub, grevlex, is_global,
-    keyed_terms, lex, matrix_order, neg_grevlex)
+    keyed_terms, lex, matrix_order, neg_grevlex, region_of)
 from parastd.polyring import AScalar, ParamPoly, ParamScalar
 from parastd.buchberger import buchberger
 from parastd.division import (
@@ -21,7 +21,6 @@ from parastd.division import (
     divide_truncated,
     full_division_terminates,
     highest_corner,
-    region_of,
     s_combination,
     s_function,
 )
@@ -236,6 +235,32 @@ MIXED2 = matrix_order([[1, 0], [0, -1]])  # x1 > 1 > x2
 CUT_ORDERS = {"neg_grevlex": neg_grevlex(2), "neg_lex": NEG_LEX2, "mixed": MIXED2}
 
 
+def _corner(leads, order, max_degree):
+    """highest_corner on the cones of the exponents `leads`, as an exponent."""
+    floor = highest_corner([order.cone(order.key(d)) for d in leads], order, max_degree)
+    return None if floor is None else order.exponent(floor)
+
+
+def _corner_by_exponents(leads, n, order, max_degree):
+    """The highest corner by a walk on exponents that keys every standard
+    monomial it visits: the oracle for the walk on keys."""
+    zero = (0,) * n
+    if region_of(leads, zero) is not None:
+        return None
+    seen = {zero}
+    stack = [zero]
+    while stack:
+        e = stack.pop()
+        if exp_degree(e) == max_degree:
+            continue
+        for i in range(n):
+            u = e[:i] + (e[i] + 1,) + e[i + 1:]
+            if u not in seen and region_of(leads, u) is None:
+                seen.add(u)
+                stack.append(u)
+    return min(seen, key=order.key)
+
+
 def _assert_same_terms(a, b):
     # equal down to the representation of every coefficient
     assert a.terms.keys() == b.terms.keys()
@@ -274,7 +299,7 @@ def _corner_case(seed, order_name, zero_dim, max_degree):
     if rng.random() < 0.5:
         leads.append((rng.randint(0, 2), rng.randint(0, 2)))
     leads = [e for e in leads if any(e)]
-    corner = highest_corner(leads, 2, order, max_degree)
+    corner = _corner(leads, order, max_degree)
     terms = {(rng.randint(0, 5), rng.randint(0, 5)): _random_coeff(rng)
              for _ in range(rng.randint(1, 4))}
     extras = [() for _ in leads]
@@ -319,13 +344,13 @@ def test_remainder_only_keeps_the_series_remainder(seed, order_name, zero_dim,
 
 def test_highest_corner_examples():
     leads = ((2, 0), (0, 3))
-    assert highest_corner(leads, 2, neg_grevlex(2), 10) == (1, 2)
-    assert highest_corner(leads, 2, neg_grevlex(2), 1) == (0, 1)
-    assert highest_corner(leads, 2, GREVLEX2, 10) == (0, 0)
+    assert _corner(leads, neg_grevlex(2), 10) == (1, 2)
+    assert _corner(leads, neg_grevlex(2), 1) == (0, 1)
+    assert _corner(leads, GREVLEX2, 10) == (0, 0)
     # positive-dimensional staircase: the cutoff bounds the walk
-    assert highest_corner(((1, 0),), 2, neg_grevlex(2), 7) == (0, 7)
-    assert highest_corner(((1, 1),), 2, NEG_LEX2, 5) == (5, 0)
-    assert highest_corner(((0, 0),), 2, neg_grevlex(2), 4) is None
+    assert _corner(((1, 0),), neg_grevlex(2), 7) == (0, 7)
+    assert _corner(((1, 1),), NEG_LEX2, 5) == (5, 0)
+    assert _corner(((0, 0),), neg_grevlex(2), 4) is None
 
 
 def test_remainder_only_cuts_below_the_corner():
@@ -434,7 +459,8 @@ def _reference_loop(f, divisors, order, mode, max_degree=None, guard=None,
     exact = True
     floor = None
     if remainder_only:
-        corner = highest_corner(lead_exps, len(next(iter(iterate))), order, max_degree)
+        corner = _corner_by_exponents(lead_exps, len(next(iter(iterate))), order,
+                                      max_degree)
         if corner is None:
             kept = {}
         else:
@@ -619,6 +645,14 @@ def _fresh_keys(p, order):
 def test_cone_lookup_is_region_of(order, leads, e):
     cones = [order.cone(order.key(d)) for d in leads]
     assert order.region(cones, order.key(e)) == region_of(leads, e)
+
+
+@given(st.sampled_from(KEY_ORDERS), st.lists(st.tuples(*[st.integers(0, 3)] * 3),
+                                             max_size=4),
+       st.integers(0, 6))
+def test_highest_corner_matches_the_exponent_walk(order, leads, max_degree):
+    assert _corner(leads, order, max_degree) == _corner_by_exponents(leads, 3, order,
+                                                                     max_degree)
 
 
 def _int_poly(rng, n=3):

@@ -132,7 +132,7 @@ def test_brieskorn_family_milnor_36(capsys, tmp_path):
     closed = [s for s in hilbert_partition(F, neg_grevlex(2))
               if s.cells[0].vanish]
     assert len(closed) == 1
-    assert closed[0].milnor == 36
+    assert closed[0].data.milnor == 36
     assert closed[0].data.coefficients == (Fraction(36),)
     path = tmp_path / "brieskorn.psb"
     path.write_text(BRIESKORN_TEXT)
@@ -240,7 +240,7 @@ def test_milnor_family_partition():
     F = [P("3*x1^2 + a*x2"), P("3*x2^2 + a*x1")]
     strata = hilbert_partition(F, INTRO_ORDER)
     assert len(strata) == 2
-    by_mu = {s.milnor: s for s in strata}
+    by_mu = {s.data.milnor: s for s in strata}
     assert set(by_mu) == {1, 4}
     assert by_mu[1].cells[0].nonvanish  # a != 0 stratum
     assert by_mu[4].cells[0].vanish     # a = 0 stratum
@@ -252,7 +252,7 @@ def test_hilbert_partition_parameter_free():
     strata = hilbert_partition([P("x1", params=()), P("x2", params=())],
                                neg_grevlex(2))
     assert len(strata) == 1
-    assert strata[0].milnor == 1
+    assert strata[0].data.milnor == 1
     assert strata[0].data.coefficients == (Fraction(1),)
 
 
@@ -283,8 +283,8 @@ def test_milnor_semicontinuity_on_shipped_families():
     for F in ([P("3*x1^2 + a*x2"), P("3*x2^2 + a*x1")],
               [P("3*x1^2 + 2*a*x1"), P("2*x2")]):
         strata = hilbert_partition(F, neg_grevlex(2))
-        open_mu = [s.milnor for s in strata if s.cells[0].nonvanish]
-        closed_mu = [s.milnor for s in strata if s.cells[0].vanish]
+        open_mu = [s.data.milnor for s in strata if s.cells[0].nonvanish]
+        closed_mu = [s.data.milnor for s in strata if s.cells[0].vanish]
         assert open_mu and closed_mu
         assert min(closed_mu) >= max(open_mu)
 
@@ -358,19 +358,19 @@ def test_milnor_number_matches_a_dimension_count(name):
         polys = [{e: v for e, c in f.terms.items() if (v := c.evaluate(point))}
                  for f in problem.ideal]
         s = stratum.data.stabilization_index
-        ks = range(1, 7) if stratum.milnor == inf else (s + 1, s + 2)
+        ks = range(1, 7) if stratum.data.milnor == inf else (s + 1, s + 2)
         dims, leads = zip(*(quotient_dimension(polys, order, k) for k in ks))
-        if stratum.milnor == inf:
+        if stratum.data.milnor == inf:
             assert all(x < y for x, y in zip(dims, dims[1:])), (point, dims)
         else:
-            assert dims == (stratum.milnor,) * 2, (point, s)
+            assert dims == (stratum.data.milnor,) * 2, (point, s)
         k, leads = ks[-1], leads[-1]
         minimal = {e for e in leads
                    if not any(d != e and all(map(le, d, e)) for d in leads)}
         got = plain_staircase([f.specialize(point) for f in problem.ideal], order)
         below = {e for e in got.generators if sum(e) < k}
         assert minimal == below, (point, k)
-        if stratum.milnor != inf:
+        if stratum.data.milnor != inf:
             assert below == set(got.generators), (point, k)
         checked += 1
     assert checked

@@ -150,4 +150,4 @@ def _jacobian(terms: dict) -> list[ParamPoly]:
 def test_milnor_number_is_the_kouchnirenko_number(terms):
     assume(is_newton_nondegenerate(terms))
     strata = hilbert_partition(_jacobian(terms), neg_grevlex(2))
-    assert [s.milnor for s in strata] == [kouchnirenko_number(terms)]
+    assert [s.data.milnor for s in strata] == [kouchnirenko_number(terms)]

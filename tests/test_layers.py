@@ -90,3 +90,15 @@ def test_the_key_layout_is_known_to_orders_only():
     readers = {mod: sorted(layout_readers(mod)) for mod in LAYERS}
     assert readers.pop("orders")  # the guard sees the layout where it lives
     assert readers == {mod: [] for mod in LAYERS if mod != "orders"}
+
+
+def imported_names(module: str) -> set[str]:
+    """Names that `module` imports from other parastd modules."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+
+
+def test_division_walks_the_corner_on_keys():
+    # the highest corner is found from the cones' keys, not from exponents
+    assert not {"region_of", "exp_degree"} & imported_names("division")

@@ -446,6 +446,69 @@ def test_param_scalar_evaluate_divides_or_raises(args):
         assert c.evaluate(point) == _sympy_value(c.num, point) / d
 
 
+# A constant ParamScalar denominator is exactly AScalar.one(m) (the class
+# docstring): evaluate, embed_params_as_vars and the `Q:` reader take the
+# numerator as the value and divide by nothing.
+_CONST_DEN = st.one_of(st.sampled_from([Fraction(2), Fraction(-3)]), _COEFF.filter(bool))
+
+
+def param_scalars(m):
+    """ParamScalars from random numerators over random or constant denominators."""
+    dens = st.one_of(ascalars(m, max_terms=3, min_terms=1).filter(lambda d: not d.is_zero()),
+                     _CONST_DEN.map(lambda c: AScalar.const(c, m)))
+    return st.builds(ParamScalar, ascalars(m, max_terms=3), dens)
+
+
+@given(st.integers(1, 2).flatmap(lambda m: st.tuples(
+    st.lists(param_scalars(m), min_size=2, max_size=3),
+    st.lists(st.tuples(st.sampled_from("+-*/nrs"), st.integers(0, 7), st.integers(0, 7)),
+             max_size=6))))
+def test_constant_denominators_are_one(args):
+    pool, ops = args
+    one = AScalar.one(pool[0].m)
+    for op, i, j in ops:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "/" and not b:
+            continue
+        if op == "s":  # ParamPoly.scale multiplies every coefficient
+            pool += ParamPoly({(0,): a, (1,): b}, 1, a.m).scale(b).terms.values()
+        else:
+            pool.append({"+": operator.add, "-": operator.sub, "*": operator.mul,
+                         "/": operator.truediv, "n": lambda x, _: -x,
+                         "r": lambda x, _: x.reduced()}[op](a, b))
+    assert all(c.den == one for c in pool if c.den.is_constant())
+
+
+def _fraction_value(s: AScalar, point) -> Fraction:
+    """s at point by a plain Fraction loop over its terms."""
+    total = Fraction(0)
+    for e, c in s.terms.items():
+        for x, k in zip(point, e):
+            c *= Fraction(x) ** k
+        total += c
+    return total
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    ascalars(m), _CONST_DEN, st.tuples(*[_ENTRY] * m))))
+def test_evaluate_over_a_constant_denominator(args):
+    num, d, point = args
+    c = ParamScalar(num, AScalar.const(d, num.m))
+    assert c.evaluate(point) == _fraction_value(num, point) / d
+
+
+@given(st.integers(1, 2).flatmap(lambda m: st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(ascalars(m, min_terms=1).filter(lambda s: not s.is_zero()), _CONST_DEN),
+    min_size=1, max_size=4)))
+def test_embed_params_as_vars_over_constant_denominators(coeffs):
+    m = next(iter(coeffs.values()))[0].m
+    f = ParamPoly({e: ParamScalar(num, AScalar.const(d, m)) for e, (num, d) in coeffs.items()},
+                  2, m)
+    want = {e + ge: q / d for e, (num, d) in coeffs.items() for ge, q in num.terms.items()}
+    assert embed_params_as_vars(f) == AScalar(want, 2 + m)
+
+
 def test_exact_div_edge_cases():
     a, b = AScalar.var(0, 2), AScalar.var(1, 2)
     assert (a * b).exact_div(AScalar.zero(2)) is None

@@ -35,7 +35,6 @@ def test_span_resolves_to_a_function(name):
 
 
 def test_installed_tracer_counts_hot_calls_and_uninstalls():
-    # parastd re-exports buchberger() under its submodule's name
     buchberger, cli, division, genstd = (importlib.import_module(f"parastd.{name}")
                                          for name in ("buchberger", "cli", "division", "genstd"))
     from parastd.orders import MonomialOrder, grevlex
@@ -52,7 +51,7 @@ def test_installed_tracer_counts_hot_calls_and_uninstalls():
     tracer.install()
     try:
         with tracer.op(1):
-            doc, code = cli.run("gsb", problem)
+            doc, code = cli.run("reduce", problem)
     finally:
         tracer.uninstall()
     assert (code, doc["status"]) == (0, "ok")

@@ -12,12 +12,12 @@ parameters. Each run prints one line: the problem's source and name, the
 command, format and seed, the sha256 of its stdout, the sha256 of its
 stderr, and its exit code. Naming problems keeps only those.
 
-The CLI's output contract is byte-identical output. Two source trees meet
-it on these inputs when this script, run against each tree's `src`,
-prints the same lines:
+The CLI's output contract is byte-identical output. tests/output_digests.txt
+holds this script's output, and tier-1 (tests/test_text_output.py) runs
+every case and compares its line with the pinned one. After an intended
+output change, regenerate the pins and explain each moved line:
 
-    PYTHONPATH=<other tree>/src python3 scripts/output_digests.py > other.txt
-    PYTHONPATH=src python3 scripts/output_digests.py | diff other.txt -
+    PYTHONPATH=src python3 scripts/output_digests.py > tests/output_digests.txt
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 from parastd.cli import COMMANDS, main
 from parastd.errors import ParastdError
@@ -41,45 +42,61 @@ FORMATS = ("text", "json")
 SEEDS = (None, 3)  # None: the problem's own seed
 
 
-def sources(names=()) -> list[tuple[str, str, str]]:
-    """(source, name, text) of the shipped problems and the bench texts."""
-    out = [("problems", p.stem, p.read_text(encoding="utf-8"))
-           for p in sorted((ROOT / "problems").glob("*.psb"))]
-    out += [("bench", name, "\n".join(lines) + "\n")
-            for name, lines in sorted(BENCH["problems"].items())]
-    return [s for s in out if not names or s[1] in names]
+class Case(NamedTuple):
+    source: str  # "problems" or "bench"
+    name: str
+    text: str
+    command: str
+    fmt: str
+    seed: int | None
+    point: str | None  # specialize's --point
+
+    @property
+    def label(self) -> str:
+        seed = "default" if self.seed is None else self.seed
+        return f"{self.source}/{self.name} {self.command} {self.fmt} seed={seed}"
+
+
+def cases(names=()) -> list[Case]:
+    """Every run, in output order; naming problems keeps only those."""
+    texts = [("problems", p.stem, p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "problems").glob("*.psb"))]
+    texts += [("bench", name, "\n".join(lines) + "\n")
+              for name, lines in sorted(BENCH["problems"].items())]
+    out = []
+    for source, name, text in texts:
+        if names and name not in names:
+            continue
+        try:
+            point = POINTS.get(str(parse_problem(text).m))
+        except ParastdError:
+            point = None
+        out += [Case(source, name, text, command, fmt, seed,
+                     point if command == "specialize" else None)
+                for command in COMMANDS for fmt in FORMATS for seed in SEEDS]
+    return out
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digests(names=()):
-    """Yield one output line per run, in a fixed order."""
+def digest_line(case: Case) -> str:
+    """The output line of one run."""
     with tempfile.TemporaryDirectory() as tmp:
-        for source, name, text in sources(names):
-            path = Path(tmp) / f"{source}_{name}.psb"
-            path.write_text(text, encoding="utf-8")
-            try:
-                point = POINTS.get(str(parse_problem(text).m))
-            except ParastdError:
-                point = None
-            for command in COMMANDS:
-                for fmt in FORMATS:
-                    for seed in SEEDS:
-                        argv = [command, str(path), "--format", fmt]
-                        if command == "specialize" and point:
-                            argv += ["--point", point]
-                        if seed is not None:
-                            argv += ["--seed", str(seed)]
-                        out, err = io.StringIO(), io.StringIO()
-                        with redirect_stdout(out), redirect_stderr(err):
-                            code = main(argv)
-                        seed_label = "default" if seed is None else seed
-                        yield (f"{source}/{name} {command} {fmt} seed={seed_label} "
-                               f"{_sha(out.getvalue())} {_sha(err.getvalue())} {code}")
+        path = Path(tmp) / f"{case.source}_{case.name}.psb"
+        path.write_text(case.text, encoding="utf-8")
+        argv = [case.command, str(path), "--format", case.fmt]
+        if case.point:
+            argv += ["--point", case.point]
+        if case.seed is not None:
+            argv += ["--seed", str(case.seed)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    return f"{case.label} {_sha(out.getvalue())} {_sha(err.getvalue())} {code}"
 
 
 if __name__ == "__main__":
-    for line in digests(sys.argv[1:]):
-        print(line, flush=True)
+    for case in cases(sys.argv[1:]):
+        print(digest_line(case), flush=True)

@@ -70,17 +70,17 @@ class ComprehensiveResult:
 def in_radical(p: AScalar, egens) -> bool:
     """Whether p vanishes wherever all of egens do: p in the radical of <egens>.
 
-    Membership is tried first: a zero remainder of p on division by egens
-    proves p in <egens>, so in its radical, whether or not egens is a
-    Groebner basis. Only otherwise runs the Rabinowitsch check: p is in
-    the radical iff <egens, 1 - t*p> is the whole ring, so iff any
-    Groebner basis of it, reduced or not, holds a nonzero constant
-    (Cox-Little-O'Shea, 4.2).
+    Membership is tried first: a zero remainder on division by egens
+    proves p in <egens>, Groebner basis or not. Only otherwise runs the
+    Rabinowitsch check: p is in the radical iff <egens, 1 - t*p> is the
+    whole ring, so iff any Groebner basis of it holds a nonzero constant
+    (Cox-Little-O'Shea, 4.2); a constant p is so exactly when egens
+    generate the unit ideal.
     """
     egens = [g for g in egens if not g.is_zero()]
     if p.is_zero():
         return True
-    if p.is_constant() or not egens:
+    if not egens:
         return False
     if normal_form_param(p, egens).is_zero():
         return True

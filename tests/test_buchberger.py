@@ -2,6 +2,7 @@ import io
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +21,10 @@ from parastd.buchberger import (
     reduce_basis,
 )
 
-from conftest import BENCH_SPEC, INTRO_ORDER, STRESS_PROBLEMS, P, random_poly
+from conftest import INTRO_ORDER, P, bench_text, random_poly
 
 GREVLEX2 = grevlex(2)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 # the engine runs over Q: inputs are AScalar polynomials in the variables
@@ -329,9 +331,10 @@ def engine_work(monkeypatch, tmp_path, command, problem):
 
     monkeypatch.setattr(engine, "s_function_keyed", s_function_counted)
     monkeypatch.setattr(engine, "divide_keyed", divide_counted)
-    path = tmp_path / f"{problem}.psb"
-    lines = STRESS_PROBLEMS.get(problem) or BENCH_SPEC["problems"][problem]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = PROBLEMS / f"{problem}.psb"
+    if not path.exists():
+        path = tmp_path / f"{problem}.psb"
+        path.write_text(bench_text(problem), encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert main([command, str(path)]) == 0
     return counts

@@ -19,7 +19,7 @@ from parastd.genstd import PrimeContext, generic_basis
 from parastd.polyring import ParamScalar, render_poly
 from parastd.problems import parse_point, parse_problem, poly_from_string
 
-from conftest import BENCH_SPEC, INTRO_ORDER, P, value_at
+from conftest import INTRO_ORDER, P, bench_text, value_at
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -206,12 +206,7 @@ def test_error_columns_count_from_the_start_of_the_line(capsys, tmp_path, old, n
     assert (code, out, err) == (1, "", f"error[input]: {message}\n")
 
 
-E7_LOCAL_TEXT = """\
-params: a, b
-vars: x, y
-order: neg_grevlex
-ideal: 3*x^2 + y^3 + a*y, 3*x*y^2 + b*x + a*x
-"""
+E7_LOCAL_TEXT = bench_text("e7_local")
 
 
 @pytest.mark.parametrize("command, flag, option", [
@@ -232,6 +227,14 @@ def test_cli_rejects_negative_options(capsys, tmp_path, command, flag, option):
     code, out, err = run_cli(capsys, command, str(path))
     assert (code, out) == (1, "")
     assert f"{option} must be nonnegative" in err
+
+
+@pytest.mark.parametrize("command", ["comprehensive", "hilbert"])
+def test_cli_reports_an_unresolved_tree(capsys, command):
+    # milnor_cubic needs one split, so a depth of 0 leaves its root cell open
+    code, out, err = run_cli(capsys, command, str(PROBLEMS / "milnor_cubic.psb"),
+                             "--max-depth", "0")
+    assert (code, out, err) == (1, "", "error[DepthExceeded]: 1 cells unresolved at depth 0\n")
 
 
 def test_cli_verify_refuses_zero_samples(capsys, tmp_path):
@@ -396,7 +399,7 @@ def test_parser_agrees_with_sympy(text, point):
     assert Fraction(int(want.p), int(want.q)) == got, text
 
 
-KATSURA4_A = "\n".join(BENCH_SPEC["problems"]["katsura4_a"]) + "\n"
+KATSURA4_A = bench_text("katsura4_a")
 
 
 def test_parsing_builds_one_param_scalar_per_coefficient(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -398,6 +399,15 @@ def test_verify_specialization_intro(intro):
     assert all(c.ok for c in rep)
     for c in rep:
         assert c.got.generators == ((0, 1),)
+
+
+def test_verify_notes_a_generator_that_loses_its_lead(intro):
+    # without its h factors, a = 0 is admissible, and there the intro
+    # generator's lead a*x2 vanishes: its specialization leads with x1
+    B = dataclasses.replace(generic_basis([intro], INTRO_ORDER, CTX0), h_factors=[])
+    rep = verify_specialization(B, [(Fraction(0),)])
+    assert [(c.ok, c.got.generators, c.note) for c in rep] == [
+        (False, ((1, 0),), "generator lost its leading exponent")]
 
 
 def test_verify_rejects_excluded_point(intro):

@@ -19,7 +19,7 @@ import pytest
 from parastd.cli import run
 from parastd.problems import parse_problem
 
-from conftest import BENCH_SPEC
+from conftest import bench_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,15 +50,10 @@ def _overrides(args):
             "trunc_degree": None if trunc is None else int(trunc)}
 
 
-def _spec_text(name):
-    """A problem's text as bench/workloads.json gives it."""
-    return "\n".join(BENCH_SPEC["problems"][name]) + "\n"
-
-
 def test_desk_problems_are_the_shipped_files():
     for name in WL.problems_of("desk"):
         shipped = (ROOT / "problems" / f"{name}.psb").read_text(encoding="utf-8")
-        assert shipped == _spec_text(name), name
+        assert shipped == bench_text(name), name
 
 
 def _check_golden(op, text, seed=None):
@@ -84,7 +79,7 @@ def test_desk_op_matches_golden_digest(op):
 @pytest.mark.parametrize("op_id", sorted(ENGINE))
 def test_engine_op_matches_golden_digest(op_id):
     op = ENGINE[op_id]
-    _check_golden(op, _spec_text(op["problem"]))
+    _check_golden(op, bench_text(op["problem"]))
 
 
 # results that sample parameter points must not depend on the seed: every
@@ -98,4 +93,4 @@ SAMPLED = {WL.op_id(op): op for op in WL.ops("local_tree") + DESK
 @pytest.mark.parametrize("op_id", sorted(SAMPLED))
 def test_sampled_op_is_seed_independent(op_id, seed):
     op = SAMPLED[op_id]
-    _check_golden(op, _spec_text(op["problem"]), seed)
+    _check_golden(op, bench_text(op["problem"]), seed)

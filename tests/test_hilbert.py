@@ -24,7 +24,7 @@ from parastd.hilbert import (
     milnor_number,
 )
 
-from conftest import BENCH_SPEC, INTRO_ORDER, P, polynomial_value
+from conftest import BENCH_SPEC, INTRO_ORDER, P, bench_text, polynomial_value
 
 
 def brute_hsf(E: Staircase, r: int) -> int:
@@ -236,6 +236,25 @@ def test_milnor_number_in_no_variables():
     assert milnor_number(Staircase(0, ((),))) == 0
 
 
+@pytest.mark.parametrize("p, q, r", [(3, 4, 5), (4, 4, 4), (3, 3, 4), (2, 4, 5)])
+def test_milnor_numbers_of_t_pqr(p, q, r):
+    # T_{p,q,r} = x^p + y^q + z^r + a*xyz with 1/p + 1/q + 1/r < 1 has
+    # mu = p + q + r - 1 for a != 0; at a = 0 it is Brieskorn-Pham, with
+    # mu = (p - 1)(q - 1)(r - 1) (Arnold-Gusein-Zade-Varchenko, vol. 1)
+    xyz = ("x", "y", "z")
+    F = [P(f"{p}*x^{p - 1} + a*y*z", vars=xyz), P(f"{q}*y^{q - 1} + a*x*z", vars=xyz),
+         P(f"{r}*z^{r - 1} + a*x*y", vars=xyz)]
+    strata = hilbert_partition(F, neg_grevlex(3))
+
+    def mu_at(value):
+        (mu,) = [s.data.milnor for s in strata for c in s.cells
+                 if c.contains((Fraction(value),))]
+        return mu
+
+    assert mu_at(0) == (p - 1) * (q - 1) * (r - 1)
+    assert [mu_at(v) for v in (1, -2, Fraction(1, 2))] == [p + q + r - 1] * 3
+
+
 def test_milnor_family_partition():
     F = [P("3*x1^2 + a*x2"), P("3*x2^2 + a*x1")]
     strata = hilbert_partition(F, INTRO_ORDER)
@@ -298,7 +317,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LOCAL_FAMILIES = {
     **{name: (ROOT / "problems" / f"{name}.psb").read_text(encoding="utf-8")
        for name in ("cusp_family", "milnor_cubic", "whitney")},
-    **{op["problem"]: "\n".join(BENCH_SPEC["problems"][op["problem"]]) + "\n"
+    **{op["problem"]: bench_text(op["problem"])
        for op in BENCH_SPEC["workloads"]["local_tree"]["ops"]},
 }
 GRID = [Fraction(v) for v in range(-2, 3)] + [Fraction(1, 2)]

@@ -40,7 +40,6 @@ Fraction coefficients, so callers see no `int`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
@@ -52,11 +51,10 @@ from .division import divide, divide_keyed, quotient_poly, s_combination, s_func
 from .polyring import AScalar
 
 
-@dataclass
 class BasisResult:
-    generators: list
-    images: list
-    leads: list  # each generator's leading exponent under the engine's order
+    def __init__(self, generators: list, images: list, leads: list):
+        self.generators, self.images = generators, images
+        self.leads = leads  # each generator's leading exponent under the engine's order
 
 
 def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:

@@ -3,13 +3,15 @@
 Commands: gsb, reduce, comprehensive, hilbert, divide, specialize, verify.
 Output is a single self-describing document (schema "parastd/1", rationals
 as strings) rendered as text or JSON. Exit codes: 0 success, 1 input
-error (a usage error included), 2 verification failure.
+error (a usage error included) or a stdout closed before the document is
+written, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import inf
@@ -308,7 +310,15 @@ def main(argv=None) -> int:
     except ParastdError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return EXIT_INPUT
-    print(render_document(doc, fmt))
+    try:
+        print(render_document(doc, fmt), flush=True)
+    except BrokenPipeError:  # the reader closed stdout early
+        # Python flushes stdout again at exit: send what is left to devnull,
+        # as the `signal` module's note on SIGPIPE advises
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     return code
 
 

@@ -22,7 +22,6 @@ polynomial against a cell's Q basis) once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from .errors import (DepthExceeded, MultipleCells, NoCell, ParastdError, ProblemSyntaxError,
@@ -42,29 +41,36 @@ VERIFY_SAMPLES = 3  # sample points checked per emitted cell
 MAX_DEPTH = 12  # default guard on the depth of the tree
 
 
-@dataclass(frozen=True)
 class Cell:
-    """Points where every `vanish` polynomial is zero and no `nonvanish` is."""
+    """Points where every `vanish` polynomial is zero and no `nonvanish` is.
+    A value: equal and hashed on (vanish, nonvanish)."""
 
-    vanish: tuple[AScalar, ...]
-    nonvanish: tuple[AScalar, ...]
+    def __init__(self, vanish: tuple[AScalar, ...], nonvanish: tuple[AScalar, ...]):
+        self.vanish, self.nonvanish = vanish, nonvanish
+
+    def __eq__(self, other):
+        if other.__class__ is not Cell:
+            return NotImplemented
+        return self.vanish == other.vanish and self.nonvanish == other.nonvanish
+
+    def __hash__(self):
+        return hash((self.vanish, self.nonvanish))
 
     def contains(self, point) -> bool:
         return (all(v.evaluate(point) == 0 for v in self.vanish)
                 and all(nv.evaluate(point) != 0 for nv in self.nonvanish))
 
 
-@dataclass
 class CellEntry:
     """A cell with its generic basis; the cell's staircase is basis.staircase."""
 
-    cell: Cell
-    basis: GenericBasis
+    def __init__(self, cell: Cell, basis: GenericBasis):
+        self.cell, self.basis = cell, basis
 
 
-@dataclass
 class ComprehensiveResult:
-    cells: list[CellEntry]
+    def __init__(self, cells: list[CellEntry]):
+        self.cells = cells
 
 
 def in_radical(p: AScalar, egens) -> bool:

@@ -68,7 +68,6 @@ takes the field step c/dc, and its multiplier is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 from operator import itemgetter, or_
@@ -92,13 +91,11 @@ from .orders import (
 TRUNCATION_STEP_GUARD = 20000
 
 
-@dataclass
 class DivisionResult:
-    quotients: list
-    remainder: object
-    cofactor_ok: bool = True
-    steps: int = field(default=0, repr=False)
-    multiplier: int = 1
+    def __init__(self, quotients: list, remainder, cofactor_ok: bool = True, steps: int = 0,
+                 multiplier: int = 1):
+        self.quotients, self.remainder, self.cofactor_ok = quotients, remainder, cofactor_ok
+        self.steps, self.multiplier = steps, multiplier
 
 
 FULL = "full"

@@ -17,8 +17,6 @@ from the first generator on each of its corners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     AllCoefficientsInQ,
     DenominatorInQ,
@@ -52,7 +50,6 @@ from .buchberger import buchberger, minimalize, normal_form_param, parameter_gro
 # prime context
 
 
-@dataclass
 class PrimeContext:
     """A prime ideal Q of the parameter ring, held as its reduced lex basis.
 
@@ -60,8 +57,8 @@ class PrimeContext:
     only needs zero normal forms plus the domain property of the quotient.
     """
 
-    qbasis: tuple[AScalar, ...]
-    m: int
+    def __init__(self, qbasis: tuple[AScalar, ...], m: int):
+        self.qbasis, self.m = qbasis, m
 
     @classmethod
     def from_generators(cls, qgens, m) -> "PrimeContext":
@@ -129,7 +126,6 @@ def divide_mod_q(f: ParamPoly, G, order: MonomialOrder, ctx: PrimeContext,
 # generic standard bases
 
 
-@dataclass
 class GenericBasis:
     """Finite set plus excluded parameter polynomial h, stored factored.
 
@@ -141,13 +137,13 @@ class GenericBasis:
     denominators cleared); no certificate of that is stored.
     """
 
-    gens: list[ParamPoly]
-    leads: list[tuple[Exponent, ParamScalar]]
-    h_factors: list[tuple[AScalar, int]]
-    ctx: PrimeContext
-    staircase: Staircase
-    order: MonomialOrder
-    inputs: list[ParamPoly] = field(default_factory=list)
+    def __init__(self, gens: list[ParamPoly], leads: list[tuple[Exponent, ParamScalar]],
+                 h_factors: list[tuple[AScalar, int]], ctx: PrimeContext,
+                 staircase: Staircase, order: MonomialOrder,
+                 inputs: list[ParamPoly] | None = None):
+        self.gens, self.leads, self.h_factors, self.ctx = gens, leads, h_factors, ctx
+        self.staircase, self.order = staircase, order
+        self.inputs = [] if inputs is None else inputs
 
     def h_poly(self) -> AScalar:
         h = AScalar.one(self.ctx.m)
@@ -343,12 +339,9 @@ def plain_staircase(F, order: MonomialOrder) -> Staircase:
     return Staircase.from_exponents(n, [e[:n] for e in basis.leads])
 
 
-@dataclass
 class SampleCheck:
-    point: tuple
-    ok: bool
-    got: Staircase
-    note: str = ""
+    def __init__(self, point: tuple, ok: bool, got: Staircase, note: str = ""):
+        self.point, self.ok, self.got, self.note = point, ok, got, note
 
 
 def _leading_exponent_at(g: ParamPoly, order: MonomialOrder, point) -> Exponent | None:

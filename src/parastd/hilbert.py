@@ -14,7 +14,6 @@ The Milnor number is the polynomial when it is constant, else inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf
 
@@ -55,14 +54,15 @@ def hsf(E: Staircase, r: int) -> int:
     return _count(_lcm_degrees(E), E.n, r)
 
 
-@dataclass
 class HilbertData:
     """Value table of the Hilbert-Samuel function, its eventual polynomial,
     the index from which they agree, and the Milnor number it gives."""
 
-    values: list[int]
-    coefficients: tuple[Fraction, ...]  # polynomial in r, constant term first
-    stabilization_index: int
+    def __init__(self, values: list[int], coefficients: tuple[Fraction, ...],
+                 stabilization_index: int):
+        self.values = values
+        self.coefficients = coefficients  # polynomial in r, constant term first
+        self.stabilization_index = stabilization_index
 
     def polynomial_text(self) -> str:
         def mag(c):
@@ -129,13 +129,12 @@ def default_r_max(staircases, n: int) -> int:
     return n + top + 2
 
 
-@dataclass
 class HilbertStratum:
     """Constructible union of cells sharing one Hilbert-Samuel polynomial;
     its Milnor number is data.milnor."""
 
-    cells: tuple[Cell, ...]
-    data: HilbertData
+    def __init__(self, cells: tuple[Cell, ...], data: HilbertData):
+        self.cells, self.data = cells, data
 
 
 def hilbert_partition(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,

@@ -43,7 +43,6 @@ shorter tuple.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cache
 from operator import add, itemgetter, le, mul, sub
 
@@ -101,12 +100,23 @@ def minimal_exponents(exponents) -> list:
     return kept
 
 
-@dataclass(frozen=True)
 class Staircase:
-    """Minimal generators (an antichain) of a sum-stable subset of N^n."""
+    """Minimal generators (an antichain) of a sum-stable subset of N^n.
+    A value: equal and hashed on (n, generators)."""
 
-    n: int
-    generators: tuple[Exponent, ...]
+    def __init__(self, n: int, generators: tuple[Exponent, ...]):
+        self.n, self.generators = n, generators
+
+    def __eq__(self, other):
+        if other.__class__ is not Staircase:
+            return NotImplemented
+        return self.n == other.n and self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.n, self.generators))
+
+    def __repr__(self):
+        return f"Staircase(n={self.n!r}, generators={self.generators!r})"
 
     @classmethod
     def from_exponents(cls, n, exponents) -> "Staircase":
@@ -127,54 +137,59 @@ _ROW_BIAS = 1 << 62
 _GUARD = 1 << 63
 
 
-@dataclass(frozen=True, slots=True)
 class _Layout:
-    """Packing tables of the orders with one (rows, n)."""
+    """Packing tables of the orders with one (rows, n); `_layout` memoizes them."""
 
-    weights: tuple[int, ...]  # key(e) = origin + sum(e_i * weights[i])
-    origin: int  # key of the zero exponent
-    entry_cap: int  # ENTRY_CAP, or 0 when a row is too wide for any key
-    low: int  # the entry and degree fields
-    guard: int  # bit 63 of each of them
-    overflow: int  # bits 31 to 63 of each entry field
-    nbytes: int
-    unpack: object  # bytes of a key -> its entries
+    __slots__ = ("weights", "origin", "entry_cap", "low", "guard", "overflow", "nbytes",
+                 "unpack")
 
+    def __init__(self, rows, n):
+        r = len(rows)
 
-@cache
-def _layout(rows, n) -> _Layout:
-    r = len(rows)
+        def at(field):  # bit offset of a field, 0 the most significant
+            return (r + n - field) * _FIELD_BITS
 
-    def at(field):  # bit offset of a field, 0 the most significant
-        return (r + n - field) * _FIELD_BITS
-
-    weights = tuple(sum(row[i] << at(j) for j, row in enumerate(rows))
-                    + (1 << at(r + i)) + 1 for i in range(n))
-    wide = any(sum(map(abs, row)) >= ROW_WEIGHT_CAP for row in rows)
-    return _Layout(
-        weights=weights,
-        origin=sum(_ROW_BIAS << at(j) for j in range(r)),
-        entry_cap=0 if wide else ENTRY_CAP,
-        low=(1 << at(r - 1)) - 1,
-        guard=sum(_GUARD << at(f) for f in range(r, r + n + 1)),
-        overflow=sum((_FIELD ^ (ENTRY_CAP - 1)) << at(r + i) for i in range(n)),
-        nbytes=(r + n + 1) * _FIELD_BITS // 8,
-        unpack=struct.Struct(f">{r * _FIELD_BITS // 8}x{n}Q{_FIELD_BITS // 8}x").unpack)
+        # key(e) = origin + sum(e_i * weights[i])
+        self.weights = tuple(sum(row[i] << at(j) for j, row in enumerate(rows))
+                             + (1 << at(r + i)) + 1 for i in range(n))
+        self.origin = sum(_ROW_BIAS << at(j) for j in range(r))  # key of the zero exponent
+        wide = any(sum(map(abs, row)) >= ROW_WEIGHT_CAP for row in rows)
+        self.entry_cap = 0 if wide else ENTRY_CAP  # 0: a row is too wide for any key
+        self.low = (1 << at(r - 1)) - 1  # the entry and degree fields
+        self.guard = sum(_GUARD << at(f) for f in range(r, r + n + 1))  # bit 63 of each
+        # bits 31 to 63 of each entry field
+        self.overflow = sum((_FIELD ^ (ENTRY_CAP - 1)) << at(r + i) for i in range(n))
+        self.nbytes = (r + n + 1) * _FIELD_BITS // 8
+        # bytes of a key -> its entries
+        self.unpack = struct.Struct(f">{r * _FIELD_BITS // 8}x{n}Q{_FIELD_BITS // 8}x").unpack
 
 
-@dataclass(frozen=True)
+_layout = cache(_Layout)
+
+
 class MonomialOrder:
-    """Total order on exponents: weight rows first, then lex tiebreak."""
+    """Total order on exponents: weight rows first, then lex tiebreak.
+    A value: equal and hashed on (rows, n), as the memos keyed on orders
+    (`classify`, `combined_order`) need."""
 
-    rows: tuple[tuple[int, ...], ...]
-    n: int
+    __slots__ = ("rows", "n", "_lay")
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != self.n:
-                raise DimensionMismatch(
-                    f"weight row of length {len(row)} in dimension {self.n}")
-        object.__setattr__(self, "_lay", _layout(self.rows, self.n))
+    def __init__(self, rows: tuple[tuple[int, ...], ...], n: int):
+        for row in rows:
+            if len(row) != n:
+                raise DimensionMismatch(f"weight row of length {len(row)} in dimension {n}")
+        self.rows, self.n, self._lay = rows, n, _layout(rows, n)
+
+    def __eq__(self, other):
+        if other.__class__ is not MonomialOrder:
+            return NotImplemented
+        return self.rows == other.rows and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.rows, self.n))
+
+    def __repr__(self):
+        return f"MonomialOrder(rows={self.rows!r}, n={self.n!r})"
 
     def __reduce__(self):  # copies and pickles rebuild the layout from the fields
         return MonomialOrder, (self.rows, self.n)

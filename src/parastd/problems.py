@@ -25,10 +25,8 @@ gcd-reduced. Each parsed expression becomes a ParamPoly once, by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import NamedTuple
 
 from .errors import DuplicateSection, ProblemSyntaxError, UnknownIdentifier
 from .orders import MonomialOrder, grevlex, lex, matrix_order, neg_grevlex
@@ -38,14 +36,13 @@ _SECTIONS = ("params", "vars", "order", "ideal", "Q", "options")
 OPTION_KEYS = ("trunc_degree", "max_depth", "samples", "seed")
 
 
-@dataclass
 class Problem:
-    params: tuple[str, ...]
-    vars: tuple[str, ...]
-    order: MonomialOrder
-    ideal: list[ParamPoly]
-    qgens: list[AScalar] = field(default_factory=list)
-    options: dict = field(default_factory=dict)
+    def __init__(self, params: tuple[str, ...], vars: tuple[str, ...], order: MonomialOrder,
+                 ideal: list[ParamPoly], qgens: list[AScalar] | None = None,
+                 options: dict | None = None):
+        self.params, self.vars, self.order, self.ideal = params, vars, order, ideal
+        self.qgens = [] if qgens is None else qgens
+        self.options = {} if options is None else options
 
     @property
     def m(self) -> int:
@@ -56,12 +53,13 @@ class Problem:
 # tokenizer
 
 
-class _Tok(NamedTuple):
-    kind: str  # ident | int | sym
-    text: str
-    line: int
-    col: int
-    value: int = 0  # an int token's value
+class _Tok:
+    __slots__ = ("kind", "text", "line", "col", "value")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, value: int = 0):
+        self.kind = kind  # ident | int | sym
+        self.text, self.line, self.col = text, line, col
+        self.value = value  # an int token's value
 
 
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<ident>\w+)|(?P<sym>[-+*/^(),\[\]=])|\S")

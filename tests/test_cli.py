@@ -1,5 +1,7 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -16,12 +18,13 @@ from parastd.errors import (
 from parastd import orders
 from parastd.cli import main, run
 from parastd.genstd import PrimeContext, generic_basis
-from parastd.polyring import ParamScalar, render_poly
-from parastd.problems import parse_point, parse_problem, poly_from_string
+from parastd.polyring import AScalar, ParamScalar, render_poly
+from parastd.problems import Problem, parse_point, parse_problem, poly_from_string
 
 from conftest import INTRO_ORDER, P, bench_text, value_at
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 INTRO_TEXT = """\
 params: a
@@ -123,6 +126,13 @@ def test_parse_problem_options():
     assert prob.options == {"trunc_degree": 3, "seed": 7}
     with pytest.raises(ProblemSyntaxError):
         parse_problem(INTRO_TEXT + "options: wibble = 3\n")
+
+
+def test_problems_share_no_default_qgens_or_options():
+    one, two = (Problem((), ("x",), orders.grevlex(1), []) for _ in range(2))
+    one.qgens.append(AScalar.one(0))
+    one.options["seed"] = 7
+    assert (two.qgens, two.options) == ([], {})
 
 
 def test_parse_problem_duplicate_option():
@@ -235,6 +245,25 @@ def test_cli_reports_an_unresolved_tree(capsys, command):
     code, out, err = run_cli(capsys, command, str(PROBLEMS / "milnor_cubic.psb"),
                              "--max-depth", "0")
     assert (code, out, err) == (1, "", "error[DepthExceeded]: 1 cells unresolved at depth 0\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_1_quietly(unbuffered):
+    # the reader is gone before the child starts: the document's write fails
+    # inside main (unbuffered) or at its flush (buffered), never at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([sys.executable, "-m", "parastd.cli", "gsb",
+                                str(PROBLEMS / "intro.psb")],
+                               stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (1, b"")
 
 
 def test_cli_verify_refuses_zero_samples(capsys, tmp_path):

@@ -416,3 +416,15 @@ def test_hilbert_asks_each_radical_question_once(monkeypatch):
     _, code = run("hilbert", problem)
     assert code == 0
     assert len(asked) == len(set(asked)) == 18
+
+
+def test_equal_cells_compare_and_hash_equal():
+    def cell():  # a = 1, a != 0, from fresh polynomials each time
+        return Cell((AScalar({(1,): Fraction(1), (0,): Fraction(-1)}, 1),),
+                    (AScalar({(1,): Fraction(1)}, 1),))
+
+    one, two = cell(), cell()
+    assert one is not two and one.vanish[0] is not two.vanish[0]
+    assert one == two and hash(one) == hash(two)
+    assert len({one, two}) == 1
+    assert one != Cell(one.nonvanish, one.vanish)

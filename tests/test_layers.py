@@ -11,9 +11,15 @@ functions that build it are called nowhere else in the package.
 
 The packed key layout is known to `orders` only: no other module names
 its constants or tables, or slices a key by the number of weight rows.
+
+Importing the CLI loads no `dataclasses` or `typing` (nor `inspect` and the
+parsers it pulls in): they would cost a fresh process more than all of
+parastd's own modules.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +108,13 @@ def imported_names(module: str) -> set[str]:
 def test_division_walks_the_corner_on_keys():
     # the highest corner is found from the cones' keys, not from exponents
     assert not {"region_of", "exp_degree"} & imported_names("division")
+
+
+def test_importing_the_cli_loads_no_dataclass_or_typing_machinery():
+    # -S: no site .pth file may import typing first and hide a regression
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import parastd.cli; "
+             "print(*sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis', 'tokenize'}"
+             " & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
+                           capture_output=True, text=True, timeout=60, check=True)
+    assert child.stdout.split() == []

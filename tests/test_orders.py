@@ -13,6 +13,7 @@ from parastd.orders import (
     MIXED,
     ROW_WEIGHT_CAP,
     MonomialOrder,
+    Staircase,
     classify,
     combined_order,
     compare,
@@ -308,3 +309,12 @@ def test_an_order_survives_copy_and_pickle():
     for twin in (copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
         assert twin == order
         assert twin.key((1, 0, 2, 3)) == order.key((1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("value", [grevlex(3), matrix_order([[1, 2], [0, -1]]),
+                                   Staircase(2, ((0, 2), (1, 1), (3, 0)))],
+                         ids=["grevlex", "matrix", "staircase"])
+def test_a_value_reads_back_from_its_repr(value):
+    twin = eval(repr(value), {"MonomialOrder": MonomialOrder, "Staircase": Staircase})
+    assert twin is not value
+    assert twin == value and hash(twin) == hash(value)

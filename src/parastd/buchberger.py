@@ -32,10 +32,12 @@ is formed by the division module's S-function kernel (`s_function_keyed`,
 whose lcm key is the pair's heap key) and reduced by its division kernel
 (`divide_keyed`) against those lists and cones: these are the only two
 division functions the engine calls, so it holds no reduction loop of
-its own. A quotient becomes a polynomial only when its divisor's image is
-nonzero. Ring elements are built once per returned generator, with
-Fraction coefficients and their keyed terms as cache; images keep
-Fraction coefficients, so callers see no `int`.
+its own. Images are tracked only when some input image is nonzero (the
+map is linear, so otherwise all stay zero); a quotient then becomes a
+polynomial only when its divisor's image is nonzero. Ring elements, with
+Fraction coefficients and their keyed terms as cache, are built on the
+first read of `BasisResult.generators`, so a reader of the leads alone
+builds none; images keep Fraction coefficients: callers see no `int`.
 """
 
 from __future__ import annotations
@@ -52,9 +54,24 @@ from .polyring import AScalar
 
 
 class BasisResult:
-    def __init__(self, generators: list, images: list, leads: list):
-        self.generators, self.images = generators, images
-        self.leads = leads  # each generator's leading exponent under the engine's order
+    """The engine's return: generator i has the leading exponent `leads[i]`
+    under the engine's order, the image `images[i]` and the keyed terms
+    `keyed[i]` (int coefficients). Its ring element is built on the first
+    read of `generators` and kept, in a dict that `minimalize` shares."""
+
+    def __init__(self, keyed: list, images: list, leads: list, zero, order: MonomialOrder,
+                 built: dict | None = None):
+        self.keyed, self.images, self.leads = keyed, images, leads
+        self._zero, self._order, self._built = zero, order, {} if built is None else built
+
+    @property
+    def generators(self) -> list:
+        built = self._built  # id of keyed terms -> ring element
+        for g in self.keyed:
+            if id(g) not in built:
+                built[id(g)] = with_keyed_terms(self._zero, self._order,
+                                                [(k, Fraction(c)) for k, c in g])
+        return [built[id(g)] for g in self.keyed]
 
 
 def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
@@ -112,10 +129,12 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
                 pending[i, k] = l
                 heappush(heap, (order.key(l), i, k))
 
+    # a zero image map keeps every image zero (module docstring)
+    track = images is not None and not all(im.is_zero() for im in images)
     for i, f in enumerate(F):
         if f.is_zero():
             continue
-        add(*_shrink(keyed_terms(f, order), images[i] if images else zero))
+        add(*_shrink(keyed_terms(f, order), images[i] if track else zero))
 
     while heap:
         top, i, j = heappop(heap)
@@ -127,37 +146,38 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
         quotients, r, _, _, multiplier = divide_keyed(s, gens, cones, order)
         if not r:
             continue
-        # image of multiplier * S-function, minus the quotients times their images
-        im = s_combination(ims[i], ims[j], (leads[i], gens[i][0][1]),
-                           (leads[j], gens[j][0][1]))
-        if multiplier != 1:
-            im = im.scale(multiplier)
-        for d in sorted(quotients):
-            if not ims[d].is_zero():
-                im = im - quotient_poly(zero, order, quotients[d]) * ims[d]
+        im = zero
+        if track:
+            # image of multiplier * S-function, minus the quotients times their images
+            im = s_combination(ims[i], ims[j], (leads[i], gens[i][0][1]),
+                               (leads[j], gens[j][0][1]))
+            if multiplier != 1:
+                im = im.scale(multiplier)
+            for d in sorted(quotients):
+                if not ims[d].is_zero():
+                    im = im - quotient_poly(zero, order, quotients[d]) * ims[d]
         add(*_shrink(r, im))
 
-    return BasisResult([with_keyed_terms(zero, order, [(k, Fraction(c)) for k, c in g])
-                        for g in gens], ims, leads)
+    return BasisResult(gens, ims, leads, zero, order)
 
 
 def _shrink(g, im):
     """Divide the keyed terms g and the image im by the positive content
     num/den of g; g comes back with int coefficients, im keeps its own.
-    A primitive g with int coefficients, as most remainders are, is kept."""
+    A primitive int g, as most remainders are, and a zero im are kept."""
     num = gcd(*(c.numerator for _, c in g))
     den = lcm(*(c.denominator for _, c in g))
     if num != 1 or type(g[0][1]) is not int:  # the terms share one type
         g = [(k, c.numerator // num * (den // c.denominator)) for k, c in g]
-    return g, im if num == den == 1 else im.scale(Fraction(den, num))
+    return g, im if num == den == 1 or im.is_zero() else im.scale(Fraction(den, num))
 
 
 def minimalize(B: BasisResult) -> BasisResult:
     """Keep, in index order, the first generator on each minimal lead
     (`minimal_exponents` of all leads, so under any order)."""
     keep = sorted(map(B.leads.index, minimal_exponents(B.leads)))
-    return BasisResult([B.generators[i] for i in keep], [B.images[i] for i in keep],
-                       [B.leads[i] for i in keep])
+    return BasisResult([B.keyed[i] for i in keep], [B.images[i] for i in keep],
+                       [B.leads[i] for i in keep], B._zero, B._order, B._built)
 
 
 def reduce_basis(gens: list, order: MonomialOrder) -> list:
@@ -192,4 +212,4 @@ def normal_form_param(s: AScalar, basis: list[AScalar]) -> AScalar:
     """Remainder modulo a basis from parameter_groebner (lex division)."""
     if s.is_zero() or not basis:
         return s
-    return divide(s, basis, lex(s.m)).remainder
+    return divide(s, basis, lex(s.m), remainder_only=True).remainder

@@ -57,8 +57,8 @@ class Cell:
         return hash((self.vanish, self.nonvanish))
 
     def contains(self, point) -> bool:
-        return (all(v.evaluate(point) == 0 for v in self.vanish)
-                and all(nv.evaluate(point) != 0 for nv in self.nonvanish))
+        return (all(v.vanishes_at(point) for v in self.vanish)
+                and not any(nv.vanishes_at(point) for nv in self.nonvanish))
 
 
 class CellEntry:
@@ -94,8 +94,8 @@ def in_radical(p: AScalar, egens) -> bool:
     ext = [pad(g, m, 1) for g in egens]
     # 1 - t*p with t the appended variable
     one_tp = AScalar.one(m + 1) + pad(p, m, 1).mul_monomial((0,) * m + (1,), -1)
-    basis = buchberger(ext + [one_tp], lex(m + 1))
-    return any(g.is_constant() for g in basis.generators)
+    # under lex a generator is a nonzero constant iff its lead is the origin
+    return any(not any(e) for e in buchberger(ext + [one_tp], lex(m + 1)).leads)
 
 
 def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
@@ -182,7 +182,7 @@ def _offending_factor(basis, point, ctx, radical):
     for g in basis.gens:
         for c in g.terms.values():
             for sf in squarefree_factors(c.num):
-                if sf not in cands and sf.evaluate(point) == 0 \
+                if sf not in cands and sf.vanishes_at(point) \
                         and not radical(sf, ctx.qbasis):
                     cands[sf] = None
     return min(cands, key=factor_order, default=None)

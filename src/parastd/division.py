@@ -207,7 +207,8 @@ def divide_keyed(iterate: dict, keyed: list, cones: list, order: MonomialOrder,
 
 def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
                    remainder_only=False):
-    # terms are keyed by order key, not exponent (module docstring)
+    # terms are keyed by order key, not exponent (module docstring); remainder_only
+    # builds no quotients in full division and cuts below the corner in series
     iterate = dict(keyed_terms(f, order))
     exact = True
     if mode == SERIES:
@@ -218,8 +219,9 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
         iterate = kept
     # polynomials are immutable, so every empty quotient shares one zero
     zero = f.with_terms({})
+    no_quotients = remainder_only and mode == FULL
     if not iterate:  # nothing to divide: the divisors are not read
-        return DivisionResult([zero] * len(divisors), zero, exact)
+        return DivisionResult([] if no_quotients else [zero] * len(divisors), zero, exact)
     keyed = []
     for g in divisors:
         if g.is_zero():
@@ -227,16 +229,17 @@ def _division_loop(f, divisors, order, mode, max_degree=None, guard=None,
         keyed.append(keyed_terms(g, order))
     cones = [order.cone(kg[0][0]) for kg in keyed]
     floor = None
-    if remainder_only:
-        # series mode only: terms below the highest corner never reach the
-        # remainder (module docstring); with no corner, nothing does
+    if remainder_only and mode == SERIES:
+        # terms below the highest corner never reach the remainder (module
+        # docstring); with no corner, nothing does
         floor = highest_corner(cones, order, max_degree)
         kept = {} if floor is None else {k: c for k, c in iterate.items() if k >= floor}
         exact &= len(kept) == len(iterate)
         iterate = kept
     quotients, remainder, loop_exact, steps, lam = divide_keyed(
         iterate, keyed, cones, order, mode, max_degree, floor, guard)
-    return DivisionResult([quotient_poly(f, order, quotients[j]) if j in quotients else zero
+    return DivisionResult([] if no_quotients else
+                          [quotient_poly(f, order, quotients[j]) if j in quotients else zero
                            for j in range(len(keyed))],
                           with_keyed_terms(f, order, remainder),
                           exact and loop_exact, steps, lam)
@@ -255,7 +258,7 @@ def full_division_terminates(f, G, order: MonomialOrder) -> bool:
                                 and all(g.is_homogeneous() for g in G))
 
 
-def divide(f, G, order: MonomialOrder) -> DivisionResult:
+def divide(f, G, order: MonomialOrder, *, remainder_only: bool = False) -> DivisionResult:
     """Full division of f by the list G: unique quotients and remainder.
 
     A nonzero f needs a global order, or homogeneous data (any order);
@@ -263,13 +266,14 @@ def divide(f, G, order: MonomialOrder) -> DivisionResult:
     identity multiplier*f = sum(q_j g_j) + R (multiplier 1 unless f and G
     have int coefficients, see the module docstring), the support
     conditions on quotients and remainder, and the max property on leading
-    exponents.
+    exponents. With remainder_only the loop is the same, but no quotient
+    is built: the result's quotients are [].
     """
     if not f.is_zero() and not full_division_terminates(f, G, order):
         raise NonTerminatingOrder(
             "full division needs a well order or homogeneous data; "
             "use divide_truncated or divide_series")
-    return _division_loop(f, list(G), order, FULL)
+    return _division_loop(f, list(G), order, FULL, remainder_only=remainder_only)
 
 
 def divide_truncated(f, G, order: MonomialOrder) -> DivisionResult:

@@ -55,10 +55,12 @@ class PrimeContext:
 
     Primality is asserted by the caller, not verified; every mod-Q test
     only needs zero normal forms plus the domain property of the quotient.
+    `contains` keeps its answers for the life of the context.
     """
 
     def __init__(self, qbasis: tuple[AScalar, ...], m: int):
         self.qbasis, self.m = qbasis, m
+        self._known: dict = {}  # s -> whether s lies in Q
 
     @classmethod
     def from_generators(cls, qgens, m) -> "PrimeContext":
@@ -72,7 +74,10 @@ class PrimeContext:
         return cls((), m)
 
     def contains(self, s: AScalar) -> bool:
-        return normal_form_param(s, list(self.qbasis)).is_zero()
+        known = self._known.get(s)
+        if known is None:
+            known = self._known[s] = normal_form_param(s, list(self.qbasis)).is_zero()
+        return known
 
 
 def coeff_in_q(s: ParamScalar, ctx: PrimeContext) -> bool:
@@ -346,8 +351,8 @@ class SampleCheck:
 
 def _leading_exponent_at(g: ParamPoly, order: MonomialOrder, point) -> Exponent | None:
     """Leading exponent of g specialized at point, None when it vanishes there."""
-    return next((order.exponent(k) for k, c in keyed_terms(g, order) if c.evaluate(point)),
-                None)
+    return next((order.exponent(k) for k, c in keyed_terms(g, order)
+                 if not c.vanishes_at(point)), None)
 
 
 def verify_specialization(B: GenericBasis, samples) -> list[SampleCheck]:
@@ -362,9 +367,9 @@ def verify_specialization(B: GenericBasis, samples) -> list[SampleCheck]:
     checks = []
     for point in samples:
         for q in B.ctx.qbasis:
-            if q.evaluate(point) != 0:
+            if not q.vanishes_at(point):
                 raise SampleOffVariety(f"point {point} is not on V(Q)")
-        if any(fac.evaluate(point) == 0 for fac, _ in B.h_factors):
+        if any(fac.vanishes_at(point) for fac, _ in B.h_factors):
             raise SampleOnExcludedLocus(f"point {point} lies on V(h)")
         got = plain_staircase([f.specialize(point) for f in B.inputs], B.order)
         lost = any(_leading_exponent_at(g, B.order, point) != e

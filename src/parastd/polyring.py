@@ -13,7 +13,7 @@ the subclass's `with_terms`; `_chk` refuses operands whose `ring` differs.
   homogenize/dehomogenize and evaluation. Evaluation runs in integers:
   terms are summed over one common denominator from the numerators and
   denominators of the coefficients and coordinates, and only the sum
-  becomes a Fraction.
+  becomes a Fraction; a zero test at a point reads the sum's numerator.
 * ParamPoly: the core over ParamScalar coefficients, ring value (n, m):
   polynomials in n main variables over Frac(Q[a1..am]). It adds
   specialization at a parameter point (an AScalar in the n main variables,
@@ -32,10 +32,10 @@ by `orders.with_keyed_terms`), and `leading` reads the first of them
 
 Exact division and the gcd of the square-free split run the `division`
 loop under lex; it reads only `keyed_terms`, `is_zero` and `with_terms`.
-Where one term settles the answer, they read it off the exponents
-instead: exact division by a one-term divisor (so `divide_out` of a
-monomial too), or of a one-term dividend by a longer one, and a gcd with
-a one-term side.
+Where the exponents settle the answer, they read it off them instead:
+exact division by a one-term divisor (so `divide_out` of a monomial too),
+refused on lex heads, tails and degrees, or at equal total degree a test
+of proportionality (`exact_div`), and a gcd with a one-term side.
 `embed_params_as_vars`, `split_params` and `pad` move between the rings.
 
 Rendering sorts each AScalar's terms once, descending, which is lex order;
@@ -82,25 +82,25 @@ class _Sparse:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other):
+    def __add__(self, other, _sub=False):
         self._chk(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             if e in out:
-                v = out[e] + c
+                v = out[e] - c if _sub else out[e] + c
                 if v:
                     out[e] = v
                 else:
                     del out[e]
             else:
-                out[e] = c
+                out[e] = -c if _sub else c
         return self.with_terms(out)
 
     def __neg__(self):
         return self.with_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __mul__(self, other):
         self._chk(other)
@@ -239,6 +239,14 @@ class AScalar(_Sparse):
         coefficient and the coordinates; the terms are summed over one
         common denominator and only the sum becomes a Fraction.
         """
+        return Fraction(*self._sum_at(point))
+
+    def vanishes_at(self, point) -> bool:
+        """Whether the value at point is 0: `evaluate`'s sum has numerator 0."""
+        return not self._sum_at(point)[0]
+
+    def _sum_at(self, point) -> tuple[int, int]:
+        """(num, den), ints with den > 0, whose quotient is the value at point."""
         num, den = 0, 1
         for e, c in self.terms.items():
             tn, td = c.numerator, c.denominator
@@ -250,7 +258,7 @@ class AScalar(_Sparse):
                 num += tn
             else:
                 num, den = num * td + tn * den, den * td
-        return Fraction(num, den)
+        return num, den
 
     def content(self) -> Fraction:
         """Positive rational content, sign taken from the lex leading term,
@@ -263,17 +271,22 @@ class AScalar(_Sparse):
         return -cont if self.terms[max(self.terms)] < 0 else cont
 
     def primitive(self) -> "AScalar":
-        """Divide out the content; leading lex coefficient becomes positive."""
-        return self.scale(1 / self.content())
+        """Divide out the content (self if it is 1); the lex lead becomes positive."""
+        c = self.content()
+        return self if c == 1 else self.scale(1 / c)
 
     def exact_div(self, other: "AScalar") -> "AScalar | None":
         """Exact quotient self/other in Q[a], or None when not divisible.
 
         A one-term other c*a^d divides when d divides every term, and the
-        quotient is read off the exponents. A one-term self is no multiple
-        of a longer other, whose multiples keep distinct lex lead and trail
-        terms. Otherwise lex division stops where the leading exponent first
-        escapes other's cone; other divides self when nothing is left there.
+        quotient is read off the exponents. A longer other is refused before
+        any division when self is one term, or when other's lex head or lex
+        tail (largest, smallest exponent tuple) does not divide self's, or
+        some variable's degree is larger in other: in a product these add
+        up. At equal total degrees the quotient is the ratio c of the lex
+        head coefficients, if self == c*other. Otherwise lex division stops
+        where the leading exponent first escapes other's cone; other
+        divides self when nothing is left there.
         """
         self._chk(other)
         if len(other.terms) == 1:
@@ -283,6 +296,15 @@ class AScalar(_Sparse):
             return self.div_monomial(d).scale(1 / c)
         if len(self.terms) == 1 or other.is_zero():
             return None
+        if not self.terms:
+            return self
+        hs, ho = max(self.terms), max(other.terms)
+        if not (exp_divides(ho, hs) and exp_divides(min(other.terms), min(self.terms))
+                and exp_divides(tuple(map(max, *other.terms)), tuple(map(max, *self.terms)))):
+            return None
+        if self.total_degree() == other.total_degree():
+            c = self.terms[hs] / other.terms[ho]
+            return AScalar.const(c, self.m) if other.scale(c) == self else None
         res = divide_truncated(self, [other], lex(self.m))
         return None if res.remainder.terms else res.quotients[0]
 
@@ -539,6 +561,12 @@ class ParamScalar:
         if d == 0:
             raise DenominatorVanishes(f"denominator vanishes at {point}")
         return self.num.evaluate(point) / d
+
+    def vanishes_at(self, point) -> bool:
+        """Whether the value at point is 0; raises where `evaluate` does."""
+        if not self.den.is_constant() and self.den.vanishes_at(point):
+            raise DenominatorVanishes(f"denominator vanishes at {point}")
+        return self.num.vanishes_at(point)
 
 
 def _normalize_fraction(num: AScalar, den: AScalar):

@@ -39,7 +39,7 @@ def random_point(m: int, rng: Random) -> tuple[Fraction, ...]:
 
 
 def _admissible(point, avoid) -> bool:
-    return all(a.evaluate(point) != 0 for a in avoid)
+    return not any(a.vanishes_at(point) for a in avoid)
 
 
 def variety_points(basis, m: int, rng: Random, count: int, avoid=()):
@@ -53,7 +53,7 @@ def variety_points(basis, m: int, rng: Random, count: int, avoid=()):
     found: list[tuple[Fraction, ...]] = []
 
     def push(p):
-        if p not in found and all(c.evaluate(p) == 0 for c in basis) \
+        if p not in found and all(c.vanishes_at(p) for c in basis) \
                 and _admissible(p, avoid):
             found.append(p)
 

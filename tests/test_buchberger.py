@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from parastd import buchberger as engine
+from parastd import buchberger as engine, division
 from parastd.cli import main
+from parastd.comprehensive import in_radical
+from parastd.genstd import plain_staircase
 from parastd.errors import NonTerminatingOrder
 from parastd.orders import combined_order, exp_divides, grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, embed_params_as_vars
@@ -312,6 +314,29 @@ def test_parameter_groebner_against_sympy(F):
     assert all(g.terms[max(g.terms)] == 1 for g in ours)
 
 
+def run_cli(tmp_path, command, problem):
+    """One quiet CLI run on problems/<problem>.psb, or on the bench text."""
+    path = PROBLEMS / f"{problem}.psb"
+    if not path.exists():
+        path = tmp_path / f"{problem}.psb"
+        path.write_text(bench_text(problem), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main([command, str(path)]) == 0
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name from here on; returns the counter."""
+    counts = {name: 0}
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 def engine_work(monkeypatch, tmp_path, command, problem):
     """Counts of the engine's work in one CLI run: S-functions formed,
     reductions, zero remainders and division steps, read off the engine's
@@ -331,12 +356,7 @@ def engine_work(monkeypatch, tmp_path, command, problem):
 
     monkeypatch.setattr(engine, "s_function_keyed", s_function_counted)
     monkeypatch.setattr(engine, "divide_keyed", divide_counted)
-    path = PROBLEMS / f"{problem}.psb"
-    if not path.exists():
-        path = tmp_path / f"{problem}.psb"
-        path.write_text(bench_text(problem), encoding="utf-8")
-    with redirect_stdout(io.StringIO()):
-        assert main([command, str(path)]) == 0
+    run_cli(tmp_path, command, problem)
     return counts
 
 
@@ -367,3 +387,37 @@ ENGINE_WORK = {
 def test_engine_work_on_the_benchmark_ops(command, problem, monkeypatch, tmp_path):
     counts = engine_work(monkeypatch, tmp_path, command, problem)
     assert tuple(counts.values()) == ENGINE_WORK[command, problem]
+
+
+# Values no caller reads are not built: with every input image zero the
+# engine tracks no image, a caller that reads only the leads builds no
+# ring element, and a normal form builds no quotient.
+
+
+def test_zero_images_are_not_tracked(monkeypatch, tmp_path):
+    combined = count_calls(monkeypatch, engine, "s_combination")
+    quotients = count_calls(monkeypatch, engine, "quotient_poly")
+    run_cli(tmp_path, "gsb", "katsura4_a")
+    assert (combined["s_combination"], quotients["quotient_poly"]) == (0, 0)
+
+
+def test_readers_of_the_leads_build_no_generator(monkeypatch):
+    built = count_calls(monkeypatch, engine, "with_keyed_terms")
+    F = [QP("x1^2 - x2"), QP("x1*x2 - 1")]
+    assert plain_staircase(F, GREVLEX2).generators == ((0, 2), (1, 1), (2, 0))
+    a = AScalar.var(0, 1)
+    # a is not in <a^2>, so the Rabinowitsch run decides both
+    assert in_radical(a, [a * a])
+    assert not in_radical(a + AScalar.one(1), [a * a])
+    assert built["with_keyed_terms"] == 0
+
+
+def test_normal_form_param_builds_no_quotient(monkeypatch):
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    basis = parameter_groebner([a * a - b, a * b - AScalar.one(2)])
+    s = a * a * a + a * b + b
+    want = divide(s, basis, lex(2))
+    assert any(not q.is_zero() for q in want.quotients) and not want.remainder.is_zero()
+    quotients = count_calls(monkeypatch, division, "quotient_poly")
+    assert normal_form_param(s, basis) == want.remainder
+    assert quotients["quotient_poly"] == 0

@@ -570,6 +570,20 @@ def test_key_space_loop_matches_the_exponent_space_loop(seed, mode_name, order_n
     assert (got.cofactor_ok, got.steps) == want[2:]
 
 
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(["AScalar", "ParamPoly"]),
+       st.sampled_from(sorted(LOOP_ORDERS)))
+def test_divide_remainder_only_builds_no_quotients(seed, ring, order_name):
+    order = LOOP_ORDERS[order_name]
+    # full division terminates under a non-global order on homogeneous data
+    f, G = _loop_case(seed, ring, not is_global(order))
+    full = divide(f, G, order)
+    fast = divide(f, G, order, remainder_only=True)
+    assert fast.quotients == []
+    _assert_same_terms(fast.remainder, full.remainder)
+    assert (fast.steps, fast.multiplier, fast.cofactor_ok) == (
+        full.steps, full.multiplier, full.cofactor_ok)
+
+
 # ---------------------------------------------------------------------------
 # the integer step: int coefficients against the same data over Fraction
 

@@ -494,6 +494,26 @@ def test_plain_staircase_of_zero_polynomials():
         assert plain_staircase(F, order) == Staircase(2, ())
 
 
+def test_prime_context_answers_each_question_once(monkeypatch):
+    calls = []
+    real = genstd.normal_form_param
+
+    def counted(s, basis):
+        calls.append(s)
+        return real(s, basis)
+
+    monkeypatch.setattr(genstd, "normal_form_param", counted)
+    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
+    ctx = PrimeContext.from_generators([a * a - b], 2)
+    for _ in range(2):
+        assert ctx.contains(a * a * b - b * b)
+        assert not ctx.contains(a * b)
+    assert calls == [a * a * b - b * b, a * b]
+    # the answers live in the context: a new one asks again
+    assert not PrimeContext.from_generators([a * a - b], 2).contains(a * b)
+    assert len(calls) == 3
+
+
 def test_point_prime_context(intro):
     # Q = <a - 2>: a rational point of the parameter line
     two = AScalar.const(2, 1)

@@ -11,7 +11,8 @@ from hypothesis import example, given, strategies as st
 from parastd.errors import (DenominatorInQ, DenominatorVanishes, DimensionMismatch,
                             ParastdError, ZeroPolynomialError)
 from parastd import polyring
-from parastd.orders import MonomialOrder, grevlex, keyed_terms, lex, matrix_order, neg_grevlex
+from parastd.orders import (MonomialOrder, exp_add, grevlex, keyed_terms, lex, matrix_order,
+                            neg_grevlex)
 from parastd.polyring import (
     AScalar,
     ParamPoly,
@@ -431,8 +432,23 @@ def test_evaluate_matches_sympy(args):
 
 
 @given(st.integers(1, 3).flatmap(lambda m: st.tuples(
-    ascalars(m), ascalars(m, min_terms=1).filter(lambda d: not d.is_zero()),
+    st.one_of(ascalars(m), _COEFF.map(lambda c: AScalar.const(c, m))),
     st.tuples(*[_ENTRY] * m), st.booleans())))
+def test_vanishes_at_matches_evaluate_and_sympy(args):
+    # zero and constant polynomials, int and Fraction coordinates, 0 among them
+    s, point, vanish = args
+    if vanish:  # a factor a0 - point[0] makes s vanish there
+        s = s * (AScalar.var(0, s.m) - AScalar.const(point[0], s.m))
+    assert s.vanishes_at(point) == (s.evaluate(point) == 0)
+    assert s.vanishes_at(point) == (_sympy_value(s, point) == 0)
+
+
+_OVER_A_DENOMINATOR_AT_A_POINT = st.integers(1, 3).flatmap(lambda m: st.tuples(
+    ascalars(m), ascalars(m, min_terms=1).filter(lambda d: not d.is_zero()),
+    st.tuples(*[_ENTRY] * m), st.booleans()))
+
+
+@given(_OVER_A_DENOMINATOR_AT_A_POINT)
 def test_param_scalar_evaluate_divides_or_raises(args):
     num, den, point, vanish = args
     if vanish:  # a factor a0 - point[0] makes the denominator vanish there
@@ -444,6 +460,19 @@ def test_param_scalar_evaluate_divides_or_raises(args):
             c.evaluate(point)
     else:
         assert c.evaluate(point) == _sympy_value(c.num, point) / d
+
+
+@given(_OVER_A_DENOMINATOR_AT_A_POINT)
+def test_param_scalar_vanishes_at_raises_where_evaluate_does(args):
+    num, den, point, vanish = args
+    if vanish:
+        den = den * (AScalar.var(0, den.m) - AScalar.const(point[0], den.m))
+    c = ParamScalar(num, den)
+    if _sympy_value(c.den, point) == 0:
+        with pytest.raises(DenominatorVanishes):
+            c.vanishes_at(point)
+    else:
+        assert c.vanishes_at(point) == (_sympy_value(c.num, point) == 0)
 
 
 # A constant ParamScalar denominator is exactly AScalar.one(m) (the class
@@ -529,14 +558,40 @@ def _operand(m, one_term):
     return ascalars(m, min_terms=1, max_terms=1 if one_term else 3)
 
 
-@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
-    st.booleans().flatmap(lambda one: _operand(m, one)),
-    st.booleans().flatmap(lambda one: _operand(m, one)).filter(lambda q: not q.is_zero()),
-    st.booleans())))
+def _free_pair(m):
+    """p and a nonzero q, each of one or up to three terms; p times q or not."""
+    return st.tuples(
+        st.booleans().flatmap(lambda one: _operand(m, one)),
+        st.booleans().flatmap(lambda one: _operand(m, one)).filter(lambda q: not q.is_zero()),
+        st.booleans()).map(lambda pqm: (pqm[0] * pqm[1] if pqm[2] else pqm[0], pqm[1]))
+
+
+@st.composite
+def _equal_degree_pair(draw, m):
+    """q of two or more terms and p = c*q, proportional, or c*q with one
+    coefficient moved, which mostly keeps the heads, tails and degrees."""
+    q = draw(ascalars(m, min_terms=2).filter(lambda q: len(q.terms) > 1))
+    p = q.scale(draw(_COEFF.filter(bool)))
+    if draw(st.booleans()):
+        p = p + AScalar({draw(st.sampled_from(sorted(q.terms))): draw(_COEFF)}, m)
+    return p, q
+
+
+@st.composite
+def _head_and_tail_pair(draw, m):
+    """q of three or more terms and p = u*(c*head + d*tail) for a monomial u:
+    q's lex head and tail divide p's, and a middle term of q may be of
+    larger degree in some variable than p."""
+    q = draw(ascalars(m, min_terms=3).filter(lambda q: len(q.terms) > 2))
+    u = draw(st.tuples(*[st.integers(0, 2)] * m))
+    c, d = draw(_COEFF.filter(bool)), draw(_COEFF.filter(bool))
+    return AScalar({exp_add(u, max(q.terms)): c, exp_add(u, min(q.terms)): d}, m), q
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.one_of(
+    _free_pair(m), _equal_degree_pair(m), _head_and_tail_pair(m))))
 def test_exact_div_matches_sympy_div(args):
-    p, q, multiple = args
-    if multiple:
-        p = p * q
+    p, q = args
     sympy = pytest.importorskip("sympy")
     (pe, syms), (qe, _) = _sympy_expr(p), _sympy_expr(q)
     quo, rem = sympy.div(sympy.Poly(pe, *syms, domain="QQ"),

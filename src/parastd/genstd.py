@@ -55,7 +55,8 @@ class PrimeContext:
 
     Primality is asserted by the caller, not verified; every mod-Q test
     only needs zero normal forms plus the domain property of the quotient.
-    `contains` keeps its answers for the life of the context.
+    `contains` keeps its answers for the life of the context; under Q = 0
+    (an empty basis) it answers by the zero test and keeps nothing.
     """
 
     def __init__(self, qbasis: tuple[AScalar, ...], m: int):
@@ -74,6 +75,8 @@ class PrimeContext:
         return cls((), m)
 
     def contains(self, s: AScalar) -> bool:
+        if not self.qbasis:
+            return s.is_zero()
         known = self._known.get(s)
         if known is None:
             known = self._known[s] = normal_form_param(s, list(self.qbasis)).is_zero()
@@ -96,9 +99,10 @@ def coeff_in_q(s: ParamScalar, ctx: PrimeContext) -> bool:
 
 
 def drop_q_terms(f: ParamPoly, ctx: PrimeContext) -> ParamPoly:
-    """Part of f whose coefficient numerators do not reduce to zero mod Q."""
+    """Part of f whose coefficient numerators do not reduce to zero mod Q;
+    f itself, with its cached keyed terms, when no term drops."""
     kept = {e: c for e, c in f.terms.items() if not coeff_in_q(c, ctx)}
-    return ParamPoly(kept, f.n, f.m, _prune=False)
+    return f if len(kept) == len(f.terms) else ParamPoly(kept, f.n, f.m, _prune=False)
 
 
 def divide_mod_q(f: ParamPoly, G, order: MonomialOrder, ctx: PrimeContext,

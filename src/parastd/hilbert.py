@@ -19,7 +19,7 @@ from math import comb, factorial, inf
 
 from .errors import ProblemSyntaxError
 from .orders import MonomialOrder, Staircase, exp_lcm, is_degree_compatible_local
-from .polyring import render_fraction, render_terms
+from .polyring import add_term, monomial_text, render_fraction
 from .comprehensive import MAX_DEPTH, Cell, ComprehensiveResult, comprehensive_basis
 
 
@@ -65,13 +65,15 @@ class HilbertData:
         self.stabilization_index = stabilization_index
 
     def polynomial_text(self) -> str:
-        def mag(c):
-            text = render_fraction(abs(c))
-            return f"({text})" if "/" in text else text
-
-        return render_terms(((c < 0, mag(c), (k,))
-                             for k, c in reversed(list(enumerate(self.coefficients)))
-                             if c), ("r",))
+        """The polynomial in r, terms by falling degree; a fractional
+        coefficient is parenthesized, (1/2)*r^2."""
+        parts: list = []
+        for k, c in reversed(list(enumerate(self.coefficients))):
+            if c:
+                text = render_fraction(abs(c))
+                add_term(parts, c < 0, f"({text})" if "/" in text else text,
+                         monomial_text((k,), ("r",)))
+        return "".join(parts) or "0"
 
     @property
     def milnor(self):

@@ -38,9 +38,15 @@ refused on lex heads, tails and degrees, or at equal total degree a test
 of proportionality (`exact_div`), and a gcd with a one-term side.
 `embed_params_as_vars`, `split_params` and `pad` move between the rings.
 
-Rendering sorts each AScalar's terms once, descending, which is lex order;
-a ParamScalar takes its sign from the first of its numerator's sorted
-terms, the lex leading one, and prints the numerator times that sign.
+Rendering is one pass over the terms for render_poly, render_ascalar and
+render_scalar alike. Each term appends its sign and body to one list of
+parts (`add_term`), joined once at the end; a Fraction's magnitude is read
+off its numerator and denominator, and each monomial's text is built once
+per call (a ParamPoly's coefficients share one table of parameter
+monomials). An AScalar's terms are sorted once, descending, which is lex
+order; a ParamScalar takes its sign from the first of its numerator's
+sorted terms, the lex leading one, and prints the numerator times that
+sign.
 """
 
 from __future__ import annotations
@@ -186,7 +192,7 @@ class AScalar(_Sparse):
         return AScalar(terms, self.m, _prune=False)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
@@ -225,11 +231,14 @@ class AScalar(_Sparse):
         out: dict = {}
         for e, c in self.terms.items():
             e2 = e[:dims] + e[dims + 1:]
-            v = out.get(e2, 0) + c
+            if e2 not in out:
+                out[e2] = c  # kept as it is: the terms are never mutated
+                continue
+            v = out[e2] + c
             if v:
                 out[e2] = v
             else:
-                out.pop(e2, None)
+                del out[e2]
         return AScalar(out, self.m - 1, _prune=False)
 
     def evaluate(self, point) -> Fraction:
@@ -691,43 +700,54 @@ def pad(s: AScalar, at: int, width: int) -> AScalar:
 def render_fraction(q: Fraction) -> str:
     """q as text, p or p/q; a part longer than the interpreter prints
     (sys.get_int_max_str_digits) raises ParastdError with its digit count."""
+    return _ratio(q.numerator, q.denominator)
+
+
+def _ratio(n: int, d: int) -> str:
+    """The fraction n/d (d > 0, in lowest terms) as text, as render_fraction."""
     try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        big = max(abs(q.numerator), q.denominator)
+        big = max(abs(n), d)
         digits = int(big.bit_length() * log10(2))  # the digit count or one less
         digits += 10 ** digits <= big
         raise ParastdError(f"a coefficient has {digits} digits, more than the "
                            f"{sys.get_int_max_str_digits()} that can be printed") from None
 
 
-def render_terms(terms, names) -> str:
-    """Sign-joined text of (negative, magnitude text, exponent) terms.
-
-    Each body is the magnitude times the monomial in `names`; a magnitude
-    of "1" is left out before a monomial. No terms render as "0".
-    """
-    out = ""
-    for negative, mag, e in terms:
-        mono = "*".join(f"{names[i]}^{k}" if k > 1 else names[i]
-                        for i, k in enumerate(e) if k)
-        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
-        if out:
-            out += f" {'-' if negative else '+'} {body}"
-        else:
-            out = ("-" if negative else "") + body
-    return out or "0"
+def monomial_text(e: Exponent, names) -> str:
+    """The monomial with exponent e in `names`, "" for the exponent 0."""
+    return "*".join([f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k])
 
 
-def _render_sorted(items, names, negate=False) -> str:
-    """Text of the (exponent, coefficient) pairs `items`, sorted descending;
-    with negate, of their negation."""
-    return render_terms((((c.numerator < 0) != negate, render_fraction(abs(c)), e)
-                         for e, c in items), names)
+def add_term(parts: list, negative: bool, mag: str, mono: str) -> None:
+    """Append the term sign*mag*mono to the sum text `parts`, whose join is
+    the sum; a magnitude of "1" is left out before a monomial."""
+    if parts:
+        parts.append(" - " if negative else " + ")
+    elif negative:
+        parts.append("-")
+    parts.append(mag if not mono else mono if mag == "1" else f"{mag}*{mono}")
+
+
+def _sum_text(items, names, monos: dict, negate=False) -> str:
+    """Text of the (exponent, Fraction) pairs `items`, in their order; with
+    negate, of their negation. Magnitudes are read off each coefficient's
+    numerator and denominator; `monos` holds this call's monomial texts by
+    exponent. No items render as "0"."""
+    parts: list = []
+    for e, c in items:
+        n = c.numerator
+        mono = monos.get(e)
+        if mono is None:
+            mono = monos[e] = monomial_text(e, names)
+        add_term(parts, (n < 0) != negate, _ratio(-n if n < 0 else n, c.denominator), mono)
+    return "".join(parts) or "0"
 
 
 def render_ascalar(s: AScalar, names) -> str:
-    return _render_sorted(sorted(s.terms.items(), reverse=True), names)
+    """Text of s, its terms sorted descending, which is lex order."""
+    return _sum_text(sorted(s.terms.items(), reverse=True), names, {})
 
 
 def _is_simple_product(s: AScalar) -> bool:
@@ -740,20 +760,21 @@ def _is_simple_product(s: AScalar) -> bool:
     return c > 0 and sum(map(bool, e)) <= 1
 
 
-def render_scalar(c: ParamScalar, names) -> tuple[int, str, bool]:
+def render_scalar(c: ParamScalar, names, monos: dict) -> tuple[int, str, bool]:
     """Return (sign, magnitude string, needs_parens_when_factor); the sign is
     the numerator's lex leading coefficient's, so a one-term numerator prints
-    as a simple product."""
+    as a simple product. `monos` holds monomial texts in `names` by exponent
+    for the calls that share it."""
     num, den = c.num, c.den
     items = sorted(num.terms.items(), reverse=True)
     negative = items[0][1].numerator < 0
     sign = -1 if negative else 1
-    ns = _render_sorted(items, names, negative)
+    ns = _sum_text(items, names, monos, negative)
     if den.is_constant():  # normalization makes a constant denominator 1
         return sign, ns, "/" in ns if num.is_constant() else len(items) > 1
     if len(items) > 1:
         ns = f"({ns})"
-    ds = render_ascalar(den, names)
+    ds = _sum_text(sorted(den.terms.items(), reverse=True), names, monos)
     if not _is_simple_product(den):
         ds = f"({ds})"
     return sign, f"{ns}/{ds}", True
@@ -761,9 +782,11 @@ def render_scalar(c: ParamScalar, names) -> tuple[int, str, bool]:
 
 def render_poly(f: ParamPoly, order: MonomialOrder, var_names, param_names) -> str:
     """Canonical text: terms sorted descending by the active order."""
-    def term(e):
-        sign, mag, parens = render_scalar(f.terms[e], param_names)
-        return sign < 0, f"({mag})" if parens and any(e) else mag, e
-
-    return render_terms(map(term, sorted(f.terms, key=order.key, reverse=True)),
-                        var_names)
+    parts: list = []
+    monos: dict = {}  # the coefficients' monomials in the parameters
+    terms = f.terms
+    for e in sorted(terms, key=order.key, reverse=True):
+        sign, mag, parens = render_scalar(terms[e], param_names, monos)
+        mono = monomial_text(e, var_names)
+        add_term(parts, sign < 0, f"({mag})" if parens and mono else mag, mono)
+    return "".join(parts) or "0"

@@ -14,10 +14,16 @@ factor)*; factor := atom ('^' natural)?; atom := identifier | integer |
 '(' expr ')'. Division is exact and only by x-free subexpressions, which
 is how fraction coefficients like (1/a) round-trip.
 
-Values live in the combined ring Q[x, a] (AScalars, the variables before
-the parameters) until a division by a nonconstant parameter expression:
-there the value, and every operand it meets from then on, is a ParamPoly
-over Frac(Q[a]) with ParamScalar arithmetic, whose fractions are not
+Evaluation costs one step per term where it can. A term whose factors
+are integers and names, each to a natural power, is a monomial: an int
+coefficient and an exponent list over the combined ring Q[x, a] (the
+variables before the parameters), a name's power added to its exponent.
+An expression's monomial terms sum into one dict, which becomes one
+AScalar with no ring arithmetic. From a parenthesized factor or a
+division on, a term is a ring element built operand by operand, and so is
+the sum from the first such term on: AScalars until a division by a
+nonconstant parameter expression, and from there on ParamPolys over
+Frac(Q[a]) with ParamScalar arithmetic, whose fractions are not
 gcd-reduced. Each parsed expression becomes a ParamPoly once, by
 `polyring.split_params`.
 """
@@ -52,20 +58,14 @@ class Problem:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col", "value")
-
-    def __init__(self, kind: str, text: str, line: int, col: int, value: int = 0):
-        self.kind = kind  # ident | int | sym
-        self.text, self.line, self.col = text, line, col
-        self.value = value  # an int token's value
-
+# a token is a tuple (kind, text, column, value): kind "int" (value the
+# integer), "ident" or "sym"; a line's tokens end in _END
+_END = ("end", "end of line", 0, 0)
 
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<ident>\w+)|(?P<sym>[-+*/^(),\[\]=])|\S")
 
 
-def _tokenize(text: str, line: int) -> list[_Tok]:
+def _tokenize(text: str, line: int) -> list[tuple]:
     """Split a line into tokens; any whitespace separates them. Integers
     are ASCII digits only: str.isdigit also takes superscripts and other
     scripts' digits, which int() refuses or reads silently. A word must
@@ -79,60 +79,70 @@ def _tokenize(text: str, line: int) -> list[_Tok]:
             except ValueError:  # past the interpreter's digit limit
                 raise ProblemSyntaxError(
                     f"integer literal of {len(word)} digits is too long", line, col) from None
-            toks.append(_Tok(kind, word, line, col, value))
+            toks.append((kind, word, col, value))
         elif kind == "sym" or (kind == "ident" and (word[0].isalpha() or word[0] == "_")):
-            toks.append(_Tok(kind, word, line, col))
+            toks.append((kind, word, col, 0))
         else:
             raise ProblemSyntaxError(f"unexpected character {word[0]!r}", line, col)
+    toks.append(_END)
     return toks
 
 
 class _Stream:
+    """The tokens of one line, read by index: toks[pos] is the next one.
+    A symbol is matched by its text alone, which no word or integer has."""
+
     def __init__(self, text: str, line: int):
         self.toks = _tokenize(text, line)
         self.pos = 0
         self.line = line
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def at_end(self) -> bool:
+        return self.toks[self.pos] is _END
 
-    def next(self):
-        t = self.peek()
-        if t is None:
+    def next(self) -> tuple:
+        t = self.toks[self.pos]
+        if t is _END:
             raise ProblemSyntaxError("unexpected end of expression", self.line, 0)
         self.pos += 1
         return t
 
-    def accept(self, text):
-        t = self.peek()
-        if t and t.kind == "sym" and t.text == text:
+    def accept(self, text) -> bool:
+        if self.toks[self.pos][1] == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text):
         if not self.accept(text):
-            t = self.peek() or _Tok("sym", "end of line", self.line, 0)
-            raise ProblemSyntaxError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
+            _, got, col, _ = self.toks[self.pos]
+            raise ProblemSyntaxError(f"expected {text!r}, got {got!r}", self.line, col)
 
     def end(self):
         """Refuse any token left over."""
-        t = self.peek()
-        if t is not None:
-            raise ProblemSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+        if not self.at_end():
+            _, got, col, _ = self.toks[self.pos]
+            raise ProblemSyntaxError(f"trailing input {got!r}", self.line, col)
 
 
 # ---------------------------------------------------------------------------
 # expression parser
 
+MAX_NESTING = 200  # parentheses inside one another; deeper is an input error
 
-class _ExprParser:
-    def __init__(self, stream: _Stream, params, vars):
-        self.s = stream
-        self.params = {name: i for i, name in enumerate(params)}
-        self.vars = {name: i for i, name in enumerate(vars)}
-        self.n = len(vars)
-        self.m = len(params)
+
+class _ExprParser(_Stream):
+    """Expressions of one line, in the combined ring Q[x, a] of `width`
+    coordinates (the variables, then the parameters)."""
+
+    def __init__(self, text: str, line: int, params, vars):
+        super().__init__(text, line)
+        self.n, self.m = len(vars), len(params)
+        self.width = self.n + self.m
+        # a name's coordinate; a variable wins over a parameter of its name
+        self.slots = {**{name: self.n + i for i, name in enumerate(params)},
+                      **{name: i for i, name in enumerate(vars)}}
+        self.depth = 0
 
     def _poly(self, v) -> ParamPoly:
         return v if type(v) is ParamPoly else split_params(v, self.n, self.m)
@@ -143,104 +153,168 @@ class _ExprParser:
             u, v = self._poly(u), self._poly(v)
         return op(u, v)
 
+    def _ring(self, coef: int, exps) -> AScalar:
+        """The monomial coef * x^exps as a ring element."""
+        return AScalar({tuple(exps): Fraction(coef)}, self.width)
+
+    def _sum_ring(self, acc: dict) -> AScalar:
+        """The sum of monomials {exponent: nonzero int} as a ring element."""
+        return AScalar({e: Fraction(c) for e, c in acc.items()}, self.width, _prune=False)
+
     def parse_top(self) -> ParamPoly:
-        """One expression; nesting too deep for the stack is an input error."""
+        """One expression; nesting deeper than MAX_NESTING, or too deep for
+        the stack, is an input error."""
         try:
-            return self._poly(self.parse_expr())
+            return self._poly(self.expr())
         except RecursionError:
-            raise ProblemSyntaxError("expression nested too deeply",
-                                     self.s.line, 0) from None
+            raise ProblemSyntaxError("expression nested too deeply", self.line, 0) from None
 
-    def parse_expr(self):
-        negate = self.s.accept("-")
-        acc = self.parse_term()
-        if negate:
-            acc = -acc
+    def expr(self):
+        """'-'? term (('+'|'-') term)*, as an AScalar or a ParamPoly.
+
+        While every term is a monomial, the terms sum into one dict of int
+        coefficients. From the first term that is a ring element on, the
+        sum so far becomes one and the rest is added by `_apply`.
+        """
+        toks = self.toks
+        sign = 1
+        if toks[self.pos][1] == "-":
+            self.pos += 1
+            sign = -1
+        acc: dict = {}  # exponent -> nonzero int coefficient
+        ring = None  # the sum as a ring element, once a term is one
         while True:
-            if self.s.accept("+"):
-                acc = self._apply(add, acc, self.parse_term())
-            elif self.s.accept("-"):
-                acc = self._apply(sub, acc, self.parse_term())
+            t = self.term()
+            if ring is None and type(t) is tuple:
+                c, e = t
+                v = acc.get(e, 0) + sign * c
+                if v:
+                    acc[e] = v
+                else:
+                    acc.pop(e, None)
+            else:
+                if type(t) is tuple:
+                    t = self._ring(*t)
+                if ring is None:
+                    ring = self._sum_ring(acc)
+                ring = self._apply(add if sign > 0 else sub, ring, t)
+            op = toks[self.pos][1]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
+            else:
+                return self._sum_ring(acc) if ring is None else ring
+            self.pos += 1
+
+    def term(self):
+        """factor (('*'|'/') factor)*: (int coefficient, exponent tuple) while
+        every factor is an integer or a name, to a power; from a
+        parenthesized factor or a division on, a ring element built by
+        `_apply` and `_divide`."""
+        toks = self.toks
+        if toks[self.pos][1] == "(":
+            acc = self.factor()
+        else:
+            coef, exps = 1, [0] * self.width
+            while True:
+                coef = self._monomial_factor(coef, exps)
+                op = toks[self.pos][1]
+                if op == "/" or op == "*" and toks[self.pos + 1][1] == "(":
+                    break
+                if op != "*":
+                    return coef, tuple(exps)
+                self.pos += 1
+            acc = self._ring(coef, exps)
+        while True:
+            op = toks[self.pos][1]
+            if op == "*":
+                self.pos += 1
+                acc = self._apply(mul, acc, self.factor())
+            elif op == "/":
+                self.pos += 1
+                col = toks[self.pos][2]
+                acc = self._divide(acc, self.factor(), col)
             else:
                 return acc
 
-    def parse_term(self):
-        acc = self.parse_factor()
-        while True:
-            if self.s.accept("*"):
-                acc = self._apply(mul, acc, self.parse_factor())
-            elif self.s.accept("/"):
-                tok = self.s.peek()
-                div = self.parse_factor()
-                acc = self._divide(acc, div, tok)
-            else:
-                return acc
-
-    def _divide(self, num, den, tok):
-        line = tok.line if tok else self.s.line
-        col = tok.col if tok else 0
+    def _divide(self, num, den, col):
         if den.is_zero():
-            raise ProblemSyntaxError("division by zero", line, col)
+            raise ProblemSyntaxError("division by zero", self.line, col)
         if type(num) is type(den) is AScalar and den.is_constant():
             return num.scale(1 / den.constant_value())
         num, den = self._poly(num), self._poly(den)
         if any(any(e) for e in den.terms):
             raise ProblemSyntaxError(
-                "division only by parameter/constant expressions", line, col)
+                "division only by parameter/constant expressions", self.line, col)
         scalar = den.terms[(0,) * self.n]
         return num.scale(ParamScalar.one(self.m) / scalar)
 
-    def parse_factor(self):
-        atom = self.parse_atom()
-        if self.s.accept("^"):
-            t = self.s.next()
-            if t.kind != "int":
-                raise ProblemSyntaxError("exponent must be a natural number",
-                                         t.line, t.col)
-            out = (ParamPoly.constant(1, self.n, self.m) if type(atom) is ParamPoly
-                   else AScalar.one(self.n + self.m))
-            k = t.value
-            while k:  # square and multiply
-                if k & 1:
-                    out = out * atom
-                k >>= 1
-                if k:
-                    atom = atom * atom
-            return out
-        return atom
+    def factor(self):
+        """One factor as a ring element; a parenthesized one to a power by
+        squaring and multiplying."""
+        if self.toks[self.pos][1] != "(":
+            exps = [0] * self.width
+            return self._ring(self._monomial_factor(1, exps), exps)
+        self.pos += 1
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ProblemSyntaxError("expression nested too deeply", self.line, 0)
+        atom = self.expr()
+        self.depth -= 1
+        self.expect(")")
+        if self.toks[self.pos][1] != "^":
+            return atom
+        out = (ParamPoly.constant(1, self.n, self.m) if type(atom) is ParamPoly
+               else AScalar.one(self.width))
+        k = self._exponent()
+        while k:  # square and multiply
+            if k & 1:
+                out = out * atom
+            k >>= 1
+            if k:
+                atom = atom * atom
+        return out
 
-    def parse_atom(self):
-        t = self.s.next()
-        if t.kind == "int":
-            return AScalar.const(t.value, self.n + self.m)
-        if t.kind == "ident":
-            if t.text in self.vars:
-                return AScalar.var(self.vars[t.text], self.n + self.m)
-            if t.text in self.params:
-                return AScalar.var(self.n + self.params[t.text], self.n + self.m)
-            raise UnknownIdentifier(f"unknown identifier {t.text!r}",
-                                    t.line, t.col)
-        if t.kind == "sym" and t.text == "(":
-            e = self.parse_expr()
-            self.s.expect(")")
-            return e
-        raise ProblemSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
+    def _monomial_factor(self, coef: int, exps: list) -> int:
+        """Read an integer or a name, to a power, into the monomial coef *
+        x^exps: a name's power adds to its exponent in place. Returns the
+        new coefficient."""
+        kind, text, col, value = self.next()
+        if kind == "ident":
+            slot = self.slots.get(text)
+            if slot is None:
+                raise UnknownIdentifier(f"unknown identifier {text!r}", self.line, col)
+        elif kind != "int":
+            raise ProblemSyntaxError(f"unexpected token {text!r}", self.line, col)
+        k = self._exponent() if self.toks[self.pos][1] == "^" else 1
+        if kind == "int":
+            return coef * value ** k
+        exps[slot] += k
+        return coef
+
+    def _exponent(self) -> int:
+        """The natural number after the '^' at the current token."""
+        self.pos += 1
+        kind, _, col, value = self.next()
+        if kind != "int":
+            raise ProblemSyntaxError("exponent must be a natural number", self.line, col)
+        return value
 
 
 def poly_from_string(text: str, params, vars, line: int = 1) -> ParamPoly:
-    stream = _Stream(text, line)
-    p = _ExprParser(stream, params, vars).parse_top()
-    stream.end()
+    parser = _ExprParser(text, line, params, vars)
+    p = parser.parse_top()
+    parser.end()
     return p
 
 
 def _parse_poly_list(text: str, params, vars, line: int) -> list[ParamPoly]:
-    stream = _Stream(text, line)
-    parser = _ExprParser(stream, params, vars)
+    parser = _ExprParser(text, line, params, vars)
     out = [parser.parse_top()]
-    while stream.accept(","):
+    while parser.accept(","):
         out.append(parser.parse_top())
-    stream.end()
+    parser.end()
     return out
 
 
@@ -253,24 +327,24 @@ def _comma_list(stream: _Stream, read, close: str | None = None) -> list:
     With close None the list runs to the end of the line, and may be empty
     or end in a comma."""
     items = []
-    while close or stream.peek() is not None:
+    while close or not stream.at_end():
         items.append(read())
         if not stream.accept(","):
             break
     if close:
         stream.expect(close)
-    elif stream.peek() is not None:
+    elif not stream.at_end():
         stream.expect(",")  # refuses the leftover token, naming the separator
     return items
 
 
-def _signed_int(stream: _Stream, message: str) -> tuple[int, _Tok]:
-    """An optionally negated integer, and the token of its digits."""
+def _signed_int(stream: _Stream, message: str) -> tuple[int, int]:
+    """An optionally negated integer, and the column of its digits."""
     neg = stream.accept("-")
-    t = stream.next()
-    if t.kind != "int":
-        raise ProblemSyntaxError(message, t.line, t.col)
-    return (-t.value if neg else t.value), t
+    kind, _, col, value = stream.next()
+    if kind != "int":
+        raise ProblemSyntaxError(message, stream.line, col)
+    return (-value if neg else value), col
 
 
 def _assignments(stream: _Stream, keys: tuple, what: str, read_value,
@@ -280,14 +354,14 @@ def _assignments(stream: _Stream, keys: tuple, what: str, read_value,
     out = {}
 
     def pair():
-        t = stream.next()
-        if t.kind != "ident" or t.text not in keys:
-            raise unknown(f"unknown {what} {t.text!r} (expected one of {keys})",
-                          t.line, t.col)
-        if t.text in out:
-            raise ProblemSyntaxError(f"duplicate {what} {t.text!r}", t.line, t.col)
+        kind, name, col, _ = stream.next()
+        if kind != "ident" or name not in keys:
+            raise unknown(f"unknown {what} {name!r} (expected one of {keys})",
+                          stream.line, col)
+        if name in out:
+            raise ProblemSyntaxError(f"duplicate {what} {name!r}", stream.line, col)
         stream.expect("=")
-        out[t.text] = read_value(t.text)
+        out[name] = read_value(name)
 
     _comma_list(stream, pair)
     return out
@@ -297,11 +371,10 @@ def _parse_names(text: str, line: int) -> tuple[str, ...]:
     stream = _Stream(text, line)
 
     def name():
-        t = stream.next()
-        if t.kind != "ident":
-            raise ProblemSyntaxError(f"expected a name, got {t.text!r}",
-                                     t.line, t.col)
-        return t.text
+        kind, text, col, _ = stream.next()
+        if kind != "ident":
+            raise ProblemSyntaxError(f"expected a name, got {text!r}", line, col)
+        return text
 
     return tuple(_comma_list(stream, name))
 
@@ -344,8 +417,8 @@ def _parse_options(text: str, line: int) -> dict:
     stream = _Stream(text, line)
 
     def value(key):
-        val, t = _signed_int(stream, "option values must be integers")
-        check_option(key, val, t.line, t.col)
+        val, col = _signed_int(stream, "option values must be integers")
+        check_option(key, val, line, col)
         return val
 
     return _assignments(stream, OPTION_KEYS, "option", value)
@@ -416,10 +489,10 @@ def parse_point(text: str, params, line: int = 1) -> tuple[Fraction, ...]:
     def value(_):
         val = Fraction(_signed_int(stream, "point values must be rationals")[0])
         if stream.accept("/"):
-            d = stream.next()
-            if d.kind != "int" or d.value == 0:
-                raise ProblemSyntaxError("bad rational value", d.line, d.col)
-            val /= d.value
+            kind, _, col, d = stream.next()
+            if kind != "int" or d == 0:
+                raise ProblemSyntaxError("bad rational value", line, col)
+            val /= d
         return val
 
     values = _assignments(stream, tuple(params), "parameter", value, UnknownIdentifier)

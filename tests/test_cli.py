@@ -18,7 +18,7 @@ from parastd.errors import (
 from parastd import orders
 from parastd.cli import main, run
 from parastd.genstd import PrimeContext, generic_basis
-from parastd.polyring import AScalar, ParamScalar, render_poly
+from parastd.polyring import AScalar, ParamScalar, _Sparse, render_poly
 from parastd.problems import Problem, parse_point, parse_problem, poly_from_string
 
 from conftest import INTRO_ORDER, P, bench_text, value_at
@@ -216,6 +216,89 @@ def test_error_columns_count_from_the_start_of_the_line(capsys, tmp_path, old, n
     assert (code, out, err) == (1, "", f"error[input]: {message}\n")
 
 
+def _intro_with(section, payload):
+    """INTRO_TEXT (lines 1-4) with one section's payload replaced; a new
+    section goes on line 5."""
+    sections = {"params": "a", "vars": "x1, x2", "order": "matrix [[-1,-1],[-1,0]]",
+                "ideal": "a*x2 - x1*x2 + x1", section: payload}
+    return "".join(f"{name}: {text}\n" for name, text in sections.items())
+
+
+DEEP = "(" * 250 + "x1" + ")" * 250
+
+# every raise in problems.py: where (a section, "text" for a whole problem
+# text, "point" for parse_point with params ("a",)), input, type, message,
+# line and column
+PARSER_ERRORS = [
+    ("ideal", "x1 + " + "7" * 5000, ProblemSyntaxError,
+     "integer literal of 5000 digits is too long", 4, 13),
+    ("ideal", "x1 $ x2", ProblemSyntaxError, "unexpected character '$'", 4, 11),
+    ("ideal", "x1 +", ProblemSyntaxError, "unexpected end of expression", 4, 0),
+    ("ideal", "x1^", ProblemSyntaxError, "unexpected end of expression", 4, 0),
+    ("options", "seed =", ProblemSyntaxError, "unexpected end of expression", 5, 0),
+    ("ideal", "(x1 + a", ProblemSyntaxError, "expected ')', got 'end of line'", 4, 0),
+    ("ideal", "(x1 + a x2", ProblemSyntaxError, "expected ')', got 'x2'", 4, 16),
+    ("options", "seed 3", ProblemSyntaxError, "expected '=', got '3'", 5, 15),
+    ("vars", "x1 x2", ProblemSyntaxError, "expected ',', got 'x2'", 2, 10),
+    ("order", "matrix 1", ProblemSyntaxError, "expected '[', got '1'", 3, 15),
+    ("ideal", "x1 x2", ProblemSyntaxError, "trailing input 'x2'", 4, 11),
+    ("ideal", DEEP, ProblemSyntaxError, "expression nested too deeply", 4, 0),
+    ("ideal", "x1/0", ProblemSyntaxError, "division by zero", 4, 11),
+    ("ideal", "x1/(a - a)", ProblemSyntaxError, "division by zero", 4, 11),
+    ("ideal", "a/(x1 + 1)", ProblemSyntaxError,
+     "division only by parameter/constant expressions", 4, 10),
+    ("ideal", "x1^a", ProblemSyntaxError, "exponent must be a natural number", 4, 11),
+    ("ideal", "x1*y", UnknownIdentifier, "unknown identifier 'y'", 4, 11),
+    ("ideal", "x1 + -x2", ProblemSyntaxError, "unexpected token '-'", 4, 13),
+    ("ideal", "x1 * -x2", ProblemSyntaxError, "unexpected token '-'", 4, 13),
+    ("ideal", "x1, )", ProblemSyntaxError, "unexpected token ')'", 4, 12),
+    ("order", "matrix [[1,x1]]", ProblemSyntaxError, "matrix entries must be integers", 3, 19),
+    ("options", "seed = x1", ProblemSyntaxError, "option values must be integers", 5, 17),
+    ("options", "wibble = 3", ProblemSyntaxError,
+     "unknown option 'wibble' (expected one of ('trunc_degree', 'max_depth', 'samples', "
+     "'seed'))", 5, 10),
+    ("options", "seed = 1, seed = 2", ProblemSyntaxError, "duplicate option 'seed'", 5, 20),
+    ("options", "seed = -1", ProblemSyntaxError, "seed must be nonnegative", 5, 18),
+    ("vars", "x1, 3", ProblemSyntaxError, "expected a name, got '3'", 2, 11),
+    ("order", "matrix [[1]]", ProblemSyntaxError, "matrix rows must have 2 entries", 3, 0),
+    ("order", "wibble", ProblemSyntaxError,
+     "unknown order 'wibble' (grevlex, lex, neg_grevlex or matrix [[..]])", 3, 0),
+    ("vars", "", ProblemSyntaxError, "'vars' must declare at least one variable", 2, 1),
+    ("vars", "a, x2", ProblemSyntaxError,
+     "parameter and variable names must be distinct (check ['a'])", 2, 1),
+    ("ideal", "", ProblemSyntaxError, "'ideal' section is empty", 4, 1),
+    ("Q", "a*x1", ProblemSyntaxError, "Q generators must not involve main variables", 5, 1),
+    ("Q", "1/a", ProblemSyntaxError, "Q generators must be polynomials in the parameters",
+     5, 1),
+    ("text", "params: a\nvars: x1\nfoo\n", ProblemSyntaxError,
+     "expected 'section: content'", 3, 1),
+    ("text", "junk: 1\n", ProblemSyntaxError, "unknown section 'junk'", 1, 1),
+    ("text", "vars: x1\nvars: x2\n", DuplicateSection, "duplicate section 'vars'", 2, 1),
+    ("text", "vars: x1\norder: lex\n", ProblemSyntaxError, "missing 'ideal' section", None,
+     None),
+    ("point", "a=x1", ProblemSyntaxError, "point values must be rationals", 1, 3),
+    ("point", "c=1", UnknownIdentifier, "unknown parameter 'c' (expected one of ('a',))",
+     1, 1),
+    ("point", "a=1,a=2", ProblemSyntaxError, "duplicate parameter 'a'", 1, 5),
+    ("point", "a=1/0", ProblemSyntaxError, "bad rational value", 1, 5),
+    ("point", "", ProblemSyntaxError, "point misses parameters ['a']", 1, 0),
+]
+
+
+@pytest.mark.parametrize("where, payload, kind, message, line, col", PARSER_ERRORS,
+                         ids=[f"{row[0]}-{row[3][:40]}" for row in PARSER_ERRORS])
+def test_every_parser_error_names_its_message_line_and_column(where, payload, kind, message,
+                                                              line, col):
+    with pytest.raises(ProblemSyntaxError) as exc:
+        if where == "point":
+            parse_point(payload, ("a",))
+        else:
+            parse_problem(payload if where == "text" else _intro_with(where, payload))
+    assert type(exc.value) is kind
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        message if line is None else f"{message} (line {line}, col {col})", line, col)
+
+
 E7_LOCAL_TEXT = bench_text("e7_local")
 
 
@@ -354,11 +437,15 @@ def _power(atom, top=4):
         lambda p: p[0] if p[1] is None else f"{p[0]}^{p[1]}")
 
 
-def _sum(term):
-    """'-'? term (('+'|'-') term)*"""
-    return st.tuples(st.booleans(), term, st.lists(st.tuples(st.sampled_from("+-"), term),
-                                                   max_size=2)).map(
-        lambda p: ("-" if p[0] else "") + p[1] + "".join(f" {op} {t}" for op, t in p[2]))
+def _sum(term, min_size=0, max_size=2):
+    """'-'? term (('+'|'-') term)*, with min_size to max_size terms after
+    the first; a term may be followed by its own negation, which cancels it."""
+    flip = {"+": "-", "-": "+"}
+    rest = st.lists(st.tuples(st.sampled_from("+-"), term, st.booleans()),
+                    min_size=min_size, max_size=max_size)
+    return st.tuples(st.booleans(), term, rest).map(
+        lambda p: ("-" if p[0] else "") + p[1] + "".join(
+            f" {op} {t}" + (f" {flip[op]} {t}" if cancel else "") for op, t, cancel in p[2]))
 
 
 def _parameter_sum(parts) -> str:
@@ -382,15 +469,31 @@ DIVISORS = st.one_of(
 )
 
 
-def _expressions(depth):
+def _terms(depth, divide=True):
+    """factor (('*'|'/') factor)*: integers (0 among them) and names, each to
+    a power, so names repeat (x*x^2) and integers take powers (2^3*x); to
+    depth, parenthesized expressions; with divide, divisors from DIVISORS."""
     atom = st.one_of(st.integers(0, 12).map(str),
                      st.sampled_from(ORACLE_VARS + ORACLE_PARAMS))
     if depth:
         atom = st.one_of(atom, _expressions(depth - 1).map(lambda t: f"({t})"))
     factor = _power(atom, 4 if not depth else 2)
-    step = st.one_of(factor.map(lambda t: "*" + t), DIVISORS.map(lambda t: "/" + t))
-    term = st.tuples(factor, st.lists(step, max_size=2)).map(lambda p: p[0] + "".join(p[1]))
-    return _sum(term)
+    step = factor.map(lambda t: "*" + t)
+    if divide:
+        step = st.one_of(step, DIVISORS.map(lambda t: "/" + t))
+    return st.tuples(factor, st.lists(step, max_size=3)).map(lambda p: p[0] + "".join(p[1]))
+
+
+def _expressions(depth):
+    return _sum(_terms(depth))
+
+
+# short nested expressions, and sums of 20 to 30 terms, mostly products of
+# integers and names
+ORACLE_TEXTS = st.one_of(
+    _expressions(2),
+    _sum(st.one_of(_terms(0, divide=False), _terms(0, divide=False), _terms(0), _terms(1)),
+         min_size=19, max_size=29))
 
 
 def _value(f, point):
@@ -409,8 +512,8 @@ def _value(f, point):
     return total
 
 
-@given(_expressions(2), st.lists(st.fractions(-4, 4, max_denominator=7), min_size=4,
-                                  max_size=4))
+@given(ORACLE_TEXTS, st.lists(st.fractions(-4, 4, max_denominator=7), min_size=4,
+                              max_size=4))
 def test_parser_agrees_with_sympy(text, point):
     sympy = pytest.importorskip("sympy")
     from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
@@ -420,6 +523,10 @@ def test_parser_agrees_with_sympy(text, point):
     symbols = {name: sympy.Symbol(name) for name in names}
     expr = parse_expr(text, local_dict=symbols,
                       transformations=standard_transformations + (convert_xor,))
+    # the same monomials in x, y, and no zero stored down to the numerators' terms
+    poly = sympy.Poly(expr, *(symbols[name] for name in ORACLE_VARS))
+    assert set(f.terms) == {e for e, c in poly.terms() if c != 0}, text
+    assert all(q for c in f.terms.values() for q in c.num.terms.values()), text
     want = expr.xreplace({symbols[name]: sympy.Rational(v.numerator, v.denominator)
                           for name, v in zip(names, point)})
     got = _value(f, point)
@@ -442,6 +549,20 @@ def test_parsing_builds_one_param_scalar_per_coefficient(monkeypatch):
     monkeypatch.setattr(ParamScalar, "__init__", counting)
     problem = parse_problem(KATSURA4_A)
     assert len(made) == sum(len(f.terms) for f in problem.ideal) == 18
+
+
+@pytest.mark.parametrize("text", [KATSURA4_A, (PROBLEMS / "katsura5_a.psb").read_text()],
+                         ids=["katsura4_a", "katsura5_a"])
+def test_parsing_sums_of_monomials_does_no_ring_arithmetic(monkeypatch, text):
+    # each expression's terms sum into one dict; no ring element is
+    # multiplied or added on the way
+    calls = []
+    for cls, name in ((AScalar, "__mul__"), (_Sparse, "__add__")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    parse_problem(text)
+    assert calls == []
 
 
 def test_rendering_a_basis_keys_no_coefficient(monkeypatch):

@@ -98,6 +98,29 @@ def test_divide_mod_q_intro_replay(intro):
     assert drop_q_terms(res.remainder, ctx).is_zero()
 
 
+def test_drop_q_terms_keeps_f_when_no_term_drops(intro):
+    # f itself, with the keyed terms it has cached, goes on to the division
+    for ctx in (CTX0, ctx_a()):
+        kept = P("-x1*x2 + x1")
+        assert drop_q_terms(kept, ctx) is kept
+    assert drop_q_terms(intro, CTX0) is intro
+    assert drop_q_terms(intro, ctx_a()) == P("-x1*x2 + x1")
+
+
+def test_an_empty_q_hashes_no_coefficient(intro, monkeypatch):
+    # under Q = 0 membership is the zero test: no memo, so no hash
+    hashed = []
+    real = AScalar.__hash__
+    monkeypatch.setattr(AScalar, "__hash__", lambda s: hashed.append(s) or real(s))
+    f = P("(a + 1)*x1^3 - x2^2 + a*x1*x2")
+    res = divide_mod_q(f, [intro], INTRO_ORDER, CTX0, trunc_degree=5)
+    assert coeff_in_q(ParamScalar(AScalar.zero(1)), CTX0)
+    assert not CTX0.contains(A)
+    assert hashed == []
+    assert res.remainder == divide_series(f, [intro], INTRO_ORDER, 5,
+                                          remainder_only=True).remainder
+
+
 def test_divide_mod_q_local_inhomogeneous_needs_trunc_degree(intro):
     with pytest.raises(NonTerminatingOrder):
         divide_mod_q(intro, [intro], INTRO_ORDER, ctx_a())

@@ -136,6 +136,12 @@ def test_dehomogenize_round_trip(intro_poly):
     assert XA("z^2", vars=XZ).dehomogenize(2) == XA("1")
     assert XA("x1*z + x1", vars=XZ).dehomogenize(2) == XA("2*x1")
     assert XA("a*z - a", vars=XZ).dehomogenize(2).is_zero()
+    h = XA("3*x1*z + 2*x1 - 1/2*x2^2 + a", vars=XZ)
+    d = h.dehomogenize(2)
+    assert d == XA("5*x1 - 1/2*x2^2 + a")
+    # a coefficient that meets no other one is kept as it is, not rebuilt
+    assert d.terms[(0, 2, 0)] is h.terms[(0, 2, 0, 0)]
+    assert d.terms[(0, 0, 1)] is h.terms[(0, 0, 0, 1)]
 
 
 def test_specialize_examples(intro_poly):

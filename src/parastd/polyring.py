@@ -786,7 +786,11 @@ def render_poly(f: ParamPoly, order: MonomialOrder, var_names, param_names) -> s
     monos: dict = {}  # the coefficients' monomials in the parameters
     terms = f.terms
     for e in sorted(terms, key=order.key, reverse=True):
-        sign, mag, parens = render_scalar(terms[e], param_names, monos)
+        c = terms[e]
+        sign, mag, parens = render_scalar(c, param_names, monos)
         mono = monomial_text(e, var_names)
-        add_term(parts, sign < 0, f"({mag})" if parens and mono else mag, mono)
+        # a negated sum over the denominator 1 needs parentheses also alone
+        if parens and (mono or sign < 0 and len(c.num.terms) > 1 and c.den.is_constant()):
+            mag = f"({mag})"
+        add_term(parts, sign < 0, mag, mono)
     return "".join(parts) or "0"

@@ -396,6 +396,9 @@ PINNED_DIVISIONS = {
     "(a + b)^3*x1/(a*b)": ("((a^3 + 3*a^2*b + 3*a*b^2 + b^3)/(a*b))*x1", {
         (1, 0): ({(3, 0): "1", (2, 1): "3", (1, 2): "3", (0, 3): "1"}, {(1, 1): "1"})}),
     # parenthesized factors, powers and integer divisions: denominators 1
+    "(a + 1)*(x1 - a)": ("-(a^2 + a) + (a + 1)*x1", {
+        (1, 0): ({(1, 0): "1", (0, 0): "1"}, {(0, 0): "1"}),
+        (0, 0): ({(2, 0): "-1", (1, 0): "-1"}, {(0, 0): "1"})}),
     "(x1 + a)^3": ("a^3 + 3*a^2*x1 + 3*a*x1^2 + x1^3", {
         (3, 0): ({(0, 0): "1"}, {(0, 0): "1"}),
         (2, 0): ({(1, 0): "3"}, {(0, 0): "1"}),

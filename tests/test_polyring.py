@@ -802,6 +802,26 @@ def test_render_parse_round_trip(intro_poly):
     assert render_ascalar(AScalar({}, 2), ("a", "b")) == "0"
 
 
+@given(polys(n=2, m=2, integral=False),
+       st.sampled_from([lex(2), grevlex(2), neg_grevlex(2), INTRO_ORDER]))
+def test_printed_polynomials_and_their_negations_read_back(f, order):
+    # -f turns every sum coefficient's lex head negative, also that of the
+    # x-free term, which prints as -(a + 1), not -a + 1
+    from parastd.problems import poly_from_string
+    for g in (f, -f):
+        s = render_poly(g, order, ("x1", "x2"), ("a", "b"))
+        assert poly_from_string(s, ("a", "b"), ("x1", "x2")) == g, s
+
+
+def test_a_negated_parameter_sum_prints_in_parentheses():
+    params, vars = ("a", "b"), ("x1", "x2")
+    for text, want in [("-a - 1", "-(a + 1)"), ("x1 - a*b - b", "x1 - (a*b + b)"),
+                       ("x1 - 1/2", "x1 - 1/2"), ("x1 - a/(a + b)", "x1 - a/(a + b)"),
+                       ("x1 - (a + 1)/b", "x1 - (a + 1)/b")]:
+        f = P(text, params, vars)
+        assert render_poly(f, grevlex(2), vars, params) == want
+
+
 def test_render_fraction_past_the_int_print_limit_names_the_digit_count():
     limit = sys.get_int_max_str_digits()
     big = 10 ** limit  # one digit past the limit

@@ -35,9 +35,10 @@ division functions the engine calls, so it holds no reduction loop of
 its own. Images are tracked only when some input image is nonzero (the
 map is linear, so otherwise all stay zero); a quotient then becomes a
 polynomial only when its divisor's image is nonzero. Ring elements, with
-Fraction coefficients and their keyed terms as cache, are built on the
-first read of `BasisResult.generators`, so a reader of the leads alone
-builds none; images keep Fraction coefficients: callers see no `int`.
+Fraction coefficients and their keyed terms as cache, are built on each
+read of `BasisResult.generators` (every caller reads it once), so a reader
+of the leads alone builds none; images keep Fraction coefficients:
+callers see no `int`.
 """
 
 from __future__ import annotations
@@ -56,22 +57,17 @@ from .polyring import AScalar
 class BasisResult:
     """The engine's return: generator i has the leading exponent `leads[i]`
     under the engine's order, the image `images[i]` and the keyed terms
-    `keyed[i]` (int coefficients). Its ring element is built on the first
-    read of `generators` and kept, in a dict that `minimalize` shares."""
+    `keyed[i]` (int coefficients). Each read of `generators` builds the
+    ring elements anew."""
 
-    def __init__(self, keyed: list, images: list, leads: list, zero, order: MonomialOrder,
-                 built: dict | None = None):
+    def __init__(self, keyed: list, images: list, leads: list, zero, order: MonomialOrder):
         self.keyed, self.images, self.leads = keyed, images, leads
-        self._zero, self._order, self._built = zero, order, {} if built is None else built
+        self._zero, self._order = zero, order
 
     @property
     def generators(self) -> list:
-        built = self._built  # id of keyed terms -> ring element
-        for g in self.keyed:
-            if id(g) not in built:
-                built[id(g)] = with_keyed_terms(self._zero, self._order,
-                                                [(k, Fraction(c)) for k, c in g])
-        return [built[id(g)] for g in self.keyed]
+        return [with_keyed_terms(self._zero, self._order, [(k, Fraction(c)) for k, c in g])
+                for g in self.keyed]
 
 
 def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
@@ -177,7 +173,7 @@ def minimalize(B: BasisResult) -> BasisResult:
     (`minimal_exponents` of all leads, so under any order)."""
     keep = sorted(map(B.leads.index, minimal_exponents(B.leads)))
     return BasisResult([B.keyed[i] for i in keep], [B.images[i] for i in keep],
-                       [B.leads[i] for i in keep], B._zero, B._order, B._built)
+                       [B.leads[i] for i in keep], B._zero, B._order)
 
 
 def reduce_basis(gens: list, order: MonomialOrder) -> list:

@@ -194,11 +194,6 @@ class AScalar(_Sparse):
     def is_constant(self) -> bool:
         return not any(map(any, self.terms))
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        return self.terms[(0,) * self.m]
-
     def __mul__(self, other):
         # constant fast path (terms are never mutated, so 1*x can be x)
         if len(self.terms) == 1 and not any(next(iter(self.terms))):

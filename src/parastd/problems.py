@@ -14,25 +14,23 @@ factor)*; factor := atom ('^' natural)?; atom := identifier | integer |
 '(' expr ')'. Division is exact and only by x-free subexpressions, which
 is how fraction coefficients like (1/a) round-trip.
 
-Evaluation costs one step per term where it can. A term whose factors
-are integers and names, each to a natural power, is a monomial: an int
+A parsed value has one of two representations. A term whose factors are
+integers and names, each to a natural power, is a monomial: an int
 coefficient and an exponent list over the combined ring Q[x, a] (the
 variables before the parameters), a name's power added to its exponent.
 An expression's monomial terms sum into one dict, which becomes one
-AScalar with no ring arithmetic. From a parenthesized factor or a
-division on, a term is a ring element built operand by operand, and so is
-the sum from the first such term on: AScalars until a division by a
-nonconstant parameter expression, and from there on ParamPolys over
-Frac(Q[a]) with ParamScalar arithmetic, whose fractions are not
-gcd-reduced. Each parsed expression becomes a ParamPoly once, by
-`polyring.split_params`.
+ParamPoly by `polyring.split_params`, with no ring arithmetic. From a
+parenthesized factor or a division on, a term is a ParamPoly over
+Frac(Q[a]) built operand by operand with ParamScalar arithmetic, whose
+fractions are not gcd-reduced, and so is the sum from the first such
+term on.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from operator import add, mul, sub
 
 from .errors import DuplicateSection, ProblemSyntaxError, UnknownIdentifier
 from .orders import MonomialOrder, grevlex, lex, matrix_order, neg_grevlex
@@ -144,37 +142,29 @@ class _ExprParser(_Stream):
                       **{name: i for i, name in enumerate(vars)}}
         self.depth = 0
 
-    def _poly(self, v) -> ParamPoly:
-        return v if type(v) is ParamPoly else split_params(v, self.n, self.m)
+    def _sum_ring(self, acc: dict) -> ParamPoly:
+        """The sum of monomials {exponent: nonzero int} as a ParamPoly."""
+        return split_params(AScalar({e: Fraction(c) for e, c in acc.items()}, self.width,
+                                    _prune=False), self.n, self.m)
 
-    def _apply(self, op, u, v):
-        """op(u, v), on ParamPolys when either operand is one."""
-        if type(u) is not type(v):
-            u, v = self._poly(u), self._poly(v)
-        return op(u, v)
-
-    def _ring(self, coef: int, exps) -> AScalar:
-        """The monomial coef * x^exps as a ring element."""
-        return AScalar({tuple(exps): Fraction(coef)}, self.width)
-
-    def _sum_ring(self, acc: dict) -> AScalar:
-        """The sum of monomials {exponent: nonzero int} as a ring element."""
-        return AScalar({e: Fraction(c) for e, c in acc.items()}, self.width, _prune=False)
+    def _ring(self, coef: int, exps) -> ParamPoly:
+        """The monomial coef * x^exps as a ParamPoly."""
+        return self._sum_ring({tuple(exps): coef} if coef else {})
 
     def parse_top(self) -> ParamPoly:
         """One expression; nesting deeper than MAX_NESTING, or too deep for
         the stack, is an input error."""
         try:
-            return self._poly(self.expr())
+            return self.expr()
         except RecursionError:
             raise ProblemSyntaxError("expression nested too deeply", self.line, 0) from None
 
-    def expr(self):
-        """'-'? term (('+'|'-') term)*, as an AScalar or a ParamPoly.
+    def expr(self) -> ParamPoly:
+        """'-'? term (('+'|'-') term)*.
 
         While every term is a monomial, the terms sum into one dict of int
-        coefficients. From the first term that is a ring element on, the
-        sum so far becomes one and the rest is added by `_apply`.
+        coefficients. From the first term that is a ParamPoly on, the sum
+        so far becomes one and the rest is added to it.
         """
         toks = self.toks
         sign = 1
@@ -197,7 +187,7 @@ class _ExprParser(_Stream):
                     t = self._ring(*t)
                 if ring is None:
                     ring = self._sum_ring(acc)
-                ring = self._apply(add if sign > 0 else sub, ring, t)
+                ring = ring + t if sign > 0 else ring - t
             op = toks[self.pos][1]
             if op == "+":
                 sign = 1
@@ -210,8 +200,7 @@ class _ExprParser(_Stream):
     def term(self):
         """factor (('*'|'/') factor)*: (int coefficient, exponent tuple) while
         every factor is an integer or a name, to a power; from a
-        parenthesized factor or a division on, a ring element built by
-        `_apply` and `_divide`."""
+        parenthesized factor or a division on, a ParamPoly."""
         toks = self.toks
         if toks[self.pos][1] == "(":
             acc = self.factor()
@@ -230,7 +219,7 @@ class _ExprParser(_Stream):
             op = toks[self.pos][1]
             if op == "*":
                 self.pos += 1
-                acc = self._apply(mul, acc, self.factor())
+                acc = acc * self.factor()
             elif op == "/":
                 self.pos += 1
                 col = toks[self.pos][2]
@@ -238,21 +227,18 @@ class _ExprParser(_Stream):
             else:
                 return acc
 
-    def _divide(self, num, den, col):
+    def _divide(self, num: ParamPoly, den: ParamPoly, col) -> ParamPoly:
         if den.is_zero():
             raise ProblemSyntaxError("division by zero", self.line, col)
-        if type(num) is type(den) is AScalar and den.is_constant():
-            return num.scale(1 / den.constant_value())
-        num, den = self._poly(num), self._poly(den)
         if any(any(e) for e in den.terms):
             raise ProblemSyntaxError(
                 "division only by parameter/constant expressions", self.line, col)
         scalar = den.terms[(0,) * self.n]
         return num.scale(ParamScalar.one(self.m) / scalar)
 
-    def factor(self):
-        """One factor as a ring element; a parenthesized one to a power by
-        squaring and multiplying."""
+    def factor(self) -> ParamPoly:
+        """One factor; a parenthesized one to a power by squaring and
+        multiplying."""
         if self.toks[self.pos][1] != "(":
             exps = [0] * self.width
             return self._ring(self._monomial_factor(1, exps), exps)
@@ -265,8 +251,7 @@ class _ExprParser(_Stream):
         self.expect(")")
         if self.toks[self.pos][1] != "^":
             return atom
-        out = (ParamPoly.constant(1, self.n, self.m) if type(atom) is ParamPoly
-               else AScalar.one(self.width))
+        out = ParamPoly.constant(1, self.n, self.m)
         k = self._exponent()
         while k:  # square and multiply
             if k & 1:
@@ -289,6 +274,12 @@ class _ExprParser(_Stream):
             raise ProblemSyntaxError(f"unexpected token {text!r}", self.line, col)
         k = self._exponent() if self.toks[self.pos][1] == "^" else 1
         if kind == "int":
+            # refuse a power with more digits than a literal may have: by
+            # 2^10 > 10^3, 3*(bits - 1)*k >= 10*limit gives value^k >= 10^limit
+            limit = sys.get_int_max_str_digits()
+            if limit and 3 * (value.bit_length() - 1) * k >= 10 * limit:
+                raise ProblemSyntaxError(
+                    f"integer power has more than {limit} digits", self.line, col)
             return coef * value ** k
         exps[slot] += k
         return coef

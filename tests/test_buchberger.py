@@ -152,7 +152,7 @@ def test_minimalize_keeps_the_first_generator_on_each_minimal_lead(regime, F):
     assert all(any(exp_divides(a, e) for a in kept) for e in leads)
     firsts = [leads.index(e) for e in kept]
     assert firsts == sorted(firsts)
-    assert all(g is res.generators[i] for g, i in zip(mini.generators, firsts))
+    assert all(g is res.keyed[i] for g, i in zip(mini.keyed, firsts))
 
 
 def test_reduce_basis_examples():

@@ -55,6 +55,23 @@ def test_huge_power_parses_by_squaring():
     assert list(p.terms) == [(100000, 0)]
 
 
+def test_an_integer_power_past_the_digit_limit_is_refused_before_it_is_computed():
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    with pytest.raises(ProblemSyntaxError, match=f"integer power has more than {limit} digits"):
+        P("x1 + 3^10000000")
+    assert time.perf_counter() - start < 0.1
+    # a power that may fit is computed, and so are any powers of 0 and 1
+    assert P("10^4300").terms[(0, 0)].num.terms[(0,)] == 10 ** 4300
+    assert P("1^100000000*x1 + 0^100000000*x2") == P("x1")
+    # the limit 0 means no limit
+    try:
+        sys.set_int_max_str_digits(0)
+        assert P("3^20000").terms[(0, 0)].num.terms[(0,)] == 3 ** 20000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_parse_problem_empty_ideal():
     with pytest.raises(ProblemSyntaxError):
         parse_problem(INTRO_TEXT.replace("ideal: a*x2 - x1*x2 + x1",
@@ -232,6 +249,8 @@ DEEP = "(" * 250 + "x1" + ")" * 250
 PARSER_ERRORS = [
     ("ideal", "x1 + " + "7" * 5000, ProblemSyntaxError,
      "integer literal of 5000 digits is too long", 4, 13),
+    ("ideal", "x1 + 3^10000000", ProblemSyntaxError,
+     f"integer power has more than {sys.get_int_max_str_digits()} digits", 4, 13),
     ("ideal", "x1 $ x2", ProblemSyntaxError, "unexpected character '$'", 4, 11),
     ("ideal", "x1 +", ProblemSyntaxError, "unexpected end of expression", 4, 0),
     ("ideal", "x1^", ProblemSyntaxError, "unexpected end of expression", 4, 0),

@@ -130,8 +130,9 @@ MAX_NESTING = 200  # parentheses inside one another; deeper is an input error
 
 
 class _ExprParser(_Stream):
-    """Expressions of one line, in the combined ring Q[x, a] of `width`
-    coordinates (the variables, then the parameters)."""
+    """Expressions of one line; a monomial's exponent list runs over the
+    combined ring Q[x, a] of `width` coordinates (the variables, then the
+    parameters)."""
 
     def __init__(self, text: str, line: int, params, vars):
         super().__init__(text, line)
@@ -172,7 +173,7 @@ class _ExprParser(_Stream):
             self.pos += 1
             sign = -1
         acc: dict = {}  # exponent -> nonzero int coefficient
-        ring = None  # the sum as a ring element, once a term is one
+        ring = None  # the sum as a ParamPoly, once a term is one
         while True:
             t = self.term()
             if ring is None and type(t) is tuple:

@@ -102,10 +102,12 @@ def test_buchberger_homogenized_principal():
     assert all(g.is_homogeneous(3) for g in res.generators)
 
 
-def test_buchberger_rejects_local_order():
-    with pytest.raises(NonTerminatingOrder):
-        buchberger([XA("a*x2 - x1*x2 + x1")],
-                   combined_order(INTRO_ORDER, 1, homogenized=False))
+@pytest.mark.parametrize("order", [combined_order(INTRO_ORDER, 1, homogenized=False),
+                                   neg_grevlex(3)], ids=["intro", "neg_grevlex"])
+def test_buchberger_rejects_local_order(order):
+    with pytest.raises(NonTerminatingOrder, match=r"^basis computation needs a well order "
+                       r"or homogeneous input; route local orders through homogenization$"):
+        buchberger([XA("a*x2 - x1*x2 + x1")], order)
 
 
 def test_minimalize_cone_absorption():
@@ -239,6 +241,9 @@ def test_parameter_groebner_and_normal_form():
     # b*(a-1) and a*(a-1): membership via zero normal form
     assert normal_form_param((a - one) * b, basis).is_zero()
     assert not normal_form_param(a + b, basis).is_zero()
+    # a zero dividend and an empty basis need no case of their own
+    assert normal_form_param(AScalar.zero(2), basis).is_zero()
+    assert normal_form_param(a + b, []) == a + b
 
 
 def to_sympy(f, syms, sympy):

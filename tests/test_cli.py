@@ -630,6 +630,15 @@ def test_cli_gsb_refuses_an_exponent_past_the_key_cap(capsys, tmp_path, power, c
         assert err == "" and f"x1^{power}" in out
 
 
+def test_cli_gsb_refuses_a_weight_row_at_the_cap(capsys, tmp_path):
+    # |2^29| + |-2^29| = 2^30: no key of this order fits the layout
+    path = tmp_path / "wide.psb"
+    path.write_text("vars: x, y\norder: matrix [[536870912, -536870912]]\nideal: x + y\n")
+    assert run_cli(capsys, "gsb", str(path)) == (1, "", (
+        "error[ExponentOverflow]: a weight row of the order has absolute weights "
+        "summing to 2^30 or more\n"))
+
+
 def test_cli_gsb_intro(capsys):
     code, out, _ = run_cli(capsys, "gsb", str(PROBLEMS / "intro.psb"),
                            "--format", "json")

@@ -139,6 +139,8 @@ def test_in_radical():
     assert in_radical(A, [a2])
     assert not in_radical(A + AScalar.one(1), [a2])
     assert in_radical(a2, [A])
+    # zero vanishes everywhere, with or without generators
+    assert in_radical(AScalar.zero(1), []) and in_radical(AScalar.zero(1), [A])
 
 
 _A2, _B2 = AScalar.var(0, 2), AScalar.var(1, 2)

@@ -112,8 +112,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
     if not F:
         raise ParastdError("comprehensive basis of the zero ideal")
     if any(not c.den.is_constant() for f in F for c in f.terms.values()):
-        raise ProblemSyntaxError("comprehensive_basis needs coefficients that are "
-                                 "polynomials in the parameters")
+        raise ProblemSyntaxError("ideal coefficients must be polynomials in the parameters")
     m = F[0].m
     entries: list[CellEntry] = []
     frontier: list[tuple] = []

@@ -19,8 +19,7 @@ from parastd.problems import parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DENOMINATOR_TEXT = "params: a\nvars: x1, x2\norder: neg_grevlex\nideal: x1/a + x2^2, x2^3\n"
-REFUSED = ("error[input]: comprehensive_basis needs coefficients that are "
-           "polynomials in the parameters\n")
+REFUSED = "error[input]: ideal coefficients must be polynomials in the parameters\n"
 
 
 @pytest.mark.parametrize("command, code, err", [

@@ -20,6 +20,7 @@ from __future__ import annotations
 from .errors import (
     AllCoefficientsInQ,
     DenominatorInQ,
+    DimensionMismatch,
     NonTerminatingOrder,
     QContainsOne,
     SampleOffVariety,
@@ -243,8 +244,7 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
         raise ZeroPolynomialError("generic basis of the zero ideal")
     n, m = nonzero[0].n, nonzero[0].m
     if m != ctx.m:
-        raise AllCoefficientsInQ(
-            f"parameter count mismatch: inputs have {m}, context has {ctx.m}")
+        raise DimensionMismatch(f"parameter count mismatch: inputs have {m}, context has {ctx.m}")
 
     # clear coefficient denominators; the nonconstant ones are excluded
     cleared, multipliers = zip(*(f.clear_denominators() for f in inputs))

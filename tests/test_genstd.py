@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from parastd.errors import (
     AllCoefficientsInQ,
+    DimensionMismatch,
     NonTerminatingOrder,
     QContainsOne,
     SampleOffVariety,
@@ -180,7 +181,7 @@ def test_well_order_principal_q_a():
 
 
 def test_generic_basis_refuses_a_context_of_another_parameter_count():
-    with pytest.raises(AllCoefficientsInQ, match="parameter count mismatch"):
+    with pytest.raises(DimensionMismatch, match="parameter count mismatch"):
         generic_basis([P("a*x1 + x2")], lex(2), PrimeContext.trivial(2))
 
 

@@ -49,8 +49,9 @@ from math import gcd, lcm
 from operator import le
 
 from .errors import NonTerminatingOrder, ZeroPolynomialError
-from .orders import MonomialOrder, is_global, keyed_terms, lex, minimal_exponents, with_keyed_terms
-from .division import divide, divide_keyed, quotient_poly, s_combination, s_function_keyed
+from .orders import MonomialOrder, keyed_terms, lex, minimal_exponents, with_keyed_terms
+from .division import (divide, divide_keyed, full_division_terminates, quotient_poly,
+                       s_combination, s_function_keyed)
 from .polyring import AScalar
 
 
@@ -83,7 +84,7 @@ def buchberger(F, order: MonomialOrder, images=None) -> BasisResult:
     nonzero = [f for f in F if not f.is_zero()]
     if not nonzero:
         raise ZeroPolynomialError("buchberger needs at least one nonzero input")
-    if not is_global(order) and not all(f.is_homogeneous() for f in nonzero):
+    if not full_division_terminates(nonzero[0], nonzero[1:], order):
         raise NonTerminatingOrder(
             "basis computation needs a well order or homogeneous input; "
             "route local orders through homogenization")
@@ -206,6 +207,4 @@ def parameter_groebner(gens: list[AScalar]) -> list[AScalar]:
 
 def normal_form_param(s: AScalar, basis: list[AScalar]) -> AScalar:
     """Remainder modulo a basis from parameter_groebner (lex division)."""
-    if s.is_zero() or not basis:
-        return s
     return divide(s, basis, lex(s.m), remainder_only=True).remainder

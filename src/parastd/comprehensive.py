@@ -84,10 +84,8 @@ def in_radical(p: AScalar, egens) -> bool:
     generate the unit ideal.
     """
     egens = [g for g in egens if not g.is_zero()]
-    if p.is_zero():
-        return True
     if not egens:
-        return False
+        return p.is_zero()
     if normal_form_param(p, egens).is_zero():
         return True
     m = p.m

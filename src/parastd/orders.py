@@ -24,11 +24,11 @@ reads a key through `exponent`, `degree`, `cone` / `region` (divisibility
 by guard bits: with bit 63 set in every entry and degree field, d divides
 e iff subtracting cone(d) from key(e) | guard clears none of them) and
 `overflow` (a mask that a sum of keys meets when an entry reaches 2^31).
-`key` raises ExponentOverflow for an entry of at least 2^31 and for an
-order with a row whose absolute weights sum to at least 2^30; below both
-caps every field of a sum key(e0) + key(e) - key(d), with d dividing e,
-stays in range (entries below 2^32, row values below 2^62 in size). The
-tables are built once per (rows, n).
+`key` raises ExponentOverflow for an entry of at least 2^31, and building
+an order with a row whose absolute weights sum to at least 2^30 raises it
+too; below both caps every field of a sum key(e0) + key(e) - key(d), with
+d dividing e, stays in range (entries below 2^32, row values below 2^62 in
+size). The tables are built once per (rows, n).
 
 Staircases live here too: `minimal_exponents` is the one routine for the
 minimal generators of a monomial ideal (`Staircase`, `buchberger.minimalize`
@@ -140,10 +140,12 @@ _GUARD = 1 << 63
 class _Layout:
     """Packing tables of the orders with one (rows, n); `_layout` memoizes them."""
 
-    __slots__ = ("weights", "origin", "entry_cap", "low", "guard", "overflow", "nbytes",
-                 "unpack")
+    __slots__ = ("weights", "origin", "low", "guard", "overflow", "nbytes", "unpack")
 
     def __init__(self, rows, n):
+        if any(sum(map(abs, row)) >= ROW_WEIGHT_CAP for row in rows):
+            raise ExponentOverflow("a weight row of the order has absolute weights "
+                                   "summing to 2^30 or more")
         r = len(rows)
 
         def at(field):  # bit offset of a field, 0 the most significant
@@ -153,8 +155,6 @@ class _Layout:
         self.weights = tuple(sum(row[i] << at(j) for j, row in enumerate(rows))
                              + (1 << at(r + i)) + 1 for i in range(n))
         self.origin = sum(_ROW_BIAS << at(j) for j in range(r))  # key of the zero exponent
-        wide = any(sum(map(abs, row)) >= ROW_WEIGHT_CAP for row in rows)
-        self.entry_cap = 0 if wide else ENTRY_CAP  # 0: a row is too wide for any key
         self.low = (1 << at(r - 1)) - 1  # the entry and degree fields
         self.guard = sum(_GUARD << at(f) for f in range(r, r + n + 1))  # bit 63 of each
         # bits 31 to 63 of each entry field
@@ -202,12 +202,9 @@ class MonomialOrder:
         """
         if len(e) != self.n:
             raise DimensionMismatch(f"exponent {e} in dimension {self.n}")
+        if max(e, default=0) >= ENTRY_CAP:
+            raise ExponentOverflow(f"exponent {e} has an entry of 2^31 or more")
         lay = self._lay
-        if max(e, default=0) >= lay.entry_cap:
-            if lay.entry_cap:
-                raise ExponentOverflow(f"exponent {e} has an entry of 2^31 or more")
-            raise ExponentOverflow("a weight row of the order has absolute weights "
-                                   "summing to 2^30 or more")
         return sum(map(mul, e, lay.weights), lay.origin)
 
     def exponent(self, k: int) -> Exponent:

@@ -34,14 +34,6 @@ _POOL = [Fraction(k) for k in (1, -1, 2, -2, 3, -3, 5, -5, 7, 4, -4, 9)] + [
 MAX_TRIES = 400  # random draws per variety_points call
 
 
-def random_point(m: int, rng: Random) -> tuple[Fraction, ...]:
-    return tuple(rng.choice(_POOL) for _ in range(m))
-
-
-def _admissible(point, avoid) -> bool:
-    return not any(a.vanishes_at(point) for a in avoid)
-
-
 def variety_points(basis, m: int, rng: Random, count: int, avoid=()):
     """Up to `count` rational points where every element of the reduced
     lex basis vanishes and none of `avoid` does. Deterministic for a fixed
@@ -54,14 +46,14 @@ def variety_points(basis, m: int, rng: Random, count: int, avoid=()):
 
     def push(p):
         if p not in found and all(c.vanishes_at(p) for c in basis) \
-                and _admissible(p, avoid):
+                and not any(a.vanishes_at(p) for a in avoid):
             found.append(p)
 
     if not basis:
         tries = 0
         while len(found) < count and tries < MAX_TRIES:
             tries += 1
-            push(random_point(m, rng))
+            push(tuple(rng.choice(_POOL) for _ in range(m)))
         return found
 
     levels: list[list[AScalar]] = [[] for _ in range(m)]

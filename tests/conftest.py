@@ -67,6 +67,19 @@ def random_poly(rng: random.Random, n, m, max_terms=5, max_exp=3,
     return ParamPoly(terms, n, m)
 
 
+def record_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends the positional
+    arguments of each call to the returned list."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def outside_input_ideal(B, sympy):
     """Generators of the generic basis B that lie outside the ideal of its
     inputs: each generator, embedded in Q[x, a], is reduced modulo a sympy

@@ -23,7 +23,7 @@ from parastd.buchberger import (
     reduce_basis,
 )
 
-from conftest import INTRO_ORDER, P, bench_text, random_poly
+from conftest import INTRO_ORDER, P, bench_text, random_poly, record_calls
 
 GREVLEX2 = grevlex(2)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -329,19 +329,6 @@ def run_cli(tmp_path, command, problem):
         assert main([command, str(path)]) == 0
 
 
-def count_calls(monkeypatch, module, name):
-    """Count the calls of module.name from here on; returns the counter."""
-    counts = {name: 0}
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        counts[name] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return counts
-
-
 def engine_work(monkeypatch, tmp_path, command, problem):
     """Counts of the engine's work in one CLI run: S-functions formed,
     reductions, zero remainders and division steps, read off the engine's
@@ -400,21 +387,21 @@ def test_engine_work_on_the_benchmark_ops(command, problem, monkeypatch, tmp_pat
 
 
 def test_zero_images_are_not_tracked(monkeypatch, tmp_path):
-    combined = count_calls(monkeypatch, engine, "s_combination")
-    quotients = count_calls(monkeypatch, engine, "quotient_poly")
+    combined = record_calls(monkeypatch, engine, "s_combination")
+    quotients = record_calls(monkeypatch, engine, "quotient_poly")
     run_cli(tmp_path, "gsb", "katsura4_a")
-    assert (combined["s_combination"], quotients["quotient_poly"]) == (0, 0)
+    assert (len(combined), len(quotients)) == (0, 0)
 
 
 def test_readers_of_the_leads_build_no_generator(monkeypatch):
-    built = count_calls(monkeypatch, engine, "with_keyed_terms")
+    built = record_calls(monkeypatch, engine, "with_keyed_terms")
     F = [QP("x1^2 - x2"), QP("x1*x2 - 1")]
     assert plain_staircase(F, GREVLEX2).generators == ((0, 2), (1, 1), (2, 0))
     a = AScalar.var(0, 1)
     # a is not in <a^2>, so the Rabinowitsch run decides both
     assert in_radical(a, [a * a])
     assert not in_radical(a + AScalar.one(1), [a * a])
-    assert built["with_keyed_terms"] == 0
+    assert len(built) == 0
 
 
 def test_normal_form_param_builds_no_quotient(monkeypatch):
@@ -423,6 +410,6 @@ def test_normal_form_param_builds_no_quotient(monkeypatch):
     s = a * a * a + a * b + b
     want = divide(s, basis, lex(2))
     assert any(not q.is_zero() for q in want.quotients) and not want.remainder.is_zero()
-    quotients = count_calls(monkeypatch, division, "quotient_poly")
+    quotients = record_calls(monkeypatch, division, "quotient_poly")
     assert normal_form_param(s, basis) == want.remainder
-    assert quotients["quotient_poly"] == 0
+    assert len(quotients) == 0

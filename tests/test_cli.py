@@ -21,7 +21,7 @@ from parastd.genstd import PrimeContext, generic_basis
 from parastd.polyring import AScalar, ParamScalar, _Sparse, render_poly
 from parastd.problems import Problem, parse_point, parse_problem, poly_from_string
 
-from conftest import INTRO_ORDER, P, bench_text, value_at
+from conftest import INTRO_ORDER, P, bench_text, record_calls, value_at
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -575,14 +575,7 @@ KATSURA4_A = bench_text("katsura4_a")
 
 
 def test_parsing_builds_one_param_scalar_per_coefficient(monkeypatch):
-    made = []
-    init = ParamScalar.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ParamScalar, "__init__", counting)
+    made = record_calls(monkeypatch, ParamScalar, "__init__")
     problem = parse_problem(KATSURA4_A)
     assert len(made) == sum(len(f.terms) for f in problem.ideal) == 18
 
@@ -592,21 +585,16 @@ def test_parsing_builds_one_param_scalar_per_coefficient(monkeypatch):
 def test_parsing_sums_of_monomials_does_no_ring_arithmetic(monkeypatch, text):
     # each expression's terms sum into one dict; no ring element is
     # multiplied or added on the way
-    calls = []
-    for cls, name in ((AScalar, "__mul__"), (_Sparse, "__add__")):
-        real = getattr(cls, name)
-        monkeypatch.setattr(cls, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    products = record_calls(monkeypatch, AScalar, "__mul__")
+    sums = record_calls(monkeypatch, _Sparse, "__add__")
     parse_problem(text)
-    assert calls == []
+    assert products + sums == []
 
 
 def test_rendering_a_basis_keys_no_coefficient(monkeypatch):
     problem = parse_problem(KATSURA4_A)
     basis = generic_basis(problem.ideal, problem.order, PrimeContext.trivial(problem.m))
-    keyed = []
-    real = orders.keyed_terms
-    monkeypatch.setattr(orders, "keyed_terms", lambda p, order: keyed.append(p) or real(p, order))
+    keyed = record_calls(monkeypatch, orders, "keyed_terms")
     for g in basis.gens:
         render_poly(g, problem.order, problem.vars, problem.params)
     assert keyed == []

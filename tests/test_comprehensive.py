@@ -13,7 +13,6 @@ from parastd.genstd import SampleCheck, generic_reduced_basis, plain_staircase
 from parastd.problems import parse_problem
 from parastd.cli import run
 from parastd import comprehensive
-from parastd.buchberger import buchberger
 from parastd.comprehensive import (
     Cell,
     comprehensive_basis,
@@ -22,7 +21,7 @@ from parastd.comprehensive import (
 )
 
 from conftest import (BENCH_SPEC, INTRO_ORDER, P, bench_text, leading_mod_q,
-                      outside_input_ideal, value_at)
+                      outside_input_ideal, record_calls, value_at)
 
 A = AScalar.var(0, 1)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -223,17 +222,6 @@ def test_in_radical_two_parameters_matches_point_evaluation(r, s, u, v, c):
     assert in_radical(p, [ea, eb]) == (value_at(p, (r, s)) == 0)
 
 
-def _count_engine_runs(mp):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return buchberger(*args, **kwargs)
-
-    mp.setattr(comprehensive, "buchberger", counted)
-    return calls
-
-
 @given(_ROOTS, _ROOTS, _AB_POLY, _AB_POLY)
 def test_in_radical_of_a_member_runs_no_engine(r, s, u, v):
     # p = (a - r)*u + (b - s)*v lies in <a - r, b - s> itself
@@ -244,14 +232,14 @@ def test_in_radical_of_a_member_runs_no_engine(r, s, u, v):
         return AScalar({e: Fraction(k) for e, k in terms.items()}, 2)
 
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_engine_runs(mp)
+        calls = record_calls(mp, comprehensive, "buchberger")
         assert in_radical(ea * poly(u) + eb * poly(v), [ea, eb])
     assert calls == []
 
 
 def test_in_radical_outside_the_ideal_runs_the_engine(monkeypatch):
     # a is not in <a^2> but in its radical: only the Rabinowitsch run says so
-    calls = _count_engine_runs(monkeypatch)
+    calls = record_calls(monkeypatch, comprehensive, "buchberger")
     assert in_radical(A, [A * A])
     assert len(calls) == 1
 
@@ -356,14 +344,9 @@ def test_every_cell_of_two_params_is_sampled(monkeypatch):
     import parastd.comprehensive as comp
 
     problem = parse_problem((PROBLEMS / "two_params.psb").read_text())
-    checked, real = {}, comp.verify_specialization
-
-    def recording(basis, points):
-        checked[basis.ctx.qbasis] = list(points)
-        return real(basis, points)
-
-    monkeypatch.setattr(comp, "verify_specialization", recording)
+    calls = record_calls(monkeypatch, comp, "verify_specialization")
     res = comprehensive_basis(problem.ideal, problem.order, seed=problem.options["seed"])
+    checked = {basis.ctx.qbasis: points for basis, points in calls}
     a, b = AScalar.var(0, 2), AScalar.var(1, 2)
     cell = next(e for e in res.cells if set(e.cell.vanish) == {a, b})
     assert checked[cell.basis.ctx.qbasis] == [(Fraction(0), Fraction(0))]
@@ -413,15 +396,10 @@ def test_hilbert_asks_each_radical_question_once(monkeypatch):
     # e7_local's tree asks 18 distinct questions (p against a Q basis); each
     # is asked once
     problem = parse_problem(bench_text("e7_local"))
-    asked = []
-
-    def recording(p, egens):
-        asked.append((p, tuple(egens)))
-        return in_radical(p, egens)
-
-    monkeypatch.setattr(comprehensive, "in_radical", recording)
+    calls = record_calls(monkeypatch, comprehensive, "in_radical")
     _, code = run("hilbert", problem)
     assert code == 0
+    asked = [(p, tuple(egens)) for p, egens in calls]
     assert len(asked) == len(set(asked)) == 18
 
 

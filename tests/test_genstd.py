@@ -14,8 +14,7 @@ from parastd.errors import (
     TruncationTooSmall,
 )
 from parastd.orders import grevlex, lex, matrix_order, neg_grevlex
-from parastd.polyring import (AScalar, ParamPoly, ParamScalar, render_ascalar,
-                              squarefree_factors)
+from parastd.polyring import AScalar, ParamPoly, ParamScalar, render_ascalar
 from parastd.division import divide, divide_series
 from parastd import genstd
 from parastd.genstd import (
@@ -34,7 +33,8 @@ from parastd.genstd import (
 )
 
 from conftest import (INTRO_ORDER, INTRO_PARAMS, INTRO_VARS, P, divides_factor_power,
-                      leading_mod_q, outside_input_ideal, random_poly, s_criterion_mod_q)
+                      leading_mod_q, outside_input_ideal, random_poly, record_calls,
+                      s_criterion_mod_q)
 
 A = AScalar.var(0, 1)
 CTX0 = PrimeContext.trivial(1)
@@ -110,9 +110,7 @@ def test_drop_q_terms_keeps_f_when_no_term_drops(intro):
 
 def test_an_empty_q_hashes_no_coefficient(intro, monkeypatch):
     # under Q = 0 membership is the zero test: no memo, so no hash
-    hashed = []
-    real = AScalar.__hash__
-    monkeypatch.setattr(AScalar, "__hash__", lambda s: hashed.append(s) or real(s))
+    hashed = record_calls(monkeypatch, AScalar, "__hash__")
     f = P("(a + 1)*x1^3 - x2^2 + a*x1*x2")
     res = divide_mod_q(f, [intro], INTRO_ORDER, CTX0, trunc_degree=5)
     assert coeff_in_q(ParamScalar(AScalar.zero(1)), CTX0)
@@ -292,18 +290,6 @@ def test_h_factor_base_keeps_exact_powers(inputs):
         assert sum(f.exact_div(p) is not None for f, _ in out) == (1 if t else 0)
 
 
-def _counted_splits(monkeypatch):
-    """The list of inputs `genstd` hands `squarefree_factors`, from now on."""
-    split = []
-
-    def counting(s):
-        split.append(s)
-        return squarefree_factors(s)
-
-    monkeypatch.setattr(genstd, "squarefree_factors", counting)
-    return split
-
-
 def test_h_factors_split_each_distinct_input_once(monkeypatch):
     # repeated inputs add up their powers; the factors and powers are the
     # ones each input split apart gives, and inputs with one primitive part
@@ -311,7 +297,7 @@ def test_h_factors_split_each_distinct_input_once(monkeypatch):
     texts = ["(a - 1)^2*(a^2 + 8)", "a", "(a - 1)^2*(a^2 + 8)", "3*a", "a",
              "(a^2 + 8)^3", "a*b - b", "a", "2*(a*b - b)"]
     inputs = [P(t, params=("a", "b"), vars=("x",)).terms[(0,)].num for t in texts]
-    split = _counted_splits(monkeypatch)
+    split = record_calls(monkeypatch, genstd, "squarefree_factors")
     out = _normalize_h_factors(inputs)
     assert [(render_ascalar(f, ("a", "b")), k) for f, k in out] == [
         ("a - 1", 6), ("b", 2), ("a", 4), ("a^2 + 8", 5)]
@@ -323,7 +309,7 @@ def test_h_factors_split_associates_once(monkeypatch):
     # constant 4 is no factor
     inputs = [P(t, params=("a", "b"), vars=("x",)).terms[(0,)].num
               for t in ("a + b", "-3*a - 3*b", "-27*a - 27*b", "4")]
-    split = _counted_splits(monkeypatch)
+    split = record_calls(monkeypatch, genstd, "squarefree_factors")
     out = _normalize_h_factors(inputs)
     assert [(render_ascalar(f, ("a", "b")), k) for f, k in out] == [("a + b", 3)]
     assert len(split) == 1
@@ -519,20 +505,13 @@ def test_plain_staircase_of_zero_polynomials():
 
 
 def test_prime_context_answers_each_question_once(monkeypatch):
-    calls = []
-    real = genstd.normal_form_param
-
-    def counted(s, basis):
-        calls.append(s)
-        return real(s, basis)
-
-    monkeypatch.setattr(genstd, "normal_form_param", counted)
+    calls = record_calls(monkeypatch, genstd, "normal_form_param")
     a, b = AScalar.var(0, 2), AScalar.var(1, 2)
     ctx = PrimeContext.from_generators([a * a - b], 2)
     for _ in range(2):
         assert ctx.contains(a * a * b - b * b)
         assert not ctx.contains(a * b)
-    assert calls == [a * a * b - b * b, a * b]
+    assert [s for s, _ in calls] == [a * a * b - b * b, a * b]
     # the answers live in the context: a new one asks again
     assert not PrimeContext.from_generators([a * a - b], 2).contains(a * b)
     assert len(calls) == 3

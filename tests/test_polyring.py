@@ -31,7 +31,7 @@ from parastd.polyring import (
 from parastd.genstd import PrimeContext, coeff_in_q
 
 from conftest import (INTRO_ORDER, INTRO_PARAMS, INTRO_VARS, P, divides_factor_power,
-                      random_poly)
+                      random_poly, record_calls)
 
 
 def test_add_identity(intro_poly):
@@ -635,23 +635,10 @@ def test_content_sign_is_the_sympy_lex_leading_sign(s):
     assert (s.content() > 0) == (lead > 0)
 
 
-def _counting(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that appends its arguments to the
-    returned list on each call."""
-    calls, inner = [], getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
 def test_one_term_exact_division_skips_the_division_loop(monkeypatch):
     a, b = AScalar.var(0, 2), AScalar.var(1, 2)
     three = AScalar.const(3, 2)
-    calls = _counting(monkeypatch, polyring, "divide_truncated")
+    calls = record_calls(monkeypatch, polyring, "divide_truncated")
     assert (three * a * a * b + a * b).exact_div(three * a * b) == a + AScalar.const(
         Fraction(1, 3), 2)
     assert (a * a + b).exact_div(a) is None
@@ -665,7 +652,7 @@ def test_one_term_exact_division_skips_the_division_loop(monkeypatch):
 def test_content_takes_no_order_keys(monkeypatch):
     a, b = AScalar.var(0, 2), AScalar.var(1, 2)
     s = AScalar.const(-6, 2) * a + AScalar.const(4, 2) * b * b + AScalar.const(2, 2)
-    calls = _counting(monkeypatch, MonomialOrder, "key")
+    calls = record_calls(monkeypatch, MonomialOrder, "key")
     assert s.content() == Fraction(-2)
     assert calls == []
 

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from parastd import sampling
 from parastd.buchberger import parameter_groebner
-from parastd.polyring import AScalar, rational_roots
+from parastd.polyring import AScalar
 from parastd.sampling import variety_points
 
-from conftest import value_at
+from conftest import record_calls, value_at
 
 
 def _scalars(m):
@@ -75,17 +75,6 @@ def test_curve_solved_for_the_drawn_parameter_is_missed():
     assert variety_points(parameter_groebner([curve]), 2, Random(0), 3)
 
 
-def _counted(monkeypatch):
-    seen = []
-
-    def counted(s):
-        seen.append(s)
-        return rational_roots(s)
-
-    monkeypatch.setattr(sampling, "rational_roots", counted)
-    return seen
-
-
 @pytest.mark.parametrize("gens", ["a, b", "a - b, a + b", "2a - b, a + b"])
 def test_origin_is_found(gens):
     (a, b), one = _scalars(2)
@@ -98,7 +87,7 @@ def test_origin_is_found(gens):
 
 def test_no_rational_point_draws_nothing(monkeypatch):
     # V(4b^3 + 27): the level of b has no rational root and a is never reached
-    seen = _counted(monkeypatch)
+    seen = record_calls(monkeypatch, sampling, "rational_roots")
     (a, b), one = _scalars(2)
     rng = Random(3)
     state = rng.getstate()
@@ -110,7 +99,7 @@ def test_no_rational_point_draws_nothing(monkeypatch):
 
 def test_level_that_ignores_the_draws_is_solved_once(monkeypatch):
     # V(a^2 - 2): b is drawn MAX_TRIES times, a's polynomial never changes
-    seen = _counted(monkeypatch)
+    seen = record_calls(monkeypatch, sampling, "rational_roots")
     (a, b), one = _scalars(2)
     assert variety_points([a * a - one - one], 2, Random(0), 3) == []
     assert len(seen) == 1
@@ -195,7 +184,7 @@ def _m2_constant_at_drawn_b():
      6, 0.6628185628837676),
 ])
 def test_variety_points_pinned(monkeypatch, case, m, seed, points, calls, next_random):
-    seen = _counted(monkeypatch)
+    seen = record_calls(monkeypatch, sampling, "rational_roots")
     conditions, avoid = case()
     rng = Random(seed)
     got = variety_points(conditions, m, rng, 4, avoid=avoid)

@@ -19,7 +19,7 @@ use it in the combined ring Q[x, a] and, for parameter ideals, in Q[a]
 under lex. Between `_shrink` and the return, generators are primitive
 polynomials with `int` coefficients, so S-functions and their reductions
 run the division loop's integer step (Collins' primitive
-pseudo-remainders, JACM 1967). A remainder is then `multiplier` times the
+pseudo-remainders, JACM 1967, as Singular and CoCoA compute over Q). A remainder is then `multiplier` times the
 one over Q, with multiplier > 0, so `_shrink` turns it into the same
 generator; the S-function's image is scaled by the multiplier before the
 quotients' images are subtracted, so every image is the one over Q too.
@@ -206,5 +206,6 @@ def parameter_groebner(gens: list[AScalar]) -> list[AScalar]:
 
 
 def normal_form_param(s: AScalar, basis: list[AScalar]) -> AScalar:
-    """Remainder modulo a basis from parameter_groebner (lex division)."""
+    """Remainder modulo a basis from parameter_groebner (lex division,
+    remainder only: no quotient is built)."""
     return divide(s, basis, lex(s.m), remainder_only=True).remainder

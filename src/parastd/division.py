@@ -10,6 +10,7 @@ variant discards every term above a degree cutoff, the dividend's too,
 which is the computable stand-in for power-series division under local
 orders. A zero dividend, or one the cutoff removes whole, runs the same
 loop: it gives zero quotients and remainder and reads no divisor.
+The module builds on `orders` alone.
 
 A series division asked for its remainder only also discards every term
 below the highest corner: the order-least exponent of degree at most the

@@ -6,7 +6,12 @@ the part of g_j that survives mod Q), generic standard bases, truncated
 generic reduced bases, and specialization checks. One runner, `_engine`,
 picks the engine's route from the order (block order on Q[x, a] for well
 orders, homogenization for the rest); generic bases and the staircases of
-specialized ideals, which are elements of Q[x], both go through it.
+specialized ideals, which are elements of Q[x], both go through it. The
+rewrite of each basis element into the input ideal (generator minus
+image, dehomogenization, content) runs in Q[x, a] too; only its result is
+split back into ParamPolys, whose coefficients keep explicit denominators.
+The specialization checks build no ParamScalar: a specialized ideal is a
+list of AScalars.
 
 A generic standard basis is a pair (generators, h): specializing the
 generators at any parameter point where Q vanishes and h does not yields a

@@ -19,10 +19,11 @@ use it in the combined ring Q[x, a] and, for parameter ideals, in Q[a]
 under lex. Between `_shrink` and the return, generators are primitive
 polynomials with `int` coefficients, so S-functions and their reductions
 run the division loop's integer step (Collins' primitive
-pseudo-remainders, JACM 1967, as Singular and CoCoA compute over Q). A remainder is then `multiplier` times the
-one over Q, with multiplier > 0, so `_shrink` turns it into the same
-generator; the S-function's image is scaled by the multiplier before the
-quotients' images are subtracted, so every image is the one over Q too.
+pseudo-remainders, JACM 1967, as Singular and CoCoA compute over Q). A
+remainder is then `multiplier` times the one over Q, with multiplier > 0,
+so `_shrink` turns it into the same generator; the S-function's image is
+scaled by the multiplier before the quotients' images are subtracted, so
+every image is the one over Q too.
 
 The engine works in key space from input to return. Each generator is
 held as its keyed terms, pairs (order key, int) largest first as

@@ -102,12 +102,11 @@ def test_buchberger_homogenized_principal():
     assert all(g.is_homogeneous(3) for g in res.generators)
 
 
-@pytest.mark.parametrize("order", [combined_order(INTRO_ORDER, 1, homogenized=False),
-                                   neg_grevlex(3)], ids=["intro", "neg_grevlex"])
-def test_buchberger_rejects_local_order(order):
-    with pytest.raises(NonTerminatingOrder, match=r"^basis computation needs a well order "
-                       r"or homogeneous input; route local orders through homogenization$"):
-        buchberger([XA("a*x2 - x1*x2 + x1")], order)
+def test_buchberger_rejects_local_order():
+    for order in (combined_order(INTRO_ORDER, 1, homogenized=False), neg_grevlex(3)):
+        with pytest.raises(NonTerminatingOrder, match=r"^basis computation needs a well order "
+                           r"or homogeneous input; route local orders through homogenization$"):
+            buchberger([XA("a*x2 - x1*x2 + x1")], order)
 
 
 def test_minimalize_cone_absorption():

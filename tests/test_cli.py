@@ -619,7 +619,7 @@ def test_cli_gsb_refuses_an_exponent_past_the_key_cap(capsys, tmp_path, power, c
 
 
 def test_cli_gsb_refuses_a_weight_row_at_the_cap(capsys, tmp_path):
-    # |2^29| + |-2^29| = 2^30: no key of this order fits the layout
+    # |2^29| + |-2^29| = 2^30: the smallest row weight the cap refuses
     path = tmp_path / "wide.psb"
     path.write_text("vars: x, y\norder: matrix [[536870912, -536870912]]\nideal: x + y\n")
     assert run_cli(capsys, "gsb", str(path)) == (1, "", (

@@ -97,7 +97,7 @@ def _reduce(problem, settings):
 def _comprehensive(problem, settings):
     result = comprehensive_basis(
         problem.ideal, problem.order,
-        max_depth=settings.get("max_depth", MAX_DEPTH), seed=settings["seed"])
+        max_depth=settings.get("max_depth", MAX_DEPTH))
     cells = [{
         **_cell_doc(problem, entry.cell),
         "basis": [_render(problem, g) for g in entry.basis.gens],
@@ -110,7 +110,7 @@ def _comprehensive(problem, settings):
 def _hilbert(problem, settings):
     strata = hilbert_partition(
         problem.ideal, problem.order,
-        max_depth=settings.get("max_depth", MAX_DEPTH), seed=settings["seed"])
+        max_depth=settings.get("max_depth", MAX_DEPTH))
     return {"strata": [{
         "cells": [_cell_doc(problem, c) for c in s.cells],
         "hsf_values": s.data.values,

@@ -7,37 +7,45 @@ vanishing locus of each square-free factor of h. Sibling branches exclude
 the earlier factors, so the emitted cells are pairwise disjoint and cover
 parameter space.
 
-Prime decomposition is out of scope: the vanishing conditions need not be
-prime, so leading data mod the cell ideal can be coarser than on its
-components. Cells are therefore verified on admissible sample points when
-such points can be generated, by the check `verify` runs: the staircase of
-the specialized ideal in Q[x] and each generator's leading exponent
-(verify_specialization). A failing cell is split on a square-free factor of
-an offending coefficient that vanishes at the bad sample. The radical
-check (`in_radical`) first tries ideal membership, one division by the
-cell's generators, and only when that leaves a remainder runs the engine
-in Q[a, t], the t slot added by `pad`. One call asks each question (a
-polynomial against a cell's Q basis) once.
+Prime decomposition is out of scope: the vanishing conditions E of a node
+need not generate a prime ideal. Each cell is still right at each of its
+points s without sampling: F(s) has the recorded staircase and every
+generator keeps its recorded lead at s, as `verify_specialization` checks.
+1. `generic_basis` minimalizes a basis M of <F, E> under a block order, x
+   (and z) before a, so the elements of M in Q[a] form a Groebner basis of
+   <F, E> meet Q[a], which contains E. If g in M has its leading
+   coefficient lc in <E>, some lead of M in Q[a] divides that of lc, so
+   that of g; M is minimal, so g is that element. `ctx.contains(lc)` thus
+   drops exactly the elements of M in <E>, with no primality needed.
+2. A cell is emitted only when no h factor lies in the radical of <E>, so
+   h(s) != 0. A kept element of M in Q[a] is then a nonzero constant at s:
+   <F(s)> = (1), and the recorded staircase has a lead at the origin. Else
+   M's elements in Q[a] vanish at s and the others keep nonzero leading
+   coefficients, so by the stability theorem (Kalkbrener, JSC 1997;
+   Kapur-Sun-Wang, ISSAC 2010, section 3, minimal Dickson bases) the kept
+   generators at s are a Groebner basis of <F(s)> with the recorded leads.
+3. On the local route the input terms with coefficients in <E> are dropped
+   first (no change at s), and `hprime` puts the coefficients of each
+   input's top-degree terms into h, so s maps f^h to (f(s))^h: step 2 then
+   holds for the homogeneous ideal that `plain_staircase` builds.
+4. A printed generator is an engine element minus its image (`ghat`), whose
+   terms have coefficients in <E>: at s they vanish, and the lead stays.
+
+The radical check (`in_radical`) first tries ideal membership, one division
+by the cell's generators, and only when that leaves a remainder runs the
+engine in Q[a, t], the t slot added by `pad`. One call asks each question
+(a polynomial against a cell's Q basis) once.
 """
 
 from __future__ import annotations
 
-from random import Random
-
 from .errors import (DepthExceeded, MultipleCells, NoCell, ParastdError, ProblemSyntaxError,
                      QContainsOne)
 from .orders import MonomialOrder, lex
-from .polyring import AScalar, factor_order, pad, squarefree_factors
+from .polyring import AScalar, pad
 from .buchberger import buchberger, normal_form_param
-from .genstd import (
-    GenericBasis,
-    PrimeContext,
-    generic_basis,
-    verify_specialization,
-)
-from .sampling import variety_points
+from .genstd import GenericBasis, PrimeContext, generic_basis
 
-VERIFY_SAMPLES = 3  # sample points checked per emitted cell
 MAX_DEPTH = 12  # default guard on the depth of the tree
 
 
@@ -96,14 +104,13 @@ def in_radical(p: AScalar, egens) -> bool:
     return any(not any(e) for e in buchberger(ext + [one_tp], lex(m + 1)).leads)
 
 
-def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
-                        seed: int = 0) -> ComprehensiveResult:
+def comprehensive_basis(F, order: MonomialOrder,
+                        max_depth: int = MAX_DEPTH) -> ComprehensiveResult:
     """Partition parameter space into cells of constant staircase.
 
     Tree recursion on (vanish, nonvanish) condition sets; every root-to-leaf
     path strictly increases the vanishing ideal, so max_depth is a guard,
-    not the usual stopping reason. Inconsistent cells are pruned. Each
-    emitted cell is checked on up to VERIFY_SAMPLES sample points. A
+    not the usual stopping reason. Inconsistent cells are pruned. A
     parameter denominator, which could lie in a cell's ideal, is refused.
     """
     F = [f for f in F if not f.is_zero()]
@@ -114,7 +121,6 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
     m = F[0].m
     entries: list[CellEntry] = []
     frontier: list[tuple] = []
-    rng = Random(seed)
     answers: dict = {}  # (p, Q basis) -> in_radical(p, Q basis), for this call only
 
     def radical(p: AScalar, qbasis: tuple) -> bool:
@@ -146,20 +152,7 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
             process(evanish + tuple(dead), navoid, depth + 1)
             return
 
-        cell = Cell(evanish, navoid + tuple(branch))
-        points = variety_points(ctx.qbasis, m, rng, VERIFY_SAMPLES, avoid=list(cell.nonvanish))
-        bad = next((c.point for c in verify_specialization(basis, points) if not c.ok),
-                   None)
-        if bad is not None:
-            split = _offending_factor(basis, bad, ctx, radical)
-            if split is None:
-                raise ParastdError(
-                    f"cell verification failed at {bad} with no offending "
-                    "coefficient to split on")
-            process(evanish + (split,), navoid, depth + 1)
-            process(evanish, navoid + (split,), depth + 1)
-            return
-        entries.append(CellEntry(cell, basis))
+        entries.append(CellEntry(Cell(evanish, navoid + tuple(branch)), basis))
         excluded: list[AScalar] = []
         for fac in branch:
             process(evanish + (fac,), navoid + tuple(excluded), depth + 1)
@@ -170,19 +163,6 @@ def comprehensive_basis(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
         raise DepthExceeded(
             f"{len(frontier)} cells unresolved at depth {max_depth}", frontier)
     return ComprehensiveResult(entries)
-
-
-def _offending_factor(basis, point, ctx, radical):
-    """Least square-free factor of a generator coefficient that vanishes at
-    point and is outside the radical of Q, by the radical test `radical`."""
-    cands: dict[AScalar, None] = {}
-    for g in basis.gens:
-        for c in g.terms.values():
-            for sf in squarefree_factors(c.num):
-                if sf not in cands and sf.vanishes_at(point) \
-                        and not radical(sf, ctx.qbasis):
-                    cands[sf] = None
-    return min(cands, key=factor_order, default=None)
 
 
 def locate(result: ComprehensiveResult, point) -> int:

@@ -57,10 +57,12 @@ from .buchberger import buchberger, minimalize, normal_form_param, parameter_gro
 
 
 class PrimeContext:
-    """A prime ideal Q of the parameter ring, held as its reduced lex basis.
+    """An ideal Q of the parameter ring, held as its reduced lex basis.
 
-    Primality is asserted by the caller, not verified; every mod-Q test
-    only needs zero normal forms plus the domain property of the quotient.
+    Primality is asserted by the caller, not verified. Membership in Q is
+    a zero normal form; `generic_basis` needs nothing more, so the
+    comprehensive tree passes node ideals that need not be prime (the
+    `comprehensive` docstring shows why its cells stay correct).
     `contains` keeps its answers for the life of the context; under Q = 0
     (an empty basis) it answers by the zero test and keeps nothing.
     """
@@ -282,7 +284,10 @@ def generic_basis(F, order: MonomialOrder, ctx: PrimeContext) -> GenericBasis:
         lc = AScalar({e[width:]: c for e, c in g.terms.items()
                       if e[:width] == lead[:width]}, m, _prune=False)
         if ctx.contains(lc):
-            continue  # minimal basis: leading coefficient in Q iff g is in Q
+            # the Q generators are in the input and the order eliminates x
+            # (and z), so a lead of the minimal basis inside Q[a] divides
+            # this one: g lies in Q[a], and in Q (no primality needed)
+            continue
         # rewrite into the ORIGINAL ideal (differs from g by Q-coefficient terms)
         ghat = g if im.is_zero() else g - im
         if homogeneous_route:

@@ -139,8 +139,8 @@ class HilbertStratum:
         self.cells, self.data = cells, data
 
 
-def hilbert_partition(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
-                      seed: int = 0) -> list[HilbertStratum]:
+def hilbert_partition(F, order: MonomialOrder,
+                      max_depth: int = MAX_DEPTH) -> list[HilbertStratum]:
     """Partition parameter space by the local Hilbert-Samuel polynomial.
 
     Needs a degree-compatible local order (first weight row a negative
@@ -152,7 +152,7 @@ def hilbert_partition(F, order: MonomialOrder, max_depth: int = MAX_DEPTH,
     if not is_degree_compatible_local(order):
         raise ProblemSyntaxError(
             "hilbert_partition needs a degree-compatible local order")
-    result = comprehensive_basis(F, order, max_depth=max_depth, seed=seed)
+    result = comprehensive_basis(F, order, max_depth=max_depth)
     return strata_from_cells(result)
 
 

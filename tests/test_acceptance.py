@@ -11,10 +11,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import inf
 from pathlib import Path
-
-import pytest
 
 from parastd.orders import grevlex, lex, matrix_order, region_of
 from parastd.polyring import (
@@ -25,7 +22,7 @@ from parastd.polyring import (
     render_poly,
 )
 from parastd.division import divide, s_function
-from parastd.buchberger import buchberger, minimalize
+from parastd.buchberger import buchberger
 from parastd.genstd import (
     PrimeContext,
     Staircase,

@@ -366,10 +366,10 @@ def test_gsb_s_function_count(problem, formed, monkeypatch, tmp_path):
 ENGINE_WORK = {
     ("gsb", "katsura4_a"): (10, 10, 5, 243),
     ("gsb", "cyclic4_a"): (11, 11, 5, 53),
-    ("hilbert", "jac_cross3"): (188, 174, 87, 576),
-    ("hilbert", "jac_chain3"): (386, 238, 98, 521),
-    ("hilbert", "t345"): (79, 72, 28, 322),
-    ("hilbert", "e7_local"): (105, 91, 25, 158),
+    ("hilbert", "jac_cross3"): (107, 99, 45, 315),
+    ("hilbert", "jac_chain3"): (125, 85, 41, 167),
+    ("hilbert", "t345"): (31, 27, 10, 97),
+    ("hilbert", "e7_local"): (40, 36, 7, 73),
 }
 
 

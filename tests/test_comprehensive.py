@@ -4,15 +4,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from parastd.errors import DepthExceeded, MultipleCells, NoCell, ParastdError, ProblemSyntaxError
+from parastd.errors import DepthExceeded, MultipleCells, NoCell, ProblemSyntaxError
 from parastd.orders import grevlex, lex, neg_grevlex
 from parastd.polyring import AScalar, rational_roots
-from parastd.genstd import SampleCheck, generic_reduced_basis, plain_staircase
+from parastd.genstd import generic_reduced_basis, plain_staircase, verify_specialization
 from parastd.problems import parse_problem
 from parastd.cli import run
-from parastd import comprehensive
+from parastd import comprehensive, genstd, sampling
 from parastd.comprehensive import (
     Cell,
     comprehensive_basis,
@@ -269,7 +269,7 @@ def test_non_radical_conditions_handled():
 def test_two_parameter_partition():
     params = ("a", "b")
     F = [P("a*x1^2 + b*x2", params=params), P("x1*x2 + a", params=params)]
-    res = comprehensive_basis(F, grevlex(2), seed=3)
+    res = comprehensive_basis(F, grevlex(2))
     rng = random.Random(17)
     pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
            (Fraction(0), Fraction(1))]
@@ -286,14 +286,13 @@ def test_partition_fuzz_random_families():
     # random one-parameter families: every sampled point lands in exactly
     # one cell whose staircase the from-scratch oracle confirms
     from conftest import random_poly
-    from parastd.orders import matrix_order
     rng = random.Random(31415)
     orders = [lex(2), grevlex(2), neg_grevlex(2), INTRO_ORDER]
     for trial in range(12):
         order = orders[trial % len(orders)]
         F = [random_poly(rng, 2, 1, max_terms=3, max_exp=2)
              for _ in range(rng.randint(1, 2))]
-        res = comprehensive_basis(F, order, max_depth=10, seed=trial)
+        res = comprehensive_basis(F, order, max_depth=10)
         pts = {(Fraction(0),)}
         while len(pts) < 12:
             pts.add((Fraction(rng.randint(-15, 15), rng.randint(1, 4)),))
@@ -303,54 +302,16 @@ def test_partition_fuzz_random_families():
             assert got == res.cells[idx].basis.staircase
 
 
-def _fail_first_cell_at(point):
-    """A stand-in for verify_specialization that fails only its first call."""
-    calls = []
-
-    def fake(basis, points):
-        calls.append(basis)
-        if len(calls) == 1:
-            return [SampleCheck(point, False, basis.staircase, "staged")]
-        return [SampleCheck(tuple(p), True, basis.staircase) for p in points]
-
-    return fake, calls
-
-
-def test_tree_splits_where_verify_specialization_fails(monkeypatch):
-    # the tree checks its cells with verify_specialization: a failing check
-    # at a = 2 splits the root cell on the factor a - 2 of a coefficient
-    import parastd.comprehensive as comp
-
-    fake, calls = _fail_first_cell_at((Fraction(2),))
-    monkeypatch.setattr(comp, "verify_specialization", fake)
-    res = comprehensive_basis([P("x1 + (a - 2)*x2")], lex(2))
-    split = A - AScalar.const(2, 1)
-    assert len(calls) == 3
-    assert [(e.cell.vanish, e.cell.nonvanish) for e in res.cells] == [
-        ((split,), ()), ((), (split,))]
-
-
-def test_tree_raises_when_the_failing_sample_has_no_offending_factor(monkeypatch):
-    import parastd.comprehensive as comp
-
-    fake, _ = _fail_first_cell_at((Fraction(3),))
-    monkeypatch.setattr(comp, "verify_specialization", fake)
-    with pytest.raises(ParastdError, match="no offending coefficient"):
-        comprehensive_basis([P("a*x2 - x1*x2 + x1")], INTRO_ORDER)
-
-
-def test_every_cell_of_two_params_is_sampled(monkeypatch):
-    # the cell vanish: [b, a] has the one point (0, 0); the tree must check it
-    import parastd.comprehensive as comp
-
+def test_the_tree_draws_no_sample_point(monkeypatch):
+    # each cell is right by the argument in the comprehensive docstring, so
+    # building the tree runs no sample check and draws no point
     problem = parse_problem((PROBLEMS / "two_params.psb").read_text())
-    calls = record_calls(monkeypatch, comp, "verify_specialization")
-    res = comprehensive_basis(problem.ideal, problem.order, seed=problem.options["seed"])
-    checked = {basis.ctx.qbasis: points for basis, points in calls}
-    a, b = AScalar.var(0, 2), AScalar.var(1, 2)
-    cell = next(e for e in res.cells if set(e.cell.vanish) == {a, b})
-    assert checked[cell.basis.ctx.qbasis] == [(Fraction(0), Fraction(0))]
-    assert all(checked[e.basis.ctx.qbasis] for e in res.cells)
+    calls = [record_calls(monkeypatch, mod, name)
+             for owner, name in [(genstd, "verify_specialization"),
+                                 (sampling, "variety_points")]
+             for mod in (owner, comprehensive) if hasattr(mod, name)]
+    comprehensive_basis(problem.ideal, problem.order)
+    assert len(calls) >= 2 and not any(calls)
 
 
 # every problem text of the shipped files and the benchmark ladder (all
@@ -375,8 +336,7 @@ def test_cells_partition_the_grid(name):
         with pytest.raises(ProblemSyntaxError, match="polynomials in the parameters"):
             comprehensive_basis(problem.ideal, problem.order)
         return
-    res = comprehensive_basis(problem.ideal, problem.order,
-                              seed=problem.options.get("seed", 0))
+    res = comprehensive_basis(problem.ideal, problem.order)
     for point in itertools.product(GRID, repeat=problem.m):
         cell = res.cells[locate(res, point)]  # raises unless exactly one cell
         got = plain_staircase([f.specialize(point) for f in problem.ideal],
@@ -390,6 +350,32 @@ def test_cells_partition_the_grid(name):
         for b in (basis, generic_reduced_basis(basis, trunc)):
             for g, lead in zip(b.gens, b.leads):
                 assert lead == leading_mod_q(g, b.order, b.ctx), entry.cell
+
+
+# Coefficients whose factors meet at the origin and repeat across a and b,
+# so the tree's node ideals are often not prime (<(a - b)^2>, <a^2 - b^2>);
+# with factors such as a - 1 mixed in, the lex bases of the node ideals can
+# grow for seconds, so the family keeps to these
+_NODE_COEFFS = ["1", "-3", "a", "b", "a*b", "a^2", "(a - b)^2", "(a - b)*(a + b)",
+                "a*(a - b)", "b*(a + b)"]
+_TERM = st.tuples(st.sampled_from(_NODE_COEFFS),
+                  st.sampled_from(["1", "x1", "x2", "x1^2", "x1*x2", "x2^2"]))
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([lex(2), grevlex(2), neg_grevlex(2), INTRO_ORDER]),
+       st.lists(st.lists(_TERM, min_size=2, max_size=2, unique_by=lambda t: t[1]),
+                min_size=1, max_size=2))
+def test_every_grid_point_passes_the_sample_check_of_its_cell(order, gens):
+    # the tree samples no point (its docstring proves the cells right), so
+    # the check runs here: at every grid point, on V(a), V(b) and V(a, b)
+    # too, the staircase and the leads of the point's cell are the ones
+    # the specialized ideal has
+    F = [P(" + ".join(f"({c})*{m}" for c, m in g), params=("a", "b")) for g in gens]
+    res = comprehensive_basis(F, order)
+    for point in itertools.product(GRID, repeat=2):
+        check, = verify_specialization(res.cells[locate(res, point)].basis, [point])
+        assert check.ok, (point, check.note)
 
 
 def test_hilbert_asks_each_radical_question_once(monkeypatch):

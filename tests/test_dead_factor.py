@@ -40,7 +40,7 @@ def test_dead_factor_is_added_to_the_cell_ideal():
     # on V(a^3 - b^2, a) = {(0, 0)} the h factor a^2 - b vanishes, but it is
     # not in <a^3 - b^2, a>; the tree saturates by it
     problem = parse_problem((PROBLEMS / "dead_factor.psb").read_text(encoding="utf-8"))
-    res = comprehensive_basis(problem.ideal, problem.order, seed=problem.options["seed"])
+    res = comprehensive_basis(problem.ideal, problem.order)
     vanish = [[render_ascalar(v, problem.params) for v in e.cell.vanish] for e in res.cells]
     assert ["a^3 - b^2", "a", "a^2 - b"] in vanish
     assert ["a^3 - b^2", "a"] not in vanish

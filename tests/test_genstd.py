@@ -32,7 +32,7 @@ from parastd.genstd import (
     verify_specialization,
 )
 
-from conftest import (INTRO_ORDER, INTRO_PARAMS, INTRO_VARS, P, divides_factor_power,
+from conftest import (INTRO_ORDER, INTRO_VARS, P, divides_factor_power,
                       leading_mod_q, outside_input_ideal, random_poly, record_calls,
                       s_criterion_mod_q)
 

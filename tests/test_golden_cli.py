@@ -5,7 +5,7 @@ Every op of the benchmark's desk workload runs through `cli.run` on
 golden digest for the problem's default seed. Every distinct op of the
 well_gsb, local_tree and series_reduce workloads, which load the basis
 engine and the series division, runs the same way on the problem text in
-bench/workloads.json. The ops that sample parameter points (local_tree's,
+bench/workloads.json. The ops that build a comprehensive tree (local_tree's,
 and desk's comprehensive and hilbert) also run at two other seeds, under
 the benchmark's check for a random seed. The benchmark's workload module
 is loaded by path and only read.
@@ -82,8 +82,8 @@ def test_engine_op_matches_golden_digest(op_id):
     _check_golden(op, bench_text(op["problem"]))
 
 
-# results that sample parameter points must not depend on the seed: every
-# distinct local_tree op and the desk ops that build a comprehensive tree,
+# the comprehensive tree draws no sample points, so no seed may reach its
+# results: every distinct local_tree op and the desk ops that build a tree,
 # each at two seeds other than the problem's own
 SAMPLED = {WL.op_id(op): op for op in WL.ops("local_tree") + DESK
            if op["command"] in ("comprehensive", "hilbert")}

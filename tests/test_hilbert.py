@@ -368,8 +368,7 @@ def test_milnor_number_matches_a_dimension_count(name):
     problem = parse_problem(LOCAL_FAMILIES[name])
     order = problem.order
     checked = 0
-    for stratum in hilbert_partition(problem.ideal, order,
-                                     seed=problem.options.get("seed", 0)):
+    for stratum in hilbert_partition(problem.ideal, order):
         point = next((p for cell in stratum.cells
                       for p in product(GRID, repeat=problem.m) if cell.contains(p)), None)
         if point is None:

@@ -118,3 +118,25 @@ def test_importing_the_cli_loads_no_dataclass_or_typing_machinery():
     child = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
                            capture_output=True, text=True, timeout=60, check=True)
     assert child.stdout.split() == []
+
+
+ROOT = SRC.parent.parent
+SCANNED = ([p for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that the module at path imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # `__init__` imports only to re-export; every other module of the
+    # package, the tests and the scripts reads each name it imports
+    unused = {str(p.relative_to(ROOT)): names for p in SCANNED if (names := unused_imports(p))}
+    assert unused == {}

@@ -11,8 +11,7 @@ from hypothesis import example, given, strategies as st
 from parastd.errors import (DenominatorInQ, DenominatorVanishes, DimensionMismatch,
                             ParastdError, ZeroPolynomialError)
 from parastd import polyring
-from parastd.orders import (MonomialOrder, exp_add, grevlex, keyed_terms, lex, matrix_order,
-                            neg_grevlex)
+from parastd.orders import MonomialOrder, exp_add, grevlex, keyed_terms, lex, neg_grevlex
 from parastd.polyring import (
     AScalar,
     ParamPoly,

@@ -47,8 +47,8 @@ def test_text_output_matches_digest(group):
     assert not moved, "moved: " + "; ".join(moved)
 
 
-# The comprehensive tree shares one rng across its cells, so the sample
-# points of every cell depend on the seed; the printed cells must not.
+# The comprehensive tree draws no sample points: `--seed` is echoed in the
+# document and must reach nothing else in it.
 ENGINE_PROBLEMS = ["jac_cross3", "jac_chain3", "t345", "e7_local",
                    "katsura4_a", "cyclic4_a"]
 SEED_CASES = [(p, seed) for p in ENGINE_PROBLEMS for seed in (1, 12345)]
